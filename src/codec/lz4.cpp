@@ -1,5 +1,6 @@
 #include "codec/lz4.h"
 
+#include <bit>
 #include <cstring>
 
 namespace numastream {
@@ -37,46 +38,160 @@ inline bool emit_length(std::size_t value, std::uint8_t*& op,
   return true;
 }
 
+// Length of the common run of `p` and `match`, stopping at `limit` (p's
+// bound; match < p, so it stays in bounds too). Compares 8 bytes per step:
+// the lowest set bit of the XOR of two little-endian words marks the first
+// differing byte.
+inline std::size_t match_length(const std::uint8_t* p, const std::uint8_t* match,
+                                const std::uint8_t* const limit) noexcept {
+  const std::uint8_t* const start = p;
+  while (limit - p >= 8) {
+    const std::uint64_t diff = load_le64(p) ^ load_le64(match);
+    if (diff != 0) {
+      return static_cast<std::size_t>(p - start) +
+             static_cast<std::size_t>(std::countr_zero(diff) >> 3);
+    }
+    p += 8;
+    match += 8;
+  }
+  while (p < limit && *p == *match) {
+    ++p;
+    ++match;
+  }
+  return static_cast<std::size_t>(p - start);
+}
+
+// Block copies run up to 15 bytes past the copied range, so they are used
+// only where both the source and the destination have this much room left
+// beyond it; elsewhere copies are exact.
+constexpr std::size_t kWildSlack = 16;
+
+// Copies [src, src + n) to dst in `Step`-byte blocks, writing (and reading)
+// up to Step - 1 bytes past the end. Blocks never overlap when dst - src >=
+// Step, which is what makes the 8-byte form a valid LZ4 match copy.
+template <std::size_t Step>
+inline void wild_copy(std::uint8_t* dst, const std::uint8_t* src,
+                      std::size_t n) noexcept {
+  std::uint8_t* const end = dst + n;
+  do {
+    std::memcpy(dst, src, Step);
+    dst += Step;
+    src += Step;
+  } while (dst < end);
+}
+
+// Match copy for the decoder's fast path (output has kWildSlack bytes of room
+// past op + len). Offsets 1-7 overlap within a block: the first 8 bytes are
+// expanded from the pattern and the source is re-based to a distance that is
+// a multiple of the offset and at least 8, after which 8-byte blocks are safe
+// (the table pair LZ4's reference decoder uses).
+inline void copy_match_fast(std::uint8_t* op, std::size_t offset,
+                            std::size_t len) noexcept {
+  static constexpr std::size_t kInc[8] = {0, 1, 2, 1, 0, 4, 4, 4};
+  static constexpr std::ptrdiff_t kDec[8] = {0, 0, 0, -1, -4, 1, 2, 3};
+  const std::uint8_t* match = op - offset;
+  if (offset >= 8) {
+    wild_copy<8>(op, match, len);
+    return;
+  }
+  op[0] = match[0];
+  op[1] = match[1];
+  op[2] = match[2];
+  op[3] = match[3];
+  match += kInc[offset];
+  std::memcpy(op + 4, match, 4);
+  match -= kDec[offset];
+  if (len > 8) {
+    wild_copy<8>(op + 8, match, len - 8);
+  }
+}
+
+// Appends sequences to a compressor's output; each call returns false when
+// dst is too small. Shared by the fast and HC compressors.
+class SequenceWriter {
+ public:
+  SequenceWriter(MutableByteSpan dst, const std::uint8_t* src_end) noexcept
+      : start_(dst.data()), op_(dst.data()), oend_(dst.data() + dst.size()),
+        src_end_(src_end) {}
+
+  /// Literal run [anchor, lit_end) followed by a match.
+  bool sequence(const std::uint8_t* anchor, const std::uint8_t* lit_end,
+                std::size_t offset, std::size_t match_len) noexcept {
+    std::uint8_t* const token = op_;
+    if (!literals(anchor, lit_end) || oend_ - op_ < 2) {
+      return false;
+    }
+    store_le16(op_, static_cast<std::uint16_t>(offset));
+    op_ += 2;
+    const std::size_t stored = match_len - kMinMatch;  // stored as length - 4
+    if (stored >= kTokenMax) {
+      *token |= static_cast<std::uint8_t>(kTokenMax);
+      return emit_length(stored - kTokenMax, op_, oend_);
+    }
+    *token |= static_cast<std::uint8_t>(stored);
+    return true;
+  }
+
+  /// The closing literal-only sequence [anchor, end of input).
+  bool last_literals(const std::uint8_t* anchor) noexcept {
+    return literals(anchor, src_end_);
+  }
+
+  [[nodiscard]] std::size_t written() const noexcept {
+    return static_cast<std::size_t>(op_ - start_);
+  }
+
+ private:
+  // The token (its literal half) and the literal run.
+  bool literals(const std::uint8_t* anchor, const std::uint8_t* lit_end) noexcept {
+    const std::size_t lit_len = static_cast<std::size_t>(lit_end - anchor);
+    if (op_ >= oend_) {
+      return false;
+    }
+    std::uint8_t* const token = op_++;
+    if (lit_len >= kTokenMax) {
+      *token = static_cast<std::uint8_t>(kTokenMax << 4);
+      if (!emit_length(lit_len - kTokenMax, op_, oend_)) {
+        return false;
+      }
+    } else {
+      *token = static_cast<std::uint8_t>(lit_len << 4);
+    }
+    const std::size_t room = static_cast<std::size_t>(oend_ - op_);
+    if (room < lit_len) {
+      return false;
+    }
+    // Runs are mostly a few bytes; a block copy avoids a memcpy call.
+    if (room - lit_len >= kWildSlack &&
+        static_cast<std::size_t>(src_end_ - lit_end) >= kWildSlack) {
+      wild_copy<16>(op_, anchor, lit_len);
+    } else if (lit_len > 0) {
+      std::memcpy(op_, anchor, lit_len);
+    }
+    op_ += lit_len;
+    return true;
+  }
+
+  std::uint8_t* const start_;
+  std::uint8_t* op_;
+  const std::uint8_t* const oend_;
+  const std::uint8_t* const src_end_;
+};
+
+Status overflow(const char* codec) {
+  return resource_exhausted_error(std::string(codec) + ": destination buffer too small");
+}
+
 }  // namespace
 
 Result<std::size_t> lz4_compress_block(ByteSpan src, MutableByteSpan dst) {
   const std::uint8_t* const base = src.data();
   const std::size_t src_size = src.size();
-  std::uint8_t* op = dst.data();
-  const std::uint8_t* const oend = dst.data() + dst.size();
-
-  const auto overflow = [] {
-    return resource_exhausted_error("lz4: destination buffer too small");
-  };
-
   if (src_size == 0) {
     return std::size_t{0};
   }
-
-  // Emits the literal run [anchor, lit_end) as a (possibly final) sequence,
-  // with match fields appended by the caller when not final.
-  const auto emit_literals = [&](const std::uint8_t* anchor, const std::uint8_t* lit_end,
-                                 std::uint8_t*& token_out) -> bool {
-    const std::size_t lit_len = static_cast<std::size_t>(lit_end - anchor);
-    if (op >= oend) {
-      return false;
-    }
-    token_out = op++;
-    if (lit_len >= kTokenMax) {
-      *token_out = static_cast<std::uint8_t>(kTokenMax << 4);
-      if (!emit_length(lit_len - kTokenMax, op, oend)) {
-        return false;
-      }
-    } else {
-      *token_out = static_cast<std::uint8_t>(lit_len << 4);
-    }
-    if (static_cast<std::size_t>(oend - op) < lit_len) {
-      return false;
-    }
-    std::memcpy(op, anchor, lit_len);
-    op += lit_len;
-    return true;
-  };
+  SequenceWriter out(dst, base + src_size);
+  const std::uint8_t* anchor = base;
 
   // Inputs too small to ever contain a legal match are a single literal run.
   if (src_size >= kMfLimit + 1) {
@@ -86,7 +201,6 @@ Result<std::size_t> lz4_compress_block(ByteSpan src, MutableByteSpan dst) {
     std::vector<std::uint32_t> table(std::size_t{1} << kHashLog, 0);
 
     const std::uint8_t* ip = base;
-    const std::uint8_t* anchor = base;
     const std::uint8_t* const mflimit = base + src_size - kMfLimit;
     const std::uint8_t* const matchlimit = base + src_size - kLastLiterals;
 
@@ -121,38 +235,12 @@ Result<std::size_t> lz4_compress_block(ByteSpan src, MutableByteSpan dst) {
 
       // Extend forward (first 4 bytes already verified when not backed up;
       // after backing up the verified region only grew).
-      const std::uint8_t* mp = match + kMinMatch;
-      const std::uint8_t* fp = ip + kMinMatch;
-      while (fp < matchlimit && *fp == *mp) {
-        ++fp;
-        ++mp;
+      const std::size_t match_len =
+          kMinMatch + match_length(ip + kMinMatch, match + kMinMatch, matchlimit);
+      if (!out.sequence(anchor, ip, static_cast<std::size_t>(ip - match), match_len)) {
+        return overflow("lz4");
       }
-      const std::size_t match_len = static_cast<std::size_t>(fp - ip);
-
-      std::uint8_t* token = nullptr;
-      if (!emit_literals(anchor, ip, token)) {
-        return overflow();
-      }
-
-      // Offset.
-      if (oend - op < 2) {
-        return overflow();
-      }
-      store_le16(op, static_cast<std::uint16_t>(ip - match));
-      op += 2;
-
-      // Match length (stored as length - kMinMatch).
-      const std::size_t stored = match_len - kMinMatch;
-      if (stored >= kTokenMax) {
-        *token |= static_cast<std::uint8_t>(kTokenMax);
-        if (!emit_length(stored - kTokenMax, op, oend)) {
-          return overflow();
-        }
-      } else {
-        *token |= static_cast<std::uint8_t>(stored);
-      }
-
-      ip = fp;
+      ip += match_len;
       anchor = ip;
 
       // Seed the table near the match end so the next search can chain into
@@ -161,20 +249,12 @@ Result<std::size_t> lz4_compress_block(ByteSpan src, MutableByteSpan dst) {
         table[hash4(load_le32(ip - 2))] = static_cast<std::uint32_t>((ip - 2) - base);
       }
     }
-
-    // Final literal run.
-    std::uint8_t* token = nullptr;
-    if (!emit_literals(anchor, base + src_size, token)) {
-      return overflow();
-    }
-  } else {
-    std::uint8_t* token = nullptr;
-    if (!emit_literals(base, base + src_size, token)) {
-      return overflow();
-    }
   }
 
-  return static_cast<std::size_t>(op - dst.data());
+  if (!out.last_literals(anchor)) {
+    return overflow("lz4");
+  }
+  return out.written();
 }
 
 Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst) {
@@ -211,6 +291,9 @@ Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst) {
     return true;
   };
 
+  // Every sequence passes all checks first; only the copy strategy differs
+  // between the fast path (block copies into >= kWildSlack bytes of room)
+  // and the checked tail path (exact copies near the end of either buffer).
   while (ip < iend) {
     const std::uint8_t token = *ip++;
 
@@ -225,7 +308,12 @@ Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst) {
     if (static_cast<std::size_t>(oend - op) < lit_len) {
       return corrupt("literal run past end of output");
     }
-    std::memcpy(op, ip, lit_len);
+    if (static_cast<std::size_t>(iend - ip) - lit_len >= kWildSlack &&
+        static_cast<std::size_t>(oend - op) - lit_len >= kWildSlack) {
+      wild_copy<16>(op, ip, lit_len);
+    } else if (lit_len > 0) {
+      std::memcpy(op, ip, lit_len);
+    }
     ip += lit_len;
     op += lit_len;
 
@@ -256,9 +344,15 @@ Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst) {
       return corrupt("match past end of output");
     }
 
+    if (static_cast<std::size_t>(oend - op) - match_len >= kWildSlack) {
+      copy_match_fast(op, offset, match_len);
+      op += match_len;
+      continue;
+    }
+    // Tail path. An overlapping copy replicates the pattern byte by byte,
+    // which is the defined semantics (offset 1 produces a run).
     const std::uint8_t* match = op - offset;
     if (offset >= 8) {
-      // Non-overlapping enough for block copies.
       std::size_t remaining = match_len;
       while (remaining >= 8) {
         std::memcpy(op, match, 8);
@@ -269,8 +363,6 @@ Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst) {
       std::memcpy(op, match, remaining);
       op += remaining;
     } else {
-      // Overlapping copy replicates the pattern byte-by-byte, which is the
-      // defined semantics (e.g. offset 1 produces a run).
       for (std::size_t i = 0; i < match_len; ++i) {
         *op = *match;
         ++op;
@@ -287,39 +379,11 @@ Result<std::size_t> lz4hc_compress_block(ByteSpan src, MutableByteSpan dst,
   NS_CHECK(max_chain > 0, "lz4hc needs a positive chain depth");
   const std::uint8_t* const base = src.data();
   const std::size_t src_size = src.size();
-  std::uint8_t* op = dst.data();
-  const std::uint8_t* const oend = dst.data() + dst.size();
-
-  const auto overflow = [] {
-    return resource_exhausted_error("lz4hc: destination buffer too small");
-  };
-
   if (src_size == 0) {
     return std::size_t{0};
   }
-
-  const auto emit_literals = [&](const std::uint8_t* anchor, const std::uint8_t* lit_end,
-                                 std::uint8_t*& token_out) -> bool {
-    const std::size_t lit_len = static_cast<std::size_t>(lit_end - anchor);
-    if (op >= oend) {
-      return false;
-    }
-    token_out = op++;
-    if (lit_len >= kTokenMax) {
-      *token_out = static_cast<std::uint8_t>(kTokenMax << 4);
-      if (!emit_length(lit_len - kTokenMax, op, oend)) {
-        return false;
-      }
-    } else {
-      *token_out = static_cast<std::uint8_t>(lit_len << 4);
-    }
-    if (static_cast<std::size_t>(oend - op) < lit_len) {
-      return false;
-    }
-    std::memcpy(op, anchor, lit_len);
-    op += lit_len;
-    return true;
-  };
+  SequenceWriter out(dst, base + src_size);
+  const std::uint8_t* anchor = base;
 
   if (src_size >= kMfLimit + 1) {
     // Hash heads + a window-sized chain: chain[p & 0xFFFF] links position p
@@ -337,7 +401,6 @@ Result<std::size_t> lz4hc_compress_block(ByteSpan src, MutableByteSpan dst,
     };
 
     const std::uint8_t* ip = base;
-    const std::uint8_t* anchor = base;
     const std::uint8_t* const mflimit = base + src_size - kMfLimit;
     const std::uint8_t* const matchlimit = base + src_size - kLastLiterals;
 
@@ -355,13 +418,8 @@ Result<std::size_t> lz4hc_compress_block(ByteSpan src, MutableByteSpan dst,
         }
         const std::uint8_t* cand_ptr = base + candidate;
         if (load_le32(cand_ptr) == sequence) {
-          const std::uint8_t* mp = cand_ptr + kMinMatch;
-          const std::uint8_t* fp = ip + kMinMatch;
-          while (fp < matchlimit && *fp == *mp) {
-            ++fp;
-            ++mp;
-          }
-          const std::size_t len = static_cast<std::size_t>(fp - ip);
+          const std::size_t len =
+              kMinMatch + match_length(ip + kMinMatch, cand_ptr + kMinMatch, matchlimit);
           if (len > best_len) {
             best_len = len;
             best_match = cand_ptr;
@@ -383,24 +441,8 @@ Result<std::size_t> lz4hc_compress_block(ByteSpan src, MutableByteSpan dst,
         --match;
         ++best_len;
       }
-
-      std::uint8_t* token = nullptr;
-      if (!emit_literals(anchor, ip, token)) {
-        return overflow();
-      }
-      if (oend - op < 2) {
-        return overflow();
-      }
-      store_le16(op, static_cast<std::uint16_t>(ip - match));
-      op += 2;
-      const std::size_t stored = best_len - kMinMatch;
-      if (stored >= kTokenMax) {
-        *token |= static_cast<std::uint8_t>(kTokenMax);
-        if (!emit_length(stored - kTokenMax, op, oend)) {
-          return overflow();
-        }
-      } else {
-        *token |= static_cast<std::uint8_t>(stored);
+      if (!out.sequence(anchor, ip, static_cast<std::size_t>(ip - match), best_len)) {
+        return overflow("lz4hc");
       }
 
       // Index every covered position so later matches can chain into it.
@@ -411,19 +453,12 @@ Result<std::size_t> lz4hc_compress_block(ByteSpan src, MutableByteSpan dst,
       ip = match_end;
       anchor = ip;
     }
-
-    std::uint8_t* token = nullptr;
-    if (!emit_literals(anchor, base + src_size, token)) {
-      return overflow();
-    }
-  } else {
-    std::uint8_t* token = nullptr;
-    if (!emit_literals(base, base + src_size, token)) {
-      return overflow();
-    }
   }
 
-  return static_cast<std::size_t>(op - dst.data());
+  if (!out.last_literals(anchor)) {
+    return overflow("lz4hc");
+  }
+  return out.written();
 }
 
 Bytes lz4hc_compress(ByteSpan src, int max_chain) {

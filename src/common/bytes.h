@@ -6,6 +6,7 @@
 // exactly one place.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -20,38 +21,55 @@ using ByteSpan = std::span<const std::uint8_t>;
 using MutableByteSpan = std::span<std::uint8_t>;
 
 // ---- unchecked little-endian stores/loads (caller guarantees bounds) ----
+//
+// On little-endian hosts each helper is one unaligned memcpy, which compilers
+// lower to a single load or store; GCC keeps the portable byte loops as loops
+// at -O2, and these helpers run on every LZ4 hash probe and xxHash stripe.
+// Big-endian hosts take the byte-loop path.
+
+namespace detail {
+template <typename T>
+inline T load_le(const std::uint8_t* src) noexcept {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, src, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(v | (T{src[i]} << (8 * i)));
+    }
+  }
+  return v;
+}
+template <typename T>
+inline void store_le(std::uint8_t* dst, T v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+}  // namespace detail
 
 inline void store_le16(std::uint8_t* dst, std::uint16_t v) noexcept {
-  dst[0] = static_cast<std::uint8_t>(v);
-  dst[1] = static_cast<std::uint8_t>(v >> 8);
+  detail::store_le(dst, v);
 }
 inline void store_le32(std::uint8_t* dst, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) {
-    dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
+  detail::store_le(dst, v);
 }
 inline void store_le64(std::uint8_t* dst, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
+  detail::store_le(dst, v);
 }
 
 inline std::uint16_t load_le16(const std::uint8_t* src) noexcept {
-  return static_cast<std::uint16_t>(src[0] | (std::uint16_t{src[1]} << 8));
+  return detail::load_le<std::uint16_t>(src);
 }
 inline std::uint32_t load_le32(const std::uint8_t* src) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::uint32_t{src[i]} << (8 * i);
-  }
-  return v;
+  return detail::load_le<std::uint32_t>(src);
 }
 inline std::uint64_t load_le64(const std::uint8_t* src) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t{src[i]} << (8 * i);
-  }
-  return v;
+  return detail::load_le<std::uint64_t>(src);
 }
 
 /// Appends little-endian encoded values and raw spans to a Bytes vector.

@@ -1278,15 +1278,23 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           raw = stream.get();
           socket = std::make_unique<PullSocket>(std::move(stream), 256 * 1024,
                                                 on_corruption);
-          if (pool != nullptr &&
-              on_corruption == MessageDecoder::OnCorruption::kFail) {
-            // Zero-copy recv: message bodies are read straight into buffers
-            // leased from this worker's home shelf (strict mode only —
-            // resync needs the decoder's scan buffer; see PullSocket::recv).
-            ChunkPool* shelf = pool.get();
-            const int dom = ctx.binding.memory_domain;
-            socket->set_buffer_lease(
-                [shelf, dom](std::size_t n) { return shelf->lease(dom, n); });
+          // Zero-copy recv: in strict mode message bodies are read straight
+          // into their own buffers — leased from this worker's home shelf
+          // when pooling is on, freshly allocated otherwise — instead of
+          // being reassembled in the decoder's scan buffer (resync needs that
+          // buffer; see PullSocket::recv). Reassembly costs a copy per
+          // message, and its growing buffer sharing the allocator arena with
+          // chunk-sized bodies made page-fault load, and so throughput,
+          // differ from run to run.
+          if (on_corruption == MessageDecoder::OnCorruption::kFail) {
+            if (pool != nullptr) {
+              ChunkPool* shelf = pool.get();
+              const int dom = ctx.binding.memory_domain;
+              socket->set_buffer_lease(
+                  [shelf, dom](std::size_t n) { return shelf->lease(dom, n); });
+            } else {
+              socket->set_buffer_lease([](std::size_t n) { return Bytes(n); });
+            }
           }
           registry.add(raw);
           consumed = 0;

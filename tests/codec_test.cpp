@@ -51,6 +51,44 @@ TEST(XxHashTest, SingleBitFlipsDigest) {
   EXPECT_NE(xxhash64(data), h64);
 }
 
+// Golden digests recorded from the byte-loop loads: every length 0-100
+// (covering the 16- and 32-byte stripe loops and every tail) plus 1 MiB, and
+// each repeated at pointer offsets 1-7 so the unaligned loads are exercised.
+// The per-length digests are folded into one pin per hash.
+TEST(XxHashTest, GoldenDigestsAcrossLengthsAndAlignments) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  Bytes data(kMiB + 8);
+  Rng rng(0x60D);
+  for (auto& b : data) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  Bytes shifted(data.size() + 8);
+
+  std::uint64_t fold32 = 0;
+  std::uint64_t fold64 = 0;
+  for (std::size_t len = 0; len <= 100; ++len) {
+    const std::uint32_t h32 = xxhash32(ByteSpan(data.data(), len));
+    const std::uint64_t h64 = xxhash64(ByteSpan(data.data(), len));
+    fold32 = fold32 * 1000003 + h32;
+    fold64 = fold64 * 1000003 + h64;
+    for (std::size_t offset = 1; offset < 8; ++offset) {
+      std::memcpy(shifted.data() + offset, data.data(), len);
+      const ByteSpan view(shifted.data() + offset, len);
+      EXPECT_EQ(xxhash32(view), h32) << "len=" << len << " offset=" << offset;
+      EXPECT_EQ(xxhash64(view), h64) << "len=" << len << " offset=" << offset;
+    }
+  }
+  EXPECT_EQ(fold32, 0x22A99DC9223A34A5ULL);
+  EXPECT_EQ(fold64, 0xA9CC9FD9CD9DFED1ULL);
+
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::memcpy(shifted.data() + offset, data.data(), kMiB);
+    const ByteSpan view(shifted.data() + offset, kMiB);
+    EXPECT_EQ(xxhash32(view), 0x28A07F37U) << "offset=" << offset;
+    EXPECT_EQ(xxhash64(view), 0x542DFB8F9227267DULL) << "offset=" << offset;
+  }
+}
+
 // Property: the streaming hasher matches the one-shot hash for any split of
 // the input into updates.
 class XxHashStreaming : public ::testing::TestWithParam<std::size_t> {};

@@ -176,6 +176,27 @@ TEST(BytesTest, StoreLoadRoundTrip) {
   EXPECT_EQ(load_le64(buf), 0x0123456789ABCDEFULL);
 }
 
+TEST(BytesTest, UnalignedStoreLoadRoundTrip) {
+  std::uint8_t buf[24] = {};
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint8_t* p = buf + offset;
+    store_le16(p, 0xA1B2);
+    EXPECT_EQ(load_le16(p), 0xA1B2) << "offset=" << offset;
+    EXPECT_EQ(p[0], 0xB2);
+    store_le32(p, 0xC1D2E3F4U);
+    EXPECT_EQ(load_le32(p), 0xC1D2E3F4U) << "offset=" << offset;
+    EXPECT_EQ(p[0], 0xF4);
+    EXPECT_EQ(p[3], 0xC1);
+    store_le64(p, 0x0102030405060708ULL);
+    EXPECT_EQ(load_le64(p), 0x0102030405060708ULL) << "offset=" << offset;
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(p[i], 8 - i) << "offset=" << offset << " byte=" << i;
+    }
+    EXPECT_EQ(p[8], 0) << "store ran past its word";
+    store_le64(p, 0);
+  }
+}
+
 TEST(BytesTest, LittleEndianLayout) {
   std::uint8_t buf[4];
   store_le32(buf, 0x04030201U);
