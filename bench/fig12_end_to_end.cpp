@@ -70,35 +70,6 @@ ExperimentResult run_one(const ThreadCountConfig& table_config,
   return std::move(result).value();
 }
 
-/// Before/after of the lock-free stage fastpath (DESIGN.md §15). The
-/// "mutex era" run charges every chunk the overheads the fastpath
-/// eliminates — one fresh 11 MiB buffer (allocation + first-touch page
-/// faulting, ~2.5 ms of CPU per chunk at typical fault-and-zero rates)
-/// and one mutex-queue handoff per stage crossing (~15 us with the CV
-/// wakeup) — while the fastpath run recycles pooled buffers through
-/// padded rings and pays neither. Everything else is identical.
-ExperimentResult run_fastpath_variant(const ThreadCountConfig& table_config,
-                                      int transfer_threads,
-                                      int receiver_domain, bool fastpath) {
-  const MachineTopology updraft = updraft_topology("updraft1");
-  const MachineTopology lynx = lynxdtn_topology();
-  ExperimentOptions options;
-  options.link.bandwidth_gbps = 100;
-  options.chunks_per_stream = 300;
-  options.source_gbps = 100;
-  options.calib.queue_handoff_cpu_seconds = 15e-6;
-  options.calib.chunk_alloc_cpu_seconds = 2.5e-3;
-  options.fastpath = fastpath;
-  auto result = run_experiment(
-      {updraft},
-      {sender_config(table_config.compression_threads, transfer_threads)}, lynx,
-      receiver_config(transfer_threads, table_config.decompression_threads,
-                      receiver_domain),
-      options);
-  NS_CHECK(result.ok(), "fig12 fastpath run failed");
-  return std::move(result).value();
-}
-
 }  // namespace
 
 int main() {
@@ -190,38 +161,11 @@ int main() {
               "reads lengthen the tail)",
               lat0.receive.p99_ns >= lat1.receive.p99_ns);
 
-  // Stage-handoff fastpath before/after (DESIGN.md §15), on the
-  // compression-bound config A where per-chunk CPU overhead shows directly
-  // in e2e throughput.
-  const auto& cfg_a = table3_configs()[0];
-  const double mutex_gbps =
-      run_fastpath_variant(cfg_a, 8, 1, /*fastpath=*/false).e2e_gbps;
-  const double fastpath_gbps =
-      run_fastpath_variant(cfg_a, 8, 1, /*fastpath=*/true).e2e_gbps;
-  const double fastpath_gain = mutex_gbps > 0 ? fastpath_gbps / mutex_gbps : 0;
-  TextTable fastpath_table({"stage handoff", "e2e Gbps"});
-  fastpath_table.add_row({"mutex queues + fresh buffers",
-                          fmt_double(mutex_gbps, 1)});
-  fastpath_table.add_row({"rings + pooled buffers (fastpath)",
-                          fmt_double(fastpath_gbps, 1)});
-  std::printf("config A, 8 S/R, NUMA 1 receivers, with mutex-era per-chunk "
-              "overheads charged:\n%s",
-              fastpath_table.render().c_str());
-  shape_check("fastpath (rings + pool) gives a measurable e2e gain on the "
-              "compression-bound config (>= 5%)",
-              fastpath_gain >= 1.05);
-  shape_check("fastpath run matches the overhead-free main table (the rings "
-              "ARE the no-overhead model)",
-              near_factor(fastpath_gbps, at('A', 8, 1), 0.01));
-
   JsonWriter json = bench_json("fig12_end_to_end", bench_clock.seconds());
   json.field("best_g_8t_gbps", at('G', 8, 1));
   json.field("baseline_a_8t_gbps", at('A', 8, 1));
   json.field("headline_gain", at('G', 8, 1) / at('A', 8, 1));
   json.field("receive_p99_ns_numa1", lat1.receive.p99_ns);
-  json.field("mutex_baseline_gbps", mutex_gbps);
-  json.field("fastpath_gbps", fastpath_gbps);
-  json.field("fastpath_gain", fastpath_gain);
   shape_check("json artifact written",
               json.write(json_artifact_path("BENCH_fig12_end_to_end.json")));
   return finish();

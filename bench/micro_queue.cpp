@@ -1,14 +1,10 @@
 // Micro-benchmarks of the real pipeline queues: the blocking MPMC
-// BoundedQueue the runtime used to couple its stages with, the lock-free
-// SpscRing used on per-connection fast paths, and the padded MPSC fan-in
-// machinery (MpscRing / FanInQueue, DESIGN.md §15) that replaced the mutex
-// queue on the stage handoffs.
+// BoundedQueue that couples the pipeline's stages, and the lock-free
+// SpscRing behind the span tracer.
 //
 // Headline JSON metrics (BENCH_micro_queue.json):
-//   * fanin_speedup — FanInQueue vs BoundedQueue on the fan-in handoff hot
-//     path (producer push + consumer pop per chunk, uncontended so the
-//     queue-operation cost itself is what's measured). The fastpath claim
-//     is >= 2x here.
+//   * mutex_fanin_mops / mutex_crossthread_mops — BoundedQueue on the
+//     fan-in stage handoff, uncontended hot path and real threads.
 //   * counter_speedup — per-thread increments on a PaddedCounter block vs
 //     the same counters packed 8-per-cache-line (the false-sharing fix).
 //     On a single-core host this is ~1x by construction; the delta shows
@@ -24,8 +20,6 @@
 
 #include "bench/bench_util.h"
 #include "concurrency/bounded_queue.h"
-#include "concurrency/fanin_queue.h"
-#include "concurrency/mpsc_ring.h"
 #include "concurrency/spsc_ring.h"
 #include "metrics/padded_counter.h"
 
@@ -63,27 +57,6 @@ void BM_SpscRingPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRingPushPop);
 
-void BM_MpscRingPushPop(benchmark::State& state) {
-  MpscRing<int> ring(64);
-  for (auto _ : state) {
-    int item = 1;
-    (void)ring.try_push(item);
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MpscRingPushPop);
-
-void BM_FanInQueuePushPop(benchmark::State& state) {
-  FanInQueue<int> queue(64, 1);
-  for (auto _ : state) {
-    (void)queue.push(1);
-    benchmark::DoNotOptimize(queue.pop(0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FanInQueuePushPop);
-
 void BM_BoundedQueueCrossThread(benchmark::State& state) {
   // Producer thread streams items; the benchmark thread drains. Measures
   // handoff cost under real contention (even on a single-core host, where
@@ -108,27 +81,6 @@ void BM_BoundedQueueCrossThread(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedQueueCrossThread);
 
-void BM_FanInQueueCrossThread(benchmark::State& state) {
-  const int kBatch = 4096;
-  for (auto _ : state) {
-    FanInQueue<int> queue(128, 1);
-    std::thread producer([&] {
-      for (int i = 0; i < kBatch; ++i) {
-        (void)queue.push(i);
-      }
-      queue.close();
-    });
-    int received = 0;
-    while (queue.pop(0)) {
-      ++received;
-    }
-    producer.join();
-    benchmark::DoNotOptimize(received);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
-}
-BENCHMARK(BM_FanInQueueCrossThread);
-
 // ------------------------------------------------------------ headline
 // Hand-rolled measurements for the JSON artifact: the google-benchmark
 // numbers above are for humans, these are the fields CI diffs.
@@ -138,9 +90,7 @@ using Seconds = std::chrono::duration<double>;
 /// Fan-in handoff hot path, uncontended: `producers` logical producers
 /// take turns pushing a chunk, the single consumer pops each one. Neither
 /// side ever blocks (batch << capacity), so this isolates the per-chunk
-/// queue-operation cost — mutex+deque vs padded ring — which is exactly
-/// the cost the fastpath removes from every chunk crossing a stage
-/// boundary.
+/// queue-operation cost every chunk pays crossing a stage boundary.
 template <typename PushFn, typename PopFn>
 double handoff_mops(int producers, std::uint64_t rounds, PushFn push,
                     PopFn pop) {
@@ -161,8 +111,7 @@ double handoff_mops(int producers, std::uint64_t rounds, PushFn push,
 /// Cross-thread fan-in throughput: `producers` real threads each stream
 /// `per_producer` chunks into the queue, one consumer drains. On a
 /// single-core host this measures the blocking/wakeup path plus scheduler
-/// churn rather than the queue ops, so it is recorded but the >= 2x claim
-/// hangs on the hot-path number above.
+/// churn rather than the queue ops.
 template <typename Queue, typename PopFn>
 double crossthread_mops(Queue& queue, int producers,
                         std::uint64_t per_producer, PopFn pop) {
@@ -241,38 +190,26 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   // Headline: the fan-in stage handoff (3 compressors -> 1 sender, the
-  // Fig. 12 config A shape) on the hot path. Best of 3 repetitions per
-  // side — ns-scale timing on a shared host jitters, and the best run is
-  // the one least polluted by scheduler noise.
+  // Fig. 12 config A shape) on the hot path. Best of 3 repetitions —
+  // ns-scale timing on a shared host jitters, and the best run is the one
+  // least polluted by scheduler noise.
   const int kProducers = 3;
   const std::uint64_t kRounds = 400000;
   BoundedQueue<int> mutex_queue(128);
-  FanInQueue<int> ring_queue(128, 1);
   double mutex_fanin = 0;
-  double ring_fanin = 0;
   for (int rep = 0; rep < 3; ++rep) {
     mutex_fanin = std::max(
         mutex_fanin,
         handoff_mops(kProducers, kRounds,
                      [&](int v) { (void)mutex_queue.push(v); },
                      [&] { return mutex_queue.pop().has_value(); }));
-    ring_fanin = std::max(
-        ring_fanin,
-        handoff_mops(kProducers, kRounds,
-                     [&](int v) { (void)ring_queue.push(v); },
-                     [&] { return ring_queue.pop(0).has_value(); }));
   }
-  const double fanin_speedup = mutex_fanin > 0 ? ring_fanin / mutex_fanin : 0;
 
   const std::uint64_t kPerProducer = 100000;
   BoundedQueue<int> mutex_xt(128);
   const double mutex_cross = crossthread_mops(
       mutex_xt, kProducers, kPerProducer,
       [](BoundedQueue<int>& q) { return q.pop().has_value(); });
-  FanInQueue<int> ring_xt(128, 1);
-  const double ring_cross = crossthread_mops(
-      ring_xt, kProducers, kPerProducer,
-      [](FanInQueue<int>& q) { return q.pop(0).has_value(); });
 
   const int kCounterThreads = std::max(
       2, static_cast<int>(std::thread::hardware_concurrency()));
@@ -287,28 +224,19 @@ int main(int argc, char** argv) {
   std::printf("\nfan-in handoff (%d producers -> 1 consumer, hot path):\n",
               kProducers);
   std::printf("  BoundedQueue (mutex) : %8.2f Mops/s\n", mutex_fanin);
-  std::printf("  FanInQueue   (rings) : %8.2f Mops/s  (%.2fx)\n", ring_fanin,
-              fanin_speedup);
   std::printf("fan-in handoff (cross-thread, %d cores):\n",
               static_cast<int>(std::thread::hardware_concurrency()));
   std::printf("  BoundedQueue (mutex) : %8.2f Mops/s\n", mutex_cross);
-  std::printf("  FanInQueue   (rings) : %8.2f Mops/s\n", ring_cross);
   std::printf("counter increments (%d threads):\n", kCounterThreads);
   std::printf("  packed 8-per-line    : %8.2f Mops/s\n", packed_mops);
   std::printf("  PaddedCounter        : %8.2f Mops/s  (%.2fx)\n", padded_mops,
               counter_speedup);
-  bench::shape_check("FanInQueue >= 2x BoundedQueue on the fan-in handoff",
-                     fanin_speedup >= 2.0);
 
   bench::JsonWriter json =
       bench::bench_json("micro_queue", bench_clock.seconds());
   json.field("benchmarks_run", static_cast<double>(benchmarks_run));
-  json.field("fanin_producers", static_cast<std::uint64_t>(kProducers));
   json.field("mutex_fanin_mops", mutex_fanin);
-  json.field("ring_fanin_mops", ring_fanin);
-  json.field("fanin_speedup", fanin_speedup);
   json.field("mutex_crossthread_mops", mutex_cross);
-  json.field("ring_crossthread_mops", ring_cross);
   json.field("counter_threads", static_cast<std::uint64_t>(kCounterThreads));
   json.field("packed_counter_mops", packed_mops);
   json.field("padded_counter_mops", padded_mops);

@@ -131,9 +131,8 @@ class InvariantMonitor {
 
 /// ChunkSink decorator feeding kExactlyOnce from a live pipeline: wraps
 /// the real sink, reports each delivery, forwards the chunk untouched.
-/// Wiring one up is the only pipeline-side cost of chaos probes — when the
-/// chaos directive is off no ProbeSink exists and the hot path is
-/// byte-identical to the unprobed build.
+/// Wiring one up is the only pipeline-side cost of chaos probes — a
+/// pipeline built without one runs the unprobed hot path byte for byte.
 class ProbeSink final : public ChunkSink {
  public:
   /// Borrows both; they must outlive the sink. `gateway`/`epoch` stamp the

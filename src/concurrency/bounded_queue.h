@@ -13,8 +13,8 @@
 // Implementation: mutex + two condition variables. For the chunk sizes this
 // runtime moves (11 MiB), queue synchronization is nanoseconds against
 // milliseconds of work per item, so a lock-free MPMC queue would add risk for
-// no measurable gain. (The lock-free SpscRing exists for the per-connection
-// fast paths; see spsc_ring.h.)
+// no measurable gain. (The lock-free SpscRing backs the span tracer's
+// per-worker rings; see obs/trace.h.)
 #pragma once
 
 #include <algorithm>

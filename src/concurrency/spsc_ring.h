@@ -1,10 +1,8 @@
 // SpscRing<T>: a wait-free single-producer / single-consumer ring buffer.
 //
-// Used on per-connection fast paths where exactly one thread produces and one
-// consumes (e.g. a receiver thread handing frames to its paired decompressor
-// in the 1:1 pipeline layout). Unlike BoundedQueue it never takes a lock and
-// never blocks: callers spin or poll, which is the right discipline for the
-// latency-sensitive receive path the paper's Observation 1 is about.
+// Used where exactly one thread produces and one consumes (the span tracer's
+// per-worker rings, obs/trace.h). Unlike BoundedQueue it never takes a lock
+// and never blocks: callers spin or poll.
 //
 // Correctness: head_ is written only by the consumer, tail_ only by the
 // producer. Each side reads the other's index with acquire ordering and

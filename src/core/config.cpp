@@ -26,8 +26,6 @@
 //             [drain_degraded=on|off]
 //   scrub cadence_ms=<n> [range_records=<n>] [budget_records=<n>]
 //         [repair_concurrency=<n>]
-//   fastpath [rings=on|off] [pool_buffers=<n>]
-//   chaos seed=<n> [episodes=<n>] [events=<n>] [probes=on|off]
 //   task <type> count=<n> exec=<domain|os>[,<domain|os>...] mem=<domain|os> [stream=<id>]
 //
 // Every directive except `priority` and `task` may appear at most once —
@@ -341,33 +339,6 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
           "re-verify without one)");
     }
   }
-  if (fastpath.enabled()) {
-    if (fastpath.rings && (overload.shed_policy == ShedPolicy::kDropOldest ||
-                           overload.shed_policy == ShedPolicy::kPriorityEvict)) {
-      return invalid_argument_error(
-          "config: fastpath rings=on is incompatible with shed policy '" +
-          to_string(overload.shed_policy) +
-          "' (a lock-free ring cannot evict interior elements; use block or "
-          "drop_newest)");
-    }
-  }
-  if (!chaos.is_default()) {
-    if (chaos.seed == 0) {
-      return invalid_argument_error(
-          "config: chaos needs seed > 0 (the mesh and explorer derive every "
-          "decision from it; 0 means chaos off)");
-    }
-    if (chaos.episodes == 0) {
-      return invalid_argument_error(
-          "config: chaos episodes must be positive (a zero budget would "
-          "explore nothing)");
-    }
-    if (chaos.events == 0) {
-      return invalid_argument_error(
-          "config: chaos events must be positive (an empty schedule cannot "
-          "compose faults)");
-    }
-  }
   if (tasks.empty()) {
     return invalid_argument_error("config: no task groups");
   }
@@ -488,19 +459,6 @@ std::string NodeConfig::serialize() const {
         << " budget_records=" << scrub.budget_records
         << " repair_concurrency=" << scrub.repair_concurrency << "\n";
   }
-  if (!fastpath.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so mutex-queue configs round-trip byte-identically.
-    out << "fastpath rings=" << (fastpath.rings ? "on" : "off")
-        << " pool_buffers=" << fastpath.pool_buffers << "\n";
-  }
-  if (!chaos.is_default()) {
-    // Same convention again: the directive appears only when some knob
-    // moved, so production configs round-trip byte-identically.
-    out << "chaos seed=" << chaos.seed << " episodes=" << chaos.episodes
-        << " events=" << chaos.events
-        << " probes=" << (chaos.probes ? "on" : "off") << "\n";
-  }
   for (const auto& group : tasks) {
     out << "task " << to_string(group.type) << " count=" << group.count << " exec=";
     for (std::size_t i = 0; i < group.bindings.size(); ++i) {
@@ -531,8 +489,6 @@ Result<NodeConfig> NodeConfig::parse(const std::string& text) {
   bool saw_cluster = false;
   bool saw_rebalance = false;
   bool saw_scrub = false;
-  bool saw_fastpath = false;
-  bool saw_chaos = false;
 
   std::istringstream in(text);
   std::string line;
@@ -934,70 +890,6 @@ Result<NodeConfig> NodeConfig::parse(const std::string& text) {
             config.scrub.budget_records = std::stoull(value);
           } else if (key == "repair_concurrency") {
             config.scrub.repair_concurrency = std::stoi(value);
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "fastpath") {
-      if (saw_fastpath) {
-        return fail("duplicate 'fastpath' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_fastpath = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "rings") {
-            if (value != "on" && value != "off") {
-              return fail("rings must be on|off");
-            }
-            config.fastpath.rings = value == "on";
-          } else if (key == "pool_buffers") {
-            config.fastpath.pool_buffers =
-                static_cast<std::uint32_t>(std::stoul(value));
-          } else {
-            return fail("unknown attribute '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return fail("bad value for " + key + ": '" + value + "'");
-        }
-      }
-    } else if (directive == "chaos") {
-      if (saw_chaos) {
-        return fail("duplicate 'chaos' directive (each policy may appear "
-                    "at most once)");
-      }
-      saw_chaos = true;
-      std::string attr;
-      while (fields >> attr) {
-        const auto eq = attr.find('=');
-        if (eq == std::string::npos) {
-          return fail("malformed attribute '" + attr + "'");
-        }
-        const std::string key = attr.substr(0, eq);
-        const std::string value = attr.substr(eq + 1);
-        try {
-          if (key == "seed") {
-            config.chaos.seed = std::stoull(value);
-          } else if (key == "episodes") {
-            config.chaos.episodes =
-                static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "events") {
-            config.chaos.events = static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "probes") {
-            if (value != "on" && value != "off") {
-              return fail("probes must be on|off");
-            }
-            config.chaos.probes = value == "on";
           } else {
             return fail("unknown attribute '" + key + "'");
           }

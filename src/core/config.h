@@ -313,51 +313,6 @@ struct ScrubConfig {
   friend bool operator==(const ScrubConfig&, const ScrubConfig&) = default;
 };
 
-/// Lock-free fast path (default off, DESIGN.md §15): replaces the pipeline's
-/// mutex BoundedQueue handoffs with cache-line-padded MPSC rings and
-/// recycles chunk buffers through a NUMA-local pool. Off (the default) the
-/// runtime behaves — and serializes — exactly as before.
-struct FastPathConfig {
-  /// Lock-free fan-in rings for the compressor->sender and
-  /// receiver->decompressor handoffs. Incompatible with the evicting shed
-  /// policies (drop_oldest / priority_evict): a ring cannot scan-and-remove
-  /// interior elements — validate() rejects the combination.
-  bool rings = false;
-  /// Buffers the chunk pool shelves per NUMA domain; 0 disables pooling.
-  std::uint32_t pool_buffers = 0;
-
-  [[nodiscard]] bool is_default() const { return *this == FastPathConfig{}; }
-
-  /// The absent directive keeps serialization byte-identical to the
-  /// pre-fastpath runtime.
-  [[nodiscard]] bool enabled() const { return !is_default(); }
-
-  friend bool operator==(const FastPathConfig&, const FastPathConfig&) = default;
-};
-
-struct ChaosConfig {
-  /// Master seed for the chaos mesh and explorer. 0 disables the whole
-  /// subsystem: no mesh is built, no probe fires, the hot path never
-  /// branches on chaos state.
-  std::uint64_t seed = 0;
-  /// Random-walk episodes the explorer runs per invocation. Must be > 0
-  /// when chaos is enabled.
-  std::uint32_t episodes = 200;
-  /// Events composed per episode schedule. Must be > 0 when enabled.
-  std::uint32_t events = 12;
-  /// Invariant probes armed during chaos runs. Off lets a soak measure
-  /// mesh overhead without ledger bookkeeping.
-  bool probes = true;
-
-  [[nodiscard]] bool is_default() const { return *this == ChaosConfig{}; }
-
-  /// Chaos is on iff a seed is set; the absent directive keeps
-  /// serialization byte-identical to the pre-chaos runtime.
-  [[nodiscard]] bool enabled() const { return seed != 0; }
-
-  friend bool operator==(const ChaosConfig&, const ChaosConfig&) = default;
-};
-
 struct NodeConfig {
   std::string node_name;
   NodeRole role = NodeRole::kSender;
@@ -372,8 +327,6 @@ struct NodeConfig {
   ClusterConfig cluster;
   RebalanceConfig rebalance;
   ScrubConfig scrub;
-  FastPathConfig fastpath;
-  ChaosConfig chaos;
   std::vector<TaskGroupConfig> tasks;
 
   /// Total threads of one task type across all groups (optionally filtered

@@ -16,13 +16,11 @@
 #include "codec/xxhash.h"
 #include "common/assert.h"
 #include "common/retry.h"
+#include "concurrency/bounded_queue.h"
 #include "concurrency/thread_pool.h"
 #include "core/advisor.h"
 #include "core/journal.h"
-#include "core/stage_channel.h"
 #include "core/watchdog.h"
-#include "data/chunk_pool.h"
-#include "metrics/fastpath_counters.h"
 #include "metrics/resume_counters.h"
 #include "metrics/throughput.h"
 #include "obs/registry.h"
@@ -151,8 +149,8 @@ class OverloadRun {
 
   /// Discards frames abandoned in `queue` at teardown and releases their
   /// charges, so a shared ledger is not leaked dry by an aborted run.
-  void settle_abandoned(StageChannel<Message>& queue) {
-    while (auto leftover = queue.try_pop_any()) {
+  void settle_abandoned(BoundedQueue<Message>& queue) {
+    while (auto leftover = queue.try_pop()) {
       if (budget_ != nullptr) {
         budget_->release(leftover->stream_id, leftover->body.size());
       }
@@ -405,20 +403,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
     streams.push_back(std::move(stream).value());
   }
 
-  // The fastpath directive (DESIGN.md §15): rings swaps the handoff below
-  // for per-consumer lock-free MPSC rings; pool_buffers keeps retired chunk
-  // buffers on NUMA-local shelves so steady state allocates each one once.
-  const FastPathConfig& fp = config_.fastpath;
-  FastPathCounters fastpath_counters;
-  std::unique_ptr<ChunkPool> pool;
-  if (fp.pool_buffers > 0) {
-    pool = std::make_unique<ChunkPool>(
-        std::max<std::size_t>(1, topo_.domain_count()), fp.pool_buffers,
-        &fastpath_counters);
-  }
-  StageChannel<Message> queue(config_.queue_capacity,
-                              static_cast<std::size_t>(send.count), fp.rings,
-                              &fastpath_counters);
+  BoundedQueue<Message> queue(config_.queue_capacity);
   // Teardown wakes parked queue waiters through the CV instead of leaving
   // them to poll the raised flag (the old 1 ms busy-poll).
   queue.bind_cancel(registry.cancel_signal());
@@ -467,13 +452,8 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
           registry.cancel_all();
           queue.close();
           // A raised cancel flag only aborts *waits* — frames already queued
-          // would still trickle out. A forced drain means dropping them. On
-          // the ring path this early drain would make the timer thread a
-          // second consumer (forbidden); the cancelled workers exit at once
-          // and the post-join settle below releases the charges instead.
-          if (!queue.lock_free()) {
-            ovr.settle_abandoned(queue);
-          }
+          // would still trickle out. A forced drain means dropping them.
+          ovr.settle_abandoned(queue);
         });
   }
 
@@ -694,9 +674,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
         MigrationPoller migrate(
             topo_, health, health_on, TaskType::kSend,
             "send-" + std::to_string(ctx.worker_index) + "-migrate", recorder);
-        // Retired bodies go back to this worker's home shelf; under the
-        // paper's aligned placement that is also the compressors' domain.
-        const int pool_domain = ctx.binding.memory_domain;
         // Send workers come after the compress workers in the trace's
         // worker-id space (see ObsHooks::tracer).
         const auto trace_worker =
@@ -716,8 +693,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
           queue.close();  // unblock the rest of the pipeline
         }
         while (ready.is_ok()) {
-          auto message =
-              queue.pop(static_cast<std::size_t>(ctx.worker_index), qcancel);
+          auto message = queue.pop(qcancel);
           if (!message) {
             break;
           }
@@ -747,9 +723,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
               rc.duplicates_suppressed.fetch_add(1, std::memory_order_relaxed);
               if (budget != nullptr) {
                 budget->release(charged_stream, charge);
-              }
-              if (pool != nullptr) {
-                pool->recycle(pool_domain, std::move(message->body));
               }
               sent_messages.fetch_add(1, std::memory_order_relaxed);
               continue;
@@ -795,10 +768,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             // journal holds only the hash, and a receiver restart will ask
             // for the bytes again.
             retained.push_back(std::move(*message));
-          } else if (pool != nullptr) {
-            // The frame left the wire; its buffer goes back on the shelf for
-            // the next chunk compressed on this domain.
-            pool->recycle(pool_domain, std::move(message->body));
           }
           sent_messages.fetch_add(1, std::memory_order_relaxed);
         }
@@ -849,14 +818,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             "comp-" + std::to_string(ctx.worker_index) + "-migrate", recorder);
         const auto trace_worker = static_cast<std::uint32_t>(ctx.worker_index);
         const int obs_domain = ctx.binding.execution_domain;
-        const int pool_domain = ctx.binding.memory_domain;
-        // Disposal for frames this worker sheds before they reach the queue:
-        // the body goes back on the shelf instead of through the allocator.
-        const auto recycle_body = [&](Message& dead) {
-          if (pool != nullptr) {
-            pool->recycle(pool_domain, std::move(dead.body));
-          }
-        };
         // Keep frames newer (higher sequence) over older, and — for the
         // priority policy — higher-priority streams over lower, newer over
         // older within a priority class.
@@ -900,15 +861,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
           message.stream_id = chunk->stream_id;
           message.sequence = chunk->sequence;
           const std::uint64_t compress_t0 = obr.observing() ? obr.now_ns() : 0;
-          if (pool != nullptr) {
-            // Lease a recycled buffer and compress straight into it — the
-            // steady state reuses the same NUMA-local allocation per slot.
-            Bytes body = pool->lease(pool_domain, 0);
-            encode_frame_into(*active, chunk->payload, body);
-            message.body = std::move(body);
-          } else {
-            message.body = encode_frame(*active, chunk->payload);
-          }
+          message.body = encode_frame(*active, chunk->payload);
           if (obr.observing()) {
             obr.note(obs::Stage::kCompress, chunk->stream_id, chunk->sequence,
                      trace_worker, obs_domain, compress_t0, obr.now_ns());
@@ -931,7 +884,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             if (shedding.load(std::memory_order_relaxed)) {
               if (ov.shed_policy == ShedPolicy::kDropNewest) {
                 oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-                recycle_body(message);
                 continue;  // the incoming frame is the casualty
               }
               if (ov.shed_policy == ShedPolicy::kDropOldest) {
@@ -940,7 +892,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                   if (budget != nullptr) {
                     budget->release(evicted->stream_id, evicted->body.size());
                   }
-                  recycle_body(*evicted);
                 }
                 // fall through: admit the incoming frame
               } else {  // kPriorityEvict
@@ -949,11 +900,9 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                   if (budget != nullptr) {
                     budget->release(evicted->stream_id, evicted->body.size());
                   }
-                  recycle_body(*evicted);
                 } else {
                   // The incoming frame is the least valuable — shed it.
                   oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-                  recycle_body(message);
                   continue;
                 }
               }
@@ -976,7 +925,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             } else if (!budget->try_acquire(message.stream_id, charge).is_ok()) {
               oc.budget_rejections.fetch_add(1, std::memory_order_relaxed);
               oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-              recycle_body(message);
               continue;
             }
           }
@@ -1039,8 +987,6 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
   stats.send_busy_seconds = send_busy.seconds();
   stats.compress_threads = compress.count;
   stats.send_threads = send.count;
-  queue.flush_parks();
-  stats.fastpath = fastpath_counters.snapshot();
   return stats;
 }
 
@@ -1101,20 +1047,7 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
     streams.push_back(std::move(stream).value());
   }
 
-  // Fastpath (DESIGN.md §15), receiver half: rings for the receive ->
-  // decompress handoff; the pool additionally backs PullSocket's zero-copy
-  // recv — bodies land in pool-leased buffers, decompressors return them.
-  const FastPathConfig& fp = config_.fastpath;
-  FastPathCounters fastpath_counters;
-  std::unique_ptr<ChunkPool> pool;
-  if (fp.pool_buffers > 0) {
-    pool = std::make_unique<ChunkPool>(
-        std::max<std::size_t>(1, topo_.domain_count()), fp.pool_buffers,
-        &fastpath_counters);
-  }
-  StageChannel<Message> queue(config_.queue_capacity,
-                              static_cast<std::size_t>(decompress.count),
-                              fp.rings, &fastpath_counters);
+  BoundedQueue<Message> queue(config_.queue_capacity);
   queue.bind_cancel(registry.cancel_signal());
   ErrorCollector errors;
   std::atomic<std::uint64_t> chunks{0};
@@ -1192,13 +1125,8 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           registry.cancel_all();
           queue.close();
           // A raised cancel flag only aborts *waits* — frames already queued
-          // would still trickle out. A forced drain means dropping them. On
-          // the ring path this early drain would make the timer thread a
-          // second consumer (forbidden); the cancelled workers exit at once
-          // and the post-join settle below releases the charges instead.
-          if (!queue.lock_free()) {
-            ovr.settle_abandoned(queue);
-          }
+          // would still trickle out. A forced drain means dropping them.
+          ovr.settle_abandoned(queue);
         });
   }
 
@@ -1276,26 +1204,7 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
         };
         const auto adopt = [&](std::unique_ptr<ByteStream> stream) {
           raw = stream.get();
-          socket = std::make_unique<PullSocket>(std::move(stream), 256 * 1024,
-                                                on_corruption);
-          // Zero-copy recv: in strict mode message bodies are read straight
-          // into their own buffers — leased from this worker's home shelf
-          // when pooling is on, freshly allocated otherwise — instead of
-          // being reassembled in the decoder's scan buffer (resync needs that
-          // buffer; see PullSocket::recv). Reassembly costs a copy per
-          // message, and its growing buffer sharing the allocator arena with
-          // chunk-sized bodies made page-fault load, and so throughput,
-          // differ from run to run.
-          if (on_corruption == MessageDecoder::OnCorruption::kFail) {
-            if (pool != nullptr) {
-              ChunkPool* shelf = pool.get();
-              const int dom = ctx.binding.memory_domain;
-              socket->set_buffer_lease(
-                  [shelf, dom](std::size_t n) { return shelf->lease(dom, n); });
-            } else {
-              socket->set_buffer_lease([](std::size_t n) { return Bytes(n); });
-            }
-          }
+          socket = std::make_unique<PullSocket>(std::move(stream), on_corruption);
           registry.add(raw);
           consumed = 0;
           resume_tick = 0;
@@ -1506,15 +1415,8 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
         const auto trace_worker =
             static_cast<std::uint32_t>(receive.count + ctx.worker_index);
         const int obs_domain = ctx.binding.execution_domain;
-        const int pool_domain = ctx.binding.memory_domain;
-        const auto recycle_body = [&](Message& done_with) {
-          if (pool != nullptr) {
-            pool->recycle(pool_domain, std::move(done_with.body));
-          }
-        };
         int consecutive_corrupt = 0;
-        while (auto message = queue.pop(
-                   static_cast<std::size_t>(ctx.worker_index), qcancel)) {
+        while (auto message = queue.pop(qcancel)) {
           migrate.poll();
           // Whatever happens to this frame below — delivery, corruption
           // drop, or eviction — its ledger charge is returned exactly once.
@@ -1528,7 +1430,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           if (stream_evicted(charged_stream)) {
             oc.evicted_chunks.fetch_add(1, std::memory_order_relaxed);
             settle();
-            recycle_body(*message);
             continue;  // the stream was cut for falling behind
           }
           bool resynced = false;
@@ -1537,9 +1438,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
               recovery.reconnect
                   ? decode_frame_content_resync(message->body, &resynced)
                   : decode_frame_content(message->body);
-          // The decode copied out everything it needed; whatever happens to
-          // the frame below, its wire buffer can go back on the shelf now.
-          recycle_body(*message);
           if (obr.observing() && content.ok()) {
             obr.note(obs::Stage::kDecompress, message->stream_id,
                      message->sequence, trace_worker, obs_domain, decompress_t0,
@@ -1636,8 +1534,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
   stats.decompress_busy_seconds = decompress_busy.seconds();
   stats.receive_threads = receive.count;
   stats.decompress_threads = decompress.count;
-  queue.flush_parks();
-  stats.fastpath = fastpath_counters.snapshot();
   return stats;
 }
 

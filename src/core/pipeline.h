@@ -24,7 +24,6 @@
 #include "core/health.h"
 #include "data/chunk.h"
 #include "data/tomo.h"
-#include "metrics/fastpath_counters.h"
 #include "metrics/fault_counters.h"
 #include "metrics/health_counters.h"
 #include "metrics/overload_counters.h"
@@ -190,9 +189,6 @@ struct SenderStats {
   double send_busy_seconds = 0;
   int compress_threads = 0;
   int send_threads = 0;
-  /// Lock-free handoff + chunk-pool accounting for the run; all-zero unless
-  /// the config's fastpath directive turned the subsystem on (DESIGN.md §15).
-  FastPathCountersSnapshot fastpath;
 
   [[nodiscard]] double raw_rate() const noexcept {
     return elapsed_seconds > 0 ? static_cast<double>(raw_bytes) / elapsed_seconds : 0;
@@ -217,9 +213,6 @@ struct ReceiverStats {
   double decompress_busy_seconds = 0;
   int receive_threads = 0;
   int decompress_threads = 0;
-  /// Lock-free handoff + chunk-pool accounting for the run; all-zero unless
-  /// the config's fastpath directive turned the subsystem on (DESIGN.md §15).
-  FastPathCountersSnapshot fastpath;
 
   [[nodiscard]] double raw_rate() const noexcept {
     return elapsed_seconds > 0 ? static_cast<double>(raw_bytes) / elapsed_seconds : 0;

@@ -6,11 +6,9 @@
 
 namespace numastream {
 
-ChunkPool::ChunkPool(std::size_t domains, std::size_t buffers_per_domain,
-                     FastPathCounters* counters)
+ChunkPool::ChunkPool(std::size_t domains, std::size_t buffers_per_domain)
     : buffers_per_domain_(buffers_per_domain),
-      shelves_(domains == 0 ? 1 : domains),
-      counters_(counters) {
+      shelves_(domains == 0 ? 1 : domains) {
   NS_CHECK(buffers_per_domain > 0, "ChunkPool shelf capacity must be positive");
 }
 
@@ -25,21 +23,14 @@ std::size_t ChunkPool::shelf_index(int domain) const noexcept {
 Bytes ChunkPool::lease(int domain, std::size_t size) {
   Shelf& shelf = shelves_[shelf_index(domain)];
   Bytes buffer;
-  bool hit = false;
   {
     const std::lock_guard<std::mutex> lock(shelf.mu);
     if (!shelf.buffers.empty()) {
       buffer = std::move(shelf.buffers.back());
       shelf.buffers.pop_back();
-      hit = true;
     }
   }
   buffer.resize(size);
-  if (counters_ != nullptr) {
-    counters_->pool_leases.fetch_add(1, std::memory_order_relaxed);
-    (hit ? counters_->pool_hits : counters_->pool_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
   return buffer;
 }
 
@@ -49,19 +40,11 @@ void ChunkPool::recycle(int domain, Bytes&& buffer) {
   }
   buffer.clear();
   Shelf& shelf = shelves_[shelf_index(domain)];
-  bool shelved = false;
-  {
-    const std::lock_guard<std::mutex> lock(shelf.mu);
-    if (shelf.buffers.size() < buffers_per_domain_) {
-      shelf.buffers.push_back(std::move(buffer));
-      shelved = true;
-    }
+  const std::lock_guard<std::mutex> lock(shelf.mu);
+  if (shelf.buffers.size() < buffers_per_domain_) {
+    shelf.buffers.push_back(std::move(buffer));
   }
   // Not shelved: `buffer` still owns its storage and frees it on return.
-  if (counters_ != nullptr) {
-    (shelved ? counters_->pool_recycles : counters_->pool_discards)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 std::size_t ChunkPool::shelved(int domain) const {

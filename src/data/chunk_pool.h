@@ -1,31 +1,19 @@
 // ChunkPool: NUMA-local recycling of large chunk buffers.
 //
-// Every chunk that crosses the pipeline used to pay a fresh 11 MiB
-// allocation (compress output, receive buffer) and a matching free — which
-// at streaming rates means the allocator's page churn plus first-touch
-// faulting dominate the memory system the paper says is the throughput
-// ceiling. The pool keeps a bounded shelf of retired buffers per NUMA
-// domain and hands them back out on the same domain, so a steady-state
-// pipeline allocates each buffer once and then recycles it on its home
-// domain forever (pool_hits in metrics/fastpath_counters.h).
+// The pool keeps a bounded shelf of retired buffers per NUMA domain and
+// hands them back out on the same domain, so a caller that recycles every
+// buffer it leases allocates each one once. A buffer recycled on a foreign
+// domain merely seeds that domain's shelf with once-remote pages, never a
+// correctness problem.
 //
-// Domain affinity is by construction, not by page migration: a worker
-// recycles into the shelf of the domain it runs on, and leases from that
-// same shelf. Under the paper's NUMA-aligned placement the compressor and
-// sender (and receiver and decompressor) share a domain, so a buffer
-// first-touched on domain D cycles back to workers on D. A buffer recycled
-// on a foreign domain merely seeds that domain's shelf with once-remote
-// pages — an approximation that costs a few remote leases after a worker
-// migration, never correctness.
+// Shelves are bounded (`buffers_per_domain`): a recycle into a full shelf
+// frees the buffer, so the pool can cap memory but never leak it. Leases are
+// plain Bytes buffers, so an owner that drops one frees it through ~vector
+// like any other allocation.
 //
-// Shelves are bounded (`buffers_per_domain`): a burst that retires more
-// buffers than the shelf holds simply frees the surplus (pool_discards) —
-// the pool can cap memory but never leak it. Leases are plain Bytes
-// buffers, so an owner that drops one on the floor (crash path, shed path)
-// frees it through ~vector like any other allocation: returning to the
-// pool is an optimization, not an obligation. The exactly-once accounting
-// test in tests/fastpath_test.cpp runs a chaos pipeline and checks
-// leases == hits + misses and recycles + discards <= leases.
+// The streaming pipeline does not use the pool: it allocates a fresh buffer
+// per chunk (DESIGN.md §15). The class stays as the real-runtime benchmark's
+// lease-vs-fresh-allocation layer probe.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +22,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "metrics/fastpath_counters.h"
 
 namespace numastream {
 
@@ -42,9 +29,8 @@ class ChunkPool {
  public:
   /// `domains` shelves (domain indices 0..domains-1; lease/recycle clamp a
   /// -1 "unknown" domain to shelf 0), each holding at most
-  /// `buffers_per_domain` retired buffers. `counters` may be null.
-  ChunkPool(std::size_t domains, std::size_t buffers_per_domain,
-            FastPathCounters* counters = nullptr);
+  /// `buffers_per_domain` retired buffers.
+  ChunkPool(std::size_t domains, std::size_t buffers_per_domain);
 
   ChunkPool(const ChunkPool&) = delete;
   ChunkPool& operator=(const ChunkPool&) = delete;
@@ -76,7 +62,6 @@ class ChunkPool {
 
   const std::size_t buffers_per_domain_;
   std::vector<Shelf> shelves_;
-  FastPathCounters* counters_;
 };
 
 }  // namespace numastream

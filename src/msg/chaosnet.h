@@ -21,7 +21,7 @@
 //
 // Granularity is the NSM1 frame, not the byte: ChaosByteStream buffers
 // written bytes until a complete header+body frame is assembled (using the
-// same decode_message_header validation as the receive fast path), then
+// same decode_message_header validation as PullSocket's strict receive), then
 // drops, delays, duplicates or holds-for-reorder whole frames. That keeps
 // chaos runs inside the protocol's state machine — a reordered *frame* is
 // a legal network, a reordered *byte range* is corruption, and corruption

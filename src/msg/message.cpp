@@ -355,115 +355,22 @@ Result<Message> MessageDecoder::next() {
       return std::nullopt;  // re-locked; caller retries the parse
     };
 
-    const std::uint32_t magic = load_le32(header);
-    if (magic != kMessageMagic) {
-      if (auto st = corruption("message: bad magic " +
-                               hex_preview(ByteSpan(header, 4)))) {
+    auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
+    if (!decoded.ok()) {
+      if (auto st = corruption(decoded.status().message())) {
         return *st;
       }
       continue;
     }
-    const std::uint16_t flags = load_le16(header + 16);
-    const std::uint16_t reserved = load_le16(header + 18);
-    const std::uint64_t body_size = load_le64(header + 20);
-    if ((flags & ~kMessageKnownFlags) != 0 || reserved != 0) {
-      if (auto st = corruption("message: unknown flags")) {
-        return *st;
-      }
-      continue;
-    }
-    if ((flags & kMessageFlagCredit) != 0 && body_size != 0) {
-      if (auto st = corruption("message: credit frame with a body")) {
-        return *st;
-      }
-      continue;
-    }
-    if ((flags & kMessageFlagResume) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream |
-                    kMessageFlagRepl | kMessageFlagHandoff)) != 0) {
-        if (auto st = corruption("message: resume frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size < kResumeBodyPrefix) {
-        if (auto st = corruption("message: resume frame body too short")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if ((flags & kMessageFlagRepl) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream |
-                    kMessageFlagHandoff)) != 0) {
-        if (auto st = corruption("message: repl frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size < kReplBodyPrefix) {
-        if (auto st = corruption("message: repl frame body too short")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if ((flags & kMessageFlagHandoff) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream)) != 0) {
-        if (auto st =
-                corruption("message: handoff frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size != kHandoffBodySize) {
-        if (auto st = corruption("message: handoff frame body must be " +
-                                 std::to_string(kHandoffBodySize) + " bytes")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if ((flags & kMessageFlagScrub) != 0) {
-      if ((flags & (kMessageFlagCredit | kMessageFlagEndOfStream |
-                    kMessageFlagResume | kMessageFlagRepl |
-                    kMessageFlagHandoff)) != 0) {
-        if (auto st =
-                corruption("message: scrub frame with conflicting flags")) {
-          return *st;
-        }
-        continue;
-      }
-      if (body_size < kScrubBodyPrefix) {
-        if (auto st = corruption("message: scrub frame body too short")) {
-          return *st;
-        }
-        continue;
-      }
-    }
-    if (body_size > kMaxMessageBody) {
-      if (auto st = corruption("message: body size " + std::to_string(body_size) +
-                               " exceeds limit")) {
-        return *st;
-      }
-      continue;
-    }
+    const std::uint64_t body_size = decoded.value().body_size;
     if (available < kMessageHeaderSize + body_size) {
       return unavailable_error("need more bytes for body");
     }
 
-    Message message;
-    message.stream_id = load_le32(header + 4);
-    message.sequence = load_le64(header + 8);
-    message.end_of_stream = (flags & kMessageFlagEndOfStream) != 0;
-    message.credit = (flags & kMessageFlagCredit) != 0;
-    message.resume = (flags & kMessageFlagResume) != 0;
-    message.repl = (flags & kMessageFlagRepl) != 0;
-    message.handoff = (flags & kMessageFlagHandoff) != 0;
-    message.scrub = (flags & kMessageFlagScrub) != 0;
+    Message message = std::move(decoded.value().message);
     message.body.assign(header + kMessageHeaderSize,
                         header + kMessageHeaderSize + body_size);
-    if (xxhash32(message.body) != load_le32(header + 28)) {
+    if (xxhash32(message.body) != decoded.value().body_hash) {
       if (auto st = corruption("message: body checksum mismatch")) {
         return *st;
       }

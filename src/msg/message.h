@@ -354,19 +354,19 @@ void encode_message_header(const Message& message, MutableByteSpan out);
 
 /// A decoded wire header: the message's identity and flags plus the body
 /// length and checksum still to be read. Produced by decode_message_header
-/// on the pooled-receive fast path, which reads the 32-byte header and then
-/// the body directly into a pool-leased buffer instead of reassembling
-/// through MessageDecoder's internal buffer.
+/// for PullSocket's strict receive path, which reads the 32-byte header and
+/// then the body directly into the message's own buffer, and for
+/// MessageDecoder, which validates every buffered header through it.
 struct MessageHeader {
   Message message;          ///< flags/ids decoded; body empty
   std::uint64_t body_size = 0;
   std::uint32_t body_hash = 0;
 };
 
-/// Validates and decodes a 32-byte wire header (same checks as
-/// MessageDecoder: magic, unknown flags/reserved bits, per-frame-kind body
-/// constraints, kMaxMessageBody). DATA_LOSS on any violation — the fast
-/// path has no resync; callers needing resync use MessageDecoder.
+/// Validates and decodes a 32-byte wire header: magic, unknown
+/// flags/reserved bits, per-frame-kind body constraints, kMaxMessageBody.
+/// DATA_LOSS on any violation; MessageDecoder turns that into its sticky or
+/// resync corruption policy.
 Result<MessageHeader> decode_message_header(ByteSpan header);
 
 /// Incremental decoder: feed() arbitrary byte slices as they arrive from a

@@ -82,21 +82,21 @@ Result<Message> PushSocket::recv_control() {
   }
 }
 
-PullSocket::PullSocket(std::unique_ptr<ByteStream> stream, std::size_t read_buffer,
+PullSocket::PullSocket(std::unique_ptr<ByteStream> stream,
                        MessageDecoder::OnCorruption on_corruption)
     : stream_(std::move(stream)),
       decoder_(on_corruption),
-      on_corruption_(on_corruption),
-      read_buffer_(read_buffer) {
+      on_corruption_(on_corruption) {
   NS_CHECK(stream_ != nullptr, "PullSocket needs a stream");
-  NS_CHECK(read_buffer > 0, "read buffer must be non-empty");
+  if (on_corruption_ == MessageDecoder::OnCorruption::kResync) {
+    read_buffer_.resize(kResyncReadBytes);
+  }
 }
 
-void PullSocket::set_buffer_lease(std::function<Bytes(std::size_t)> lease) {
-  lease_ = std::move(lease);
-}
-
-Result<Message> PullSocket::recv_pooled() {
+Result<Message> PullSocket::recv() {
+  if (on_corruption_ == MessageDecoder::OnCorruption::kResync) {
+    return recv_resync();
+  }
   if (corrupt_) {
     return data_loss_error("message stream previously corrupt");
   }
@@ -108,16 +108,16 @@ Result<Message> PullSocket::recv_pooled() {
     // DATA_LOSS = EOF mid-header — both map straight onto recv's contract.
     return header_read;
   }
+  // The header is validated (kMaxMessageBody included) before the body
+  // buffer is allocated, so a hostile length costs nothing.
   auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
   if (!decoded.ok()) {
-    corrupt_ = true;  // kFail semantics: framing violations are sticky
+    corrupt_ = true;  // strict mode: framing violations are sticky
     return decoded.status();
   }
   Message message = std::move(decoded.value().message);
   const std::uint64_t body_size = decoded.value().body_size;
-  message.body = lease_(body_size);
-  NS_CHECK(message.body.size() == body_size,
-           "buffer lease returned the wrong size");
+  message.body = Bytes(body_size);
   if (body_size != 0) {
     const Status body_read = read_exact(*stream_, MutableByteSpan(message.body));
     if (!body_read.is_ok()) {
@@ -135,14 +135,7 @@ Result<Message> PullSocket::recv_pooled() {
   return message;
 }
 
-Result<Message> PullSocket::recv() {
-  // Pooled fast path: header read exactly, body read straight into a
-  // pool-leased buffer. Needs strict corruption mode (resync requires the
-  // decoder's scan buffer) and an empty decoder (no legacy bytes buffered).
-  if (lease_ && on_corruption_ == MessageDecoder::OnCorruption::kFail &&
-      decoder_.buffered() == 0) {
-    return recv_pooled();
-  }
+Result<Message> PullSocket::recv_resync() {
   while (true) {
     auto message = decoder_.next();
     if (message.ok()) {

@@ -5,7 +5,6 @@
 // threads, x TCP streams" layout.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "msg/message.h"
@@ -20,6 +19,10 @@ namespace numastream {
 /// undefined truncation behaviour. Raise the constant if a deployment ever
 /// legitimately resumes >340 streams per connection.
 inline constexpr std::size_t kMaxControlBody = 4096;
+
+/// Bytes a resync-mode PullSocket asks its stream for per read; the strict
+/// mode reads each header and body exactly and needs no scan buffer.
+inline constexpr std::size_t kResyncReadBytes = 256 * 1024;
 
 class PushSocket {
  public:
@@ -65,12 +68,14 @@ class PushSocket {
 
 class PullSocket {
  public:
-  /// `on_corruption` selects the decoder's corruption policy: the strict
-  /// default cuts the connection on any framing violation; kResync re-locks
-  /// onto the next message magic so a hardened receiver survives bit-flips
-  /// at the cost of the corrupted message (see msg/message.h).
+  /// `on_corruption` selects the corruption policy. The strict default
+  /// reads each 32-byte header exactly, then the body straight into the
+  /// message's own buffer, and cuts the connection (sticky DATA_LOSS) on any
+  /// framing violation. kResync reassembles through a MessageDecoder and
+  /// re-locks onto the next message magic, so a hardened receiver survives
+  /// bit-flips at the cost of the corrupted message (see msg/message.h).
   explicit PullSocket(
-      std::unique_ptr<ByteStream> stream, std::size_t read_buffer = 256 * 1024,
+      std::unique_ptr<ByteStream> stream,
       MessageDecoder::OnCorruption on_corruption = MessageDecoder::OnCorruption::kFail);
 
   /// Receives the next message (blocking).
@@ -80,16 +85,6 @@ class PullSocket {
   /// An end-of-stream marker message is delivered like any other; callers
   /// check Message::end_of_stream.
   Result<Message> recv();
-
-  /// Installs a buffer lease hook and enables the pooled zero-copy receive
-  /// path: recv() reads the 32-byte header exactly, then reads the body
-  /// directly into `lease(body_size)` — typically a NUMA-local ChunkPool
-  /// lease — instead of reassembling through the decoder's internal buffer
-  /// (one copy saved per message, and the buffer is recyclable). Only takes
-  /// effect in the strict kFail corruption mode: resync needs the decoder's
-  /// scan buffer, so hardened (kResync) receivers keep the legacy path.
-  /// Corruption on the pooled path is sticky DATA_LOSS, matching kFail.
-  void set_buffer_lease(std::function<Bytes(std::size_t)> lease);
 
   /// Writes a credit grant for `grant` messages on the reverse direction of
   /// this connection (credit-based flow control; the paired PushSocket reads
@@ -102,7 +97,8 @@ class PullSocket {
   Status send_resume(std::uint64_t session_id,
                      const std::vector<ResumePoint>& points);
 
-  /// Bytes pulled so far, including headers.
+  /// Bytes pulled so far, including headers. Strict mode counts whole
+  /// verified messages; resync mode counts every byte read.
   [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_received_; }
 
   /// Decoder re-locks after corruption (nonzero only in kResync mode).
@@ -114,15 +110,14 @@ class PullSocket {
   }
 
  private:
-  Result<Message> recv_pooled();
+  Result<Message> recv_resync();
 
   std::unique_ptr<ByteStream> stream_;
   MessageDecoder decoder_;
   MessageDecoder::OnCorruption on_corruption_;
-  Bytes read_buffer_;
+  Bytes read_buffer_;  ///< resync mode only
   std::uint64_t bytes_received_ = 0;
-  std::function<Bytes(std::size_t)> lease_;
-  bool corrupt_ = false;
+  bool corrupt_ = false;  ///< strict mode: a framing violation was seen
 };
 
 }  // namespace numastream

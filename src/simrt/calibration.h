@@ -75,16 +75,6 @@ struct Calibration {
   double receive_mem_write_per_wire_byte = 1.0;  ///< reassembled buffer
   double send_mem_read_per_wire_byte = 1.0;      ///< frame read for the NIC
 
-  /// Per-chunk CPU cost of one mutex-queue stage handoff (lock, CV wake,
-  /// deque shuffle) and of one fresh 11 MiB buffer (allocation plus
-  /// first-touch page faulting). Both default to 0 so every existing
-  /// scenario stays bit-identical; the fastpath before/after benches set
-  /// them from the real machine's micro_queue numbers. A Spec with
-  /// `fastpath` on charges neither — the rings replace the mutex handoff
-  /// and the pool recycles the buffer (DESIGN.md §15).
-  double queue_handoff_cpu_seconds = 0;
-  double chunk_alloc_cpu_seconds = 0;
-
   /// Average LZ4 ratio on the tomographic stream.
   double compression_ratio = 2.0;
 

@@ -1179,7 +1179,6 @@ Result<ExperimentResult> run_experiment(
     spec.decompress_workers = std::move(decompress_workers).value();
     spec.per_connection_cap = options.per_connection_cap;
     spec.queue_capacity = options.queue_capacity;
-    spec.fastpath = options.fastpath;
     spec.credit_window_chunks = options.credit_window_chunks;
     spec.memory_budget_bytes = options.memory_budget_bytes;
     spec.shed_high_watermark = options.shed_high_watermark;

@@ -46,13 +46,6 @@ struct ExperimentOptions {
   double per_connection_cap = 1e18;
   std::size_t queue_capacity = 8;
 
-  /// Mirrors the real pipeline's `fastpath` directive (DESIGN.md §15):
-  /// when true, streams skip the per-chunk mutex-handoff and fresh-buffer
-  /// costs (Calibration::queue_handoff_cpu_seconds / chunk_alloc_cpu_seconds).
-  /// With those constants at their 0 defaults this flag is a no-op, so every
-  /// pre-fastpath scenario stays bit-identical.
-  bool fastpath = false;
-
   /// Overload protection, applied to every stream's pipeline (mirrors
   /// StreamPipeline::Spec; 0 = off, the default).
   std::size_t credit_window_chunks = 0;

@@ -307,10 +307,6 @@ sim::SimProc StreamPipeline::compressor_worker(std::size_t index) {
     step.core = core;
     step.work_bytes = chunk->raw_bytes;
     step.cpu_seconds_per_byte = 1.0 / calib_.compress_bytes_per_sec;
-    // Mutex-era overheads the fastpath eliminates: one fresh output buffer
-    // (the pool recycles it) and one queue handoff into the send stage.
-    step.cpu_seconds_per_byte +=
-        fastpath_overhead(/*handoffs=*/1, /*allocs=*/1) / step.work_bytes;
     step.pinned = worker.pinned;
     step.accesses = {
         {.data_domain = chunk->data_domain,
@@ -465,11 +461,6 @@ sim::SimProc StreamPipeline::sender_worker(std::size_t connection) {
     step.core = core;
     step.work_bytes = chunk->wire_bytes;
     step.cpu_seconds_per_byte = 1.0 / calib_.send_cpu_bytes_per_sec;
-    // Fan-in pop from the compress->send queue (no handoff network-only:
-    // the sender draws from the source directly).
-    step.cpu_seconds_per_byte +=
-        fastpath_overhead(/*handoffs=*/spec_.compress ? 1 : 0, /*allocs=*/0) /
-        step.work_bytes;
     step.pinned = worker.pinned;
     step.accesses = {
         {.data_domain = chunk->data_domain,
@@ -545,11 +536,6 @@ sim::SimProc StreamPipeline::receiver_worker(std::size_t connection) {
     step.core = core;
     step.work_bytes = chunk->wire_bytes;
     step.cpu_seconds_per_byte = 1.0 / calib_.receive_cpu_bytes_per_sec;
-    // One fresh reassembly buffer (pool-leased on the fastpath) plus, with
-    // compression on, the handoff into the decompress stage.
-    step.cpu_seconds_per_byte +=
-        fastpath_overhead(/*handoffs=*/spec_.compress ? 1 : 0, /*allocs=*/1) /
-        step.work_bytes;
     step.pinned = worker.pinned;
     step.latency_sensitive = true;  // packet processing chases fresh DMA data
     step.accesses = {
@@ -657,9 +643,6 @@ sim::SimProc StreamPipeline::decompressor_worker(std::size_t index) {
     step.core = core;
     step.work_bytes = chunk->raw_bytes;
     step.cpu_seconds_per_byte = 1.0 / calib_.decompress_bytes_per_sec;
-    // Fan-in pop from the receive->decompress queue.
-    step.cpu_seconds_per_byte +=
-        fastpath_overhead(/*handoffs=*/1, /*allocs=*/0) / step.work_bytes;
     step.pinned = worker.pinned;
     step.accesses = {
         {.data_domain = chunk->data_domain,

@@ -88,13 +88,6 @@ class StreamPipeline {
     std::size_t queue_capacity = 8;
     std::size_t connection_window_chunks = 4;  ///< socket-buffer depth
 
-    /// Mirrors the real pipeline's `fastpath` directive (DESIGN.md §15):
-    /// with it on, workers skip the per-chunk mutex-handoff and
-    /// fresh-allocation overheads (Calibration::queue_handoff_cpu_seconds /
-    /// chunk_alloc_cpu_seconds). With those constants at their 0 defaults
-    /// this flag changes nothing — bit-exactness is preserved.
-    bool fastpath = false;
-
     // ---- overload protection (mirrors core/pipeline.cpp; 0 = off) ----
 
     /// Credit-based flow control: each connection starts with this many
@@ -295,16 +288,6 @@ class StreamPipeline {
   [[nodiscard]] double wire_chunk_bytes() const noexcept {
     return spec_.compress ? calib_.chunk_bytes / calib_.compression_ratio
                           : calib_.chunk_bytes;
-  }
-
-  /// Per-chunk CPU seconds a stage pays for `handoffs` mutex-queue
-  /// crossings and `allocs` fresh chunk buffers — zero with fastpath on
-  /// (rings + pool) or with the calibration constants at their defaults.
-  [[nodiscard]] double fastpath_overhead(double handoffs,
-                                         double allocs) const noexcept {
-    return spec_.fastpath ? 0.0
-                          : handoffs * calib_.queue_handoff_cpu_seconds +
-                                allocs * calib_.chunk_alloc_cpu_seconds;
   }
 
   /// Takes the next chunk off the synthetic dataset; nullopt when done.

@@ -23,7 +23,6 @@
 #include "metrics/chaos_counters.h"
 #include "msg/chaosnet.h"
 #include "msg/message.h"
-#include "topo/topology.h"
 
 namespace numastream {
 namespace {
@@ -48,84 +47,6 @@ constexpr const char* kBaseConfig =
     "codec lz4\n"
     "task receive count=1 exec=0 mem=0\n"
     "task decompress count=1 exec=0 mem=0\n";
-
-NodeConfig parse_or_die(const std::string& text) {
-  auto parsed = NodeConfig::parse(text);
-  EXPECT_TRUE(parsed.ok()) << parsed.status().to_string();
-  return parsed.value_or(NodeConfig{});
-}
-
-TEST(ChaosConfigTest, DefaultOffAndAbsentFromTheWire) {
-  const NodeConfig config = parse_or_die(kBaseConfig);
-  EXPECT_TRUE(config.chaos.is_default());
-  EXPECT_FALSE(config.chaos.enabled());
-  // Byte-identity: a config that never mentioned chaos serializes without
-  // a chaos directive at all.
-  EXPECT_EQ(config.serialize().find("chaos"), std::string::npos);
-}
-
-TEST(ChaosConfigTest, RoundTripIsAFixedPoint) {
-  const NodeConfig config = parse_or_die(
-      std::string(kBaseConfig) +
-      "chaos seed=42 episodes=500 events=9 probes=off\n");
-  EXPECT_TRUE(config.chaos.enabled());
-  EXPECT_EQ(config.chaos.seed, 42U);
-  EXPECT_EQ(config.chaos.episodes, 500U);
-  EXPECT_EQ(config.chaos.events, 9U);
-  EXPECT_FALSE(config.chaos.probes);
-  const std::string text = config.serialize();
-  EXPECT_NE(text.find("chaos seed=42 episodes=500 events=9 probes=off"),
-            std::string::npos);
-  EXPECT_EQ(parse_or_die(text).serialize(), text);
-}
-
-TEST(ChaosConfigTest, PartialDirectiveKeepsDefaults) {
-  const NodeConfig config =
-      parse_or_die(std::string(kBaseConfig) + "chaos seed=7\n");
-  EXPECT_EQ(config.chaos.seed, 7U);
-  EXPECT_EQ(config.chaos.episodes, 200U);
-  EXPECT_EQ(config.chaos.events, 12U);
-  EXPECT_TRUE(config.chaos.probes);
-}
-
-TEST(ChaosConfigTest, DuplicateDirectiveRejected) {
-  const auto status = NodeConfig::parse(std::string(kBaseConfig) +
-                                        "chaos seed=1\nchaos seed=2\n")
-                          .status();
-  ASSERT_FALSE(status.is_ok());
-  EXPECT_NE(status.message().find("duplicate"), std::string::npos);
-}
-
-TEST(ChaosConfigTest, ValidationBoundaries) {
-  const MachineTopology topo = lynxdtn_topology();
-  NodeConfig config = parse_or_die(kBaseConfig);
-  ASSERT_TRUE(config.validate(topo).is_ok());
-
-  config.chaos = ChaosConfig{};
-  config.chaos.seed = 1;
-  EXPECT_TRUE(config.validate(topo).is_ok());
-
-  config.chaos.episodes = 0;
-  EXPECT_FALSE(config.validate(topo).is_ok());
-
-  config.chaos = ChaosConfig{};
-  config.chaos.seed = 1;
-  config.chaos.events = 0;
-  EXPECT_FALSE(config.validate(topo).is_ok());
-
-  // seed=0 with any other knob moved: chaos claims to be configured but
-  // cannot derive decisions.
-  config.chaos = ChaosConfig{};
-  config.chaos.episodes = 10;
-  EXPECT_FALSE(config.validate(topo).is_ok());
-
-  EXPECT_FALSE(
-      NodeConfig::parse(std::string(kBaseConfig) + "chaos probes=maybe\n")
-          .ok());
-  EXPECT_FALSE(
-      NodeConfig::parse(std::string(kBaseConfig) + "chaos seed=banana\n")
-          .ok());
-}
 
 TEST(ConfigDuplicateDirectiveTest, EverySingletonDirectiveIsChecked) {
   const struct {

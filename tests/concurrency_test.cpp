@@ -9,8 +9,6 @@
 
 #include "concurrency/bounded_queue.h"
 #include "concurrency/cancel.h"
-#include "concurrency/fanin_queue.h"
-#include "concurrency/mpsc_ring.h"
 #include "concurrency/spsc_ring.h"
 
 namespace numastream {
@@ -363,288 +361,6 @@ TEST(SpscRingTest, SizeApprox) {
   EXPECT_EQ(ring.size_approx(), 1U);
 }
 
-// ---------------------------------------------------------------- mpsc
-
-TEST(MpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(MpscRing<int>(1).capacity(), 2U);
-  EXPECT_EQ(MpscRing<int>(3).capacity(), 4U);
-  EXPECT_EQ(MpscRing<int>(8).capacity(), 8U);
-  EXPECT_EQ(MpscRing<int>(11).capacity(), 16U);
-}
-
-TEST(MpscRingTest, PushPopFifoSingleThread) {
-  MpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-  }
-  int overflow = 99;
-  EXPECT_FALSE(ring.try_push(overflow));
-  for (int i = 0; i < 4; ++i) {
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(MpscRingTest, WraparoundAtTinyCapacities) {
-  // Many laps around capacity-2 and capacity-4 rings: the per-slot lap
-  // sequence must keep push/pop paired through thousands of wraparounds.
-  for (const std::size_t cap : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    MpscRing<int> ring(cap);
-    for (int lap = 0; lap < 5000; ++lap) {
-      ASSERT_TRUE(ring.try_push(lap)) << "cap=" << cap << " lap=" << lap;
-      auto v = ring.try_pop();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, lap);
-    }
-  }
-}
-
-TEST(MpscRingTest, FullRejectKeepsValueIntact) {
-  MpscRing<std::unique_ptr<int>> ring(2);
-  ASSERT_TRUE(ring.try_push(std::make_unique<int>(1)));
-  ASSERT_TRUE(ring.try_push(std::make_unique<int>(2)));
-  auto keep = std::make_unique<int>(3);
-  ASSERT_FALSE(ring.try_push(keep));
-  ASSERT_NE(keep, nullptr);  // a failed push must not consume the value
-  EXPECT_EQ(*keep, 3);
-}
-
-TEST(MpscRingTest, MultiProducerExactlyOnce) {
-  // 4 producers race try_push into a small ring while one consumer drains:
-  // every pushed value arrives exactly once, and values from any single
-  // producer stay in that producer's order.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 3000;
-  MpscRing<int> ring(8);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        int value = p * kPerProducer + i;
-        while (!ring.try_push(value)) {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  std::vector<int> next_expected(kProducers, 0);
-  int received = 0;
-  while (received < kProducers * kPerProducer) {
-    if (auto v = ring.try_pop()) {
-      const int producer = *v / kPerProducer;
-      const int index = *v % kPerProducer;
-      ASSERT_EQ(index, next_expected[producer]);  // per-producer FIFO
-      ++next_expected[producer];
-      ++received;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-// ---------------------------------------------------------------- fan-in
-
-TEST(FanInQueueTest, FifoSingleConsumer) {
-  FanInQueue<int> queue(8, 1);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.push(i).is_ok());
-  }
-  for (int i = 0; i < 5; ++i) {
-    auto v = queue.pop(0);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(FanInQueueTest, TryPushFullAndTryPopEmpty) {
-  FanInQueue<int> queue(2, 1);
-  ASSERT_TRUE(queue.try_push(1).is_ok());
-  ASSERT_TRUE(queue.try_push(2).is_ok());
-  EXPECT_EQ(queue.try_push(3).code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(queue.try_pop(0).has_value());
-  EXPECT_TRUE(queue.try_pop(0).has_value());
-  EXPECT_FALSE(queue.try_pop(0).has_value());
-}
-
-TEST(FanInQueueTest, CloseDrainsThenSignalsEndOfStream) {
-  FanInQueue<int> queue(8, 1);
-  ASSERT_TRUE(queue.push(7).is_ok());
-  queue.close();
-  EXPECT_EQ(queue.push(8).code(), StatusCode::kUnavailable);
-  auto v = queue.pop(0);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  EXPECT_FALSE(queue.pop(0).has_value());  // drained + closed = EOS
-}
-
-TEST(FanInQueueTest, CloseWakesBlockedConsumer) {
-  FanInQueue<int> queue(2, 2);
-  std::thread consumer([&] {
-    EXPECT_FALSE(queue.pop(1).has_value());  // blocks until close = EOS
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.close();
-  consumer.join();
-}
-
-TEST(FanInQueueTest, CloseWakesBlockedProducer) {
-  FanInQueue<int> queue(2, 1);
-  while (queue.try_push(1).is_ok()) {  // fill; nobody is popping
-  }
-  std::thread producer([&] {
-    EXPECT_EQ(queue.push(2).code(), StatusCode::kUnavailable);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.close();
-  producer.join();
-}
-
-TEST(FanInQueueTest, CancelSignalAbortsBlockedPop) {
-  // Signal declared before the queue: the queue's destructor unbinds its
-  // waker, so the signal must outlive it (cancel.h lifetime contract).
-  CancelSignal cancel;
-  FanInQueue<int> queue(4, 1);
-  queue.bind_cancel(&cancel);
-  std::thread consumer([&] {
-    EXPECT_FALSE(queue.pop(0, cancel.flag()).has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel.raise();
-  consumer.join();
-}
-
-TEST(FanInQueueTest, CancelSignalAbortsBlockedPush) {
-  CancelSignal cancel;
-  FanInQueue<int> queue(2, 1);
-  queue.bind_cancel(&cancel);
-  while (queue.try_push(1).is_ok()) {
-  }
-  std::thread producer([&] {
-    EXPECT_EQ(queue.push(2, cancel.flag()).code(), StatusCode::kUnavailable);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel.raise();
-  producer.join();
-}
-
-TEST(FanInQueueTest, PopUntilTimesOutOnEmptyQueue) {
-  FanInQueue<int> queue(4, 1);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto v = queue.pop_until(
-      0, std::chrono::steady_clock::now() + std::chrono::milliseconds(30));
-  EXPECT_FALSE(v.has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - t0,
-            std::chrono::milliseconds(25));
-}
-
-TEST(FanInQueueTest, PushUntilTimesOutOnFullQueue) {
-  FanInQueue<int> queue(2, 1);
-  while (queue.try_push(1).is_ok()) {
-  }
-  const auto status = queue.push_until(
-      2, std::chrono::steady_clock::now() + std::chrono::milliseconds(30));
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(FanInQueueTest, TryPopAnyDrainsAllRings) {
-  FanInQueue<int> queue(8, 4);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(queue.push(i).is_ok());
-  }
-  int drained = 0;
-  while (queue.try_pop_any().has_value()) {
-    ++drained;
-  }
-  EXPECT_EQ(drained, 8);
-  EXPECT_EQ(queue.size(), 0U);
-}
-
-TEST(FanInQueueTest, MultiProducerMultiConsumerExactlyOnce) {
-  // The pipeline shape under chaos: producers fan in, each consumer pops
-  // only its own index, close() lands mid-stream for the late consumers.
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 2000;
-  CancelSignal cancel;
-  FanInQueue<int> queue(16, kConsumers);
-  queue.bind_cancel(&cancel);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(queue.push(p * kPerProducer + i).is_ok());
-      }
-    });
-  }
-  std::mutex seen_mutex;
-  std::vector<bool> seen(kProducers * kPerProducer, false);
-  std::atomic<int> received{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&, c] {
-      while (auto v = queue.pop(static_cast<std::size_t>(c), cancel.flag())) {
-        const std::lock_guard<std::mutex> lock(seen_mutex);
-        ASSERT_FALSE(seen[static_cast<std::size_t>(*v)]);  // exactly once
-        seen[static_cast<std::size_t>(*v)] = true;
-        received.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : producers) {
-    t.join();
-  }
-  queue.close();
-  for (auto& t : consumers) {
-    t.join();
-  }
-  EXPECT_EQ(received.load(), kProducers * kPerProducer);
-}
-
-TEST(FanInQueueTest, RacingCloseCancelAndDeadlineWaiters) {
-  // Stress the teardown races: waiters blocked with deadlines and a cancel
-  // flag while another thread closes and raises. Nothing may deadlock and
-  // every waiter must return.
-  for (int round = 0; round < 25; ++round) {
-    CancelSignal cancel;
-    FanInQueue<int> queue(2, 2);
-    queue.bind_cancel(&cancel);
-    std::vector<std::thread> waiters;
-    for (int c = 0; c < 2; ++c) {
-      waiters.emplace_back([&queue, &cancel, c] {
-        (void)queue.pop_until(
-            static_cast<std::size_t>(c),
-            std::chrono::steady_clock::now() + std::chrono::milliseconds(200),
-            cancel.flag());
-      });
-    }
-    waiters.emplace_back([&queue, &cancel] {
-      while (queue.try_push(1).is_ok()) {
-      }
-      (void)queue.push_until(
-          2, std::chrono::steady_clock::now() + std::chrono::milliseconds(200),
-          cancel.flag());
-    });
-    std::thread closer([&queue, &cancel, round] {
-      if (round % 2 == 0) {
-        cancel.raise();
-      } else {
-        queue.close();
-      }
-    });
-    for (auto& t : waiters) {
-      t.join();
-    }
-    closer.join();
-  }
-}
-
 // ---------------------------------------------------------------- cancel
 
 TEST(CancelSignalTest, RaisePublishesFlagAndRunsWakers) {
@@ -719,22 +435,6 @@ TEST(BoundedQueueTest, ForeignAtomicStillCancelsViaBackstop) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   cancel.store(true);
   consumer.join();
-}
-
-TEST(FanInQueueTest, BoundCancelWaitDoesNotBusyPoll) {
-  // Same regression for the ring path: parks() counts eventcount parks; a
-  // 1 ms poll would show hundreds over a 300 ms block.
-  CancelSignal cancel;
-  FanInQueue<int> queue(4, 1);
-  queue.bind_cancel(&cancel);
-  std::thread consumer([&] {
-    EXPECT_FALSE(queue.pop(0, cancel.flag()).has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  const std::uint64_t parks_before_raise = queue.parks();
-  cancel.raise();
-  consumer.join();
-  EXPECT_LE(parks_before_raise, 6U);  // one park + 100 ms backstop slices
 }
 
 }  // namespace

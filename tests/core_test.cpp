@@ -128,6 +128,20 @@ TEST(ConfigTest, ParseRejectsMalformed) {
   EXPECT_FALSE(NodeConfig::parse("node x\nbogus y\n").ok());
 }
 
+TEST(ConfigTest, RetiredDirectivesAreUnknown) {
+  // `fastpath` and `chaos` were once parsed; now they are unknown like any
+  // other misspelling, so a stale config fails loudly instead of silently
+  // meaning nothing.
+  const std::string base = sample_receiver_config().serialize();
+  ASSERT_TRUE(NodeConfig::parse(base).ok());
+  for (const char* line : {"fastpath rings=on\n", "chaos seed=1\n"}) {
+    const auto status = NodeConfig::parse(base + line).status();
+    ASSERT_FALSE(status.is_ok()) << line;
+    EXPECT_NE(status.message().find("unknown directive"), std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(ConfigTest, ValidateAgainstTopology) {
   const MachineTopology topo = lynxdtn_topology();
   EXPECT_TRUE(sample_receiver_config().validate(topo).is_ok());

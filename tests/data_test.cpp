@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "codec/lz4.h"
 #include "common/units.h"
 #include "data/chunk.h"
+#include "data/chunk_pool.h"
 #include "data/sdf.h"
 #include "data/tomo.h"
 
@@ -198,6 +202,89 @@ TEST_F(SdfTest, RejectsNonSdfFile) {
 TEST_F(SdfTest, RejectsZeroChunkSize) {
   EXPECT_EQ(SdfWriter::create(path_, SdfHeader{.chunk_bytes = 0}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------- pool
+
+TEST(ChunkPoolTest, MissThenRecycleThenHit) {
+  ChunkPool pool(1, 4);
+  Bytes first = pool.lease(0, 100);
+  EXPECT_EQ(first.size(), 100U);
+  EXPECT_EQ(pool.shelved(0), 0U);  // nothing to reuse yet: a fresh buffer
+
+  pool.recycle(0, std::move(first));
+  EXPECT_EQ(pool.shelved(0), 1U);
+  Bytes second = pool.lease(0, 64);
+  EXPECT_EQ(second.size(), 64U);
+  EXPECT_EQ(pool.shelved(0), 0U);  // the shelved buffer was handed back out
+  EXPECT_GE(second.capacity(), 100U);
+}
+
+TEST(ChunkPoolTest, UnknownDomainClampsToShelfZero) {
+  ChunkPool pool(2, 4);
+  pool.recycle(-1, Bytes(32, 0x1));  // kOsChoice domain lands on shelf 0
+  EXPECT_EQ(pool.shelved(0), 1U);
+  EXPECT_EQ(pool.shelved(1), 0U);
+  Bytes leased = pool.lease(-1, 32);
+  EXPECT_EQ(leased.size(), 32U);
+  EXPECT_EQ(pool.shelved(0), 0U);
+  // Out-of-range domains wrap instead of crashing: 7 maps to shelf 1.
+  pool.recycle(7, std::move(leased));
+  EXPECT_EQ(pool.shelved(1), 1U);
+  EXPECT_EQ(pool.lease(7, 16).size(), 16U);
+  EXPECT_EQ(pool.shelved(1), 0U);
+}
+
+TEST(ChunkPoolTest, FullShelfDiscardsInsteadOfGrowing) {
+  ChunkPool pool(1, 2);
+  pool.recycle(0, Bytes(8, 0x1));
+  pool.recycle(0, Bytes(8, 0x2));
+  pool.recycle(0, Bytes(8, 0x3));  // shelf holds 2; the third is freed
+  EXPECT_EQ(pool.shelved(0), 2U);
+}
+
+TEST(ChunkPoolTest, EmptyBufferIsDiscardedNotShelved) {
+  ChunkPool pool(1, 4);
+  pool.recycle(0, Bytes());
+  EXPECT_EQ(pool.shelved(0), 0U);
+  EXPECT_EQ(pool.lease(0, 24).size(), 24U);
+}
+
+TEST(ChunkPoolTest, ExactlyOnceAccountingUnderChaos) {
+  // Threads lease and recycle across domains at racing interleavings; some
+  // buffers are dropped on the floor (the crash/shed path). Every lease has
+  // the requested size and belongs to its holder alone — a buffer handed to
+  // two threads at once would have its fill overwritten — and no shelf ever
+  // grows past its bound.
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 2000;
+  constexpr std::size_t kShelf = 8;
+  ChunkPool pool(2, kShelf);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&pool, t] {
+      const auto tag = static_cast<std::uint8_t>(t + 1);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const int domain = (t + i) % 2;
+        const std::size_t size = 64 + static_cast<std::size_t>(i % 7);
+        Bytes buffer = pool.lease(domain, size);
+        ASSERT_EQ(buffer.size(), size);
+        std::fill(buffer.begin(), buffer.end(), tag);
+        std::this_thread::yield();
+        ASSERT_TRUE(std::all_of(buffer.begin(), buffer.end(),
+                                [tag](std::uint8_t b) { return b == tag; }));
+        if (i % 5 != 0) {  // every 5th buffer is dropped on the floor
+          pool.recycle(domain, std::move(buffer));
+        }
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  EXPECT_LE(pool.shelved(0), kShelf);
+  EXPECT_LE(pool.shelved(1), kShelf);
+  EXPECT_GT(pool.shelved(0) + pool.shelved(1), 0U);  // recycling happened
 }
 
 }  // namespace

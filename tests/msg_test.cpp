@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "codec/frame.h"
 #include "codec/xxhash.h"
@@ -490,6 +493,77 @@ TEST(PushPullTest, MidMessageDisconnectIsDataLoss) {
   EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
 }
 
+// The strict receive path reads the body straight into the message's own
+// buffer and verifies it there; a mismatch cuts the connection for good.
+TEST(PushPullTest, BodyChecksumMismatchIsStickyDataLoss) {
+  InprocPair pair = make_inproc_pair();
+  Message m;
+  m.body = random_body(1000, 3);
+  Bytes corrupt = encode_message(m);
+  corrupt[kMessageHeaderSize + 500] ^= 0x01;
+  ASSERT_TRUE(pair.first->write_all(corrupt).is_ok());
+  ASSERT_TRUE(pair.first->write_all(encode_message(m)).is_ok());
+  pair.first->shutdown_write();
+  PullSocket pull(std::move(pair.second));
+  auto first = pull.recv();
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(first.status().message().find("checksum"), std::string::npos);
+  // Sticky: the intact message queued behind it is never delivered.
+  auto second = pull.recv();
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(pull.bytes_received(), 0U);
+}
+
+// A header announcing more than kMaxMessageBody fails on the header alone:
+// a body buffer of the announced size is never allocated (the largest
+// announcement below would throw if it were) and never waited for.
+TEST(PushPullTest, OversizedBodyRejectedBeforeAllocation) {
+  for (const std::uint64_t announced :
+       {kMaxMessageBody + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    InprocPair pair = make_inproc_pair();
+    Bytes header(kMessageHeaderSize);
+    encode_message_header(Message{}, header);
+    store_le64(header.data() + 20, announced);
+    ASSERT_TRUE(pair.first->write_all(header).is_ok());
+    pair.first->shutdown_write();
+    PullSocket pull(std::move(pair.second));
+    auto received = pull.recv();
+    ASSERT_FALSE(received.ok());
+    EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(received.status().message().find("exceeds limit"),
+              std::string::npos)
+        << received.status().to_string();
+    EXPECT_EQ(pull.recv().status().code(), StatusCode::kDataLoss);
+  }
+}
+
+TEST(PushPullTest, EmptyBodyAndEndOfStreamRoundTrip) {
+  InprocPair pair = make_inproc_pair();
+  PushSocket push(std::move(pair.first));
+  Message empty;
+  empty.stream_id = 4;
+  empty.sequence = 9;
+  ASSERT_TRUE(push.send(empty).is_ok());
+  ASSERT_TRUE(push.finish(4).is_ok());
+
+  PullSocket pull(std::move(pair.second));
+  auto got = pull.recv();
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(got.value().stream_id, 4U);
+  EXPECT_EQ(got.value().sequence, 9U);
+  EXPECT_TRUE(got.value().body.empty());
+  EXPECT_FALSE(got.value().end_of_stream);
+  auto eos = pull.recv();
+  ASSERT_TRUE(eos.ok()) << eos.status().to_string();
+  EXPECT_TRUE(eos.value().end_of_stream);
+  EXPECT_EQ(eos.value().stream_id, 4U);
+  EXPECT_TRUE(eos.value().body.empty());
+  EXPECT_EQ(pull.recv().status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(pull.bytes_received(), push.bytes_sent());
+}
+
 // ------------------------------------------------------------------ fuzz
 
 /// The nightly chaos job randomizes this via NUMASTREAM_CHAOS_SEED; unset
@@ -684,6 +758,64 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
       }
     }
   }
+}
+
+// ------------------------------------------------- control-frame bounds
+
+std::vector<ResumePoint> make_points(std::size_t count) {
+  std::vector<ResumePoint> points;
+  points.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    points.push_back(ResumePoint{static_cast<std::uint32_t>(i), i});
+  }
+  return points;
+}
+
+TEST(ControlFrameBoundaryTest, LargestFittingResumeFrameIsAccepted) {
+  // Resume body = 12 bytes prefix + 12 per point: 340 points = 4092 bytes,
+  // the largest whole frame under kMaxControlBody (4096).
+  InprocPair pair = make_inproc_pair(1 << 20);
+  PushSocket push(std::move(pair.first));
+  const Message frame = Message::resume_frame(77, make_points(340));
+  ASSERT_LE(frame.body.size(), kMaxControlBody);
+  ASSERT_TRUE(pair.second->write_all(encode_message(frame)).is_ok());
+  auto received = push.recv_control();
+  ASSERT_TRUE(received.ok()) << received.status().to_string();
+  EXPECT_TRUE(received.value().resume);
+  EXPECT_EQ(received.value().body.size(), frame.body.size());
+}
+
+TEST(ControlFrameBoundaryTest, OversizedControlFrameFailsLoudly) {
+  // One more point crosses the bound: the socket must fail the stream
+  // with DATA_LOSS naming the limit — never truncate or silently accept.
+  InprocPair pair = make_inproc_pair(1 << 20);
+  PushSocket push(std::move(pair.first));
+  const Message frame = Message::resume_frame(77, make_points(341));
+  ASSERT_GT(frame.body.size(), kMaxControlBody);
+  ASSERT_TRUE(pair.second->write_all(encode_message(frame)).is_ok());
+  auto received = push.recv_control();
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(received.status().to_string().find("kMaxControlBody"),
+            std::string::npos);
+}
+
+// --------------------------------------------- scatter-gather equivalence
+
+TEST(ScatterGatherTest, WireBytesIdenticalToEncodeMessage) {
+  // PushSocket::send writes header and payload as separate iovecs; the
+  // bytes on the wire must still be exactly encode_message's.
+  InprocPair pair = make_inproc_pair(1 << 20);
+  PushSocket push(std::move(pair.first));
+  Message message;
+  message.stream_id = 3;
+  message.sequence = 41;
+  message.body = Bytes(10000, 0x5a);
+  const Bytes expected = encode_message(message);
+  ASSERT_TRUE(push.send(message).is_ok());
+  Bytes wire(expected.size());
+  ASSERT_TRUE(read_exact(*pair.second, wire).is_ok());
+  EXPECT_EQ(wire, expected);
 }
 
 }  // namespace
