@@ -131,8 +131,10 @@ void BM_XxHash64(benchmark::State& state) {
 }
 BENCHMARK(BM_XxHash64)->Arg(1 << 10)->Arg(1 << 20);
 
-void BM_FrameEncode(benchmark::State& state) {
-  const Codec* codec = codec_by_id(CodecId::kLz4);
+// Frame rows: LZ4 frames, and null frames (the stored-payload path, whose
+// copy and hash share one pass).
+void frame_encode(benchmark::State& state, CodecId id) {
+  const Codec* codec = codec_by_id(id);
   const Bytes input = projection_sample();
   Bytes frame;
   for (auto _ : state) {
@@ -143,11 +145,10 @@ void BM_FrameEncode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(input.size()));
 }
-BENCHMARK(BM_FrameEncode);
 
-void BM_FrameDecode(benchmark::State& state) {
+void frame_decode(benchmark::State& state, CodecId id) {
   const Bytes input = projection_sample();
-  const Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), input);
+  const Bytes frame = encode_frame(*codec_by_id(id), input);
   for (auto _ : state) {
     auto decoded = decode_frame_content(frame);
     benchmark::DoNotOptimize(decoded.ok());
@@ -155,7 +156,18 @@ void BM_FrameDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(input.size()));
 }
+
+void BM_FrameEncode(benchmark::State& state) { frame_encode(state, CodecId::kLz4); }
+BENCHMARK(BM_FrameEncode);
+
+void BM_FrameDecode(benchmark::State& state) { frame_decode(state, CodecId::kLz4); }
 BENCHMARK(BM_FrameDecode);
+
+void BM_FrameEncodeNull(benchmark::State& state) { frame_encode(state, CodecId::kNull); }
+BENCHMARK(BM_FrameEncodeNull);
+
+void BM_FrameDecodeNull(benchmark::State& state) { frame_decode(state, CodecId::kNull); }
+BENCHMARK(BM_FrameDecodeNull);
 
 // Console output, plus each benchmark's throughput in MB/s for the JSON
 // artifact.
@@ -184,6 +196,8 @@ constexpr std::pair<const char*, const char*> kRateFields[] = {
     {"BM_XxHash64/1048576", "xxh64_mbps"},
     {"BM_FrameEncode", "frame_encode_mbps"},
     {"BM_FrameDecode", "frame_decode_mbps"},
+    {"BM_FrameEncodeNull", "frame_null_encode_mbps"},
+    {"BM_FrameDecodeNull", "frame_null_decode_mbps"},
 };
 
 }  // namespace

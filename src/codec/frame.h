@@ -17,6 +17,13 @@
 //   24     4     xxhash32 of the payload bytes
 //   28     4     xxhash32 of the raw content
 //   32     ...   payload
+//
+// A null-codec frame stores the raw bytes as its payload, so its two hash
+// fields are always equal; both are written from one digest taken in the
+// same pass that copies the bytes, and the decoder checks one digest
+// against both. The header is not covered by either hash, so decoders bound
+// raw size before allocating by it: a null frame's raw size must equal its
+// payload size, any other codec's must not exceed kMaxFrameRawSize.
 #pragma once
 
 #include <optional>
@@ -29,6 +36,10 @@ namespace numastream {
 
 inline constexpr std::size_t kFrameHeaderSize = 32;
 inline constexpr std::uint32_t kFrameMagic = 0x3146534EU;  // "NSF1" little-endian
+
+/// Largest raw size a compressed frame may declare (1 GiB, the message
+/// layer's kMaxMessageBody): a larger value is DATA_LOSS, not an allocation.
+inline constexpr std::uint64_t kMaxFrameRawSize = 1ULL << 30;
 
 /// Parsed header plus a view of the payload (borrowing the input buffer).
 struct FrameView {
@@ -52,11 +63,14 @@ Bytes encode_frame(const Codec& codec, ByteSpan raw);
 /// Byte-identical output to encode_frame.
 void encode_frame_into(const Codec& codec, ByteSpan raw, Bytes& out);
 
-/// Parses and validates a frame header + payload checksum. The returned view
-/// borrows `frame`; it is valid while `frame` lives.
+/// Parses and validates a frame header (raw size bound included) + payload
+/// checksum. The returned view borrows `frame`; it is valid while `frame`
+/// lives.
 Result<FrameView> decode_frame(ByteSpan frame);
 
 /// Fully decodes a frame: parse, decompress, verify the content checksum.
+/// A null frame is copied and hashed in one pass; its errors match the
+/// generic path's (payload checksum first, then content checksum).
 Result<Bytes> decode_frame_content(ByteSpan frame);
 
 /// Offset of the next "NSF1" magic at or after `from`, or nullopt. Receiver

@@ -27,6 +27,10 @@
 #include "obs/trace.h"
 
 namespace numastream {
+
+static_assert(kMaxFrameRawSize <= kMaxMessageBody,
+              "a frame never declares more raw bytes than a message may carry");
+
 namespace {
 
 /// CPU time consumed by the calling thread so far — the honest "busy"
@@ -622,12 +626,13 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
         // With credit flow control on, each attempt first waits for window
         // on whatever connection is current (a redial resets credit, and
         // the fresh receiver worker grants a fresh window).
-        const auto send_message = [&](const Message& message) -> Status {
+        const auto send_message = [&](const Message& message,
+                                      std::uint32_t body_hash) -> Status {
           while (true) {
             if (ovr.credit_on()) {
               NS_RETURN_IF_ERROR(wait_for_credit());
             }
-            const Status status = socket->send(message);
+            const Status status = socket->send(message, body_hash);
             if (status.is_ok()) {
               if (ovr.credit_on()) {
                 --credit;
@@ -664,7 +669,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
               rc.replayed_chunks.fetch_add(1, std::memory_order_relaxed);
               rc.rework_bytes.fetch_add(frame.body.size(),
                                         std::memory_order_relaxed);
-              NS_RETURN_IF_ERROR(send_message(frame));
+              NS_RETURN_IF_ERROR(send_message(frame, xxhash32(frame.body)));
               ++i;
             }
           }
@@ -713,6 +718,9 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
               break;
             }
           }
+          // One digest per data frame: the resume journal records it and the
+          // wire header carries it.
+          const std::uint32_t body_hash = xxhash32(message->body);
           if (resume_on) {
             // Replay suppression: the peer already committed everything
             // below its watermark, so a replayed chunk under it never
@@ -734,8 +742,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                 journal->sent_unacked(message->stream_id, message->sequence);
             const Status wal = journal->record_sent(
                 message->stream_id, message->sequence, 0,
-                xxhash32(message->body),
-                static_cast<std::uint32_t>(message->body.size()));
+                body_hash, static_cast<std::uint32_t>(message->body.size()));
             if (!wal.is_ok()) {
               errors.record(wal);
               if (budget != nullptr) {
@@ -750,7 +757,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             }
           }
           const std::uint64_t send_t0 = obr.observing() ? obr.now_ns() : 0;
-          const Status status = send_message(*message);
+          const Status status = send_message(*message, body_hash);
           if (obr.observing()) {
             obr.note(obs::Stage::kSend, message->stream_id, message->sequence,
                      trace_worker, obs_domain, send_t0, obr.now_ns());

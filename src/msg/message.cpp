@@ -10,6 +10,11 @@
 namespace numastream {
 
 void encode_message_header(const Message& message, MutableByteSpan out) {
+  encode_message_header(message, out, xxhash32(message.body));
+}
+
+void encode_message_header(const Message& message, MutableByteSpan out,
+                           std::uint32_t body_hash) {
   NS_CHECK(out.size() >= kMessageHeaderSize,
            "encode_message_header needs kMessageHeaderSize bytes");
   std::uint8_t* p = out.data();
@@ -26,7 +31,7 @@ void encode_message_header(const Message& message, MutableByteSpan out) {
                  (message.scrub ? kMessageFlagScrub : 0)));
   store_le16(p + 18, 0);
   store_le64(p + 20, message.body.size());
-  store_le32(p + 28, xxhash32(message.body));
+  store_le32(p + 28, body_hash);
 }
 
 Bytes encode_message(const Message& message) {

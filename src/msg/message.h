@@ -352,6 +352,12 @@ Bytes encode_message(const Message& message);
 /// bytes are identical to encode_message's.
 void encode_message_header(const Message& message, MutableByteSpan out);
 
+/// encode_message_header with the body checksum supplied by the caller,
+/// who must pass xxhash32(message.body): a sender that already hashed the
+/// body (the resume journal records the same digest) skips a second pass.
+void encode_message_header(const Message& message, MutableByteSpan out,
+                           std::uint32_t body_hash);
+
 /// A decoded wire header: the message's identity and flags plus the body
 /// length and checksum still to be read. Produced by decode_message_header
 /// for PullSocket's strict receive path, which reads the 32-byte header and

@@ -12,13 +12,18 @@ PushSocket::PushSocket(std::unique_ptr<ByteStream> stream) : stream_(std::move(s
 }
 
 Status PushSocket::send(const Message& message) {
+  return send(message, xxhash32(message.body));
+}
+
+Status PushSocket::send(const Message& message, std::uint32_t body_hash) {
   NS_CHECK(!finished_, "send after finish");
   // Scatter-gather framing: header on the stack, body straight from the
   // message — no join copy. The transport either vectors the two spans
   // (TcpStream's sendmsg) or joins them itself when it must preserve
   // single-write semantics (the default; see ByteStream::write_all_vec).
   std::uint8_t header[kMessageHeaderSize];
-  encode_message_header(message, MutableByteSpan(header, kMessageHeaderSize));
+  encode_message_header(message, MutableByteSpan(header, kMessageHeaderSize),
+                        body_hash);
   NS_RETURN_IF_ERROR(stream_->write_all_vec(
       {ByteSpan(header, kMessageHeaderSize), ByteSpan(message.body)}));
   bytes_sent_ += kMessageHeaderSize + message.body.size();

@@ -35,6 +35,10 @@ class PushSocket {
   /// into a join buffer. Wire bytes are identical to encode_message's.
   Status send(const Message& message);
 
+  /// send() with the body checksum supplied by the caller, who must pass
+  /// xxhash32(message.body) (see encode_message_header).
+  Status send(const Message& message, std::uint32_t body_hash);
+
   /// Sends the end-of-stream marker and closes the write side. Idempotent.
   Status finish(std::uint32_t stream_id);
 

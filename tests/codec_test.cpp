@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "codec/codec.h"
 #include "codec/delta_rle.h"
@@ -581,7 +582,59 @@ TEST(FrameTest, FuzzDecodeNeverCrashes) {
     }
     (void)decode_frame_content(garbage);
   }
-  SUCCEED();
+
+  // Valid frames of every codec id with one header field rewritten. The
+  // header is not covered by the payload hash, so each of these reaches the
+  // decoder with an intact payload; none may throw (an oversized raw size
+  // used to end in bad_alloc / length_error), and every failure is DATA_LOSS.
+  constexpr std::uint64_t kHuge[] = {kMaxFrameRawSize + 1, 1ULL << 40, ~0ULL};
+  const Bytes raw = make_u16_field(3000, 0, 9);
+  for (const Codec* codec : all_codecs()) {
+    const Bytes frame = encode_frame(*codec, raw);
+    ASSERT_EQ(frame[4], static_cast<std::uint8_t>(codec->id())) << codec->name();
+    const std::uint64_t payload_size = frame.size() - kFrameHeaderSize;
+    std::vector<Bytes> mutants;
+    const auto with = [&](std::size_t offset, std::size_t width, std::uint64_t value) {
+      Bytes m = frame;
+      for (std::size_t i = 0; i < width; ++i) {
+        m[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+      }
+      mutants.push_back(std::move(m));
+    };
+    for (const std::uint64_t id : {0, 1, 2, 3, 200}) {
+      with(4, 1, id);
+    }
+    with(5, 1, 1);       // flags
+    with(6, 2, 0x8000);  // reserved
+    for (const std::uint64_t size : {std::uint64_t{0}, raw.size() - 1, raw.size() + 1,
+                                     payload_size, kHuge[0], kHuge[1], kHuge[2]}) {
+      with(8, 8, size);   // raw size
+      with(16, 8, size);  // payload size
+    }
+    with(24, 4, load_le32(frame.data() + 24) ^ 1U);  // payload hash
+    with(28, 4, load_le32(frame.data() + 28) ^ 1U);  // content hash
+    for (const Bytes& m : mutants) {
+      Result<Bytes> decoded = data_loss_error("not run");
+      EXPECT_NO_THROW(decoded = decode_frame_content(m)) << codec->name();
+      if (!decoded.ok()) {
+        EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << codec->name();
+      }
+    }
+    // Raw sizes the header check itself must refuse; a stored payload is its
+    // raw content, so a null frame's raw size is exact.
+    std::vector<std::uint64_t> refused(std::begin(kHuge), std::end(kHuge));
+    if (codec->id() == CodecId::kNull) {
+      refused.insert(refused.end(), {payload_size - 1, payload_size + 1});
+    }
+    for (const std::uint64_t raw_size : refused) {
+      Bytes m = frame;
+      store_le64(m.data() + 8, raw_size);
+      auto decoded = decode_frame_content(m);
+      ASSERT_FALSE(decoded.ok()) << codec->name() << " raw_size " << raw_size;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+      EXPECT_FALSE(decode_frame(m).ok()) << codec->name() << " raw_size " << raw_size;
+    }
+  }
 }
 
 }  // namespace

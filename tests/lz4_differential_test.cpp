@@ -8,13 +8,17 @@
 // past the decoded data (where the fast path hands over to the checked tail
 // path), and seeded truncations and mutations.
 //
-// Lz4GoldenTest pins the compressor's output bytes on a fixed tomography
-// projection, so a matcher change that alters the wire format is caught.
+// NullFrameDifferentialTest holds the one-pass null-frame decode to the
+// generic frame decode on seeded mutations of null frames.
+//
+// Lz4GoldenTest pins the compressor's and the frame writer's output bytes on
+// fixed inputs, so a change that alters the wire format is caught.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "codec/codec.h"
 #include "codec/frame.h"
@@ -293,6 +297,123 @@ TEST(Lz4GoldenTest, TomographyProjectionFingerprints) {
   EXPECT_EQ(xxhash64(lz4hc_compress(raw)), 0x790D89E1459F68AAULL);
   EXPECT_EQ(xxhash64(encode_frame(*codec_by_id(CodecId::kLz4), raw)),
             0x04E31892DF201BA5ULL);
+}
+
+// ------------------------------------------------------ null frame decode
+
+/// The generic frame decode a null frame took before its one-pass path:
+/// decode_frame (header + payload checksum), the codec's decompress into a
+/// raw_size buffer, then the content checksum.
+Result<Bytes> decode_frame_generic(ByteSpan frame) {
+  auto view = decode_frame(frame);
+  if (!view.ok()) {
+    return view.status();
+  }
+  Bytes raw(view.value().raw_size);
+  auto produced = codec_by_id(view.value().codec)->decompress(view.value().payload, raw);
+  if (!produced.ok()) {
+    return produced.status();
+  }
+  if (produced.value() != raw.size()) {
+    return data_loss_error("frame: decoded size mismatch");
+  }
+  if (xxhash32(raw) != view.value().content_hash) {
+    return data_loss_error("frame: content checksum mismatch after decompression");
+  }
+  return raw;
+}
+
+/// Records a failure unless decode_frame_content and the generic decode
+/// agree on `frame`: the same bytes, or the same error code and message.
+void expect_same_verdict(ByteSpan frame, const std::string& what) {
+  SCOPED_TRACE(what);
+  const auto got = decode_frame_content(frame);
+  const auto want = decode_frame_generic(frame);
+  ASSERT_EQ(got.ok(), want.ok())
+      << "one-pass " << (got.ok() ? "ok" : got.status().to_string()) << ", generic "
+      << (want.ok() ? "ok" : want.status().to_string());
+  if (want.ok()) {
+    EXPECT_EQ(got.value(), want.value());
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+  }
+}
+
+TEST(NullFrameDifferentialTest, MutatedFramesMatchTheGenericDecode) {
+  constexpr std::size_t kBlock = 64 * 1024;  // the one-pass copy+hash block
+  Rng rng(chaos_seed(1401));
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + 3}) {
+    const Bytes raw = random_bytes(size, rng);
+    const Bytes frame = encode_frame(*codec_by_id(CodecId::kNull), raw);
+    ASSERT_EQ(frame[4], static_cast<std::uint8_t>(CodecId::kNull));
+    const std::string at_size = "size=" + std::to_string(size);
+    expect_same_verdict(frame, at_size + " unmutated");
+    ASSERT_TRUE(decode_frame_content(frame).ok());
+    EXPECT_EQ(decode_frame_content(frame).value(), raw);
+
+    std::vector<std::size_t> offsets;  // frame offsets to flip
+    for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
+      offsets.push_back(i);
+    }
+    if (size > 0) {
+      offsets.push_back(kFrameHeaderSize);
+      offsets.push_back(kFrameHeaderSize + size - 1);
+    }
+    for (std::size_t boundary = kBlock; boundary <= size; boundary += kBlock) {
+      for (const std::size_t at : {boundary - 1, boundary, boundary + 1}) {
+        if (at < size) {
+          offsets.push_back(kFrameHeaderSize + at);
+        }
+      }
+    }
+    for (int extra = 0; extra < 4 && size > 0; ++extra) {
+      offsets.push_back(kFrameHeaderSize + rng.next_below(size));
+    }
+    for (const std::size_t offset : offsets) {
+      Bytes mutated = frame;
+      mutated[offset] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      expect_same_verdict(mutated, at_size + " flip@" + std::to_string(offset));
+    }
+    // The raw-size and codec-id fields rewritten whole, and a payload one
+    // byte short or long.
+    for (const std::uint64_t raw_size :
+         {std::uint64_t{0}, std::uint64_t{size + 1}, kMaxFrameRawSize + 1, ~std::uint64_t{0}}) {
+      Bytes mutated = frame;
+      store_le64(mutated.data() + 8, raw_size);
+      expect_same_verdict(mutated, at_size + " raw_size=" + std::to_string(raw_size));
+    }
+    for (const std::uint8_t id : {1, 2, 3, 200}) {
+      Bytes mutated = frame;
+      mutated[4] = id;
+      expect_same_verdict(mutated, at_size + " codec=" + std::to_string(id));
+    }
+    Bytes longer = frame;
+    longer.push_back(0);
+    expect_same_verdict(longer, at_size + " one byte long");
+    expect_same_verdict(ByteSpan(frame).first(frame.size() - 1), at_size + " one byte short");
+  }
+}
+
+// Stored payloads: the null codec on the same projection, and LZ4's
+// incompressible-input fallback to a null frame. Both digests come from the
+// two-pass frame writer (zero-filled frame, copy, separate payload and
+// content hashes), so a fused copy+hash writer must reproduce its bytes.
+TEST(Lz4GoldenTest, StoredFrameFingerprints) {
+  TomoConfig config;
+  config.rows = 512;
+  config.cols = 1350;
+  const Bytes raw = TomoGenerator(config).projection(1);
+  EXPECT_EQ(xxhash64(encode_frame(*codec_by_id(CodecId::kNull), raw)),
+            0xC482DB440B434D37ULL);
+
+  Rng rng(2023);
+  const Bytes noise = random_bytes(300'001, rng);
+  const Bytes fallback = encode_frame(*codec_by_id(CodecId::kLz4), noise);
+  ASSERT_EQ(fallback[4], static_cast<std::uint8_t>(CodecId::kNull));
+  EXPECT_EQ(xxhash64(fallback), 0xC798B678BACB1C66ULL);
 }
 
 }  // namespace
