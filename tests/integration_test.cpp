@@ -3,10 +3,18 @@
 // parsed from text and executed, hostile peers, and corrupt frames.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "codec/frame.h"
+#include "codec/xxhash.h"
+#include "common/rng.h"
+#include "core/journal.h"
 #include "core/pipeline.h"
+#include "metrics/fault_counters.h"
+#include "msg/inproc.h"
 #include "msg/socket.h"
 #include "msg/tcp.h"
 #include "topo/discover.h"
@@ -375,6 +383,270 @@ TEST(GatewayTest, DemuxFallbackAndDropAccounting) {
   demux.deliver(chunk);            // no route -> fallback
   EXPECT_EQ(fallback.chunks(), 1U);
   EXPECT_EQ(demux.dropped(), 1U);
+}
+
+}  // namespace
+}  // namespace numastream
+
+namespace numastream {
+namespace {
+
+// ------------------------------------------------------------- wire pins
+
+// The forward byte stream of one sender connection, copied as it is
+// written. Until open() the first write blocks inside the transport, which
+// parks the send worker with one frame popped and lets a test fix the
+// compress->send queue depth exactly.
+class WireCapture {
+ public:
+  explicit WireCapture(bool gated) : open_(!gated) {}
+
+  void record(ByteSpan data) {
+    std::unique_lock<std::mutex> lock(mu_);
+    writing_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+    bytes_.insert(bytes_.end(), data.begin(), data.end());
+  }
+
+  /// Blocks until the send worker is inside its first write.
+  void await_first_write() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return writing_; });
+  }
+
+  void open() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  [[nodiscard]] Bytes bytes() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return bytes_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_;
+  bool writing_ = false;
+  Bytes bytes_;
+};
+
+// Forwards to a real in-process connection and records every byte written.
+// write_all_vec is left to the ByteStream default, which joins the spans and
+// calls write_all, so the capture sees exactly what reaches the wire.
+class CapturingStream final : public ByteStream {
+ public:
+  CapturingStream(std::unique_ptr<ByteStream> inner, WireCapture& capture)
+      : inner_(std::move(inner)), capture_(capture) {}
+
+  Status write_all(ByteSpan data) override {
+    capture_.record(data);
+    return inner_->write_all(data);
+  }
+  Result<std::size_t> read_some(MutableByteSpan out) override {
+    return inner_->read_some(out);
+  }
+  void shutdown_write() override { inner_->shutdown_write(); }
+  void cancel() noexcept override { inner_->cancel(); }
+
+ private:
+  std::unique_ptr<ByteStream> inner_;
+  WireCapture& capture_;
+};
+
+// Five fixed projections with one incompressible chunk at sequence 1, so an
+// LZ4 run also takes the stored fallback. With `capture` set, every chunk
+// after the first waits until the send worker is parked in its first write,
+// and the end of the data opens the gate: chunk i then meets a queue depth
+// of exactly i - 1.
+class PinnedSource final : public ChunkSource {
+ public:
+  explicit PinnedSource(WireCapture* capture) : capture_(capture) {
+    TomoConfig tomo;
+    tomo.rows = 128;
+    tomo.cols = 300;
+    tomo.num_spheres = 4;
+    const TomoGenerator generator(tomo);
+    Rng rng(2023);
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      if (i == 1) {
+        Bytes noise(80'001);
+        for (auto& b : noise) {
+          b = static_cast<std::uint8_t>(rng.next_u64());
+        }
+        chunks_.push_back(std::move(noise));
+      } else {
+        chunks_.push_back(generator.projection(i));
+      }
+    }
+  }
+
+  std::optional<Chunk> next() override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (next_ >= chunks_.size()) {
+      if (capture_ != nullptr) {
+        capture_->open();
+      }
+      return std::nullopt;
+    }
+    if (capture_ != nullptr && next_ > 0) {
+      capture_->await_first_write();
+    }
+    Chunk chunk;
+    chunk.stream_id = 5;
+    chunk.sequence = next_;
+    chunk.payload = chunks_[next_];
+    ++next_;
+    return chunk;
+  }
+
+  [[nodiscard]] const std::vector<Bytes>& chunks() const { return chunks_; }
+
+ private:
+  WireCapture* capture_;
+  std::mutex mu_;
+  std::size_t next_ = 0;
+  std::vector<Bytes> chunks_;
+};
+
+class HashSink final : public ChunkSink {
+ public:
+  void deliver(Chunk chunk) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    hashes_[chunk.sequence] = xxhash64(chunk.payload);
+  }
+  [[nodiscard]] std::map<std::uint64_t, std::uint64_t> hashes() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return hashes_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::uint64_t, std::uint64_t> hashes_;
+};
+
+enum class PinCodec { kNull, kLz4, kDegrade };
+
+struct PinnedRun {
+  Bytes wire;
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t degraded_chunks = 0;
+};
+
+// Streams PinnedSource through a real StreamSender (1 compress, 1 send) and
+// StreamReceiver over an in-process connection and returns the sender's
+// forward byte stream. kDegrade runs LZ4 with a degrade watermark of 2 over
+// the gated source, so chunks 3..5 go out passthrough. `resume` adds
+// reconnect + resume journals + a credit window on both ends.
+PinnedRun run_pinned(PinCodec codec, bool resume) {
+  const MachineTopology topo = host_topology();
+  const auto node = [&](NodeRole role) {
+    NodeConfig config;
+    config.node_name = "pin";
+    config.role = role;
+    config.codec_name = codec == PinCodec::kNull ? "null" : "lz4";
+    config.tasks = role == NodeRole::kSender
+                       ? std::vector<TaskGroupConfig>{
+                             {.type = TaskType::kCompress, .count = 1},
+                             {.type = TaskType::kSend, .count = 1}}
+                       : std::vector<TaskGroupConfig>{
+                             {.type = TaskType::kReceive, .count = 1},
+                             {.type = TaskType::kDecompress, .count = 1}};
+    if (codec == PinCodec::kDegrade && role == NodeRole::kSender) {
+      config.queue_capacity = 8;
+      config.recovery.degrade_watermark = 2;
+    }
+    if (resume) {
+      config.recovery.reconnect = true;
+      config.resume.session = 9;
+      config.resume.ack_interval = 2;
+      config.overload.credit_window = 4;
+    }
+    return config;
+  };
+
+  WireCapture capture(/*gated=*/codec == PinCodec::kDegrade);
+  PinnedSource source(codec == PinCodec::kDegrade ? &capture : nullptr);
+  InprocListener listener;
+  HashSink sink;
+  FaultCounters faults;
+  MemoryJournalMedia sender_media;
+  MemoryJournalMedia receiver_media;
+  SenderJournal sender_journal(sender_media, 9);
+  ReceiverJournal receiver_journal(receiver_media, 9);
+  ResumeHooks sender_hooks;
+  ResumeHooks receiver_hooks;
+  if (resume) {
+    NS_CHECK(sender_journal.recover().is_ok(), "fresh journal must recover");
+    NS_CHECK(receiver_journal.recover().is_ok(), "fresh ledger must recover");
+    sender_hooks.sender_journal = &sender_journal;
+    receiver_hooks.receiver_journal = &receiver_journal;
+  }
+
+  PinnedRun run;
+  std::thread sender_thread([&] {
+    StreamSender sender(topo, node(NodeRole::kSender));
+    auto stats = sender.run(
+        source,
+        [&]() -> Result<std::unique_ptr<ByteStream>> {
+          auto stream = listener.connect();
+          if (!stream.ok()) {
+            return stream.status();
+          }
+          return std::unique_ptr<ByteStream>(
+              std::make_unique<CapturingStream>(std::move(stream).value(), capture));
+        },
+        nullptr, &faults, {}, {}, {}, sender_hooks);
+    NS_CHECK(stats.ok(), "pinned sender failed");
+    run.wire_bytes = stats.value().wire_bytes;
+  });
+  StreamReceiver receiver(topo, node(NodeRole::kReceiver));
+  auto stats = receiver.run(listener, sink, nullptr, nullptr, {}, {}, {},
+                            receiver_hooks);
+  sender_thread.join();
+  NS_CHECK(stats.ok(), "pinned receiver failed");
+
+  std::map<std::uint64_t, std::uint64_t> expected;
+  for (std::size_t i = 0; i < source.chunks().size(); ++i) {
+    expected[i] = xxhash64(source.chunks()[i]);
+  }
+  EXPECT_EQ(sink.hashes(), expected) << "every chunk delivered intact";
+  run.wire = capture.bytes();
+  run.degraded_chunks = faults.snapshot().degraded_chunks;
+  return run;
+}
+
+// Fingerprints of the bytes the sender pipeline writes to its socket:
+// message headers, frame headers and payloads as they leave the process.
+// Credit grants and RESUME frames travel the reverse direction, so the
+// resume runs pin the same forward bytes as the plain ones. Recorded from
+// the copy-based frame path; any change to how frames are built, carried or
+// written must leave them untouched.
+TEST(WirePinTest, ForwardStreamFingerprints) {
+  struct Case {
+    PinCodec codec;
+    bool resume;
+    std::uint64_t xxh64;
+    const char* name;
+  };
+  const Case cases[] = {
+      {PinCodec::kNull, false, 0x554BC3429E9057E3ULL, "null"},
+      {PinCodec::kNull, true, 0x554BC3429E9057E3ULL, "null+resume"},
+      {PinCodec::kLz4, false, 0xB1DD565DC9C35884ULL, "lz4"},
+      {PinCodec::kLz4, true, 0xB1DD565DC9C35884ULL, "lz4+resume"},
+      {PinCodec::kDegrade, false, 0x873015BA1A765AD3ULL, "degrade"},
+      {PinCodec::kDegrade, true, 0x873015BA1A765AD3ULL, "degrade+resume"},
+  };
+  for (const Case& c : cases) {
+    const PinnedRun run = run_pinned(c.codec, c.resume);
+    EXPECT_EQ(run.wire_bytes, run.wire.size()) << c.name;
+    EXPECT_EQ(run.degraded_chunks, c.codec == PinCodec::kDegrade ? 3U : 0U)
+        << c.name;
+    EXPECT_EQ(xxhash64(run.wire), c.xxh64) << c.name;
+  }
 }
 
 }  // namespace
