@@ -131,14 +131,15 @@ void BM_XxHash64(benchmark::State& state) {
 }
 BENCHMARK(BM_XxHash64)->Arg(1 << 10)->Arg(1 << 20);
 
-// Frame rows: LZ4 frames, and null frames (the stored-payload path, whose
-// copy and hash share one pass).
+// Frame rows: LZ4 frames and null frames through the joined wrappers
+// (encode_frame copies a stored payload in, decode_frame_content copies it
+// out), and null frames through the split core the pipeline runs, where the
+// stored payload is the chunk's own buffer, hashed in place.
 void frame_encode(benchmark::State& state, CodecId id) {
   const Codec* codec = codec_by_id(id);
   const Bytes input = projection_sample();
-  Bytes frame;
   for (auto _ : state) {
-    encode_frame_into(*codec, input, frame);
+    Bytes frame = encode_frame(*codec, input);
     benchmark::DoNotOptimize(frame.data());
     benchmark::ClobberMemory();
   }
@@ -169,6 +170,31 @@ BENCHMARK(BM_FrameEncodeNull);
 void BM_FrameDecodeNull(benchmark::State& state) { frame_decode(state, CodecId::kNull); }
 BENCHMARK(BM_FrameDecodeNull);
 
+void BM_FrameEncodeNullSplit(benchmark::State& state) {
+  const Codec& codec = *codec_by_id(CodecId::kNull);
+  Bytes chunk = projection_sample();
+  const auto bytes = static_cast<std::int64_t>(chunk.size());
+  for (auto _ : state) {
+    SplitFrame frame = encode_frame_split(codec, std::move(chunk));
+    benchmark::DoNotOptimize(frame.header.data());
+    chunk = std::move(frame.payload);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * bytes);
+}
+BENCHMARK(BM_FrameEncodeNullSplit);
+
+void BM_FrameDecodeNullSplit(benchmark::State& state) {
+  SplitFrame frame = encode_frame_split(*codec_by_id(CodecId::kNull), projection_sample());
+  const auto bytes = static_cast<std::int64_t>(frame.payload.size());
+  for (auto _ : state) {
+    auto content = decode_frame_split(frame.header, std::move(frame.payload));
+    benchmark::DoNotOptimize(content.ok());
+    frame.payload = std::move(content).value();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * bytes);
+}
+BENCHMARK(BM_FrameDecodeNullSplit);
+
 // Console output, plus each benchmark's throughput in MB/s for the JSON
 // artifact.
 class RateRecorder : public benchmark::ConsoleReporter {
@@ -198,6 +224,8 @@ constexpr std::pair<const char*, const char*> kRateFields[] = {
     {"BM_FrameDecode", "frame_decode_mbps"},
     {"BM_FrameEncodeNull", "frame_null_encode_mbps"},
     {"BM_FrameDecodeNull", "frame_null_decode_mbps"},
+    {"BM_FrameEncodeNullSplit", "frame_null_encode_split_mbps"},
+    {"BM_FrameDecodeNullSplit", "frame_null_decode_split_mbps"},
 };
 
 }  // namespace

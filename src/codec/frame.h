@@ -19,13 +19,20 @@
 //   32     ...   payload
 //
 // A null-codec frame stores the raw bytes as its payload, so its two hash
-// fields are always equal; both are written from one digest taken in the
-// same pass that copies the bytes, and the decoder checks one digest
-// against both. The header is not covered by either hash, so decoders bound
-// raw size before allocating by it: a null frame's raw size must equal its
-// payload size, any other codec's must not exceed kMaxFrameRawSize.
+// fields are always equal; both are written from one digest, and the
+// decoder checks one digest against both. The header is not covered by
+// either hash, so decoders bound raw size before allocating by it: a null
+// frame's raw size must equal its payload size, any other codec's must not
+// exceed kMaxFrameRawSize.
+//
+// The runtime carries a frame as its header plus a separate payload buffer
+// and never joins the two (SplitFrame): a stored payload is the chunk's own
+// buffer from the source to the sink, hashed in place on each side. The
+// joined forms (encode_frame, decode_frame_content) are thin wrappers over
+// the same header+payload core.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "codec/codec.h"
@@ -41,6 +48,15 @@ inline constexpr std::uint32_t kFrameMagic = 0x3146534EU;  // "NSF1" little-endi
 /// layer's kMaxMessageBody): a larger value is DATA_LOSS, not an allocation.
 inline constexpr std::uint64_t kMaxFrameRawSize = 1ULL << 30;
 
+/// A frame's header, held apart from its payload.
+using FrameHeader = std::array<std::uint8_t, kFrameHeaderSize>;
+
+/// A frame as its header plus a separate payload buffer.
+struct SplitFrame {
+  FrameHeader header{};
+  Bytes payload;
+};
+
 /// Parsed header plus a view of the payload (borrowing the input buffer).
 struct FrameView {
   CodecId codec = CodecId::kNull;
@@ -49,28 +65,27 @@ struct FrameView {
   ByteSpan payload;
 };
 
-/// Compresses `raw` with `codec` and wraps it in a frame.
-/// If compression would expand the data (incompressible input), the frame is
-/// transparently stored with the null codec instead — the receiver handles
-/// both cases identically.
-Bytes encode_frame(const Codec& codec, ByteSpan raw);
+/// Compresses `raw` with `codec` into a header and a payload. If the codec
+/// is null, or compression would expand the data (incompressible input),
+/// the frame is stored: `raw` itself becomes the payload, hashed in place
+/// and moved, never copied. The receiver handles both cases identically.
+SplitFrame encode_frame_split(const Codec& codec, Bytes raw);
 
-/// encode_frame, but building the frame inside `out` — the codec compresses
-/// directly into `out`'s tail (no scratch buffer, no join copy), and `out`'s
-/// existing capacity is reused when it suffices. This is the pooled-buffer
-/// path: a compressor leases a recycled chunk buffer, encodes into it, and
-/// the same allocation rides the queue, the socket, and the pool again.
-/// Byte-identical output to encode_frame.
-void encode_frame_into(const Codec& codec, ByteSpan raw, Bytes& out);
+/// encode_frame_split's frame as one buffer, header then payload.
+Bytes encode_frame(const Codec& codec, ByteSpan raw);
 
 /// Parses and validates a frame header (raw size bound included) + payload
 /// checksum. The returned view borrows `frame`; it is valid while `frame`
 /// lives.
 Result<FrameView> decode_frame(ByteSpan frame);
 
-/// Fully decodes a frame: parse, decompress, verify the content checksum.
-/// A null frame is copied and hashed in one pass; its errors match the
-/// generic path's (payload checksum first, then content checksum).
+/// Decodes a frame held as header + payload: validates the header, checks
+/// the payload checksum, decompresses and checks the content checksum. A
+/// stored payload is hashed in place and becomes the content itself: the
+/// buffer moves through, it is not copied.
+Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload);
+
+/// decode_frame_split on a joined frame; a stored payload is copied out.
 Result<Bytes> decode_frame_content(ByteSpan frame);
 
 /// Offset of the next "NSF1" magic at or after `from`, or nullopt. Receiver
@@ -85,5 +100,11 @@ std::optional<std::size_t> find_frame_magic(ByteSpan data, std::size_t from);
 /// set to true if the successful decode required skipping garbage. Fails with
 /// the original offset-0 error when no embedded frame decodes.
 Result<Bytes> decode_frame_content_resync(ByteSpan frame, bool* resynced = nullptr);
+
+/// decode_frame_split with decode_frame_content_resync's recovery: when the
+/// frame fails, its header and payload are joined once and scanned for an
+/// embedded frame exactly as the joined form would be.
+Result<Bytes> decode_frame_split_resync(ByteSpan header, Bytes payload,
+                                        bool* resynced = nullptr);
 
 }  // namespace numastream

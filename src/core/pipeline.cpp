@@ -13,7 +13,6 @@
 
 #include "codec/codec.h"
 #include "codec/frame.h"
-#include "codec/xxhash.h"
 #include "common/assert.h"
 #include "common/retry.h"
 #include "concurrency/bounded_queue.h"
@@ -156,7 +155,7 @@ class OverloadRun {
   void settle_abandoned(BoundedQueue<Message>& queue) {
     while (auto leftover = queue.try_pop()) {
       if (budget_ != nullptr) {
-        budget_->release(leftover->stream_id, leftover->body.size());
+        budget_->release(leftover->stream_id, leftover->wire_body_size());
       }
     }
   }
@@ -293,6 +292,22 @@ class ObsRun {
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::string> gauges_;
 };
+
+/// Reconstructs a received data message's chunk. A frame body decodes from
+/// its header and payload, and a stored payload becomes the chunk's buffer
+/// without a copy. A body that arrived whole (it does not open with a frame
+/// header) takes the joined decode. `resync` selects the recovering
+/// decoders, which also try frames embedded after garbage. Consumes the
+/// message's body.
+Result<Bytes> decode_content(Message& message, bool resync, bool* resynced) {
+  if (message.frame_header) {
+    return resync ? decode_frame_split_resync(*message.frame_header,
+                                              std::move(message.body), resynced)
+                  : decode_frame_split(*message.frame_header, std::move(message.body));
+  }
+  return resync ? decode_frame_content_resync(message.body, resynced)
+                : decode_frame_content(message.body);
+}
 
 }  // namespace
 
@@ -667,9 +682,9 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
               // send a copy so the frame outlives any mid-send erase.
               const Message frame = retained[i];
               rc.replayed_chunks.fetch_add(1, std::memory_order_relaxed);
-              rc.rework_bytes.fetch_add(frame.body.size(),
+              rc.rework_bytes.fetch_add(frame.wire_body_size(),
                                         std::memory_order_relaxed);
-              NS_RETURN_IF_ERROR(send_message(frame, xxhash32(frame.body)));
+              NS_RETURN_IF_ERROR(send_message(frame, message_body_hash(frame)));
               ++i;
             }
           }
@@ -703,7 +718,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
             break;
           }
           migrate.poll();
-          const std::uint64_t charge = message->body.size();
+          const std::uint64_t charge = message->wire_body_size();
           const std::uint32_t charged_stream = message->stream_id;
           if (resume_on && replay_pending) {
             // A reconnect handshake left retained frames unacked; flush the
@@ -720,7 +735,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
           }
           // One digest per data frame: the resume journal records it and the
           // wire header carries it.
-          const std::uint32_t body_hash = xxhash32(message->body);
+          const std::uint32_t body_hash = message_body_hash(*message);
           if (resume_on) {
             // Replay suppression: the peer already committed everything
             // below its watermark, so a replayed chunk under it never
@@ -742,7 +757,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                 journal->sent_unacked(message->stream_id, message->sequence);
             const Status wal = journal->record_sent(
                 message->stream_id, message->sequence, 0,
-                body_hash, static_cast<std::uint32_t>(message->body.size()));
+                body_hash, static_cast<std::uint32_t>(charge));
             if (!wal.is_ok()) {
               errors.record(wal);
               if (budget != nullptr) {
@@ -864,16 +879,20 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
               fc.degraded_chunks.fetch_add(1, std::memory_order_relaxed);
             }
           }
+          // The chunk's buffer moves into the frame: a stored payload rides
+          // to the socket as the chunk's own bytes, hashed in place.
+          raw_bytes.fetch_add(chunk->size(), std::memory_order_relaxed);
           Message message;
           message.stream_id = chunk->stream_id;
           message.sequence = chunk->sequence;
           const std::uint64_t compress_t0 = obr.observing() ? obr.now_ns() : 0;
-          message.body = encode_frame(*active, chunk->payload);
+          SplitFrame frame = encode_frame_split(*active, std::move(chunk->payload));
+          message.frame_header = frame.header;
+          message.body = std::move(frame.payload);
           if (obr.observing()) {
             obr.note(obs::Stage::kCompress, chunk->stream_id, chunk->sequence,
                      trace_worker, obs_domain, compress_t0, obr.now_ns());
           }
-          raw_bytes.fetch_add(chunk->size(), std::memory_order_relaxed);
           chunks.fetch_add(1, std::memory_order_relaxed);
 
           // Load shedding: between the watermarks (hysteresis latch, like
@@ -897,7 +916,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                 if (auto evicted = queue.try_evict_worst(newer)) {
                   oc.shed_oldest.fetch_add(1, std::memory_order_relaxed);
                   if (budget != nullptr) {
-                    budget->release(evicted->stream_id, evicted->body.size());
+                    budget->release(evicted->stream_id, evicted->wire_body_size());
                   }
                 }
                 // fall through: admit the incoming frame
@@ -905,7 +924,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
                 if (auto evicted = queue.try_evict_if_worse(message, outranks)) {
                   oc.priority_evictions.fetch_add(1, std::memory_order_relaxed);
                   if (budget != nullptr) {
-                    budget->release(evicted->stream_id, evicted->body.size());
+                    budget->release(evicted->stream_id, evicted->wire_body_size());
                   }
                 } else {
                   // The incoming frame is the least valuable — shed it.
@@ -920,7 +939,7 @@ Result<SenderStats> StreamSender::run(ChunkSource& source, const ConnectFn& conn
           // the frame leaves through the send stage. Blocking policies wait
           // for releases (backpressure); shedding policies convert a full
           // ledger into a shed instead of a stall.
-          const std::uint64_t charge = message.body.size();
+          const std::uint64_t charge = message.wire_body_size();
           if (budget != nullptr) {
             if (ov.shed_policy == ShedPolicy::kBlock) {
               if (!budget
@@ -1340,7 +1359,7 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
             // Charge the frame to the in-flight ledger before it occupies
             // queue memory; released when the decompress stage disposes of
             // it (delivery, corruption drop, or eviction).
-            const std::uint64_t charge = message.value().body.size();
+            const std::uint64_t charge = message.value().wire_body_size();
             const std::uint32_t charged_stream = message.value().stream_id;
             const std::uint64_t charged_sequence = message.value().sequence;
             if (budget != nullptr &&
@@ -1427,7 +1446,7 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           migrate.poll();
           // Whatever happens to this frame below — delivery, corruption
           // drop, or eviction — its ledger charge is returned exactly once.
-          const std::uint64_t charge = message->body.size();
+          const std::uint64_t charge = message->wire_body_size();
           const std::uint32_t charged_stream = message->stream_id;
           const auto settle = [&] {
             if (budget != nullptr) {
@@ -1441,10 +1460,7 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
           }
           bool resynced = false;
           const std::uint64_t decompress_t0 = obr.observing() ? obr.now_ns() : 0;
-          auto content =
-              recovery.reconnect
-                  ? decode_frame_content_resync(message->body, &resynced)
-                  : decode_frame_content(message->body);
+          auto content = decode_content(*message, recovery.reconnect, &resynced);
           if (obr.observing() && content.ok()) {
             obr.note(obs::Stage::kDecompress, message->stream_id,
                      message->sequence, trace_worker, obs_domain, decompress_t0,

@@ -14,10 +14,10 @@ namespace numastream {
 
 /// Upper bound on a control frame's body (credit grants are body-less;
 /// RESUME bodies grow with stream count — 340 streams fit). The control
-/// path reassembles through a small buffer sized for frames like these; a
-/// peer announcing a larger control body gets a loud DATA_LOSS instead of
-/// undefined truncation behaviour. Raise the constant if a deployment ever
-/// legitimately resumes >340 streams per connection.
+/// path checks it against the 32-byte header before reading any body byte,
+/// so a peer announcing a larger control body gets a loud DATA_LOSS and
+/// buffers nothing. Raise the constant if a deployment ever legitimately
+/// resumes >340 streams per connection.
 inline constexpr std::size_t kMaxControlBody = 4096;
 
 /// Bytes a resync-mode PullSocket asks its stream for per read; the strict
@@ -30,13 +30,14 @@ class PushSocket {
 
   /// Sends one message (blocking until fully written). Framing is
   /// scatter-gather: the 32-byte header is built on the stack and handed to
-  /// the transport together with the message's own body buffer
-  /// (write_all_vec), so the body — 11 MiB for a chunk — is never copied
-  /// into a join buffer. Wire bytes are identical to encode_message's.
+  /// the transport together with the message's frame header and its own
+  /// body buffer (write_all_vec, three iovecs), so the payload — 11 MiB for
+  /// a chunk — is never copied into a join buffer. Wire bytes are identical
+  /// to encode_message's.
   Status send(const Message& message);
 
   /// send() with the body checksum supplied by the caller, who must pass
-  /// xxhash32(message.body) (see encode_message_header).
+  /// message_body_hash(message) (see encode_message_header).
   Status send(const Message& message, std::uint32_t body_hash);
 
   /// Sends the end-of-stream marker and closes the write side. Idempotent.
@@ -56,7 +57,8 @@ class PushSocket {
   /// DESIGN.md §11). The generalization of recv_credit for resume-enabled
   /// sessions, where the receiver interleaves both frame kinds.
   ///   UNAVAILABLE - peer closed the reverse channel,
-  ///   DATA_LOSS   - the reverse channel carried a data message.
+  ///   DATA_LOSS   - the reverse channel carried a data message, a body
+  ///                 over kMaxControlBody, or corrupt framing (sticky).
   Result<Message> recv_control();
 
   /// Bytes pushed so far, including headers (for throughput accounting).
@@ -64,18 +66,18 @@ class PushSocket {
 
  private:
   std::unique_ptr<ByteStream> stream_;
-  MessageDecoder credit_decoder_;
-  Bytes credit_buffer_;
   std::uint64_t bytes_sent_ = 0;
   bool finished_ = false;
+  bool control_corrupt_ = false;  ///< the reverse channel violated framing
 };
 
 class PullSocket {
  public:
   /// `on_corruption` selects the corruption policy. The strict default
   /// reads each 32-byte header exactly, then the body straight into the
-  /// message's own buffer, and cuts the connection (sticky DATA_LOSS) on any
-  /// framing violation. kResync reassembles through a MessageDecoder and
+  /// message's own buffers (a frame body's NSF1 header into frame_header,
+  /// its payload into body), and cuts the connection (sticky DATA_LOSS) on
+  /// any framing violation. kResync reassembles through a MessageDecoder and
   /// re-locks onto the next message magic, so a hardened receiver survives
   /// bit-flips at the cost of the corrupted message (see msg/message.h).
   explicit PullSocket(
