@@ -25,6 +25,7 @@
 #include "msg/inproc.h"
 #include "msg/socket.h"
 #include "topo/discover.h"
+#include "wire_reference.h"
 
 namespace numastream {
 namespace {
@@ -568,6 +569,61 @@ TEST(DecoderResyncTest, SkipsMessageWithCorruptBody) {
   ASSERT_TRUE(message.ok()) << message.status().to_string();
   EXPECT_EQ(message.value().sequence, 2U);
   EXPECT_GE(decoder.resyncs(), 1U);
+}
+
+// The receiver pipeline on the split receive's corruption matrix
+// (split_fault_wires, tests/wire_reference.h), strict and resyncing: the
+// run's status, delivered chunks, wire bytes and FaultCounters must be the
+// ones the whole-body receive and the joined decode predict.
+TEST(DecoderResyncTest, SplitReceiveKeepsPipelineFaultCounters) {
+  const MachineTopology topo = host_topology();
+  for (const auto& [name, wire] : split_fault_wires()) {
+    for (const bool resync : {false, true}) {
+      SCOPED_TRACE(name + (resync ? " resync" : " strict"));
+      const ReceiveRun want = whole_body_receive(wire, resync);
+      FaultCountersSnapshot expected;
+      expected.message_resyncs = want.resyncs;
+      std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> delivered;
+      for (const Message& message : want.messages) {
+        if (message.end_of_stream) {
+          continue;
+        }
+        bool resynced = false;
+        const auto content = joined_content(message.body, resync, &resynced);
+        if (content.ok()) {
+          delivered[{message.stream_id, message.sequence}] = xxhash32(content.value());
+          expected.frame_resyncs += resynced ? 1 : 0;
+        } else {
+          ++expected.corrupt_frames;
+          ++expected.dropped_frames;
+        }
+      }
+
+      NodeConfig config = receiver_config(1, 1);
+      config.recovery.reconnect = resync;  // reconnect selects the resync receive
+      InprocListener listener(wire.size() + 1);
+      auto client = listener.connect();
+      ASSERT_TRUE(client.ok());
+      ASSERT_TRUE(client.value()->write_all(wire).is_ok());
+      client.value()->shutdown_write();
+      FaultCounters counters;
+      VerifySink sink;
+      StreamReceiver receiver(topo, config);
+      auto stats = receiver.run(listener, sink, nullptr, &counters);
+
+      EXPECT_EQ(counters.snapshot(), expected) << counters.snapshot().to_string();
+      EXPECT_EQ(sink.hashes(), delivered);
+      if (want.end.code() == StatusCode::kUnavailable) {
+        ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+        EXPECT_EQ(stats.value().wire_bytes, want.bytes_received);
+        EXPECT_EQ(stats.value().corrupt_frames, expected.corrupt_frames);
+      } else {
+        ASSERT_FALSE(stats.ok());
+        EXPECT_EQ(stats.status().code(), want.end.code());
+        EXPECT_EQ(stats.status().message(), want.end.message());
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ frame resync

@@ -9,7 +9,8 @@
 // path), and seeded truncations and mutations.
 //
 // NullFrameDifferentialTest holds the one-pass null-frame decode to the
-// generic frame decode on seeded mutations of null frames.
+// generic frame decode on seeded mutations of null frames, and the split
+// header+payload decode the pipeline runs to the joined decode.
 //
 // Lz4GoldenTest pins the compressor's and the frame writer's output bytes on
 // fixed inputs, so a change that alters the wire format is caught.
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/codec.h"
@@ -395,6 +397,95 @@ TEST(NullFrameDifferentialTest, MutatedFramesMatchTheGenericDecode) {
     expect_same_verdict(longer, at_size + " one byte long");
     expect_same_verdict(ByteSpan(frame).first(frame.size() - 1), at_size + " one byte short");
   }
+}
+
+/// Records a failure unless `got` and `want` agree: the same bytes, or the
+/// same error code and message.
+void expect_same_result(const Result<Bytes>& got, const Result<Bytes>& want) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << "split " << (got.ok() ? "ok" : got.status().to_string()) << ", joined "
+      << (want.ok() ? "ok" : want.status().to_string());
+  if (want.ok()) {
+    EXPECT_EQ(got.value(), want.value());
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+  }
+}
+
+/// Splits `frame` as a receiver does (the first kFrameHeaderSize bytes
+/// apart, the rest in a payload buffer of its own) and records a failure
+/// unless the split decodes agree with the joined ones: decode_frame_split
+/// with the generic decode, decode_frame_split_resync with
+/// decode_frame_content_resync, resync flag included.
+void expect_split_matches_joined(ByteSpan frame, const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_GE(frame.size(), kFrameHeaderSize);
+  const ByteSpan header = frame.first(kFrameHeaderSize);
+  const Bytes payload(frame.begin() + kFrameHeaderSize, frame.end());
+  expect_same_result(decode_frame_split(header, payload), decode_frame_generic(frame));
+  bool split_resynced = false;
+  bool joined_resynced = false;
+  expect_same_result(decode_frame_split_resync(header, payload, &split_resynced),
+                     decode_frame_content_resync(frame, &joined_resynced));
+  EXPECT_EQ(split_resynced, joined_resynced);
+}
+
+TEST(NullFrameDifferentialTest, SplitDecodeMatchesTheJoinedDecode) {
+  constexpr std::size_t kBlock = 64 * 1024;
+  Rng rng(chaos_seed(1402));
+  std::vector<std::pair<std::string, Bytes>> frames;
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{1000}, kBlock + 1}) {
+    frames.emplace_back("null size=" + std::to_string(size),
+                        encode_frame(*codec_by_id(CodecId::kNull), random_bytes(size, rng)));
+  }
+  Bytes pattern(20'000);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>((i / 7) % 13);
+  }
+  frames.emplace_back("lz4", encode_frame(*codec_by_id(CodecId::kLz4), pattern));
+  frames.emplace_back("lz4 stored fallback",
+                      encode_frame(*codec_by_id(CodecId::kLz4), random_bytes(5000, rng)));
+
+  for (const auto& [name, frame] : frames) {
+    expect_split_matches_joined(frame, name + " unmutated");
+    std::vector<std::size_t> offsets;  // every header byte, first/last payload byte
+    for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
+      offsets.push_back(i);
+    }
+    if (frame.size() > kFrameHeaderSize) {
+      offsets.push_back(kFrameHeaderSize);
+      offsets.push_back(frame.size() - 1);
+    }
+    for (const std::size_t offset : offsets) {
+      Bytes mutated = frame;
+      mutated[offset] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+      expect_split_matches_joined(mutated, name + " flip@" + std::to_string(offset));
+    }
+    for (const std::uint64_t raw_size : {std::uint64_t{0}, kMaxFrameRawSize + 1}) {
+      Bytes mutated = frame;
+      store_le64(mutated.data() + 8, raw_size);
+      expect_split_matches_joined(mutated, name + " raw_size=" + std::to_string(raw_size));
+    }
+    Bytes longer = frame;
+    longer.push_back(0);
+    expect_split_matches_joined(longer, name + " one byte long");
+  }
+
+  // A frame whose header fails but whose payload carries a whole valid
+  // frame: the split resync must recover it just as the joined scan does.
+  const Bytes inner = encode_frame(*codec_by_id(CodecId::kNull), random_bytes(700, rng));
+  Bytes outer = encode_frame(*codec_by_id(CodecId::kNull), inner);
+  outer[24] ^= 0x01;  // the outer payload hash no longer matches
+  bool resynced = false;
+  auto recovered = decode_frame_split_resync(
+      ByteSpan(outer).first(kFrameHeaderSize),
+      Bytes(outer.begin() + kFrameHeaderSize, outer.end()), &resynced);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_TRUE(resynced);
+  EXPECT_EQ(recovered.value(), decode_frame_content(inner).value());
+  expect_split_matches_joined(outer, "embedded frame");
 }
 
 // Stored payloads: the null codec on the same projection, and LZ4's

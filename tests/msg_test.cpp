@@ -16,6 +16,7 @@
 #include "msg/message.h"
 #include "msg/socket.h"
 #include "msg/tcp.h"
+#include "wire_reference.h"
 
 namespace numastream {
 namespace {
@@ -798,6 +799,82 @@ TEST(ControlFrameBoundaryTest, OversizedControlFrameFailsLoudly) {
   EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(received.status().to_string().find("kMaxControlBody"),
             std::string::npos);
+}
+
+TEST(ControlFrameBoundaryTest, OversizedHeaderFailsBeforeAnyBodyByte) {
+  // The peer writes only a RESUME header declaring kMaxControlBody + 1 body
+  // bytes, then closes: the bound must be enforced from the header alone,
+  // never by buffering (or waiting for) the body first.
+  InprocPair pair = make_inproc_pair(1 << 20);
+  PushSocket push(std::move(pair.first));
+  Message frame = Message::resume_frame(77, {});
+  frame.body.resize(kMaxControlBody + 1);
+  const Bytes wire = encode_message(frame);
+  ASSERT_TRUE(
+      pair.second->write_all(ByteSpan(wire.data(), kMessageHeaderSize)).is_ok());
+  pair.second->shutdown_write();
+  auto received = push.recv_control();
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(received.status().to_string().find("kMaxControlBody"),
+            std::string::npos);
+}
+
+// -------------------------------------------- split receive fault matrix
+
+// A frame message cut short at every byte of the NSM1 and NSF1 headers and
+// at the first, middle and last payload byte: the split receive must end
+// exactly as the whole-body receive does (tests/wire_reference.h), strict
+// and resyncing.
+TEST(PushPullTest, SplitReceiveTruncationsMatchTheWholeBodyReceive) {
+  const Message m = frame_message(
+      4, 9, encode_frame_split(*codec_by_id(CodecId::kNull), random_body(1000, 21)));
+  const Bytes wire = encode_message(m);
+  const std::size_t payload_at = kMessageHeaderSize + kFrameHeaderSize;
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = 0; cut <= payload_at; ++cut) {
+    cuts.push_back(cut);
+  }
+  cuts.insert(cuts.end(), {payload_at + 1, payload_at + 500, wire.size() - 1, wire.size()});
+  for (const bool resync : {false, true}) {
+    for (const std::size_t cut : cuts) {
+      SCOPED_TRACE(std::string(resync ? "resync" : "strict") + " cut at " +
+                   std::to_string(cut));
+      const ByteSpan prefix(wire.data(), cut);
+      expect_same_receive(socket_receive(prefix, resync),
+                          whole_body_receive(prefix, resync));
+    }
+  }
+  // Whole, the body arrives split: the payload lands in a buffer of its own.
+  for (const bool resync : {false, true}) {
+    const ReceiveRun run = socket_receive(wire, resync);
+    ASSERT_EQ(run.messages.size(), 1U);
+    EXPECT_EQ(run.messages[0].frame_header, m.frame_header);
+    EXPECT_EQ(run.messages[0].body, m.body);
+  }
+}
+
+// The split receive's corruption matrix (split_fault_wires): the split
+// receive and decode must match the whole-body ones on every message,
+// verdict, error text and counter, strict and resyncing.
+TEST(PushPullTest, SplitReceiveCorruptionsMatchTheWholeBodyReceive) {
+  for (const auto& [name, wire] : split_fault_wires()) {
+    for (const bool resync : {false, true}) {
+      SCOPED_TRACE(name + (resync ? " resync" : " strict"));
+      const ReceiveRun got = socket_receive(wire, resync);
+      const ReceiveRun want = whole_body_receive(wire, resync);
+      expect_same_receive(got, want);
+      if (got.messages.size() != want.messages.size()) {
+        continue;
+      }
+      for (std::size_t i = 0; i < want.messages.size(); ++i) {
+        if (!want.messages[i].end_of_stream) {
+          SCOPED_TRACE("content of message " + std::to_string(i));
+          expect_same_content(got.messages[i], want.messages[i], resync);
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------- scatter-gather equivalence

@@ -1,0 +1,298 @@
+// Whole-body receive oracle for the split receive path's fault-matrix tests.
+//
+// Before data frames travelled split, a receiver read each message's
+// 32-byte header, then its whole body into one buffer, checked the body
+// hash over that buffer, and handed the joined frame to
+// decode_frame_content(_resync). whole_body_receive() replays exactly that,
+// strict or resyncing, on a complete byte string; socket_receive() drives
+// the real PullSocket over the same bytes. The two must agree on every
+// message (as joined wire bodies), on the final status and its text, and on
+// bytes_received(), resyncs() and skipped_bytes(); expect_same_content()
+// then holds the split frame decode to the joined one. Test-only, so the
+// library keeps exactly one receive path per mode.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "codec/frame.h"
+#include "codec/xxhash.h"
+#include "common/bytes.h"
+#include "common/rng.h"
+#include "common/status.h"
+#include "msg/inproc.h"
+#include "msg/message.h"
+#include "msg/socket.h"
+
+namespace numastream {
+
+/// A message's wire body as one buffer: the frame header, when held apart,
+/// then the body.
+inline Bytes joined_body(const Message& message) {
+  Bytes out;
+  if (message.frame_header) {
+    out.assign(message.frame_header->begin(), message.frame_header->end());
+  }
+  out.insert(out.end(), message.body.begin(), message.body.end());
+  return out;
+}
+
+/// A data message of stream `stream_id` whose body is `frame`, held split
+/// as a sender holds it.
+inline Message frame_message(std::uint32_t stream_id, std::uint64_t sequence,
+                             SplitFrame frame) {
+  Message m;
+  m.stream_id = stream_id;
+  m.sequence = sequence;
+  m.frame_header = frame.header;
+  m.body = std::move(frame.payload);
+  return m;
+}
+
+/// The split receive's corruption matrix, as named wires. Each opens with a
+/// stored-frame data message (stream 4, sequence 1) hit by one fault: a bit
+/// flip in the NSM1 body-hash field, in every NSF1 header byte, or in the
+/// first or last payload byte, each once as it lands (the message hash
+/// catches it) and once resealed under a fresh message hash (only the frame
+/// checks can); or a data body shorter than a frame header, with and
+/// without the NSF1 magic. A clean LZ4 frame message (sequence 2) and an
+/// end-of-stream marker follow.
+inline std::vector<std::pair<std::string, Bytes>> split_fault_wires() {
+  Bytes payload(1000);
+  Rng rng(22);
+  for (auto& b : payload) {
+    b = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  const Message target =
+      frame_message(4, 1, encode_frame_split(*codec_by_id(CodecId::kNull), payload));
+  const Bytes clean = encode_message(target);
+  Bytes tail = encode_message(frame_message(
+      4, 2, encode_frame_split(*codec_by_id(CodecId::kLz4), Bytes(3000, 7))));
+  const Bytes eos = encode_message(Message::end_of_stream_marker(4, 3));
+  tail.insert(tail.end(), eos.begin(), eos.end());
+
+  std::vector<std::pair<std::string, Bytes>> heads;
+  std::vector<std::size_t> offsets = {28, 29, 30, 31};  // NSM1 body hash
+  for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
+    offsets.push_back(kMessageHeaderSize + i);
+  }
+  offsets.push_back(kMessageHeaderSize + kFrameHeaderSize);  // first payload byte
+  offsets.push_back(clean.size() - 1);                       // last payload byte
+  for (const std::size_t offset : offsets) {
+    Bytes flipped = clean;
+    flipped[offset] ^= 0x5A;
+    heads.emplace_back("flip@" + std::to_string(offset), flipped);
+    if (offset >= kMessageHeaderSize) {
+      Message resealed = target;
+      resealed.frame_header.reset();
+      resealed.body.assign(clean.begin() + kMessageHeaderSize, clean.end());
+      resealed.body[offset - kMessageHeaderSize] ^= 0x5A;
+      heads.emplace_back("resealed flip@" + std::to_string(offset),
+                         encode_message(resealed));
+    }
+  }
+  Message short_body;
+  short_body.stream_id = 4;
+  short_body.sequence = 1;
+  short_body.body.assign(payload.begin(), payload.begin() + 20);
+  heads.emplace_back("20-byte body", encode_message(short_body));
+  short_body.body.assign(clean.begin() + kMessageHeaderSize,
+                         clean.begin() + kMessageHeaderSize + kFrameHeaderSize - 1);
+  heads.emplace_back("31 bytes of frame header", encode_message(short_body));
+
+  for (auto& [name, wire] : heads) {
+    wire.insert(wire.end(), tail.begin(), tail.end());
+  }
+  return heads;
+}
+
+/// One receive run: every message before the run ended, the status that
+/// ended it, and the socket's counters.
+struct ReceiveRun {
+  std::vector<Message> messages;  ///< as received
+  Status end = Status::ok();
+  std::uint64_t bytes_received = 0;
+  std::uint64_t resyncs = 0;
+  std::uint64_t skipped_bytes = 0;
+};
+
+/// The whole-body receive on `wire`, as a peer that wrote `wire` and then
+/// closed its side would be received.
+inline ReceiveRun whole_body_receive(ByteSpan wire, bool resync) {
+  ReceiveRun run;
+  std::size_t pos = 0;
+  // The resync decoder's hunt: the next "NSM1" strictly past `pos`, or, with
+  // none, everything but a tail short enough to be a magic prefix.
+  const auto hunt = [&]() -> bool {
+    std::uint8_t magic[4];
+    store_le32(magic, kMessageMagic);
+    for (std::size_t at = pos + 1; at + 4 <= wire.size(); ++at) {
+      if (std::memcmp(wire.data() + at, magic, 4) == 0) {
+        run.skipped_bytes += at - pos;
+        pos = at;
+        ++run.resyncs;
+        return true;
+      }
+    }
+    const std::size_t keep_from = wire.size() >= 3 ? wire.size() - 3 : wire.size();
+    const std::size_t next = std::min(std::max(pos + 1, keep_from), wire.size());
+    run.skipped_bytes += next - pos;
+    pos = next;
+    return false;
+  };
+  while (true) {
+    const std::size_t available = wire.size() - pos;
+    if (available < kMessageHeaderSize) {
+      if (resync) {
+        run.end = available != 0 ? data_loss_error("connection closed mid-message")
+                                  : unavailable_error("end of stream");
+      } else {
+        run.end = available == 0
+                      ? unavailable_error("end of stream")
+                      : data_loss_error("stream ended mid-message (" +
+                                        std::to_string(available) + " of " +
+                                        std::to_string(kMessageHeaderSize) +
+                                        " bytes)");
+      }
+      break;
+    }
+    auto header = decode_message_header(wire.subspan(pos, kMessageHeaderSize));
+    if (!header.ok()) {
+      if (!resync) {
+        run.end = header.status();
+        break;
+      }
+      if (!hunt()) {
+        run.end = data_loss_error("connection closed mid-message");
+        break;
+      }
+      continue;
+    }
+    const std::uint64_t body_size = header.value().body_size;
+    const std::size_t have = available - kMessageHeaderSize;
+    if (have < body_size) {
+      if (resync) {
+        run.end = data_loss_error("connection closed mid-message");
+      } else {
+        run.end = have == 0 ? data_loss_error("connection closed mid-message")
+                            : data_loss_error("stream ended mid-message (" +
+                                              std::to_string(have) + " of " +
+                                              std::to_string(body_size) + " bytes)");
+      }
+      break;
+    }
+    const ByteSpan body = wire.subspan(pos + kMessageHeaderSize, body_size);
+    if (xxhash32(body) != header.value().body_hash) {
+      if (!resync) {
+        run.end = data_loss_error("message: body checksum mismatch");
+        break;
+      }
+      if (!hunt()) {
+        run.end = data_loss_error("connection closed mid-message");
+        break;
+      }
+      continue;
+    }
+    Message message = header.value().message;
+    message.body.assign(body.begin(), body.end());
+    run.messages.push_back(std::move(message));
+    pos += kMessageHeaderSize + body_size;
+    if (!resync) {
+      run.bytes_received = pos;
+    }
+  }
+  if (resync) {
+    run.bytes_received = wire.size();
+  }
+  return run;
+}
+
+/// The real PullSocket on `wire`, written in full by a peer that then
+/// closes its side.
+inline ReceiveRun socket_receive(ByteSpan wire, bool resync) {
+  InprocPair pair = make_inproc_pair(wire.size() + 1);
+  NS_CHECK(pair.first->write_all(wire).is_ok(), "the window holds the whole wire");
+  pair.first->shutdown_write();
+  PullSocket pull(std::move(pair.second), resync ? MessageDecoder::OnCorruption::kResync
+                                                 : MessageDecoder::OnCorruption::kFail);
+  ReceiveRun run;
+  while (true) {
+    auto message = pull.recv();
+    if (!message.ok()) {
+      run.end = message.status();
+      break;
+    }
+    run.messages.push_back(std::move(message).value());
+  }
+  run.bytes_received = pull.bytes_received();
+  run.resyncs = pull.resyncs();
+  run.skipped_bytes = pull.skipped_bytes();
+  return run;
+}
+
+/// Records a failure unless the two runs agree on every message, the final
+/// status and its text, and the counters.
+inline void expect_same_receive(const ReceiveRun& got, const ReceiveRun& want) {
+  ASSERT_EQ(got.messages.size(), want.messages.size())
+      << "split ended with " << got.end.to_string() << ", whole-body with "
+      << want.end.to_string();
+  for (std::size_t i = 0; i < want.messages.size(); ++i) {
+    SCOPED_TRACE("message " + std::to_string(i));
+    EXPECT_EQ(got.messages[i].stream_id, want.messages[i].stream_id);
+    EXPECT_EQ(got.messages[i].sequence, want.messages[i].sequence);
+    EXPECT_EQ(got.messages[i].end_of_stream, want.messages[i].end_of_stream);
+    EXPECT_EQ(joined_body(got.messages[i]), joined_body(want.messages[i]));
+  }
+  EXPECT_EQ(got.end.code(), want.end.code());
+  EXPECT_EQ(got.end.message(), want.end.message());
+  EXPECT_EQ(got.bytes_received, want.bytes_received);
+  EXPECT_EQ(got.resyncs, want.resyncs);
+  EXPECT_EQ(got.skipped_bytes, want.skipped_bytes);
+}
+
+/// Decodes a received data message's chunk the way the decompress stage
+/// does: split when the frame header arrived apart, joined otherwise.
+inline Result<Bytes> split_content(const Message& message, bool resync,
+                                   bool* resynced) {
+  if (message.frame_header) {
+    return resync ? decode_frame_split_resync(*message.frame_header, message.body,
+                                              resynced)
+                  : decode_frame_split(*message.frame_header, message.body);
+  }
+  return resync ? decode_frame_content_resync(message.body, resynced)
+                : decode_frame_content(message.body);
+}
+
+/// The whole-body decode of a joined wire body.
+inline Result<Bytes> joined_content(ByteSpan body, bool resync, bool* resynced) {
+  return resync ? decode_frame_content_resync(body, resynced)
+                : decode_frame_content(body);
+}
+
+/// Records a failure unless the split decode of `split` (as received by
+/// the socket) and the joined decode of `whole` (as received by the oracle)
+/// agree: the same content and resync flag, or the same error and text.
+inline void expect_same_content(const Message& split, const Message& whole,
+                                bool resync) {
+  bool split_resynced = false;
+  bool whole_resynced = false;
+  const auto got = split_content(split, resync, &split_resynced);
+  const auto want = joined_content(whole.body, resync, &whole_resynced);
+  ASSERT_EQ(got.ok(), want.ok())
+      << "split " << (got.ok() ? "ok" : got.status().to_string()) << ", joined "
+      << (want.ok() ? "ok" : want.status().to_string());
+  if (want.ok()) {
+    EXPECT_EQ(got.value(), want.value());
+    EXPECT_EQ(split_resynced, whole_resynced);
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+  }
+}
+
+}  // namespace numastream
