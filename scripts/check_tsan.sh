@@ -10,7 +10,9 @@
 # where the replication tee, the standby's apply/promote race and a live
 # gateway takeover all share the journal with pipeline workers, and the
 # anti-entropy layer where a background scrubber re-reads the journal while
-# appenders extend it and a promotion fences a mid-round repair. A clean
+# appenders extend it and a promotion fences a mid-round repair, and the
+# wire pins and split-receive fault matrix, which hand frame buffers
+# between real sender and receiver pipeline threads. A clean
 # exit means the credit/budget/drain/observe machinery is free of data
 # races, not just functionally green.
 #
@@ -28,7 +30,7 @@ cmake --build build-tsan
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(BoundedQueueTest|BoundedQueueMpmc|SpscRingTest|MemoryBudgetTest|OverloadCountersTest|OverloadPipelineTest|ChaosOverloadTest|PipelineTest|TcpPipelineTest|ChaosPipelineTest|WatchdogTest|MigrationCoordinatorTest|MigrationPipelineTest|WatchdogDrainTest|SpanRingTest|TracerTest|StageLatenciesTest|MetricsRegistryTest|SnapshotSamplerTest|PipelineObservabilityTest|ThroughputMeterTest|ResumePipelineTest|ChaosResumeTest|ReplicationTest|EpochFenceTest|GatewayFailoverTest|HandoffProtocolTest|ChaosHandoffTest|AntiEntropyTest|ScrubConcurrencyTest|CancelSignalTest|ChunkPoolTest|ChaosNetTest|ChaosHarnessTest|AsymmetricPartitionTest|ChaosExplorerTest)' \
+  -R '^(BoundedQueueTest|BoundedQueueMpmc|SpscRingTest|MemoryBudgetTest|OverloadCountersTest|OverloadPipelineTest|ChaosOverloadTest|PipelineTest|TcpPipelineTest|ChaosPipelineTest|WatchdogTest|MigrationCoordinatorTest|MigrationPipelineTest|WatchdogDrainTest|SpanRingTest|TracerTest|StageLatenciesTest|MetricsRegistryTest|SnapshotSamplerTest|PipelineObservabilityTest|ThroughputMeterTest|ResumePipelineTest|ChaosResumeTest|ReplicationTest|EpochFenceTest|GatewayFailoverTest|HandoffProtocolTest|ChaosHandoffTest|AntiEntropyTest|ScrubConcurrencyTest|CancelSignalTest|ChunkPoolTest|ChaosNetTest|ChaosHarnessTest|AsymmetricPartitionTest|ChaosExplorerTest|WirePinTest|DecoderResyncTest)' \
   "$@"
 
 echo
