@@ -92,7 +92,7 @@ int main() {
                                 stream_bytes, 2),
                  std::to_string(resume.recovery_wall_ms)});
   std::printf("%s\n", table.render().c_str());
-  std::printf("%s\n", resume_table(resume, /*nonzero_only=*/true)
+  std::printf("%s\n", counter_table(resume, /*nonzero_only=*/true)
                           .render()
                           .c_str());
 

@@ -111,7 +111,7 @@ int main() {
                  std::to_string(fed.failover_wall_ms)});
   std::printf("%s\n", table.render().c_str());
   std::printf("%s\n",
-              federation_table(fed, /*nonzero_only=*/true).render().c_str());
+              counter_table(fed, /*nonzero_only=*/true).render().c_str());
 
   // The clean path pays heartbeats and replication, never a takeover.
   shape_check("failure-free probe performs no failover",

@@ -165,7 +165,7 @@ int main() {
                  std::to_string(crash.federation.failover_wall_ms)});
   std::printf("%s\n", table.render().c_str());
   std::printf("%s\n",
-              federation_table(fed, /*nonzero_only=*/true).render().c_str());
+              counter_table(fed, /*nonzero_only=*/true).render().c_str());
 
   // The balanced baseline never detects, never moves.
   shape_check("balanced baseline sees no degradation and no handoff",

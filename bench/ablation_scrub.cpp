@@ -124,7 +124,7 @@ int main() {
                  std::to_string(run.federation.failovers)});
   std::printf("%s\n", table.render().c_str());
   std::printf("%s\n",
-              scrub_table(scrub, /*nonzero_only=*/true).render().c_str());
+              counter_table(scrub, /*nonzero_only=*/true).render().c_str());
 
   // The injection landed identically in both runs (same seed, same time).
   shape_check("rot lands in both runs",

@@ -88,7 +88,7 @@ int main() {
     }
   }
   std::printf("after one scrub pass:\n%s\n",
-              scrub_table(counters.snapshot(), /*nonzero_only=*/true)
+              counter_table(counters.snapshot(), /*nonzero_only=*/true)
                   .render()
                   .c_str());
   if (scrubber.quarantined_ranges().empty()) {
@@ -109,7 +109,7 @@ int main() {
     return 1;
   }
   std::printf("after one anti-entropy round:\n%s\n",
-              scrub_table(counters.snapshot(), /*nonzero_only=*/true)
+              counter_table(counters.snapshot(), /*nonzero_only=*/true)
                   .render()
                   .c_str());
 

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rx.corrupt_frames));
 
   std::printf("fault / recovery ledger:\n%s\n",
-              fault_table(counters.snapshot(), /*nonzero_only=*/true)
+              counter_table(counters.snapshot(), /*nonzero_only=*/true)
                   .render()
                   .c_str());
 

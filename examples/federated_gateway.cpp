@@ -328,11 +328,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(chunks));
 
   std::printf("federation ledger:\n%s\n",
-              federation_table(fed.snapshot(), /*nonzero_only=*/true)
+              counter_table(fed.snapshot(), /*nonzero_only=*/true)
                   .render()
                   .c_str());
   std::printf("resume ledger:\n%s\n",
-              resume_table(counters.snapshot(), /*nonzero_only=*/true)
+              counter_table(counters.snapshot(), /*nonzero_only=*/true)
                   .render()
                   .c_str());
 

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
 
   FaultCounters faults;
-  if (auto status = registry.register_fault_counters("fault", faults);
+  if (auto status = registry.register_ledger("fault", faults);
       !status.is_ok()) {
     std::fprintf(stderr, "registry: %s\n", status.to_string().c_str());
     return 1;

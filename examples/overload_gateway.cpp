@@ -157,8 +157,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ledger.used()));
 
   std::printf("\nsender overload ledger:\n%s\n",
-              overload_table(sent, /*nonzero_only=*/true).render().c_str());
+              counter_table(sent, /*nonzero_only=*/true).render().c_str());
   std::printf("receiver overload ledger:\n%s\n",
-              overload_table(received, /*nonzero_only=*/true).render().c_str());
+              counter_table(received, /*nonzero_only=*/true).render().c_str());
   return 0;
 }

@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(chunks));
 
   std::printf("resume ledger:\n%s\n",
-              resume_table(counters.snapshot(), /*nonzero_only=*/true)
+              counter_table(counters.snapshot(), /*nonzero_only=*/true)
                   .render()
                   .c_str());
 

@@ -11,13 +11,6 @@ namespace numastream {
 namespace cluster {
 namespace {
 
-void count(PaddedCounter ScrubCounters::*field,
-           ScrubCounters* counters, std::uint64_t amount = 1) {
-  if (counters != nullptr && amount != 0) {
-    (counters->*field).fetch_add(amount, std::memory_order_relaxed);
-  }
-}
-
 /// The reply kind a request kind is answered with; requests that expect no
 /// data reply (pushes) get kRepairReply.
 ScrubKind reply_kind_for(ScrubKind kind) {

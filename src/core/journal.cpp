@@ -22,13 +22,6 @@ constexpr std::size_t kChecksumOffset = kJournalRecordSize - 4;
          type <= static_cast<std::uint8_t>(JournalRecordType::kDelivered);
 }
 
-void count(std::atomic<std::uint64_t> ResumeCounters::*field,
-           ResumeCounters* counters, std::uint64_t amount = 1) {
-  if (counters != nullptr && amount != 0) {
-    (counters->*field).fetch_add(amount, std::memory_order_relaxed);
-  }
-}
-
 // Seeded position generator for the rot injectors: splitmix64, so the same
 // seed damages the same bits on every run (the bit-identity contract every
 // chaos suite relies on).

@@ -10,13 +10,6 @@ namespace {
 
 constexpr std::size_t kChecksumOffset = kJournalRecordSize - 4;
 
-void count(PaddedCounter ScrubCounters::*field,
-           ScrubCounters* counters, std::uint64_t amount = 1) {
-  if (counters != nullptr && amount != 0) {
-    (counters->*field).fetch_add(amount, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace
 
 bool journal_record_valid(const std::uint8_t* rec) {

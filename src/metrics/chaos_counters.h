@@ -10,74 +10,42 @@
 // delta-debugging steps it took to shrink each failing schedule to its
 // minimal reproducer. Everything downstream of one seed, so in a
 // deterministic run these counters are the bit-identity fingerprint of a
-// chaos campaign: same seed, same snapshot.
-//
-// Counters are relaxed atomics; snapshot() yields a comparable plain struct
-// and chaos_table() renders one through the shared TextTable formatter.
+// chaos campaign: same seed, same snapshot. Renders through counter_table().
 #pragma once
 
-#include <cstdint>
-#include <string>
-
-#include "metrics/padded_counter.h"
-#include "metrics/table.h"
+#include "metrics/ledger.h"
 
 namespace numastream {
 
+// Causal order: the weather the mesh injected, then what the explorer
+// learned from running schedules through it.
+#define NS_CHAOS_COUNTERS(X)                                                  \
+  /* Mesh: what the network weather did (msg/chaosnet.h). */                 \
+  X(partitions_cut)    /**< directed links severed */                         \
+  X(partitions_healed) /**< directed links restored */                        \
+  X(frames_dropped)    /**< frames lost to a cut link */                      \
+  X(frames_delayed)    /**< frames held for a link delay */                   \
+  X(frames_duplicated) /**< frames delivered twice */                         \
+  X(frames_reordered)  /**< adjacent frames swapped */                        \
+  X(acks_dropped)      /**< replies eaten by a one-way cut */                 \
+  X(virtual_micros)    /**< virtual time the mesh advanced */                 \
+  /* Explorer: what the checker found (check/explorer.h). */                 \
+  X(episodes_run)      /**< schedules executed end to end */                  \
+  X(events_injected)   /**< schedule events applied */                        \
+  X(probes_fired)      /**< invariant checks evaluated */                     \
+  X(violations_found)  /**< probes that caught a violation */                 \
+  X(shrink_steps)      /**< ddmin re-executions spent */                      \
+  X(schedules_shrunk)  /**< failures reduced to minimal form */
+
 /// Plain-value copy of ChaosCounters, comparable and printable.
 struct ChaosCountersSnapshot {
-  // Mesh: what the network weather did (msg/chaosnet.h).
-  std::uint64_t partitions_cut = 0;      ///< directed links severed
-  std::uint64_t partitions_healed = 0;   ///< directed links restored
-  std::uint64_t frames_dropped = 0;      ///< frames lost to a cut link
-  std::uint64_t frames_delayed = 0;      ///< frames held for a link delay
-  std::uint64_t frames_duplicated = 0;   ///< frames delivered twice
-  std::uint64_t frames_reordered = 0;    ///< adjacent frames swapped
-  std::uint64_t acks_dropped = 0;        ///< replies eaten by a one-way cut
-  std::uint64_t virtual_micros = 0;      ///< virtual time the mesh advanced
-
-  // Explorer: what the checker found (check/explorer.h).
-  std::uint64_t episodes_run = 0;        ///< schedules executed end to end
-  std::uint64_t events_injected = 0;     ///< schedule events applied
-  std::uint64_t probes_fired = 0;        ///< invariant checks evaluated
-  std::uint64_t violations_found = 0;    ///< probes that caught a violation
-  std::uint64_t shrink_steps = 0;        ///< ddmin re-executions spent
-  std::uint64_t schedules_shrunk = 0;    ///< failures reduced to minimal form
-
-  friend bool operator==(const ChaosCountersSnapshot&,
-                         const ChaosCountersSnapshot&) = default;
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
+  NS_LEDGER_SNAPSHOT(ChaosCountersSnapshot, NS_CHAOS_COUNTERS)
 };
 
 /// Thread-safe counter set shared by the chaos mesh, the invariant monitor
-/// and the explorer. All increments are relaxed: counters are statistics,
-/// not synchronization.
+/// and the explorer.
 class ChaosCounters {
- public:
-  PaddedCounter partitions_cut;
-  PaddedCounter partitions_healed;
-  PaddedCounter frames_dropped;
-  PaddedCounter frames_delayed;
-  PaddedCounter frames_duplicated;
-  PaddedCounter frames_reordered;
-  PaddedCounter acks_dropped;
-  PaddedCounter virtual_micros;
-
-  PaddedCounter episodes_run;
-  PaddedCounter events_injected;
-  PaddedCounter probes_fired;
-  PaddedCounter violations_found;
-  PaddedCounter shrink_steps;
-  PaddedCounter schedules_shrunk;
-
-  [[nodiscard]] ChaosCountersSnapshot snapshot() const;
+  NS_LEDGER_LIVE(ChaosCounters, ChaosCountersSnapshot, NS_CHAOS_COUNTERS)
 };
-
-/// Renders a snapshot as a two-column table ("counter", "count"). With
-/// `nonzero_only`, clean counters are elided so quiet campaigns print short.
-TextTable chaos_table(const ChaosCountersSnapshot& snapshot,
-                      bool nonzero_only = false);
 
 }  // namespace numastream

@@ -4,84 +4,47 @@
 // action the pipeline takes (core/pipeline.cpp) increments exactly one
 // counter here, so a fault-tolerance run is fully accountable: chunks are
 // either delivered, or their loss shows up in a counter — never silent.
-// Counters are plain relaxed atomics (hot paths touch them at chunk
-// granularity, ~11 MiB apart); snapshot() yields a comparable plain struct,
-// and fault_table() renders one through the shared TextTable formatter.
+// Hot paths touch these at chunk granularity, ~11 MiB apart. Two runs of
+// the same seeded FaultPlan must produce equal snapshots — the determinism
+// property tests/fault_test.cpp asserts. Renders through counter_table().
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
-
-#include "metrics/padded_counter.h"
-#include "metrics/table.h"
+#include "metrics/ledger.h"
 
 namespace numastream {
 
-/// Plain-value copy of FaultCounters, comparable and printable. Two runs of
-/// the same seeded FaultPlan must produce equal snapshots — the determinism
-/// property tests/fault_test.cpp asserts.
+// Injected faults first, then the recovery actions they provoked.
+#define NS_FAULT_COUNTERS(X)                                                 \
+  /* Faults injected by the chaos transport layer. */                       \
+  X(injected_disconnects)     /**< writes failed, nothing delivered */       \
+  X(injected_torn_writes)     /**< corrupted prefix delivered, then failed */ \
+  X(injected_bitflips)        /**< silent single-bit payload corruption */   \
+  X(injected_short_writes)    /**< write delivered in fragments */           \
+  X(injected_stalls)          /**< write delayed by the injector */          \
+  X(injected_throttles)       /**< write slow-dripped at a byte rate */      \
+  X(injected_crashes)         /**< whole-endpoint deaths (kill -9) */        \
+  X(injected_accept_failures) /**< listener accepts that failed */          \
+  /* Recovery actions taken by the pipeline. */                             \
+  X(reconnects)               /**< sender re-dialed a dead connection */     \
+  X(dial_retries)             /**< backoff retries inside dials */           \
+  X(connections_recycled)     /**< receiver replaced a dead connection */    \
+  X(message_resyncs)          /**< decoder re-locked onto NSM1 magic */      \
+  X(frame_resyncs)            /**< frame recovered at a later NSF1 magic */  \
+  X(corrupt_frames)           /**< frames failing checksum/decode */         \
+  X(dropped_frames)           /**< corrupt frames not recovered by resync */ \
+  X(duplicate_frames)         /**< resent frames deduplicated by sequence */ \
+  X(degraded_chunks)          /**< chunks sent passthrough under backlog */  \
+  X(watchdog_trips)           /**< stalled stages forcibly cancelled */
+
+/// Plain-value copy of FaultCounters, comparable and printable.
 struct FaultCountersSnapshot {
-  // Faults injected by the chaos transport layer.
-  std::uint64_t injected_disconnects = 0;   ///< writes failed, nothing delivered
-  std::uint64_t injected_torn_writes = 0;   ///< corrupted prefix delivered, then failed
-  std::uint64_t injected_bitflips = 0;      ///< silent single-bit payload corruption
-  std::uint64_t injected_short_writes = 0;  ///< write delivered in fragments
-  std::uint64_t injected_stalls = 0;        ///< write delayed by the injector
-  std::uint64_t injected_throttles = 0;     ///< write slow-dripped at a byte rate
-  std::uint64_t injected_crashes = 0;       ///< whole-endpoint deaths (kill -9)
-  std::uint64_t injected_accept_failures = 0;
-
-  // Recovery actions taken by the pipeline.
-  std::uint64_t reconnects = 0;             ///< sender re-dialed a dead connection
-  std::uint64_t dial_retries = 0;           ///< backoff retries inside dials
-  std::uint64_t connections_recycled = 0;   ///< receiver replaced a dead connection
-  std::uint64_t message_resyncs = 0;        ///< decoder re-locked onto NSM1 magic
-  std::uint64_t frame_resyncs = 0;          ///< frame recovered at a later NSF1 magic
-  std::uint64_t corrupt_frames = 0;         ///< frames failing checksum/decode
-  std::uint64_t dropped_frames = 0;         ///< corrupt frames not recovered by resync
-  std::uint64_t duplicate_frames = 0;       ///< resent frames deduplicated by sequence
-  std::uint64_t degraded_chunks = 0;        ///< chunks sent passthrough under backlog
-  std::uint64_t watchdog_trips = 0;         ///< stalled stages forcibly cancelled
-
-  friend bool operator==(const FaultCountersSnapshot&,
-                         const FaultCountersSnapshot&) = default;
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
+  NS_LEDGER_SNAPSHOT(FaultCountersSnapshot, NS_FAULT_COUNTERS)
 };
 
 /// Thread-safe counter set shared by a pipeline's workers and its fault
-/// injectors. All increments are relaxed: counters are statistics, not
-/// synchronization.
+/// injectors.
 class FaultCounters {
- public:
-  PaddedCounter injected_disconnects;
-  PaddedCounter injected_torn_writes;
-  PaddedCounter injected_bitflips;
-  PaddedCounter injected_short_writes;
-  PaddedCounter injected_stalls;
-  PaddedCounter injected_throttles;
-  PaddedCounter injected_crashes;
-  PaddedCounter injected_accept_failures;
-
-  PaddedCounter reconnects;
-  PaddedCounter dial_retries;
-  PaddedCounter connections_recycled;
-  PaddedCounter message_resyncs;
-  PaddedCounter frame_resyncs;
-  PaddedCounter corrupt_frames;
-  PaddedCounter dropped_frames;
-  PaddedCounter duplicate_frames;
-  PaddedCounter degraded_chunks;
-  PaddedCounter watchdog_trips;
-
-  [[nodiscard]] FaultCountersSnapshot snapshot() const;
+  NS_LEDGER_LIVE(FaultCounters, FaultCountersSnapshot, NS_FAULT_COUNTERS)
 };
-
-/// Renders a snapshot as a two-column table ("counter", "count"). With
-/// `nonzero_only`, clean counters are elided so healthy runs print short.
-TextTable fault_table(const FaultCountersSnapshot& snapshot,
-                      bool nonzero_only = false);
 
 }  // namespace numastream

@@ -1,60 +1,6 @@
 #include "metrics/federation_counters.h"
 
 namespace numastream {
-namespace {
-
-struct NamedCounter {
-  const char* name;
-  std::uint64_t FederationCountersSnapshot::*field;
-};
-
-// One row per counter, in incident order: steady-state replication, the
-// heartbeats that notice a death, the takeover itself, and the fence that
-// keeps the dead primary from un-deciding it.
-constexpr NamedCounter kCounters[] = {
-    {"repl_records_shipped",
-     &FederationCountersSnapshot::repl_records_shipped},
-    {"repl_appends_acked", &FederationCountersSnapshot::repl_appends_acked},
-    {"repl_lag_records_max",
-     &FederationCountersSnapshot::repl_lag_records_max},
-    {"heartbeats_sent", &FederationCountersSnapshot::heartbeats_sent},
-    {"peer_failures_detected",
-     &FederationCountersSnapshot::peer_failures_detected},
-    {"degraded_peers_detected",
-     &FederationCountersSnapshot::degraded_peers_detected},
-    {"failovers", &FederationCountersSnapshot::failovers},
-    {"streams_reresolved", &FederationCountersSnapshot::streams_reresolved},
-    {"failover_wall_ms", &FederationCountersSnapshot::failover_wall_ms},
-    {"epoch", &FederationCountersSnapshot::epoch},
-    {"fenced_appends_rejected",
-     &FederationCountersSnapshot::fenced_appends_rejected},
-    {"rebalance_triggers", &FederationCountersSnapshot::rebalance_triggers},
-    {"handoffs_planned", &FederationCountersSnapshot::handoffs_planned},
-    {"handoffs_completed", &FederationCountersSnapshot::handoffs_completed},
-    {"handoffs_aborted", &FederationCountersSnapshot::handoffs_aborted},
-    {"handoff_streams_moved",
-     &FederationCountersSnapshot::handoff_streams_moved},
-    {"handoff_wall_ms", &FederationCountersSnapshot::handoff_wall_ms},
-};
-
-}  // namespace
-
-std::string FederationCountersSnapshot::to_string() const {
-  std::string out;
-  for (const auto& counter : kCounters) {
-    const std::uint64_t value = this->*(counter.field);
-    if (value == 0) {
-      continue;
-    }
-    if (!out.empty()) {
-      out += " ";
-    }
-    out += counter.name;
-    out += "=";
-    out += std::to_string(value);
-  }
-  return out.empty() ? "clean" : out;
-}
 
 void FederationCounters::note_repl_lag(std::uint64_t lag) {
   std::uint64_t seen = repl_lag_records_max.load(std::memory_order_relaxed);
@@ -70,46 +16,6 @@ void FederationCounters::note_epoch(std::uint64_t value) {
          !epoch.compare_exchange_weak(seen, value, std::memory_order_relaxed,
                                       std::memory_order_relaxed)) {
   }
-}
-
-FederationCountersSnapshot FederationCounters::snapshot() const {
-  FederationCountersSnapshot s;
-  s.repl_records_shipped = repl_records_shipped.load(std::memory_order_relaxed);
-  s.repl_appends_acked = repl_appends_acked.load(std::memory_order_relaxed);
-  s.repl_lag_records_max =
-      repl_lag_records_max.load(std::memory_order_relaxed);
-  s.heartbeats_sent = heartbeats_sent.load(std::memory_order_relaxed);
-  s.peer_failures_detected =
-      peer_failures_detected.load(std::memory_order_relaxed);
-  s.degraded_peers_detected =
-      degraded_peers_detected.load(std::memory_order_relaxed);
-  s.failovers = failovers.load(std::memory_order_relaxed);
-  s.streams_reresolved = streams_reresolved.load(std::memory_order_relaxed);
-  s.failover_wall_ms = failover_wall_ms.load(std::memory_order_relaxed);
-  s.epoch = epoch.load(std::memory_order_relaxed);
-  s.fenced_appends_rejected =
-      fenced_appends_rejected.load(std::memory_order_relaxed);
-  s.rebalance_triggers = rebalance_triggers.load(std::memory_order_relaxed);
-  s.handoffs_planned = handoffs_planned.load(std::memory_order_relaxed);
-  s.handoffs_completed = handoffs_completed.load(std::memory_order_relaxed);
-  s.handoffs_aborted = handoffs_aborted.load(std::memory_order_relaxed);
-  s.handoff_streams_moved =
-      handoff_streams_moved.load(std::memory_order_relaxed);
-  s.handoff_wall_ms = handoff_wall_ms.load(std::memory_order_relaxed);
-  return s;
-}
-
-TextTable federation_table(const FederationCountersSnapshot& snapshot,
-                           bool nonzero_only) {
-  TextTable table({"counter", "count"});
-  for (const auto& counter : kCounters) {
-    const std::uint64_t value = snapshot.*(counter.field);
-    if (nonzero_only && value == 0) {
-      continue;
-    }
-    table.add_row({counter.name, std::to_string(value)});
-  }
-  return table;
 }
 
 }  // namespace numastream

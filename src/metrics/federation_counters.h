@@ -8,87 +8,50 @@
 // primaries whose appends were rejected after a takeover). Failure
 // detection and kill points are seeded, so in simulation these counters
 // double as the bit-identity fingerprint of a failover run: same seed,
-// same snapshot.
-//
-// Counters are relaxed atomics, each padded to its own cache line
-// (PaddedCounter): different pipeline threads bump different members, and
-// packing them 8-per-line made physically independent increments contend
-// (false sharing; see metrics/padded_counter.h and the counter micro in
-// bench/micro_queue). snapshot() yields a comparable plain struct and
-// federation_table() renders one through the shared TextTable formatter.
+// same snapshot. Renders through counter_table().
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
-
-#include "metrics/padded_counter.h"
-#include "metrics/table.h"
+#include "metrics/ledger.h"
 
 namespace numastream {
 
+// Incident order: steady-state replication, the heartbeats that notice a
+// death, the takeover itself, and the fence that keeps the dead primary
+// from un-deciding it.
+#define NS_FEDERATION_COUNTERS(X)                                             \
+  /* Replication traffic (primary -> standby). */                            \
+  X(repl_records_shipped)    /**< journal records sent to buddy */            \
+  X(repl_appends_acked)      /**< append frames acked durable */              \
+  X(repl_lag_records_max)    /**< peak shipped-minus-acked depth */           \
+  /* Liveness. */                                                            \
+  X(heartbeats_sent)         /**< probes emitted toward peers */              \
+  X(peer_failures_detected)  /**< detector breaches latched */                \
+  X(degraded_peers_detected) /**< gray-failure episodes latched */            \
+  /* Failover orchestration. */                                              \
+  X(failovers)               /**< whole-gateway takeovers */                  \
+  X(streams_reresolved)      /**< streams re-homed via the ring */            \
+  X(failover_wall_ms)        /**< death-to-first-resumed-delivery */          \
+  X(epoch)                   /**< highest epoch reached (max, not sum) */     \
+  /* The fence. */                                                           \
+  X(fenced_appends_rejected) /**< stale-epoch writes refused */               \
+  /* Planned handoffs (load-driven rebalancing, DESIGN.md §13). */           \
+  X(rebalance_triggers)      /**< controller decided to move load */          \
+  X(handoffs_planned)        /**< three-phase transfers started */            \
+  X(handoffs_completed)      /**< transfers committed (fence up) */           \
+  X(handoffs_aborted)        /**< transfers abandoned mid-flight */           \
+  X(handoff_streams_moved)   /**< streams re-homed by handoff */              \
+  X(handoff_wall_ms)         /**< freeze-to-resumed-delivery */
+
 /// Plain-value copy of FederationCounters, comparable and printable.
 struct FederationCountersSnapshot {
-  // Replication traffic (primary -> standby).
-  std::uint64_t repl_records_shipped = 0;  ///< journal records sent to buddy
-  std::uint64_t repl_appends_acked = 0;    ///< append frames acked durable
-  std::uint64_t repl_lag_records_max = 0;  ///< peak shipped-minus-acked depth
-
-  // Liveness.
-  std::uint64_t heartbeats_sent = 0;      ///< probes emitted toward peers
-  std::uint64_t peer_failures_detected = 0;  ///< detector breaches latched
-  std::uint64_t degraded_peers_detected = 0;  ///< gray-failure episodes latched
-
-  // Failover orchestration.
-  std::uint64_t failovers = 0;            ///< whole-gateway takeovers
-  std::uint64_t streams_reresolved = 0;   ///< streams re-homed via the ring
-  std::uint64_t failover_wall_ms = 0;     ///< death-to-first-resumed-delivery
-  std::uint64_t epoch = 0;                ///< highest epoch reached (max, not sum)
-
-  // The fence.
-  std::uint64_t fenced_appends_rejected = 0;  ///< stale-epoch writes refused
-
-  // Planned handoffs (load-driven rebalancing, DESIGN.md §13).
-  std::uint64_t rebalance_triggers = 0;    ///< controller decided to move load
-  std::uint64_t handoffs_planned = 0;      ///< three-phase transfers started
-  std::uint64_t handoffs_completed = 0;    ///< transfers committed (fence up)
-  std::uint64_t handoffs_aborted = 0;      ///< transfers abandoned mid-flight
-  std::uint64_t handoff_streams_moved = 0; ///< streams re-homed by handoff
-  std::uint64_t handoff_wall_ms = 0;       ///< freeze-to-resumed-delivery
-
-  friend bool operator==(const FederationCountersSnapshot&,
-                         const FederationCountersSnapshot&) = default;
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
+  NS_LEDGER_SNAPSHOT(FederationCountersSnapshot, NS_FEDERATION_COUNTERS)
 };
 
 /// Thread-safe counter set shared by the replication link, the failure
-/// detector, and the failover coordinator. All increments are relaxed:
-/// counters are statistics, not synchronization.
+/// detector, and the failover coordinator.
 class FederationCounters {
- public:
-  PaddedCounter repl_records_shipped;
-  PaddedCounter repl_appends_acked;
-  PaddedCounter repl_lag_records_max;
-
-  PaddedCounter heartbeats_sent;
-  PaddedCounter peer_failures_detected;
-  PaddedCounter degraded_peers_detected;
-
-  PaddedCounter failovers;
-  PaddedCounter streams_reresolved;
-  PaddedCounter failover_wall_ms;
-  PaddedCounter epoch;
-
-  PaddedCounter fenced_appends_rejected;
-
-  PaddedCounter rebalance_triggers;
-  PaddedCounter handoffs_planned;
-  PaddedCounter handoffs_completed;
-  PaddedCounter handoffs_aborted;
-  PaddedCounter handoff_streams_moved;
-  PaddedCounter handoff_wall_ms;
+  NS_LEDGER_LIVE(FederationCounters, FederationCountersSnapshot,
+                 NS_FEDERATION_COUNTERS)
 
   /// Raises `repl_lag_records_max` to `lag` if it is higher than the
   /// current peak (monotone max, not a sum).
@@ -96,14 +59,6 @@ class FederationCounters {
 
   /// Raises `epoch` to `value` if it is higher (monotone max).
   void note_epoch(std::uint64_t value);
-
-  [[nodiscard]] FederationCountersSnapshot snapshot() const;
 };
-
-/// Renders a snapshot as a two-column table ("counter", "count"). With
-/// `nonzero_only`, clean counters are elided so failover-free runs print
-/// short.
-TextTable federation_table(const FederationCountersSnapshot& snapshot,
-                           bool nonzero_only = false);
 
 }  // namespace numastream

@@ -7,61 +7,35 @@
 // workers live-migrated, plus how long the pipeline spent below its
 // baseline. The self-healing path is deterministic in simulation, so these
 // counters double as the bit-identity fingerprint of a recovery scenario:
-// same seed, same snapshot.
-//
-// Counters are relaxed atomics; snapshot() yields a comparable plain struct
-// and health_table() renders one through the shared TextTable formatter.
+// same seed, same snapshot. Renders through counter_table().
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
-
-#include "metrics/table.h"
+#include "metrics/ledger.h"
 
 namespace numastream {
 
+// Incident order: what was detected, then what the runtime did, then how
+// long the incident lasted.
+#define NS_HEALTH_COUNTERS(X)                                                 \
+  /* State-machine transitions (core/health.h HealthMonitor). */             \
+  X(degraded_detections) /**< healthy -> degraded transitions */             \
+  X(failure_detections)  /**< degraded -> failed transitions */              \
+  X(recoveries)          /**< returns to healthy after a demotion */         \
+  /* What the runtime did about it. */                                       \
+  X(replans)             /**< placements recomputed against a health mask */ \
+  X(migrations)          /**< workers re-pinned at a chunk boundary */       \
+  /* How long the incident lasted. */                                        \
+  X(time_in_degraded_ms) /**< virtual/wall ms any resource spent not-healthy */
+
 /// Plain-value copy of HealthCounters, comparable and printable.
 struct HealthCountersSnapshot {
-  // State-machine transitions (core/health.h HealthMonitor).
-  std::uint64_t degraded_detections = 0;  ///< healthy -> degraded transitions
-  std::uint64_t failure_detections = 0;   ///< degraded -> failed transitions
-  std::uint64_t recoveries = 0;           ///< returns to healthy after a demotion
-
-  // What the runtime did about it.
-  std::uint64_t replans = 0;     ///< placements recomputed against a health mask
-  std::uint64_t migrations = 0;  ///< workers re-pinned at a chunk boundary
-
-  // Total virtual/wall milliseconds any tracked resource spent not-healthy.
-  std::uint64_t time_in_degraded_ms = 0;
-
-  friend bool operator==(const HealthCountersSnapshot&,
-                         const HealthCountersSnapshot&) = default;
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
+  NS_LEDGER_SNAPSHOT(HealthCountersSnapshot, NS_HEALTH_COUNTERS)
 };
 
 /// Thread-safe counter set shared by a pipeline's workers and its health
-/// monitor. All increments are relaxed: counters are statistics, not
-/// synchronization.
+/// monitor.
 class HealthCounters {
- public:
-  std::atomic<std::uint64_t> degraded_detections{0};
-  std::atomic<std::uint64_t> failure_detections{0};
-  std::atomic<std::uint64_t> recoveries{0};
-
-  std::atomic<std::uint64_t> replans{0};
-  std::atomic<std::uint64_t> migrations{0};
-
-  std::atomic<std::uint64_t> time_in_degraded_ms{0};
-
-  [[nodiscard]] HealthCountersSnapshot snapshot() const;
+  NS_LEDGER_LIVE(HealthCounters, HealthCountersSnapshot, NS_HEALTH_COUNTERS)
 };
-
-/// Renders a snapshot as a two-column table ("counter", "count"). With
-/// `nonzero_only`, clean counters are elided so healthy runs print short.
-TextTable health_table(const HealthCountersSnapshot& snapshot,
-                       bool nonzero_only = false);
 
 }  // namespace numastream

@@ -1,84 +1,12 @@
 #include "metrics/overload_counters.h"
 
 namespace numastream {
-namespace {
-
-struct NamedCounter {
-  const char* name;
-  std::uint64_t OverloadCountersSnapshot::*field;
-};
-
-// One row per counter, in pressure order: shedding first, then the flow
-// control and admission machinery that prevented worse, then the gauges.
-constexpr NamedCounter kCounters[] = {
-    {"shed_newest", &OverloadCountersSnapshot::shed_newest},
-    {"shed_oldest", &OverloadCountersSnapshot::shed_oldest},
-    {"priority_evictions", &OverloadCountersSnapshot::priority_evictions},
-    {"credit_stalls", &OverloadCountersSnapshot::credit_stalls},
-    {"credit_grants", &OverloadCountersSnapshot::credit_grants},
-    {"budget_stalls", &OverloadCountersSnapshot::budget_stalls},
-    {"budget_rejections", &OverloadCountersSnapshot::budget_rejections},
-    {"slow_streams_evicted", &OverloadCountersSnapshot::slow_streams_evicted},
-    {"evicted_chunks", &OverloadCountersSnapshot::evicted_chunks},
-    {"drain_requests", &OverloadCountersSnapshot::drain_requests},
-    {"drain_timeouts", &OverloadCountersSnapshot::drain_timeouts},
-    {"peak_bytes_in_flight", &OverloadCountersSnapshot::peak_bytes_in_flight},
-};
-
-}  // namespace
-
-std::string OverloadCountersSnapshot::to_string() const {
-  std::string out;
-  for (const auto& counter : kCounters) {
-    const std::uint64_t value = this->*(counter.field);
-    if (value == 0) {
-      continue;
-    }
-    if (!out.empty()) {
-      out += " ";
-    }
-    out += counter.name;
-    out += "=";
-    out += std::to_string(value);
-  }
-  return out.empty() ? "clean" : out;
-}
 
 void OverloadCounters::record_peak(std::uint64_t bytes) {
   std::uint64_t seen = peak_bytes_in_flight.load(std::memory_order_relaxed);
   while (seen < bytes && !peak_bytes_in_flight.compare_exchange_weak(
                              seen, bytes, std::memory_order_relaxed)) {
   }
-}
-
-OverloadCountersSnapshot OverloadCounters::snapshot() const {
-  OverloadCountersSnapshot s;
-  s.shed_newest = shed_newest.load(std::memory_order_relaxed);
-  s.shed_oldest = shed_oldest.load(std::memory_order_relaxed);
-  s.priority_evictions = priority_evictions.load(std::memory_order_relaxed);
-  s.credit_stalls = credit_stalls.load(std::memory_order_relaxed);
-  s.credit_grants = credit_grants.load(std::memory_order_relaxed);
-  s.budget_stalls = budget_stalls.load(std::memory_order_relaxed);
-  s.budget_rejections = budget_rejections.load(std::memory_order_relaxed);
-  s.slow_streams_evicted = slow_streams_evicted.load(std::memory_order_relaxed);
-  s.evicted_chunks = evicted_chunks.load(std::memory_order_relaxed);
-  s.drain_requests = drain_requests.load(std::memory_order_relaxed);
-  s.drain_timeouts = drain_timeouts.load(std::memory_order_relaxed);
-  s.peak_bytes_in_flight = peak_bytes_in_flight.load(std::memory_order_relaxed);
-  return s;
-}
-
-TextTable overload_table(const OverloadCountersSnapshot& snapshot,
-                         bool nonzero_only) {
-  TextTable table({"counter", "count"});
-  for (const auto& counter : kCounters) {
-    const std::uint64_t value = snapshot.*(counter.field);
-    if (nonzero_only && value == 0) {
-      continue;
-    }
-    table.add_row({counter.name, std::to_string(value)});
-  }
-  return table;
 }
 
 }  // namespace numastream

@@ -6,91 +6,53 @@
 // dropped, credit stalls the flow-control window imposed, streams evicted
 // for falling behind, and how the graceful drain ended. Same accountability
 // rule: a chunk that entered an overloaded pipeline is either delivered or
-// shows up in exactly one counter here — never silently gone.
-//
-// Counters are relaxed atomics (touched at chunk granularity); snapshot()
-// yields a comparable plain struct and overload_table() renders one through
-// the shared TextTable formatter.
+// shows up in exactly one counter here — never silently gone. Counters are
+// touched at chunk granularity and render through counter_table().
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
-
-#include "metrics/padded_counter.h"
-#include "metrics/table.h"
+#include "metrics/ledger.h"
 
 namespace numastream {
 
+// Pressure order: shedding first, then the flow control and admission
+// machinery that prevented worse, then the gauges.
+#define NS_OVERLOAD_COUNTERS(X)                                               \
+  /* Load shedding (core/pipeline.cpp shed policies). */                     \
+  X(shed_newest)          /**< incoming frames dropped at admission */        \
+  X(shed_oldest)          /**< queued frames dropped to admit newer ones */   \
+  X(priority_evictions)   /**< queued frames evicted for higher priority */   \
+  /* Credit-based flow control (msg/socket.h credit frames). */              \
+  X(credit_stalls)        /**< times a sender ran dry and had to wait */      \
+  X(credit_grants)        /**< credit frames issued by the receiver */        \
+  /* Memory budget admission (core/budget.h). */                             \
+  X(budget_stalls)        /**< admissions that had to wait for releases */    \
+  X(budget_rejections)    /**< admissions denied outright (shed instead) */   \
+  /* Slow-consumer protection. */                                            \
+  X(slow_streams_evicted) /**< streams cut for missing the floor */           \
+  X(evicted_chunks)       /**< frames dropped for evicted streams */          \
+  /* Graceful drain (core/drain.h). */                                       \
+  X(drain_requests)       /**< coordinated flushes started */                 \
+  X(drain_timeouts)       /**< flushes that hit the deadline and forced */    \
+  /* Gauges. */                                                              \
+  X(peak_bytes_in_flight) /**< high-water mark of bytes charged to budget */
+
 /// Plain-value copy of OverloadCounters, comparable and printable.
 struct OverloadCountersSnapshot {
-  // Load shedding (core/pipeline.cpp shed policies).
-  std::uint64_t shed_newest = 0;        ///< incoming frames dropped at admission
-  std::uint64_t shed_oldest = 0;        ///< queued frames dropped to admit newer ones
-  std::uint64_t priority_evictions = 0; ///< queued frames evicted for higher priority
-
-  // Credit-based flow control (msg/socket.h credit frames).
-  std::uint64_t credit_stalls = 0;      ///< times a sender ran dry and had to wait
-  std::uint64_t credit_grants = 0;      ///< credit frames issued by the receiver
-
-  // Memory budget admission (core/budget.h).
-  std::uint64_t budget_stalls = 0;      ///< admissions that had to wait for releases
-  std::uint64_t budget_rejections = 0;  ///< admissions denied outright (shed instead)
-
-  // Slow-consumer protection.
-  std::uint64_t slow_streams_evicted = 0;  ///< streams cut for missing the floor
-  std::uint64_t evicted_chunks = 0;        ///< frames dropped for evicted streams
-
-  // Graceful drain (core/drain.h).
-  std::uint64_t drain_requests = 0;     ///< coordinated flushes started
-  std::uint64_t drain_timeouts = 0;     ///< flushes that hit the deadline and forced
-
-  // High-water mark of bytes concurrently charged to the memory budget.
-  std::uint64_t peak_bytes_in_flight = 0;
-
-  friend bool operator==(const OverloadCountersSnapshot&,
-                         const OverloadCountersSnapshot&) = default;
+  NS_LEDGER_SNAPSHOT(OverloadCountersSnapshot, NS_OVERLOAD_COUNTERS)
 
   /// Every frame dropped by a shed policy, whatever the policy was.
   [[nodiscard]] std::uint64_t total_shed() const noexcept {
     return shed_newest + shed_oldest + priority_evictions;
   }
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
 };
 
-/// Thread-safe counter set shared by a pipeline's workers. All increments
-/// are relaxed: counters are statistics, not synchronization.
+/// Thread-safe counter set shared by a pipeline's workers.
 class OverloadCounters {
- public:
-  PaddedCounter shed_newest;
-  PaddedCounter shed_oldest;
-  PaddedCounter priority_evictions;
-
-  PaddedCounter credit_stalls;
-  PaddedCounter credit_grants;
-
-  PaddedCounter budget_stalls;
-  PaddedCounter budget_rejections;
-
-  PaddedCounter slow_streams_evicted;
-  PaddedCounter evicted_chunks;
-
-  PaddedCounter drain_requests;
-  PaddedCounter drain_timeouts;
-
-  PaddedCounter peak_bytes_in_flight;
+  NS_LEDGER_LIVE(OverloadCounters, OverloadCountersSnapshot,
+                 NS_OVERLOAD_COUNTERS)
 
   /// Raises peak_bytes_in_flight to at least `bytes` (monotonic gauge).
   void record_peak(std::uint64_t bytes);
-
-  [[nodiscard]] OverloadCountersSnapshot snapshot() const;
 };
-
-/// Renders a snapshot as a two-column table ("counter", "count"). With
-/// `nonzero_only`, clean counters are elided so unstressed runs print short.
-TextTable overload_table(const OverloadCountersSnapshot& snapshot,
-                         bool nonzero_only = false);
 
 }  // namespace numastream

@@ -8,71 +8,39 @@
 // duplicate chunks suppressed on both sides of the wire, and the re-work the
 // crash actually cost. Crash points and restart delays are seeded, so in
 // simulation these counters double as the bit-identity fingerprint of a
-// recovery run: same seed, same snapshot.
-//
-// Counters are relaxed atomics; snapshot() yields a comparable plain struct
-// and resume_table() renders one through the shared TextTable formatter.
+// recovery run: same seed, same snapshot. Renders through counter_table().
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
-
-#include "metrics/table.h"
+#include "metrics/ledger.h"
 
 namespace numastream {
 
+// Incident order: the crash, the journal's part in recovering from it, the
+// duplicates the ledgers caught, and what it cost.
+#define NS_RESUME_COUNTERS(X)                                                 \
+  /* Crash lifecycle. */                                                     \
+  X(crashes_observed)         /**< endpoint deaths seen (either side) */      \
+  X(resume_handshakes)        /**< RESUME frames accepted by a sender */      \
+  /* Journal activity. */                                                    \
+  X(journal_records_written)  /**< appended + flushed records */              \
+  X(journal_records_replayed) /**< records read back on recovery */           \
+  X(torn_records_truncated)   /**< corrupt tail records dropped */            \
+  /* Exactly-once enforcement. */                                            \
+  X(duplicates_suppressed)    /**< sender skipped <= watermark */             \
+  X(duplicate_deliveries_suppressed) /**< receiver ledger hits */             \
+  /* What the crash cost. */                                                 \
+  X(replayed_chunks)          /**< chunks re-sent after a restart */          \
+  X(rework_bytes)             /**< wire bytes of those replays */             \
+  X(recovery_wall_ms)         /**< crash-to-first-resumed-send time */
+
 /// Plain-value copy of ResumeCounters, comparable and printable.
 struct ResumeCountersSnapshot {
-  // Crash lifecycle.
-  std::uint64_t crashes_observed = 0;   ///< endpoint deaths seen (either side)
-  std::uint64_t resume_handshakes = 0;  ///< RESUME frames accepted by a sender
-
-  // Journal activity.
-  std::uint64_t journal_records_written = 0;   ///< appended + flushed records
-  std::uint64_t journal_records_replayed = 0;  ///< records read back on recovery
-  std::uint64_t torn_records_truncated = 0;    ///< corrupt tail records dropped
-
-  // Exactly-once enforcement.
-  std::uint64_t duplicates_suppressed = 0;  ///< sender skipped <= watermark
-  std::uint64_t duplicate_deliveries_suppressed = 0;  ///< receiver ledger hits
-
-  // What the crash cost.
-  std::uint64_t replayed_chunks = 0;    ///< chunks re-sent after a restart
-  std::uint64_t rework_bytes = 0;       ///< wire bytes of those replays
-  std::uint64_t recovery_wall_ms = 0;   ///< crash-to-first-resumed-send time
-
-  friend bool operator==(const ResumeCountersSnapshot&,
-                         const ResumeCountersSnapshot&) = default;
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
+  NS_LEDGER_SNAPSHOT(ResumeCountersSnapshot, NS_RESUME_COUNTERS)
 };
 
 /// Thread-safe counter set shared by a pipeline's workers and the journal.
-/// All increments are relaxed: counters are statistics, not synchronization.
 class ResumeCounters {
- public:
-  std::atomic<std::uint64_t> crashes_observed{0};
-  std::atomic<std::uint64_t> resume_handshakes{0};
-
-  std::atomic<std::uint64_t> journal_records_written{0};
-  std::atomic<std::uint64_t> journal_records_replayed{0};
-  std::atomic<std::uint64_t> torn_records_truncated{0};
-
-  std::atomic<std::uint64_t> duplicates_suppressed{0};
-  std::atomic<std::uint64_t> duplicate_deliveries_suppressed{0};
-
-  std::atomic<std::uint64_t> replayed_chunks{0};
-  std::atomic<std::uint64_t> rework_bytes{0};
-  std::atomic<std::uint64_t> recovery_wall_ms{0};
-
-  [[nodiscard]] ResumeCountersSnapshot snapshot() const;
+  NS_LEDGER_LIVE(ResumeCounters, ResumeCountersSnapshot, NS_RESUME_COUNTERS)
 };
-
-/// Renders a snapshot as a two-column table ("counter", "count"). With
-/// `nonzero_only`, clean counters are elided so crash-free runs print short.
-TextTable resume_table(const ResumeCountersSnapshot& snapshot,
-                       bool nonzero_only = false);
 
 }  // namespace numastream

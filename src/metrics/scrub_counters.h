@@ -9,82 +9,46 @@
 // (records deliberately rotted by a test, records whose durable evidence a
 // failover would have lost). Rot injection is seeded, so in simulation
 // these counters double as the bit-identity fingerprint of a scrub run:
-// same seed, same snapshot.
-//
-// Counters are relaxed atomics; snapshot() yields a comparable plain struct
-// and scrub_table() renders one through the shared TextTable formatter.
+// same seed, same snapshot. Renders through counter_table().
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
-
-#include "metrics/padded_counter.h"
-#include "metrics/table.h"
+#include "metrics/ledger.h"
 
 namespace numastream {
 
+// Incident order: the local sweep that notices rot, the cross-gateway
+// digest exchange that localizes it, the repair that closes it, and the
+// injection/failover audit that proves what was at stake.
+#define NS_SCRUB_COUNTERS(X)                                                  \
+  /* Local scrubber (core/scrub.h). */                                       \
+  X(records_scanned)        /**< durable records re-verified */               \
+  X(scrub_passes)           /**< full journal sweeps completed */             \
+  X(corrupt_records_found)  /**< checksum failures on re-read */              \
+  X(ranges_quarantined)     /**< ranges latched as corrupt */                 \
+  X(ranges_repaired)        /**< quarantines lifted after repair */           \
+  X(ranges_unrepairable)    /**< neither side verified clean */               \
+  /* Anti-entropy protocol (cluster/antientropy.h). */                       \
+  X(digest_rounds)          /**< digest exchanges with the buddy */           \
+  X(ranges_compared)        /**< ranges digest-checked */                     \
+  X(ranges_diverged)        /**< digest mismatches found */                   \
+  X(records_pulled)         /**< records fetched from the buddy */            \
+  X(records_pushed)         /**< records installed at the buddy */            \
+  X(repair_verify_failures) /**< repairs refused on checksum */               \
+  X(fenced_scrubs_rejected) /**< stale-epoch scrubs refused */                \
+  /* Injection / failover audit (tests, sim, bench). */                      \
+  X(records_rotted)         /**< records deliberately corrupted */            \
+  X(stale_records_dropped)  /**< replica tail records dropped */              \
+  X(failover_lost_records)  /**< ledger holes a takeover hit */
+
 /// Plain-value copy of ScrubCounters, comparable and printable.
 struct ScrubCountersSnapshot {
-  // Local scrubber (core/scrub.h).
-  std::uint64_t records_scanned = 0;     ///< durable records re-verified
-  std::uint64_t scrub_passes = 0;        ///< full journal sweeps completed
-  std::uint64_t corrupt_records_found = 0;  ///< checksum failures on re-read
-  std::uint64_t ranges_quarantined = 0;  ///< ranges latched as corrupt
-  std::uint64_t ranges_repaired = 0;     ///< quarantines lifted after repair
-  std::uint64_t ranges_unrepairable = 0; ///< neither side verified clean
-
-  // Anti-entropy protocol (cluster/antientropy.h).
-  std::uint64_t digest_rounds = 0;       ///< digest exchanges with the buddy
-  std::uint64_t ranges_compared = 0;     ///< ranges digest-checked
-  std::uint64_t ranges_diverged = 0;     ///< digest mismatches found
-  std::uint64_t records_pulled = 0;      ///< records fetched from the buddy
-  std::uint64_t records_pushed = 0;      ///< records installed at the buddy
-  std::uint64_t repair_verify_failures = 0;  ///< repairs refused on checksum
-  std::uint64_t fenced_scrubs_rejected = 0;  ///< stale-epoch scrubs refused
-
-  // Injection / failover audit (tests, sim, bench).
-  std::uint64_t records_rotted = 0;      ///< records deliberately corrupted
-  std::uint64_t stale_records_dropped = 0;  ///< replica tail records dropped
-  std::uint64_t failover_lost_records = 0;  ///< ledger holes a takeover hit
-
-  friend bool operator==(const ScrubCountersSnapshot&,
-                         const ScrubCountersSnapshot&) = default;
-
-  /// One-line summary of the nonzero counters ("clean" when all zero).
-  [[nodiscard]] std::string to_string() const;
+  NS_LEDGER_SNAPSHOT(ScrubCountersSnapshot, NS_SCRUB_COUNTERS)
 };
 
 /// Thread-safe counter set shared by the journal scrubber, the anti-entropy
-/// exchange, and the fault injectors. All increments are relaxed: counters
-/// are statistics, not synchronization.
+/// exchange, and the fault injectors.
 class ScrubCounters {
- public:
-  PaddedCounter records_scanned;
-  PaddedCounter scrub_passes;
-  PaddedCounter corrupt_records_found;
-  PaddedCounter ranges_quarantined;
-  PaddedCounter ranges_repaired;
-  PaddedCounter ranges_unrepairable;
-
-  PaddedCounter digest_rounds;
-  PaddedCounter ranges_compared;
-  PaddedCounter ranges_diverged;
-  PaddedCounter records_pulled;
-  PaddedCounter records_pushed;
-  PaddedCounter repair_verify_failures;
-  PaddedCounter fenced_scrubs_rejected;
-
-  PaddedCounter records_rotted;
-  PaddedCounter stale_records_dropped;
-  PaddedCounter failover_lost_records;
-
-  [[nodiscard]] ScrubCountersSnapshot snapshot() const;
+  NS_LEDGER_LIVE(ScrubCounters, ScrubCountersSnapshot, NS_SCRUB_COUNTERS)
 };
-
-/// Renders a snapshot as a two-column table ("counter", "count"). With
-/// `nonzero_only`, clean counters are elided so rot-free runs print short.
-TextTable scrub_table(const ScrubCountersSnapshot& snapshot,
-                      bool nonzero_only = false);
 
 }  // namespace numastream

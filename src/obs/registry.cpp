@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#include "metrics/fault_counters.h"
-#include "metrics/health_counters.h"
-#include "metrics/overload_counters.h"
-#include "metrics/resume_counters.h"
 #include "metrics/table.h"
 
 namespace numastream::obs {
@@ -24,17 +20,55 @@ bool MetricsSnapshot::has(const std::string& name) const noexcept {
                      [&](const MetricSample& s) { return s.name == name; });
 }
 
-Status MetricsRegistry::register_locked(std::string name, std::function<double()> read) {
-  if (name.empty()) {
-    return invalid_argument_error("registry: metric name must not be empty");
+namespace {
+
+constexpr auto kByName = [](const auto& entry, const std::string& name) {
+  return entry.name < name;
+};
+
+}  // namespace
+
+std::function<double()> MetricsRegistry::reader(
+    const std::atomic<std::uint64_t>* counter) {
+  return [counter] {
+    return static_cast<double>(counter->load(std::memory_order_relaxed));
+  };
+}
+
+Status MetricsRegistry::register_entries(std::vector<Entry> batch) {
+  std::sort(batch.begin(), batch.end(),
+            [](const Entry& a, const Entry& b) { return a.name < b.name; });
+  for (const Entry& entry : batch) {
+    if (entry.name.empty()) {
+      return invalid_argument_error("registry: metric name must not be empty");
+    }
+    const bool raw_json_safe =
+        std::none_of(entry.name.begin(), entry.name.end(), [](char c) {
+          const auto u = static_cast<unsigned char>(c);
+          return c == '"' || c == '\\' || u < 0x20 || u == 0x7f;
+        });
+    if (!raw_json_safe) {
+      return invalid_argument_error(
+          "registry: metric name must not hold a quote, backslash or control "
+          "character");
+    }
   }
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), name,
-      [](const Entry& e, const std::string& n) { return e.name < n; });
-  if (pos != entries_.end() && pos->name == name) {
-    return invalid_argument_error("registry: metric '" + name + "' already registered");
+  std::lock_guard lock(mutex_);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::string& name = batch[i].name;
+    const auto pos =
+        std::lower_bound(entries_.begin(), entries_.end(), name, kByName);
+    if ((i > 0 && batch[i - 1].name == name) ||
+        (pos != entries_.end() && pos->name == name)) {
+      return invalid_argument_error("registry: metric '" + name +
+                                    "' already registered");
+    }
   }
-  entries_.insert(pos, Entry{std::move(name), std::move(read)});
+  for (Entry& entry : batch) {
+    const auto pos =
+        std::lower_bound(entries_.begin(), entries_.end(), entry.name, kByName);
+    entries_.insert(pos, std::move(entry));
+  }
   return Status::ok();
 }
 
@@ -43,10 +77,9 @@ Status MetricsRegistry::register_counter(const std::string& name,
   if (counter == nullptr) {
     return invalid_argument_error("registry: counter '" + name + "' is null");
   }
-  std::lock_guard lock(mutex_);
-  return register_locked(name, [counter] {
-    return static_cast<double>(counter->load(std::memory_order_relaxed));
-  });
+  std::vector<Entry> batch;
+  batch.push_back({name, reader(counter)});
+  return register_entries(std::move(batch));
 }
 
 Status MetricsRegistry::register_gauge(const std::string& name,
@@ -54,123 +87,19 @@ Status MetricsRegistry::register_gauge(const std::string& name,
   if (!gauge) {
     return invalid_argument_error("registry: gauge '" + name + "' has no reader");
   }
-  std::lock_guard lock(mutex_);
-  return register_locked(name, std::move(gauge));
+  std::vector<Entry> batch;
+  batch.push_back({name, std::move(gauge)});
+  return register_entries(std::move(batch));
 }
 
 void MetricsRegistry::unregister(const std::string& name) {
   std::lock_guard lock(mutex_);
-  const auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), name,
-      [](const Entry& e, const std::string& n) { return e.name < n; });
+  const auto pos =
+      std::lower_bound(entries_.begin(), entries_.end(), name, kByName);
   if (pos != entries_.end() && pos->name == name) {
     entries_.erase(pos);
   }
 }
-
-namespace {
-
-struct NamedCounter {
-  const char* name;
-  const std::atomic<std::uint64_t>* counter;
-};
-
-}  // namespace
-
-// The three ledger helpers share one shape: build the (name, counter) list,
-// register all-or-nothing so a half-registered ledger can't linger.
-#define NS_REGISTER_LEDGER(pairs)                                        \
-  do {                                                                   \
-    std::vector<std::string> registered;                                 \
-    for (const NamedCounter& nc : (pairs)) {                             \
-      Status status = register_counter(prefix + "." + nc.name, nc.counter); \
-      if (!status.is_ok()) {                                             \
-        for (const auto& name : registered) {                            \
-          unregister(name);                                              \
-        }                                                                \
-        return status;                                                   \
-      }                                                                  \
-      registered.push_back(prefix + "." + nc.name);                      \
-    }                                                                    \
-    return Status::ok();                                                 \
-  } while (false)
-
-Status MetricsRegistry::register_fault_counters(const std::string& prefix,
-                                                const FaultCounters& counters) {
-  const NamedCounter pairs[] = {
-      {"injected_disconnects", &counters.injected_disconnects},
-      {"injected_torn_writes", &counters.injected_torn_writes},
-      {"injected_bitflips", &counters.injected_bitflips},
-      {"injected_short_writes", &counters.injected_short_writes},
-      {"injected_stalls", &counters.injected_stalls},
-      {"injected_throttles", &counters.injected_throttles},
-      {"injected_crashes", &counters.injected_crashes},
-      {"injected_accept_failures", &counters.injected_accept_failures},
-      {"reconnects", &counters.reconnects},
-      {"dial_retries", &counters.dial_retries},
-      {"connections_recycled", &counters.connections_recycled},
-      {"message_resyncs", &counters.message_resyncs},
-      {"frame_resyncs", &counters.frame_resyncs},
-      {"corrupt_frames", &counters.corrupt_frames},
-      {"dropped_frames", &counters.dropped_frames},
-      {"duplicate_frames", &counters.duplicate_frames},
-      {"degraded_chunks", &counters.degraded_chunks},
-      {"watchdog_trips", &counters.watchdog_trips},
-  };
-  NS_REGISTER_LEDGER(pairs);
-}
-
-Status MetricsRegistry::register_overload_counters(const std::string& prefix,
-                                                   const OverloadCounters& counters) {
-  const NamedCounter pairs[] = {
-      {"shed_newest", &counters.shed_newest},
-      {"shed_oldest", &counters.shed_oldest},
-      {"priority_evictions", &counters.priority_evictions},
-      {"credit_stalls", &counters.credit_stalls},
-      {"credit_grants", &counters.credit_grants},
-      {"budget_stalls", &counters.budget_stalls},
-      {"budget_rejections", &counters.budget_rejections},
-      {"slow_streams_evicted", &counters.slow_streams_evicted},
-      {"evicted_chunks", &counters.evicted_chunks},
-      {"drain_requests", &counters.drain_requests},
-      {"drain_timeouts", &counters.drain_timeouts},
-      {"peak_bytes_in_flight", &counters.peak_bytes_in_flight},
-  };
-  NS_REGISTER_LEDGER(pairs);
-}
-
-Status MetricsRegistry::register_health_counters(const std::string& prefix,
-                                                 const HealthCounters& counters) {
-  const NamedCounter pairs[] = {
-      {"degraded_detections", &counters.degraded_detections},
-      {"failure_detections", &counters.failure_detections},
-      {"recoveries", &counters.recoveries},
-      {"replans", &counters.replans},
-      {"migrations", &counters.migrations},
-      {"time_in_degraded_ms", &counters.time_in_degraded_ms},
-  };
-  NS_REGISTER_LEDGER(pairs);
-}
-
-Status MetricsRegistry::register_resume_counters(const std::string& prefix,
-                                                 const ResumeCounters& counters) {
-  const NamedCounter pairs[] = {
-      {"crashes_observed", &counters.crashes_observed},
-      {"resume_handshakes", &counters.resume_handshakes},
-      {"journal_records_written", &counters.journal_records_written},
-      {"journal_records_replayed", &counters.journal_records_replayed},
-      {"torn_records_truncated", &counters.torn_records_truncated},
-      {"duplicates_suppressed", &counters.duplicates_suppressed},
-      {"duplicate_deliveries_suppressed",
-       &counters.duplicate_deliveries_suppressed},
-      {"replayed_chunks", &counters.replayed_chunks},
-      {"rework_bytes", &counters.rework_bytes},
-      {"recovery_wall_ms", &counters.recovery_wall_ms},
-  };
-  NS_REGISTER_LEDGER(pairs);
-}
-
-#undef NS_REGISTER_LEDGER
 
 std::size_t MetricsRegistry::size() const {
   std::lock_guard lock(mutex_);
@@ -221,7 +150,7 @@ std::string SnapshotSeries::to_jsonl() const {
       }
       first = false;
       out += '"';
-      out += sample.name;  // dotted identifiers; nothing to JSON-escape
+      out += sample.name;  // registration refuses what JSON would escape
       out += "\":";
       out += fmt_double(sample.value, 3);
     }

@@ -1,14 +1,14 @@
 // MetricsRegistry: one flat namespace over every number the runtime tracks.
 //
-// The pipeline already keeps three counter ledgers (fault, overload, health)
-// plus ad-hoc gauges scattered through the stages — queue depths, credit
-// occupancy, budget bytes in flight. Each is observable on its own, but
-// correlating them ("did the queue spike when the credit window closed?")
-// required hand-stitching snapshots. The registry unifies them: counters and
-// gauges register under dotted names ("fault.reconnects",
-// "send.queue_depth"), a snapshot reads every source at one instant, and the
-// sampler turns periodic snapshots into a time series exportable as a table,
-// CSV, or JSONL.
+// The runtime keeps seven counter ledgers (metrics/ledger.h: fault,
+// overload, health, resume, federation, scrub, chaos) plus ad-hoc gauges
+// scattered through the stages — queue depths, credit occupancy, budget
+// bytes in flight. Each is observable on its own, but correlating them ("did
+// the queue spike when the credit window closed?") required hand-stitching
+// snapshots. The registry unifies them: counters and gauges register under
+// dotted names ("fault.reconnects", "send.queue_depth"), a snapshot reads
+// every source at one instant, and the sampler turns periodic snapshots into
+// a time series exportable as a table, CSV, or JSONL.
 //
 // Registration is not hot-path: it takes a mutex and happens at pipeline
 // setup/teardown. Reading a counter is a relaxed atomic load; reading a
@@ -30,10 +30,6 @@
 
 namespace numastream {
 class TextTable;
-class FaultCounters;
-class OverloadCounters;
-class HealthCounters;
-class ResumeCounters;
 }  // namespace numastream
 
 namespace numastream::obs {
@@ -60,24 +56,32 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   /// Registers a borrowed counter; read with a relaxed load at snapshot
-  /// time. INVALID_ARGUMENT on an empty or taken name or a null pointer.
+  /// time. INVALID_ARGUMENT on a null pointer or a name that is empty,
+  /// taken, or holds a double quote, backslash or control character (names
+  /// are exported raw into JSONL).
   Status register_counter(const std::string& name,
                           const std::atomic<std::uint64_t>* counter);
 
   /// Registers a gauge closure, called at snapshot time. Must be cheap and
-  /// safe to call from the sampler thread.
+  /// safe to call from the sampler thread. Names follow register_counter's
+  /// rules.
   Status register_gauge(const std::string& name, std::function<double()> gauge);
 
   /// Removes a metric; unknown names are a no-op (teardown is idempotent).
   void unregister(const std::string& name);
 
-  /// Registers every counter of the ledger under "<prefix>.<counter>".
-  /// Fails atomically: either all names register or none do.
-  Status register_fault_counters(const std::string& prefix, const FaultCounters& counters);
-  Status register_overload_counters(const std::string& prefix,
-                                    const OverloadCounters& counters);
-  Status register_health_counters(const std::string& prefix, const HealthCounters& counters);
-  Status register_resume_counters(const std::string& prefix, const ResumeCounters& counters);
+  /// Registers every counter of a ledger (metrics/ledger.h) under
+  /// "<prefix>.<counter>". All names are checked and inserted under one
+  /// lock, so a concurrent snapshot sees the whole ledger or none of it,
+  /// and a failure registers nothing.
+  template <typename Ledger>
+  Status register_ledger(const std::string& prefix, const Ledger& ledger) {
+    std::vector<Entry> batch;
+    for (const auto& field : Ledger::fields()) {
+      batch.push_back({prefix + "." + field.name, reader(&(ledger.*field.member))});
+    }
+    return register_entries(std::move(batch));
+  }
 
   [[nodiscard]] std::size_t size() const;
 
@@ -85,13 +89,16 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot(double time_seconds) const;
 
  private:
-  Status register_locked(std::string name, std::function<double()> read);
-
-  mutable std::mutex mutex_;
   struct Entry {
     std::string name;
     std::function<double()> read;
   };
+
+  static std::function<double()> reader(const std::atomic<std::uint64_t>* counter);
+  /// Checks every name, then inserts the whole batch under one lock.
+  Status register_entries(std::vector<Entry> batch);
+
+  mutable std::mutex mutex_;
   std::vector<Entry> entries_;  // kept sorted by name
 };
 

@@ -1322,17 +1322,10 @@ Result<ExperimentResult> run_experiment(
   if (options.resume) {
     for (const auto& pipeline : pipelines) {
       const ResumeCountersSnapshot snap = pipeline->resume_snapshot();
-      result.resume.crashes_observed += snap.crashes_observed;
-      result.resume.resume_handshakes += snap.resume_handshakes;
-      result.resume.journal_records_written += snap.journal_records_written;
-      result.resume.journal_records_replayed += snap.journal_records_replayed;
-      result.resume.torn_records_truncated += snap.torn_records_truncated;
-      result.resume.duplicates_suppressed += snap.duplicates_suppressed;
-      result.resume.duplicate_deliveries_suppressed +=
-          snap.duplicate_deliveries_suppressed;
-      result.resume.replayed_chunks += snap.replayed_chunks;
-      result.resume.rework_bytes += snap.rework_bytes;
-      result.resume.recovery_wall_ms += snap.recovery_wall_ms;
+      // Every resume counter is a plain count, so the run total is the sum.
+      for (const auto& field : ResumeCountersSnapshot::fields()) {
+        result.resume.*field.member += snap.*field.member;
+      }
       result.rework_restart_from_zero_bytes +=
           pipeline->restart_from_zero_bytes();
     }

@@ -742,7 +742,7 @@ TEST(ChaosCountersTest, TableAndStringRender) {
   EXPECT_EQ(snapshot.episodes_run, 3U);
   EXPECT_EQ(snapshot.frames_dropped, 2U);
   const std::string table =
-      chaos_table(snapshot, /*nonzero_only=*/true).render();
+      counter_table(snapshot, /*nonzero_only=*/true).render();
   EXPECT_NE(table.find("episodes_run"), std::string::npos);
   EXPECT_EQ(table.find("frames_delayed"), std::string::npos);
 }

@@ -670,7 +670,7 @@ TEST(FaultCountersTest, SnapshotAndTable) {
   EXPECT_EQ(snapshot, counters.snapshot());
   const std::string text = snapshot.to_string();
   EXPECT_NE(text.find("reconnects"), std::string::npos);
-  const TextTable table = fault_table(snapshot, /*nonzero_only=*/true);
+  const TextTable table = counter_table(snapshot, /*nonzero_only=*/true);
   EXPECT_EQ(table.row_count(), 2U);  // only the two nonzero counters
 }
 

@@ -505,7 +505,7 @@ TEST(HealthCountersTest, SnapshotComparesAndPrints) {
   EXPECT_NE(snapshot, HealthCountersSnapshot{});
   EXPECT_NE(snapshot.to_string().find("migrations"), std::string::npos);
 
-  const std::string table = health_table(snapshot).render();
+  const std::string table = counter_table(snapshot).render();
   EXPECT_NE(table.find("failure_detections"), std::string::npos);
   EXPECT_NE(table.find("2"), std::string::npos);
 }

@@ -6,11 +6,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "core/config_generator.h"
 #include "core/pipeline.h"
+#include "metrics/chaos_counters.h"
 #include "metrics/fault_counters.h"
+#include "metrics/federation_counters.h"
+#include "metrics/health_counters.h"
+#include "metrics/overload_counters.h"
+#include "metrics/resume_counters.h"
+#include "metrics/scrub_counters.h"
 #include "metrics/table.h"
 #include "msg/tcp.h"
 #include "obs/histogram.h"
@@ -211,6 +219,19 @@ TEST(MetricsRegistryTest, RejectsDuplicatesEmptyNamesAndNullCounters) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(registry.register_counter("y", nullptr).code(),
             StatusCode::kInvalidArgument);
+  // Names go raw into JSONL, so anything JSON would have to escape is
+  // refused; commas stay legal (CSV quotes them).
+  const std::vector<std::string> hostile = {
+      "a\"b\\c",  "quote\"",     "back\\slash", "new\nline",
+      "tab\there", "del\x7f", std::string("nul\0byte", 8)};
+  for (const std::string& bad : hostile) {
+    EXPECT_EQ(registry.register_counter(bad, &counter).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(registry.register_gauge(bad, [] { return 1.0; }).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
   EXPECT_EQ(registry.size(), 1U);
 }
 
@@ -229,7 +250,7 @@ TEST(MetricsRegistryTest, LedgerRegistrationIsPrefixedAndAtomic) {
   MetricsRegistry registry;
   FaultCounters faults;
   faults.reconnects.fetch_add(3);
-  ASSERT_TRUE(registry.register_fault_counters("fault", faults).is_ok());
+  ASSERT_TRUE(registry.register_ledger("fault", faults).is_ok());
   const auto snap = registry.snapshot(0);
   EXPECT_DOUBLE_EQ(snap.value("fault.reconnects"), 3.0);
   EXPECT_TRUE(snap.has("fault.corrupt_frames"));
@@ -238,8 +259,110 @@ TEST(MetricsRegistryTest, LedgerRegistrationIsPrefixedAndAtomic) {
   MetricsRegistry clashing;
   std::atomic<std::uint64_t> squatter{0};
   ASSERT_TRUE(clashing.register_counter("fault.reconnects", &squatter).is_ok());
-  EXPECT_FALSE(clashing.register_fault_counters("fault", faults).is_ok());
+  EXPECT_FALSE(clashing.register_ledger("fault", faults).is_ok());
   EXPECT_EQ(clashing.size(), 1U);  // only the squatter remains
+}
+
+// Every ledger reaches the registry through register_ledger: the whole
+// field list under "<prefix>.<counter>", read live at snapshot time.
+template <typename Ledger>
+void expect_ledger_registered(MetricsRegistry& registry, const std::string& prefix,
+                              Ledger& ledger, std::size_t expected_count) {
+  const auto fields = Ledger::fields();
+  ASSERT_EQ(fields.size(), expected_count) << prefix;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    (ledger.*fields[i].member).store(i + 1);
+  }
+  const std::size_t before = registry.size();
+  ASSERT_TRUE(registry.register_ledger(prefix, ledger).is_ok()) << prefix;
+  EXPECT_EQ(registry.size(), before + expected_count) << prefix;
+  const auto snap = registry.snapshot(0);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const std::string name = prefix + "." + fields[i].name;
+    EXPECT_TRUE(snap.has(name)) << name;
+    EXPECT_DOUBLE_EQ(snap.value(name), static_cast<double>(i + 1)) << name;
+  }
+}
+
+TEST(MetricsRegistryTest, EveryLedgerRegistersUnderItsPrefix) {
+  MetricsRegistry registry;
+  FaultCounters fault;
+  OverloadCounters overload;
+  HealthCounters health;
+  ResumeCounters resume;
+  FederationCounters federation;
+  ScrubCounters scrub;
+  ChaosCounters chaos;
+  expect_ledger_registered(registry, "fault", fault, 18);
+  expect_ledger_registered(registry, "overload", overload, 12);
+  expect_ledger_registered(registry, "health", health, 6);
+  expect_ledger_registered(registry, "resume", resume, 10);
+  expect_ledger_registered(registry, "federation", federation, 17);
+  expect_ledger_registered(registry, "scrub", scrub, 16);
+  expect_ledger_registered(registry, "chaos", chaos, 14);
+  EXPECT_EQ(registry.size(), 93U);
+
+  const auto snap = registry.snapshot(0);
+  EXPECT_TRUE(snap.has("fault.watchdog_trips"));
+  EXPECT_TRUE(snap.has("overload.peak_bytes_in_flight"));
+  EXPECT_TRUE(snap.has("health.time_in_degraded_ms"));
+  EXPECT_TRUE(snap.has("resume.duplicate_deliveries_suppressed"));
+  EXPECT_TRUE(snap.has("federation.epoch"));
+  EXPECT_TRUE(snap.has("scrub.failover_lost_records"));
+  EXPECT_TRUE(snap.has("chaos.schedules_shrunk"));
+
+  // Reads are live: a later bump shows in the next snapshot.
+  scrub.records_pulled.fetch_add(100);
+  EXPECT_DOUBLE_EQ(registry.snapshot(1).value("scrub.records_pulled"), 110.0);
+
+  // A collision anywhere in a non-fault ledger registers none of it.
+  MetricsRegistry clashing;
+  std::atomic<std::uint64_t> squatter{0};
+  ASSERT_TRUE(clashing.register_counter("scrub.ranges_diverged", &squatter).is_ok());
+  EXPECT_EQ(clashing.register_ledger("scrub", scrub).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(clashing.size(), 1U);
+  EXPECT_TRUE(clashing.register_ledger("scrub2", scrub).is_ok());
+  EXPECT_EQ(clashing.size(), 17U);
+}
+
+// A snapshot taken while ledgers register never sees part of one: every
+// prefix it holds carries all of that ledger's names.
+TEST(MetricsRegistryTest, ConcurrentSnapshotsNeverSeeHalfALedger) {
+  constexpr int kLedgers = 200;
+  const std::size_t per_ledger = FaultCounters::fields().size();
+  MetricsRegistry registry;
+  FaultCounters faults;
+  std::atomic<bool> done{false};
+  int partial_snapshots = 0;
+  int snapshots = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      const auto snap = registry.snapshot(0);
+      ++snapshots;
+      std::map<std::string, std::size_t> per_prefix;
+      for (const auto& sample : snap.samples) {
+        ++per_prefix[sample.name.substr(0, sample.name.find('.'))];
+      }
+      for (const auto& [prefix, names] : per_prefix) {
+        if (names != per_ledger) {
+          ++partial_snapshots;
+          break;
+        }
+      }
+    }
+  });
+  int failed_registrations = 0;
+  for (int i = 0; i < kLedgers; ++i) {
+    if (!registry.register_ledger("l" + std::to_string(i), faults).is_ok()) {
+      ++failed_registrations;
+    }
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(failed_registrations, 0);
+  EXPECT_EQ(partial_snapshots, 0) << "of " << snapshots << " snapshots";
+  EXPECT_EQ(registry.size(), kLedgers * per_ledger);
 }
 
 TEST(MetricsRegistryTest, RegistrationGuardUnregistersOnDestruction) {

@@ -241,8 +241,8 @@ TEST(OverloadCountersTest, SnapshotTotalsAndPeak) {
 TEST(OverloadCountersTest, TableElidesZeroRowsWhenAsked) {
   OverloadCounters counters;
   counters.credit_stalls = 4;
-  const auto full = overload_table(counters.snapshot(), false).render();
-  const auto terse = overload_table(counters.snapshot(), true).render();
+  const auto full = counter_table(counters.snapshot(), false).render();
+  const auto terse = counter_table(counters.snapshot(), true).render();
   EXPECT_LT(terse.size(), full.size());
   EXPECT_NE(terse.find("credit_stalls"), std::string::npos);
   EXPECT_EQ(terse.find("shed_newest"), std::string::npos);
