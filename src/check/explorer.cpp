@@ -1,8 +1,10 @@
 #include "check/explorer.h"
 
+#include <limits>
 #include <sstream>
 #include <utility>
 
+#include "common/kv.h"
 #include "common/rng.h"
 
 namespace numastream {
@@ -52,36 +54,36 @@ Result<ReproBundle> parse_bundle(const std::string& text) {
                                   "' (want 'chaosbundle v1')");
   }
 
-  ReproBundle bundle;
-  const auto parse_u64 = [](const std::string& prefix,
-                            const std::string& got) -> Result<std::uint64_t> {
-    if (got.rfind(prefix + " ", 0) != 0) {
+  // The next line as "<prefix> <n>", n in [0, max].
+  const auto next_number = [&](const std::string& prefix,
+                               std::uint64_t max) -> Result<std::uint64_t> {
+    auto got = next_line(prefix.c_str());
+    if (!got.ok()) {
+      return got.status();
+    }
+    const auto words = split_words(got.value());
+    if (words.size() != 2 || words[0] != prefix) {
       return invalid_argument_error("bundle: expected '" + prefix +
-                                    " <n>', got '" + got + "'");
+                                    " <n>', got '" + got.value() + "'");
     }
-    try {
-      return std::stoull(got.substr(prefix.size() + 1));
-    } catch (const std::exception&) {
+    const auto value = parse_integer<std::uint64_t>(words[1], 0, max);
+    if (!value) {
       return invalid_argument_error("bundle: bad " + prefix + " value in '" +
-                                    got + "'");
+                                    got.value() + "'");
     }
+    return *value;
   };
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
 
-  auto seed_line = next_line("seed");
-  if (!seed_line.ok()) {
-    return seed_line.status();
-  }
-  auto seed = parse_u64("seed", seed_line.value());
+  ReproBundle bundle;
+  auto seed = next_number("seed", kAny);
   if (!seed.ok()) {
     return seed.status();
   }
   bundle.seed = seed.value();
 
-  auto episode_line = next_line("episode");
-  if (!episode_line.ok()) {
-    return episode_line.status();
-  }
-  auto episode = parse_u64("episode", episode_line.value());
+  auto episode =
+      next_number("episode", std::numeric_limits<std::uint32_t>::max());
   if (!episode.ok()) {
     return episode.status();
   }
@@ -102,37 +104,32 @@ Result<ReproBundle> parse_bundle(const std::string& text) {
     return violation_line.status();
   }
   {
-    std::istringstream fields(violation_line.value());
-    std::string word;
-    std::string probe_token;
-    std::string stream_attr;
-    std::string seq_attr;
-    if (!(fields >> word >> probe_token >> stream_attr >> seq_attr) ||
-        word != "violation" || stream_attr.rfind("stream=", 0) != 0 ||
-        seq_attr.rfind("seq=", 0) != 0) {
+    const auto words = split_words(violation_line.value());
+    const auto stream = words.size() == 4 ? split_key_value(words[2])
+                                          : std::nullopt;
+    const auto seq = words.size() == 4 ? split_key_value(words[3])
+                                       : std::nullopt;
+    if (words.size() != 4 || words[0] != "violation" || !stream ||
+        stream->key != "stream" || !seq || seq->key != "seq") {
       return invalid_argument_error("bundle: malformed violation line '" +
                                     violation_line.value() + "'");
     }
-    auto probe = invariant_probe_from_string(probe_token);
+    auto probe = invariant_probe_from_string(std::string(words[1]));
     if (!probe.ok()) {
       return probe.status();
     }
-    bundle.violation.probe = probe.value();
-    try {
-      bundle.violation.stream_id =
-          static_cast<std::uint32_t>(std::stoul(stream_attr.substr(7)));
-      bundle.violation.sequence = std::stoull(seq_attr.substr(4));
-    } catch (const std::exception&) {
+    const auto stream_id = parse_integer<std::uint32_t>(stream->value);
+    const auto sequence = parse_integer<std::uint64_t>(seq->value);
+    if (!stream_id || !sequence) {
       return invalid_argument_error("bundle: bad violation operands in '" +
                                     violation_line.value() + "'");
     }
+    bundle.violation.probe = probe.value();
+    bundle.violation.stream_id = *stream_id;
+    bundle.violation.sequence = *sequence;
   }
 
-  auto count_line = next_line("schedule");
-  if (!count_line.ok()) {
-    return count_line.status();
-  }
-  auto count = parse_u64("schedule", count_line.value());
+  auto count = next_number("schedule", kAny);
   if (!count.ok()) {
     return count.status();
   }

@@ -1,10 +1,11 @@
 #include "check/harness.h"
 
 #include <algorithm>
-#include <exception>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <utility>
+
+#include "common/kv.h"
 
 namespace numastream {
 namespace check {
@@ -65,52 +66,47 @@ std::string serialize_options(const ChaosHarnessOptions& options) {
 }
 
 Result<ChaosHarnessOptions> parse_options(const std::string& line) {
-  std::istringstream fields(line);
-  std::string word;
-  if (!(fields >> word) || word != "options") {
+  const auto words = split_words(line);
+  if (words.empty() || words.front() != "options") {
     return invalid_argument_error("options line must start with 'options'");
   }
-  ChaosHarnessOptions options;
-  bool saw_seed = false;
-  bool saw_streams = false;
-  bool saw_bug = false;
-  std::string attr;
-  while (fields >> attr) {
-    const auto eq = attr.find('=');
-    if (eq == std::string::npos) {
-      return invalid_argument_error("options: malformed attribute '" + attr +
-                                    "'");
+  std::optional<std::uint64_t> seed;
+  std::optional<std::uint32_t> streams;
+  std::optional<bool> plant_fencing_bug;
+  for (std::size_t i = 1; i < words.size(); ++i) {
+    const auto attribute = split_key_value(words[i]);
+    if (!attribute) {
+      return invalid_argument_error("options: malformed attribute '" +
+                                    std::string(words[i]) + "'");
     }
-    const std::string key = attr.substr(0, eq);
-    const std::string value = attr.substr(eq + 1);
-    try {
-      if (key == "seed") {
-        options.seed = std::stoull(value);
-        saw_seed = true;
-      } else if (key == "streams") {
-        options.streams = static_cast<std::uint32_t>(std::stoul(value));
-        saw_streams = true;
-      } else if (key == "plant_fencing_bug") {
-        if (value != "on" && value != "off") {
-          return invalid_argument_error(
-              "options: plant_fencing_bug must be on|off");
-        }
-        options.plant_fencing_bug = value == "on";
-        saw_bug = true;
-      } else {
-        return invalid_argument_error("options: unknown attribute '" + key +
-                                      "'");
-      }
-    } catch (const std::exception&) {
-      return invalid_argument_error("options: bad value for " + key + ": '" +
-                                    value + "'");
+    const auto [key, value] = *attribute;
+    bool read = false;
+    if (key == "seed") {
+      seed = parse_integer<std::uint64_t>(value);
+      read = seed.has_value();
+    } else if (key == "streams") {
+      streams = parse_integer<std::uint32_t>(value);
+      read = streams.has_value();
+    } else if (key == "plant_fencing_bug") {
+      plant_fencing_bug = value == "on";
+      read = value == "on" || value == "off";
+    } else {
+      return invalid_argument_error("options: unknown attribute '" +
+                                    std::string(key) + "'");
+    }
+    if (!read) {
+      return invalid_argument_error("options: bad value for " +
+                                    std::string(key) + ": '" +
+                                    std::string(value) + "'");
     }
   }
-  if (!saw_seed || !saw_streams || !saw_bug) {
+  if (!seed || !streams || !plant_fencing_bug) {
     return invalid_argument_error(
         "options: seed=, streams=, plant_fencing_bug= are all required");
   }
-  return options;
+  return ChaosHarnessOptions{.seed = *seed,
+                             .streams = *streams,
+                             .plant_fencing_bug = *plant_fencing_bug};
 }
 
 ChaosHarness::ChaosHarness(const ChaosHarnessOptions& options,

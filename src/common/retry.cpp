@@ -1,6 +1,7 @@
 #include "common/retry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 
 namespace numastream {
@@ -9,10 +10,12 @@ Status RetryPolicy::validate() const {
   if (max_attempts < 1) {
     return invalid_argument_error("retry: max_attempts must be >= 1");
   }
-  if (multiplier < 1.0) {
-    return invalid_argument_error("retry: multiplier must be >= 1");
+  // Written as "not in range" so that NaN, which fails every comparison,
+  // is rejected too.
+  if (!(multiplier >= 1.0) || std::isinf(multiplier)) {
+    return invalid_argument_error("retry: multiplier must be finite and >= 1");
   }
-  if (jitter < 0.0 || jitter > 1.0) {
+  if (!(jitter >= 0.0 && jitter <= 1.0)) {
     return invalid_argument_error("retry: jitter must be in [0, 1]");
   }
   if (max_backoff_us < initial_backoff_us) {

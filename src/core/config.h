@@ -338,7 +338,7 @@ struct NodeConfig {
   /// (senders compress+send, receivers receive+decompress).
   [[nodiscard]] Status validate(const MachineTopology& topo) const;
 
-  /// Text form (see config.cpp header comment for the grammar).
+  /// Text form; the grammar is the directive table in config.cpp.
   [[nodiscard]] std::string serialize() const;
 
   static Result<NodeConfig> parse(const std::string& text);

@@ -412,6 +412,10 @@ TEST(ChaosScheduleTest, MalformedLinesRejected) {
   EXPECT_FALSE(check::parse_schedule("event deliver a=0 b=0\n").ok());
   EXPECT_FALSE(check::parse_schedule("deliver a=0 b=0 n=1\n").ok());
   EXPECT_FALSE(check::parse_schedule("event deliver a=zap b=0 n=1\n").ok());
+  EXPECT_FALSE(
+      check::parse_schedule("event partition a=4294967297 b=0 n=0\n").ok());
+  EXPECT_FALSE(check::parse_schedule("event deliver a=-1 b=0 n=1\n").ok());
+  EXPECT_FALSE(check::parse_schedule("event deliver a=0 b=0 n=1x\n").ok());
   EXPECT_TRUE(check::parse_schedule("").ok());
 }
 
@@ -448,6 +452,12 @@ TEST(ChaosHarnessTest, OptionsRoundTrip) {
 
   EXPECT_FALSE(check::parse_options("options seed=1").ok());  // missing keys
   EXPECT_FALSE(check::parse_options("optoins seed=1 streams=1 "
+                                    "plant_fencing_bug=off")
+                   .ok());
+  EXPECT_FALSE(check::parse_options("options seed=-1 streams=2 "
+                                    "plant_fencing_bug=off")
+                   .ok());
+  EXPECT_FALSE(check::parse_options("options seed=1 streams=4294967298 "
                                     "plant_fencing_bug=off")
                    .ok());
 }
@@ -662,6 +672,26 @@ TEST(ChaosExplorerTest, BundleParserRejectsDamage) {
   const auto last_event = text.rfind("event ");
   ASSERT_NE(last_event, std::string::npos);
   EXPECT_FALSE(check::parse_bundle(text.substr(0, last_event)).ok());
+}
+
+TEST(ChaosExplorerTest, BundleNumbersAreReadWhole) {
+  ReproBundle bundle;
+  bundle.options.seed = 1;
+  bundle.schedule = {deliver_event(0, 1)};
+  const std::string text = check::serialize_bundle(bundle);
+  ASSERT_TRUE(check::parse_bundle(text).ok());
+  const auto damaged = [&](const std::string& from, const std::string& to) {
+    std::string copy = text;
+    const auto at = copy.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return copy.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(check::parse_bundle(damaged("seed 0", "seed -1")).ok());
+  EXPECT_FALSE(
+      check::parse_bundle(damaged("episode 0", "episode 4294967296")).ok());
+  EXPECT_FALSE(check::parse_bundle(damaged("stream=0", "stream=0x")).ok());
+  EXPECT_FALSE(check::parse_bundle(damaged("seq=0", "seq=0 extra")).ok());
+  EXPECT_FALSE(check::parse_bundle(damaged("schedule 1", "schedule 1z")).ok());
 }
 
 TEST(ChaosExplorerTest, TwoHundredRandomEpisodesPassEveryProbe) {

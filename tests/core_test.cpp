@@ -126,6 +126,16 @@ TEST(ConfigTest, ParseRejectsMalformed) {
   EXPECT_FALSE(NodeConfig::parse("node x\ntask send count=x\n").ok());
   EXPECT_FALSE(NodeConfig::parse("node x\ntask send count=1 exec=9x\n").ok());
   EXPECT_FALSE(NodeConfig::parse("node x\nbogus y\n").ok());
+  // Values are read whole: no sign wrap, no dropped trailing characters,
+  // no silent all-streams group, no ignored extra tokens.
+  EXPECT_FALSE(NodeConfig::parse("node x\nchunk_bytes -1\n").ok());
+  EXPECT_FALSE(NodeConfig::parse("node x\nchunk_bytes 12abc\n").ok());
+  EXPECT_FALSE(NodeConfig::parse("node x\ntask receive count=2x\n").ok());
+  EXPECT_FALSE(
+      NodeConfig::parse("node x\ntask receive count=1 stream=-7\n").ok());
+  EXPECT_FALSE(NodeConfig::parse("node a b c\n").ok());
+  EXPECT_FALSE(NodeConfig::parse("node x\nrole receiver extra\n").ok());
+  EXPECT_FALSE(NodeConfig::parse("node x\nqueue_capacity 8 9 10\n").ok());
 }
 
 TEST(ConfigTest, RetiredDirectivesAreUnknown) {

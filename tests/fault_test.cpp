@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -257,6 +258,9 @@ TEST(RetryPolicyTest, ValidateRejectsBadValues) {
   EXPECT_FALSE(policy.validate().is_ok());
   policy = RetryPolicy{};
   policy.max_backoff_us = policy.initial_backoff_us - 1;
+  EXPECT_FALSE(policy.validate().is_ok());
+  policy = RetryPolicy{};
+  policy.multiplier = std::nan("");
   EXPECT_FALSE(policy.validate().is_ok());
 }
 
@@ -698,6 +702,12 @@ TEST(RecoveryConfigTest, SerializeParseRoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().recovery, config.recovery);
   EXPECT_EQ(parsed.value().serialize(), config.serialize());
+
+  // A double with more than six significant digits keeps all of them.
+  config.recovery.retry.multiplier = 1.2345678;
+  auto precise = NodeConfig::parse(config.serialize());
+  ASSERT_TRUE(precise.ok()) << precise.status().to_string();
+  EXPECT_EQ(precise.value().recovery, config.recovery);
 }
 
 TEST(RecoveryConfigTest, ValidateRejectsBadKnobs) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -198,6 +199,15 @@ TEST(HealthConfigTest, ValidateRejectsBadKnobs) {
 
   config.health = nondefault_health();
   config.health.window_ms = 0;  // knobs moved but the subsystem is off
+  EXPECT_FALSE(config.validate(topo).is_ok());
+
+  // NaN fails every comparison, so it must not slip through a range check.
+  config.health = nondefault_health();
+  config.health.ewma_alpha = std::nan("");
+  EXPECT_FALSE(config.validate(topo).is_ok());
+
+  config.health = nondefault_health();
+  config.health.degraded_ratio = std::nan("");
   EXPECT_FALSE(config.validate(topo).is_ok());
 }
 

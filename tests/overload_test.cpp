@@ -373,6 +373,11 @@ TEST(OverloadConfigTest, MalformedDirectivesFailWithDescriptiveErrors) {
   expect_parse_error("overload frobnicate=1", "frobnicate");
   expect_parse_error("priority stream=3", "value");
   expect_parse_error("priority value=3", "stream");
+  // A minus sign, trailing characters or a too-wide value is an error, not
+  // a wrapped, truncated or narrowed number.
+  expect_parse_error("overload credit_window=-2", "credit_window");
+  expect_parse_error("recovery max_attempts=3x", "max_attempts");
+  expect_parse_error("cluster gateways=4294967298", "gateways");
 }
 
 TEST(OverloadConfigTest, ValidateRejectsInconsistentKnobs) {

@@ -161,6 +161,11 @@ TEST(RebalanceConfigTest, ValidationBoundaries) {
   no_cluster.cluster = ClusterConfig{};
   no_cluster.rebalance.window_ms = 100;
   EXPECT_FALSE(no_cluster.validate(topo).is_ok());
+
+  NodeConfig nan_ratio = rebalancing_receiver_config();
+  nan_ratio.rebalance.window_ms = 100;
+  nan_ratio.rebalance.imbalance_ratio = std::nan("");
+  EXPECT_FALSE(nan_ratio.validate(topo).is_ok());
 }
 
 // --------------------------------------------------- gray-failure verdict
