@@ -259,6 +259,22 @@ TEST(ConfigFileTest, PipelineRunsFromParsedText) {
   EXPECT_EQ(stats.value().corrupt_frames, 0U);
 }
 
+TEST(ConfigFileTest, ReadmeOverloadExampleParses) {
+  // The `overload` line exactly as README.md shows it.
+  auto parsed = NodeConfig::parse(
+      "node gateway\n"
+      "overload budget_bytes=134217728 credit_window=4 shed=drop_newest "
+      "high_watermark=6 low_watermark=2 drain_deadline_ms=10000\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const OverloadConfig& overload = parsed.value().overload;
+  EXPECT_EQ(overload.budget_bytes, 134217728U);
+  EXPECT_EQ(overload.credit_window, 4U);
+  EXPECT_EQ(overload.shed_policy, ShedPolicy::kDropNewest);
+  EXPECT_EQ(overload.high_watermark, 6U);
+  EXPECT_EQ(overload.low_watermark, 2U);
+  EXPECT_EQ(overload.drain_deadline_ms, 10000U);
+}
+
 // ------------------------------------------------------------- determinism
 
 // The same dataset streamed twice produces byte-identical wire traffic
