@@ -2,18 +2,14 @@
 
 #include <utility>
 
+#include "common/kv.h"
 #include "core/journal.h"
 
 namespace numastream {
 namespace check {
 namespace {
 
-struct ProbeName {
-  InvariantProbe probe;
-  const char* name;
-};
-
-constexpr ProbeName kProbeNames[] = {
+constexpr EnumName<InvariantProbe> kProbeNames[] = {
     {InvariantProbe::kExactlyOnce, "exactly_once"},
     {InvariantProbe::kEpochMonotone, "epoch_monotone"},
     {InvariantProbe::kSinglePrimary, "single_primary"},
@@ -25,19 +21,13 @@ constexpr ProbeName kProbeNames[] = {
 }  // namespace
 
 std::string to_string(InvariantProbe probe) {
-  for (const auto& entry : kProbeNames) {
-    if (entry.probe == probe) {
-      return entry.name;
-    }
-  }
-  return "unknown";
+  const char* name = enum_name(kProbeNames, probe);
+  return name != nullptr ? name : "unknown";
 }
 
 Result<InvariantProbe> invariant_probe_from_string(const std::string& token) {
-  for (const auto& entry : kProbeNames) {
-    if (token == entry.name) {
-      return entry.probe;
-    }
+  if (const auto probe = enum_value<InvariantProbe>(kProbeNames, token)) {
+    return *probe;
   }
   return invalid_argument_error("invariant: unknown probe '" + token + "'");
 }
