@@ -528,6 +528,55 @@ std::uint64_t SenderJournal::unacked_bytes() const {
   return total;
 }
 
+// ---- SequenceLedger --------------------------------------------------------
+
+bool SequenceLedger::insert(std::uint32_t stream_id, std::uint64_t sequence) {
+  StreamState& state = streams_[stream_id];
+  if (sequence == state.watermark) {
+    ++state.watermark;  // in order: nothing to hold
+  } else if (sequence < state.watermark || !state.above.insert(sequence).second) {
+    return false;
+  }
+  while (!state.above.empty() && *state.above.begin() == state.watermark) {
+    state.above.erase(state.above.begin());
+    ++state.watermark;
+  }
+  return true;
+}
+
+bool SequenceLedger::contains(std::uint32_t stream_id,
+                              std::uint64_t sequence) const {
+  const auto it = streams_.find(stream_id);
+  if (it == streams_.end()) {
+    return false;
+  }
+  return sequence < it->second.watermark ||
+         it->second.above.count(sequence) != 0;
+}
+
+std::uint64_t SequenceLedger::watermark(std::uint32_t stream_id) const {
+  const auto it = streams_.find(stream_id);
+  return it == streams_.end() ? 0 : it->second.watermark;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint64_t>> SequenceLedger::watermarks()
+    const {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+  out.reserve(streams_.size());
+  for (const auto& [stream, state] : streams_) {
+    out.emplace_back(stream, state.watermark);
+  }
+  return out;
+}
+
+std::size_t SequenceLedger::held() const {
+  std::size_t total = 0;
+  for (const auto& [stream, state] : streams_) {
+    total += state.above.size();
+  }
+  return total;
+}
+
 // ---- ReceiverJournal -------------------------------------------------------
 
 ReceiverJournal::ReceiverJournal(JournalMedia& media, std::uint64_t session_id,
@@ -540,19 +589,6 @@ Status ReceiverJournal::append_record(const JournalRecord& record) {
   NS_RETURN_IF_ERROR(media_.flush());
   count(&ResumeCounters::journal_records_written, counters_);
   return Status();
-}
-
-void ReceiverJournal::commit_locked(std::uint32_t stream_id,
-                                    std::uint64_t sequence) {
-  StreamState& state = streams_[stream_id];
-  if (sequence < state.watermark) {
-    return;
-  }
-  state.above.insert(sequence);
-  while (!state.above.empty() && *state.above.begin() == state.watermark) {
-    state.above.erase(state.above.begin());
-    ++state.watermark;
-  }
 }
 
 Status ReceiverJournal::recover() {
@@ -579,7 +615,7 @@ Status ReceiverJournal::recover() {
   for (std::size_t i = 1; i < scan.records.size(); ++i) {
     const JournalRecord& record = scan.records[i];
     if (record.type == JournalRecordType::kDelivered) {
-      commit_locked(record.stream_id, record.sequence);
+      committed_.insert(record.stream_id, record.sequence);
     }
   }
   count(&ResumeCounters::journal_records_replayed, counters_,
@@ -591,12 +627,7 @@ Status ReceiverJournal::recover() {
 bool ReceiverJournal::seen(std::uint32_t stream_id,
                            std::uint64_t sequence) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = streams_.find(stream_id);
-  if (it == streams_.end()) {
-    return false;
-  }
-  return sequence < it->second.watermark ||
-         it->second.above.count(sequence) != 0;
+  return committed_.contains(stream_id, sequence);
 }
 
 Status ReceiverJournal::record_delivered(std::uint32_t stream_id,
@@ -607,25 +638,19 @@ Status ReceiverJournal::record_delivered(std::uint32_t stream_id,
       append_record(JournalRecord{.type = JournalRecordType::kDelivered,
                                   .stream_id = stream_id,
                                   .sequence = sequence}));
-  commit_locked(stream_id, sequence);
+  committed_.insert(stream_id, sequence);
   return Status();
 }
 
 std::uint64_t ReceiverJournal::watermark(std::uint32_t stream_id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = streams_.find(stream_id);
-  return it == streams_.end() ? 0 : it->second.watermark;
+  return committed_.watermark(stream_id);
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>> ReceiverJournal::watermarks()
     const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-  out.reserve(streams_.size());
-  for (const auto& [stream, state] : streams_) {
-    out.emplace_back(stream, state.watermark);
-  }
-  return out;
+  return committed_.watermarks();
 }
 
 }  // namespace numastream

@@ -249,6 +249,41 @@ class SenderJournal {
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> unacked_;
 };
 
+/// Per-stream sequence membership (DESIGN.md §6, §11): each stream is a
+/// watermark — every sequence below it is present — plus the present
+/// sequences above it. Membership is exactly that of a set of (stream,
+/// sequence) pairs, but memory holds only the entries above each stream's
+/// lowest missing sequence, so a stream whose gaps fill costs one watermark
+/// however long it runs. There is no cap: a permanent gap keeps every later
+/// entry, because forgetting one would turn a late replay into a lost
+/// chunk. Not thread-safe; owners lock around it.
+class SequenceLedger {
+ public:
+  /// Adds (stream, sequence); false when it was already present.
+  bool insert(std::uint32_t stream_id, std::uint64_t sequence);
+
+  [[nodiscard]] bool contains(std::uint32_t stream_id,
+                              std::uint64_t sequence) const;
+
+  /// Lowest sequence not present on `stream_id` (0 for new streams).
+  [[nodiscard]] std::uint64_t watermark(std::uint32_t stream_id) const;
+
+  /// Every stream's watermark, sorted by stream id.
+  [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint64_t>> watermarks()
+      const;
+
+  /// Entries held above the watermarks, across every stream.
+  [[nodiscard]] std::size_t held() const;
+
+ private:
+  struct StreamState {
+    std::uint64_t watermark = 0;    ///< all sequences below: present
+    std::set<std::uint64_t> above;  ///< present sequences past the first gap
+  };
+
+  std::map<std::uint32_t, StreamState> streams_;
+};
+
 /// Receiver-side committed-delivery ledger: one record per chunk *after* it
 /// reaches the sink. seen() is the durable half of exactly-once — it
 /// recognizes replays from a sender that crashed after sending but before
@@ -277,13 +312,7 @@ class ReceiverJournal {
   [[nodiscard]] std::uint64_t session_id() const noexcept { return session_id_; }
 
  private:
-  struct StreamState {
-    std::uint64_t watermark = 0;          ///< all sequences below: committed
-    std::set<std::uint64_t> above;        ///< committed out-of-order deliveries
-  };
-
   Status append_record(const JournalRecord& record);
-  void commit_locked(std::uint32_t stream_id, std::uint64_t sequence);
 
   JournalMedia& media_;
   const std::uint64_t session_id_;
@@ -291,7 +320,7 @@ class ReceiverJournal {
 
   mutable std::mutex mutex_;
   bool recovered_ = false;
-  std::map<std::uint32_t, StreamState> streams_;
+  SequenceLedger committed_;
 };
 
 }  // namespace numastream

@@ -9,13 +9,17 @@
 // a seeded schedule), so a failing run replays bit-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <numeric>
+#include <set>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "codec/xxhash.h"
 #include "common/rng.h"
@@ -355,6 +359,93 @@ TEST(SenderJournalTest, TornTailIsTruncatedAndCounted) {
   ASSERT_TRUE(restarted.recover().is_ok());
   EXPECT_EQ(restarted.unacked_count(), 1U);  // only the intact record
   EXPECT_GE(counters.snapshot().torn_records_truncated, 1U);
+}
+
+// ------------------------------------------------------- sequence ledger
+
+/// Sequences 0..count-1 in a seeded order that reorders only within blocks
+/// of `span`: each block is shuffled in place, so no entry arrives more
+/// than `span` - 1 places from home.
+std::vector<std::uint64_t> block_shuffled(std::uint64_t count, std::uint64_t span,
+                                          Rng& rng) {
+  std::vector<std::uint64_t> order(count);
+  std::iota(order.begin(), order.end(), 0);
+  for (std::uint64_t base = 0; base < count; base += span) {
+    const auto first = order.begin() + static_cast<std::ptrdiff_t>(base);
+    std::shuffle(first, first + static_cast<std::ptrdiff_t>(std::min(span, count - base)),
+                 rng);
+  }
+  return order;
+}
+
+// 10^5 sequences over four interleaved streams, reordered within a bounded
+// span and salted with repeats of delivered entries: every insert and
+// lookup agrees with a std::set, and the ledger never holds more than the
+// reorder span per stream.
+TEST(SequenceLedgerTest, MatchesASetOracleWithinABoundedReorderSpan) {
+  constexpr std::uint32_t kStreams = 4;
+  constexpr std::uint64_t kPerStream = 25000;
+  constexpr std::uint64_t kSpan = 64;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    Rng rng(seed);
+    std::vector<std::vector<std::uint64_t>> orders;
+    for (std::uint32_t stream = 0; stream < kStreams; ++stream) {
+      orders.push_back(block_shuffled(kPerStream, kSpan, rng));
+    }
+    SequenceLedger ledger;
+    std::set<std::pair<std::uint32_t, std::uint64_t>> oracle;
+    std::vector<std::size_t> next(kStreams, 0);
+    for (std::uint64_t step = 0; step < kStreams * kPerStream; ++step) {
+      const auto stream = static_cast<std::uint32_t>(rng.next_below(kStreams));
+      if (next[stream] == kPerStream) {
+        continue;
+      }
+      const std::uint64_t seq = orders[stream][next[stream]++];
+      ASSERT_EQ(ledger.insert(stream, seq), oracle.emplace(stream, seq).second)
+          << "seed " << seed << " stream " << stream << " seq " << seq;
+      if (rng.next_below(4) == 0) {  // a re-sent frame: always a repeat
+        const std::uint64_t again = orders[stream][rng.next_below(next[stream])];
+        ASSERT_FALSE(ledger.insert(stream, again));
+        ASSERT_FALSE(oracle.emplace(stream, again).second);
+      }
+      const std::uint64_t probe = rng.next_below(kPerStream);
+      ASSERT_EQ(ledger.contains(stream, probe), oracle.count({stream, probe}) != 0)
+          << "seed " << seed << " stream " << stream << " probe " << probe;
+      ASSERT_LE(ledger.held(), kStreams * (kSpan - 1));
+    }
+    for (std::uint32_t stream = 0; stream < kStreams; ++stream) {
+      for (; next[stream] < kPerStream; ++next[stream]) {
+        ASSERT_TRUE(ledger.insert(stream, orders[stream][next[stream]]));
+      }
+      EXPECT_EQ(ledger.watermark(stream), kPerStream);
+    }
+    EXPECT_EQ(ledger.held(), 0U);  // every gap closed: one watermark each
+    EXPECT_EQ(ledger.watermarks().size(), kStreams);
+  }
+}
+
+// No cap: a sequence that never arrives keeps every entry after it, so a
+// late replay of any of them is still recognized — and the replay that
+// fills the gap folds them all into the watermark.
+TEST(SequenceLedgerTest, PermanentGapKeepsEveryLaterEntry) {
+  constexpr std::uint64_t kGap = 10;
+  constexpr std::uint64_t kCount = 10000;
+  SequenceLedger ledger;
+  for (std::uint64_t seq = 0; seq < kCount; ++seq) {
+    if (seq != kGap) {
+      ASSERT_TRUE(ledger.insert(7, seq));
+    }
+  }
+  EXPECT_EQ(ledger.watermark(7), kGap);
+  EXPECT_EQ(ledger.held(), kCount - kGap - 1);
+  for (std::uint64_t seq = 0; seq < kCount; ++seq) {
+    ASSERT_EQ(ledger.contains(7, seq), seq != kGap) << seq;
+  }
+  EXPECT_FALSE(ledger.insert(7, kCount - 1));  // a late replay is a repeat
+  EXPECT_FALSE(ledger.contains(8, 0));         // streams are independent
+  EXPECT_TRUE(ledger.insert(7, kGap));
+  EXPECT_EQ(ledger.watermark(7), kCount);
+  EXPECT_EQ(ledger.held(), 0U);
 }
 
 // ------------------------------------------------------ receiver journal
