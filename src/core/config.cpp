@@ -410,7 +410,7 @@ void write_line(std::string& out, const char* directive,
 
 /// The first field of `owner` outside its range, as an error.
 template <typename Owner>
-Status check_ranges(const char* directive,
+Status check_fields(const char* directive,
                     std::span<const Field<std::type_identity_t<Owner>>> fields,
                     const Owner& owner) {
   for (const auto& field : fields) {
@@ -538,6 +538,16 @@ int NodeConfig::thread_count(TaskType type, int stream_id) const {
   return total;
 }
 
+Status NodeConfig::check_ranges() const {
+  // A policy left at its defaults is off; its defaults are not checked.
+  for (const Directive& directive : kDirectives) {
+    if (directive.moved == nullptr || directive.moved(*this)) {
+      NS_RETURN_IF_ERROR(check_fields(directive.name, directive.fields, *this));
+    }
+  }
+  return Status::ok();
+}
+
 Status NodeConfig::validate(const MachineTopology& topo) const {
   if (node_name.empty()) {
     return invalid_argument_error("config: empty node name");
@@ -545,13 +555,7 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
   if (codec_by_name(codec_name) == nullptr) {
     return invalid_argument_error("config: unknown codec '" + codec_name + "'");
   }
-  // Field ranges. A policy left at its defaults is off; its defaults are
-  // not checked.
-  for (const Directive& directive : kDirectives) {
-    if (directive.moved == nullptr || directive.moved(*this)) {
-      NS_RETURN_IF_ERROR(check_ranges(directive.name, directive.fields, *this));
-    }
-  }
+  NS_RETURN_IF_ERROR(check_ranges());
   NS_RETURN_IF_ERROR(recovery.retry.validate());
   if (recovery.degrade_watermark > queue_capacity) {
     return invalid_argument_error(
@@ -628,7 +632,7 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
     return invalid_argument_error("config: no task groups");
   }
   for (const auto& group : tasks) {
-    NS_RETURN_IF_ERROR(check_ranges("task", kTask, group));
+    NS_RETURN_IF_ERROR(check_fields("task", kTask, group));
     if (group.bindings.empty()) {
       return invalid_argument_error("config: task group without bindings");
     }

@@ -338,6 +338,11 @@ struct NodeConfig {
   /// (senders compress+send, receivers receive+decompress).
   [[nodiscard]] Status validate(const MachineTopology& topo) const;
 
+  /// The field-range part of validate(): every numeric field of every
+  /// directive, skipping policies left at their defaults (those are off),
+  /// must be finite and inside the range the directive table declares.
+  [[nodiscard]] Status check_ranges() const;
+
   /// Text form; the grammar is the directive table in config.cpp.
   [[nodiscard]] std::string serialize() const;
 

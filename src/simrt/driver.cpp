@@ -942,14 +942,16 @@ Result<ExperimentResult> run_experiment(
   for (std::size_t i = 0; i < sender_configs.size(); ++i) {
     NS_RETURN_IF_ERROR(sender_configs[i].validate(sender_topos[i]));
   }
+  // The policy sections take the ranges the config table declares for
+  // their directives (finite, and e.g. gateways >= 2: a one-gateway ring
+  // has no buddy), checked exactly as a config file's would be.
+  NodeConfig policies;
+  policies.cluster = options.cluster;
+  policies.scrub = options.scrub;
+  policies.rebalance = options.rebalance;
+  NS_RETURN_IF_ERROR(policies.check_ranges());
   const bool clustered = options.cluster.enabled();
   if (clustered) {
-    if (options.cluster.gateways < 2 || options.cluster.vnodes == 0 ||
-        options.cluster.heartbeat_ms == 0 || options.cluster.miss_windows <= 0) {
-      return invalid_argument_error(
-          "driver: cluster needs gateways >= 2 (a one-gateway ring has no "
-          "buddy), vnodes >= 1, heartbeat_ms >= 1 and miss_windows >= 1");
-    }
     if (!options.resume) {
       return invalid_argument_error(
           "driver: cluster federation requires options.resume (the "
@@ -987,12 +989,6 @@ Result<ExperimentResult> run_experiment(
           "driver: scrub needs options.cluster enabled (the ring buddy's "
           "replica is the repair source)");
     }
-    if (options.scrub.range_records == 0 || options.scrub.budget_records == 0 ||
-        options.scrub.repair_concurrency <= 0) {
-      return invalid_argument_error(
-          "driver: scrub needs positive range_records, budget_records and "
-          "repair_concurrency");
-    }
   }
   if (!options.rots.empty() && !clustered) {
     return invalid_argument_error(
@@ -1012,14 +1008,8 @@ Result<ExperimentResult> run_experiment(
       return invalid_argument_error(
           "driver: rebalance needs options.cluster enabled");
     }
-    if (options.rebalance.imbalance_ratio <= 1.0 ||
-        options.rebalance.hysteresis_windows <= 0 ||
-        options.rebalance.cooldown_windows <= 0 ||
-        options.rebalance.max_concurrent <= 0 ||
-        options.handoff_seconds < 0) {
-      return invalid_argument_error(
-          "driver: rebalance needs imbalance_ratio > 1, positive window "
-          "counts and max_concurrent, and handoff_seconds >= 0");
+    if (options.handoff_seconds < 0) {
+      return invalid_argument_error("driver: rebalance needs handoff_seconds >= 0");
     }
   }
 

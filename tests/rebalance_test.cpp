@@ -719,6 +719,20 @@ TEST(SimRebalanceTest, RebalanceRequiresACluster) {
   EXPECT_FALSE(run_sim(options).ok());
 }
 
+// The driver reads the rebalance fields through the config table's
+// ranges: NaN would make `hottest > ratio * mean` never true, so
+// rebalancing would silently never fire, and inf is no ratio at all.
+TEST(SimRebalanceTest, NonFiniteImbalanceRatioIsRejected) {
+  for (const double ratio : {std::nan(""), HUGE_VAL, 0.5}) {
+    ExperimentOptions options = clustered_options();
+    options.rebalance.window_ms = 10;
+    options.rebalance.imbalance_ratio = ratio;
+    const auto result = run_sim(options);
+    ASSERT_FALSE(result.ok()) << "imbalance_ratio " << ratio;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(SimRebalanceTest, DegradeEventsAreValidated) {
   ExperimentOptions no_cluster;
   no_cluster.chunks_per_stream = 30;
