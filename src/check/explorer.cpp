@@ -12,9 +12,10 @@ namespace check {
 namespace {
 
 /// Derives episode i's seed from the master seed: one splitmix64 step over
-/// a golden-ratio-spread state, the same derivation idiom the chaos mesh
-/// uses for per-link streams. Episode seeds are never 0 by construction
-/// (splitmix64 of a nonzero-spread state), so they stay valid chaos seeds.
+/// a golden-ratio-spread state, the same derivation idiom the fault
+/// injector uses for per-connection streams. Episode seeds are never 0 by
+/// construction (splitmix64 of a nonzero-spread state), so they stay valid
+/// chaos seeds.
 std::uint64_t episode_seed(std::uint64_t master, std::uint32_t episode) {
   std::uint64_t state =
       master ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(episode) + 1));
@@ -260,7 +261,7 @@ ChaosExplorerReport ChaosExplorer::explore() {
     harness_options.streams = options_.streams;
     harness_options.plant_fencing_bug = options_.plant_fencing_bug;
 
-    // The schedule stream is split from the harness stream so mesh draws
+    // The schedule stream is split from the harness stream so harness draws
     // inside the episode never perturb the schedule itself.
     Rng schedule_rng(harness_options.seed ^ 0xA5C3ULL);
     const ChaosSchedule schedule =

@@ -5,14 +5,15 @@
 // is deliberately built from the production classes, not mocks —
 // StandbySession, PrimaryReplicator, HandoffSource/HandoffTarget,
 // ScrubServer, AntiEntropyScrubber, PeerFailureDetector, MemoryBudget —
-// wired through the chaos mesh so every REPL/SCRUB/HANDOFF exchange is
-// subject to the scheduled weather. What the harness adds is the glue a
-// real deployment has and unit tests fake: per-gateway ownership beliefs,
-// crash/restart with journal recovery, failover that promotes the standby,
-// and client-visible commit accounting fed into the InvariantMonitor.
+// wired through directed link cuts (LinkCuts, msg/faulty.h) so every
+// REPL/SCRUB/HANDOFF exchange is subject to the scheduled partitions. What
+// the harness adds is the glue a real deployment has and unit tests fake:
+// per-gateway ownership beliefs, crash/restart with journal recovery,
+// failover that promotes the standby, and client-visible commit accounting
+// fed into the InvariantMonitor.
 //
 // Execution is single-threaded and every random draw comes from the seeded
-// mesh or the harness RNG, so a (seed, schedule, options) triple replays
+// harness RNG, so a (seed, schedule, options) triple replays
 // bit-identically — the property the shrinker and chaos_replay depend on.
 //
 // The commit rule is strict synchronous replication: a delivery is
@@ -39,7 +40,6 @@
 #include "check/invariant.h"
 #include "check/schedule.h"
 #include "cluster/antientropy.h"
-#include "cluster/chaoslink.h"
 #include "cluster/failover.h"
 #include "cluster/rebalance.h"
 #include "cluster/replication.h"
@@ -50,7 +50,7 @@
 #include "metrics/chaos_counters.h"
 #include "metrics/federation_counters.h"
 #include "metrics/scrub_counters.h"
-#include "msg/chaosnet.h"
+#include "msg/faulty.h"
 
 namespace numastream {
 namespace check {
@@ -93,7 +93,6 @@ class ChaosHarness {
   /// epoch. -1 when nobody qualifies (both fenced/dead: a stalled world).
   [[nodiscard]] int acting_owner() const;
 
-  [[nodiscard]] ChaosNetMesh& mesh() noexcept { return mesh_; }
   [[nodiscard]] std::uint64_t committed(std::uint32_t stream_id) const;
 
   /// Test visibility: one gateway's role state.
@@ -114,7 +113,7 @@ class ChaosHarness {
     std::unique_ptr<cluster::ScrubServer> scrub_server;
     // Owner-role plumbing, rebuilt lazily after crash/fence/promotion.
     std::unique_ptr<cluster::InprocReplicationLink> link;
-    std::unique_ptr<cluster::ChaosReplicationTransport> chaos_link;
+    std::unique_ptr<cluster::ReplicationTransport> chaos_link;
     std::unique_ptr<cluster::PrimaryReplicator> replicator;
     bool alive = true;
     bool believes_owner = false;
@@ -140,7 +139,7 @@ class ChaosHarness {
   const ChaosHarnessOptions options_;
   InvariantMonitor& monitor_;
   ChaosCounters* counters_;
-  ChaosNetMesh mesh_;
+  LinkCuts cuts_;
   Rng rng_;
   FederationCounters fed_;
   ScrubCounters scrub_counters_;

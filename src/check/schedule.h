@@ -2,8 +2,8 @@
 // (DESIGN.md §16).
 //
 // A chaos run is fully determined by (seed, schedule, options): the seed
-// drives every mesh and payload decision, the schedule is the ordered list
-// of adversarial events, the options select the system under test. An
+// drives every harness and payload decision, the schedule is the ordered
+// list of adversarial events, the options select the system under test. An
 // episode that trips an invariant is therefore *reproducible by value* —
 // serialize those three and any machine replays the identical violation.
 // That is the contract the shrinker and tools/chaos_replay rest on, so the
