@@ -50,7 +50,7 @@ constexpr std::uint64_t kSession = 7;
 constexpr std::uint32_t kStream = 1;
 
 NodeConfig make_config(const std::string& host, NodeRole role,
-                       std::uint64_t chunk_bytes, std::uint32_t gateway = 0) {
+                       std::uint64_t chunk_bytes) {
   NodeConfig config;
   config.node_name = host;
   config.role = role;
@@ -69,10 +69,6 @@ NodeConfig make_config(const std::string& host, NodeRole role,
         TaskGroupConfig{.type = TaskType::kSend, .count = 1},
     };
   } else {
-    // Gateways carry the `cluster` directive: a two-gateway ring where
-    // `gateway` is this node's slot.
-    config.cluster.gateways = 2;
-    config.cluster.self = gateway;
     config.tasks = {
         TaskGroupConfig{.type = TaskType::kReceive, .count = 1},
         TaskGroupConfig{.type = TaskType::kDecompress, .count = 1},
@@ -223,7 +219,7 @@ int main(int argc, char** argv) {
       return;
     }
     NodeConfig config =
-        make_config(host, NodeRole::kReceiver, tomo.chunk_bytes(), victim);
+        make_config(host, NodeRole::kReceiver, tomo.chunk_bytes());
     config.recovery.watchdog_ms = 500;
     StreamReceiver receiver(topo.value(), std::move(config));
     auto stats = receiver.run(*victim_listener.value(), victim_sink, nullptr,
@@ -292,7 +288,7 @@ int main(int argc, char** argv) {
   std::thread buddy_thread([&] {
     StreamReceiver receiver(
         topo.value(),
-        make_config(host, NodeRole::kReceiver, tomo.chunk_bytes(), buddy));
+        make_config(host, NodeRole::kReceiver, tomo.chunk_bytes()));
     auto stats = receiver.run(*buddy_listener.value(), buddy_sink, nullptr,
                               &faults, {}, {}, {},
                               ResumeHooks{.receiver_journal = &buddy_journal,

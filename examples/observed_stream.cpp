@@ -33,6 +33,11 @@ using namespace numastream;
 
 namespace {
 
+/// Spans each worker's ring holds before drop-oldest eviction.
+constexpr std::size_t kRingCapacity = 4096;
+/// Registry snapshot interval of the background sampler.
+constexpr std::uint64_t kSampleMs = 50;
+
 bool write_file(const std::string& path, const std::string& body) {
   std::ofstream out(path, std::ios::binary);
   out << body;
@@ -62,9 +67,7 @@ int main(int argc, char** argv) {
   sender_config.codec_name = "lz4";
   sender_config.chunk_bytes = tomo.chunk_bytes();
   sender_config.observe.trace = true;
-  sender_config.observe.ring_capacity = 4096;
   sender_config.observe.latency = true;
-  sender_config.observe.sample_ms = 50;
   sender_config.tasks = {
       TaskGroupConfig{.type = TaskType::kCompress, .count = 2},
       TaskGroupConfig{.type = TaskType::kSend, .count = 2},
@@ -92,8 +95,8 @@ int main(int argc, char** argv) {
   // One tracer per node: the sender's worker ids are compress then send,
   // the receiver's receive then decompress, both starting at 0 — separate
   // ring sets keep them from colliding.
-  obs::Tracer sender_tracer(4, sender_config.observe.ring_capacity);
-  obs::Tracer receiver_tracer(4, receiver_config.observe.ring_capacity);
+  obs::Tracer sender_tracer(4, kRingCapacity);
+  obs::Tracer receiver_tracer(4, kRingCapacity);
   obs::StageLatencies latencies(
       static_cast<int>(topo.value().domain_count()));
   obs::MetricsRegistry registry;
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  obs::SnapshotSampler sampler(&registry, sender_config.observe.sample_ms);
+  obs::SnapshotSampler sampler(&registry, kSampleMs);
   sampler.start();
 
   TomoChunkSource source(tomo, /*stream_id=*/1, chunks);

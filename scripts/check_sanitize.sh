@@ -20,9 +20,42 @@ cmake --build build-sanitize
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 
-ctest --test-dir build-sanitize --output-on-failure \
-  -R '^(BytesTest|XxHashTest|XxHashStreaming|Lz4.*|AllCodecsRoundTrip|FrameTest|NullFrameDifferentialTest|MessageTest|MessageDecoderTest|InprocTest|InprocListenerTest|TcpTest|PushPullTest|DecoderResyncTest|FrameResyncTest|ConfigTest|ConfigFileTest|ConfigGeneratorTest|PipelineTest|TcpPipelineTest|PlacementTest|RecoveryConfigTest|BackoffTest|RetryPolicyTest|WithRetryTest|FaultPlanTest|FaultyStreamTest|FaultyListenerTest|FaultCountersTest|ChaosPipelineTest|DegradationTest|WatchdogTest|StreamRegistryTest|DeterminismTest|GatewayTest|MemoryBudgetTest|OverloadCountersTest|CreditFrameTest|OverloadConfigTest|RecoveryConfigBoundaryTest|OverloadPipelineTest|ChaosOverloadTest|HealthConfigTest|HealthMonitorTest|MigrationCoordinatorTest|HealthMaskTest|ReplanTest|HealthCountersTest|DegradationScheduleTest|DegradationInjectorTest|MigrationPipelineTest|WatchdogDrainTest|SimRecoveryTest|ChaosDegradationTest|LatencyHistogramTest|StageLatenciesTest|SpanRingTest|TracerTest|TraceExportTest|MetricsRegistryTest|SnapshotSeriesTest|SnapshotSamplerTest|ObserveConfigTest|PipelineObservabilityTest|TraceDeterminismTest|ThroughputMeterTest|RateTimelineTest|CsvEscapeTest|TextTableTest|JournalRecordTest|MemoryJournalMediaTest|SenderJournalTest|ReceiverJournalTest|ResumeFrameTest|ResumeConfigTest|ResumePipelineTest|ChaosResumeTest|SimResumeTest|MessageFuzzTest|RingTest|ReplFrameTest|ClusterConfigTest|ReplicationTest|EpochFenceTest|JournalMediaFaultTest|PeerFailureDetectorTest|FailoverCoordinatorTest|GatewayFailoverTest|SimFederationTest|HandoffFrameTest|RebalanceConfigTest|GrayFailureDetectorTest|RebalanceControllerTest|HandoffProtocolTest|ChaosHandoffTest|SimRebalanceTest|ScrubFrameTest|ScrubConfigTest|JournalScrubberTest|RangeDigestTest|AntiEntropyTest|JournalDirsyncTest|ScrubFaultInjectionTest|SimScrubTest|CancelSignalTest|ChunkPoolTest|ControlFrameBoundaryTest|ScatterGatherTest|WirePinTest|ConfigDuplicateDirectiveTest|LinkCutsTest|InvariantMonitorTest|ProbeSinkTest|ChaosScheduleTest|ChaosHarnessTest|AsymmetricPartitionTest|ChaosExplorerTest|ChaosCountersTest|CounterLedgerTest|ConfigPinTest|ConfigFuzzTest|DedupPinTest|StrictReceiverTest|SequenceLedgerTest|FaultStreamPinTest|ChaosPinTest)' \
-  "$@"
+suites=(
+  BytesTest XxHashTest XxHashStreaming 'Lz4.*' AllCodecsRoundTrip FrameTest
+  NullFrameDifferentialTest MessageTest MessageDecoderTest InprocTest
+  InprocListenerTest TcpTest PushPullTest DecoderResyncTest FrameResyncTest
+  ConfigTest ConfigFileTest ConfigGeneratorTest PipelineTest TcpPipelineTest
+  PlacementTest RecoveryConfigTest BackoffTest RetryPolicyTest WithRetryTest
+  FaultPlanTest FaultyStreamTest FaultyListenerTest FaultCountersTest
+  ChaosPipelineTest DegradationTest WatchdogTest StreamRegistryTest
+  DeterminismTest GatewayTest MemoryBudgetTest OverloadCountersTest
+  CreditFrameTest OverloadConfigTest RecoveryConfigBoundaryTest
+  OverloadPipelineTest ChaosOverloadTest HealthConfigTest HealthMonitorTest
+  MigrationCoordinatorTest HealthMaskTest ReplanTest HealthCountersTest
+  DegradationScheduleTest DegradationInjectorTest MigrationPipelineTest
+  WatchdogDrainTest SimRecoveryTest ChaosDegradationTest LatencyHistogramTest
+  StageLatenciesTest SpanRingTest TracerTest TraceExportTest
+  MetricsRegistryTest SnapshotSeriesTest SnapshotSamplerTest
+  ObserveConfigTest PipelineObservabilityTest TraceDeterminismTest
+  ThroughputMeterTest RateTimelineTest CsvEscapeTest TextTableTest
+  JournalRecordTest MemoryJournalMediaTest SenderJournalTest
+  ReceiverJournalTest ResumeFrameTest ResumeConfigTest ResumePipelineTest
+  ChaosResumeTest SimResumeTest MessageFuzzTest RingTest ReplFrameTest
+  ClusterConfigTest ReplicationTest EpochFenceTest JournalMediaFaultTest
+  PeerFailureDetectorTest FailoverCoordinatorTest GatewayFailoverTest
+  SimFederationTest HandoffFrameTest RebalanceConfigTest
+  GrayFailureDetectorTest RebalanceControllerTest HandoffProtocolTest
+  ChaosHandoffTest SimRebalanceTest ScrubFrameTest ScrubConfigTest
+  JournalScrubberTest RangeDigestTest AntiEntropyTest JournalDirsyncTest
+  ScrubFaultInjectionTest SimScrubTest CancelSignalTest ChunkPoolTest
+  ControlFrameBoundaryTest ScatterGatherTest WirePinTest
+  ConfigDuplicateDirectiveTest LinkCutsTest InvariantMonitorTest
+  ProbeSinkTest ChaosScheduleTest ChaosHarnessTest AsymmetricPartitionTest
+  ChaosExplorerTest ChaosCountersTest CounterLedgerTest ConfigPinTest
+  ConfigFuzzTest DedupPinTest StrictReceiverTest SequenceLedgerTest
+  FaultStreamPinTest ChaosPinTest
+)
+scripts/run_suites.sh build-sanitize "${suites[@]}" -- "$@"
 
 echo
 echo "sanitizer check passed (ASan + UBSan)"

@@ -29,9 +29,20 @@ cmake --build build-tsan
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 
-ctest --test-dir build-tsan --output-on-failure \
-  -R '^(BoundedQueueTest|BoundedQueueMpmc|SpscRingTest|MemoryBudgetTest|OverloadCountersTest|OverloadPipelineTest|ChaosOverloadTest|PipelineTest|TcpPipelineTest|ChaosPipelineTest|WatchdogTest|MigrationCoordinatorTest|MigrationPipelineTest|WatchdogDrainTest|SpanRingTest|TracerTest|StageLatenciesTest|MetricsRegistryTest|SnapshotSamplerTest|PipelineObservabilityTest|ThroughputMeterTest|ResumePipelineTest|ChaosResumeTest|ReplicationTest|EpochFenceTest|GatewayFailoverTest|HandoffProtocolTest|ChaosHandoffTest|AntiEntropyTest|ScrubConcurrencyTest|CancelSignalTest|ChunkPoolTest|LinkCutsTest|ChaosHarnessTest|AsymmetricPartitionTest|ChaosExplorerTest|WirePinTest|DecoderResyncTest|DedupPinTest|StrictReceiverTest|SequenceLedgerTest)' \
-  "$@"
+suites=(
+  BoundedQueueTest BoundedQueueMpmc SpscRingTest MemoryBudgetTest
+  OverloadCountersTest OverloadPipelineTest ChaosOverloadTest PipelineTest
+  TcpPipelineTest ChaosPipelineTest WatchdogTest MigrationCoordinatorTest
+  MigrationPipelineTest WatchdogDrainTest SpanRingTest TracerTest
+  StageLatenciesTest MetricsRegistryTest SnapshotSamplerTest
+  PipelineObservabilityTest ThroughputMeterTest ResumePipelineTest
+  ChaosResumeTest ReplicationTest EpochFenceTest GatewayFailoverTest
+  HandoffProtocolTest ChaosHandoffTest AntiEntropyTest ScrubConcurrencyTest
+  CancelSignalTest ChunkPoolTest LinkCutsTest ChaosHarnessTest
+  AsymmetricPartitionTest ChaosExplorerTest WirePinTest DecoderResyncTest
+  DedupPinTest StrictReceiverTest SequenceLedgerTest
+)
+scripts/run_suites.sh build-tsan "${suites[@]}" -- "$@"
 
 echo
 echo "sanitizer check passed (TSan)"

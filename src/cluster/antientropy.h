@@ -37,7 +37,6 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "core/config.h"
 #include "core/journal.h"
 #include "core/scrub.h"
 #include "metrics/scrub_counters.h"

@@ -44,6 +44,37 @@
 #include "metrics/federation_counters.h"
 
 namespace numastream {
+
+/// Gateway-federation policy for one node (DESIGN.md §12). Everything
+/// defaults to off, matching single-gateway behavior byte for byte: no
+/// ring, no REPL frames on the wire, no buddy. Turning it on means naming
+/// the ring size and this gateway's slot in it; stream ids are then
+/// sharded across gateways by consistent hashing, and each gateway ships
+/// its session journals synchronously to its ring successor so a
+/// whole-gateway death fails over with exactly-once intact.
+struct ClusterConfig {
+  /// Gateways in the ring. 0 disables the subsystem; >= 2 otherwise (a
+  /// one-gateway "ring" has no buddy to fail over to).
+  std::uint32_t gateways = 0;
+  /// This gateway's ring slot, in [0, gateways).
+  std::uint32_t self = 0;
+  /// Virtual nodes per gateway on the hash ring (placement smoothing).
+  std::uint32_t vnodes = 16;
+  /// Heartbeat probe interval toward ring peers, milliseconds.
+  std::uint64_t heartbeat_ms = 100;
+  /// Consecutive missed heartbeats before a peer is declared dead
+  /// (hysteresis against one delayed probe).
+  int miss_windows = 3;
+
+  [[nodiscard]] bool is_default() const { return *this == ClusterConfig{}; }
+
+  /// Federation is on iff any knob moved; a default section keeps the wire
+  /// and the pipeline bit-identical to the single-gateway runtime.
+  [[nodiscard]] bool enabled() const { return !is_default(); }
+
+  friend bool operator==(const ClusterConfig&, const ClusterConfig&) = default;
+};
+
 namespace cluster {
 
 /// Three-state verdict for a ring peer: healthy, degraded (alive but slow —

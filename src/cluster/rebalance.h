@@ -32,8 +32,7 @@
 // move at a time — imbalance must exceed `imbalance_ratio` for
 // `hysteresis_windows` consecutive windows, every trigger starts a
 // `cooldown_windows` quiet period, and at most `max_concurrent` handoffs
-// may be in flight. Everything defaults off behind the `rebalance` config
-// directive.
+// may be in flight. Everything defaults off behind RebalanceConfig below.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +44,47 @@
 #include "cluster/failover.h"
 #include "cluster/replication.h"
 #include "common/status.h"
-#include "core/config.h"
 #include "metrics/federation_counters.h"
 #include "msg/message.h"
 
 namespace numastream {
+
+/// Load-driven rebalancing policy for a federated gateway (DESIGN.md §13).
+/// Everything defaults to off, matching failure-only federation behavior
+/// byte for byte: no load windows, no HANDOFF frames on the wire, streams
+/// move only when a gateway dies. Turning it on means setting `window_ms`
+/// (the load-observation window); the controller then watches per-gateway
+/// load gauges and plans lossless handoffs off hot or degraded gateways.
+struct RebalanceConfig {
+  /// Load-observation window in milliseconds (virtual time in simulation,
+  /// wall time on a real pipeline). 0 disables the whole subsystem.
+  std::uint64_t window_ms = 0;
+  /// A handoff is considered when the hottest gateway's load exceeds the
+  /// cluster mean by this factor. Must be finite and > 1.
+  double imbalance_ratio = 1.5;
+  /// Consecutive over-threshold windows before a handoff engages, and
+  /// consecutive calm windows before the controller re-arms (hysteresis
+  /// against transient spikes). Must be >= 1.
+  int hysteresis_windows = 2;
+  /// Windows after a triggered handoff during which no further handoff may
+  /// start (migration-storm guard). Must be >= 1.
+  int cooldown_windows = 5;
+  /// Handoffs allowed in flight at once across the cluster. Must be >= 1.
+  int max_concurrent = 1;
+  /// Also drain streams off a peer classified *degraded* (gray failure),
+  /// not just off an overloaded-but-healthy one.
+  bool drain_degraded = true;
+
+  [[nodiscard]] bool is_default() const { return *this == RebalanceConfig{}; }
+
+  /// Rebalancing is on iff any knob moved; a default section keeps the wire
+  /// and the federation bit-identical to the failure-only runtime.
+  [[nodiscard]] bool enabled() const { return !is_default(); }
+
+  friend bool operator==(const RebalanceConfig&,
+                         const RebalanceConfig&) = default;
+};
+
 namespace cluster {
 
 /// One gateway's load sample for one observation window. The components

@@ -29,8 +29,8 @@ namespace cluster {
 
 class GatewayRing {
  public:
-  /// `gateways` must be >= 2 (validated by the `cluster` config directive);
-  /// `vnodes` >= 1 points per gateway.
+  /// `gateways` must be >= 2 (simrt::run_experiment checks a ClusterConfig
+  /// for it); `vnodes` >= 1 points per gateway.
   GatewayRing(std::uint32_t gateways, std::uint32_t vnodes = 16);
 
   [[nodiscard]] std::uint32_t gateways() const noexcept { return gateways_; }

@@ -225,8 +225,6 @@ struct Range {
 constexpr Range kAnyValue{[](double) { return true; }, "finite"};
 constexpr Range kPositive{[](double v) { return v > 0; }, "> 0"};
 constexpr Range kAtLeastOne{[](double v) { return v >= 1; }, ">= 1"};
-constexpr Range kAtLeastTwo{[](double v) { return v >= 2; }, ">= 2"};
-constexpr Range kAboveOne{[](double v) { return v > 1; }, "> 1"};
 constexpr Range kUnitClosed{[](double v) { return v >= 0 && v <= 1; },
                             "in [0, 1]"};
 constexpr Range kUnitHalfOpen{[](double v) { return v > 0 && v <= 1; },
@@ -300,34 +298,11 @@ constexpr Field<NodeConfig> kHealth[] = {
 };
 constexpr Field<NodeConfig> kObserve[] = {
     {"trace", NS_CONFIG(observe.trace)},
-    {"ring_capacity", NS_CONFIG(observe.ring_capacity), kPositive},
     {"latency", NS_CONFIG(observe.latency)},
-    {"sample_ms", NS_CONFIG(observe.sample_ms)},
 };
 constexpr Field<NodeConfig> kResume[] = {
     {"session", NS_CONFIG(resume.session), kPositive},
     {"ack_interval", NS_CONFIG(resume.ack_interval)},
-};
-constexpr Field<NodeConfig> kCluster[] = {
-    {"gateways", NS_CONFIG(cluster.gateways), kAtLeastTwo},
-    {"self", NS_CONFIG(cluster.self)},
-    {"vnodes", NS_CONFIG(cluster.vnodes), kPositive},
-    {"heartbeat_ms", NS_CONFIG(cluster.heartbeat_ms), kPositive},
-    {"miss_windows", NS_CONFIG(cluster.miss_windows), kPositive},
-};
-constexpr Field<NodeConfig> kRebalance[] = {
-    {"window_ms", NS_CONFIG(rebalance.window_ms), kPositive},
-    {"imbalance_ratio", NS_CONFIG(rebalance.imbalance_ratio), kAboveOne},
-    {"hysteresis_windows", NS_CONFIG(rebalance.hysteresis_windows), kPositive},
-    {"cooldown_windows", NS_CONFIG(rebalance.cooldown_windows), kPositive},
-    {"max_concurrent", NS_CONFIG(rebalance.max_concurrent), kPositive},
-    {"drain_degraded", NS_CONFIG(rebalance.drain_degraded)},
-};
-constexpr Field<NodeConfig> kScrub[] = {
-    {"cadence_ms", NS_CONFIG(scrub.cadence_ms), kPositive},
-    {"range_records", NS_CONFIG(scrub.range_records), kPositive},
-    {"budget_records", NS_CONFIG(scrub.budget_records), kPositive},
-    {"repair_concurrency", NS_CONFIG(scrub.repair_concurrency), kPositive},
 };
 constexpr Field<TaskGroupConfig> kTask[] = {
     {"", NS_AT(TaskGroupConfig, type)},
@@ -487,9 +462,6 @@ constexpr Directive kDirectives[] = {
     {"health", kHealth, moved<&NodeConfig::health>},
     {"observe", kObserve, moved<&NodeConfig::observe>},
     {"resume", kResume, moved<&NodeConfig::resume>},
-    {"cluster", kCluster, moved<&NodeConfig::cluster>},
-    {"rebalance", kRebalance, moved<&NodeConfig::rebalance>},
-    {"scrub", kScrub, moved<&NodeConfig::scrub>},
     {"task", {}, nullptr, read_task, write_tasks},
 };
 
@@ -538,16 +510,6 @@ int NodeConfig::thread_count(TaskType type, int stream_id) const {
   return total;
 }
 
-Status NodeConfig::check_ranges() const {
-  // A policy left at its defaults is off; its defaults are not checked.
-  for (const Directive& directive : kDirectives) {
-    if (directive.moved == nullptr || directive.moved(*this)) {
-      NS_RETURN_IF_ERROR(check_fields(directive.name, directive.fields, *this));
-    }
-  }
-  return Status::ok();
-}
-
 Status NodeConfig::validate(const MachineTopology& topo) const {
   if (node_name.empty()) {
     return invalid_argument_error("config: empty node name");
@@ -555,7 +517,12 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
   if (codec_by_name(codec_name) == nullptr) {
     return invalid_argument_error("config: unknown codec '" + codec_name + "'");
   }
-  NS_RETURN_IF_ERROR(check_ranges());
+  // A policy left at its defaults is off; its defaults are not checked.
+  for (const Directive& directive : kDirectives) {
+    if (directive.moved == nullptr || directive.moved(*this)) {
+      NS_RETURN_IF_ERROR(check_fields(directive.name, directive.fields, *this));
+    }
+  }
   NS_RETURN_IF_ERROR(recovery.retry.validate());
   if (recovery.degrade_watermark > queue_capacity) {
     return invalid_argument_error(
@@ -608,25 +575,6 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
     return invalid_argument_error(
         "config: resume requires recovery reconnect=on (a restarted peer "
         "comes back through the redial path)");
-  }
-  if (cluster.enabled() && cluster.self >= cluster.gateways) {
-    return invalid_argument_error(
-        "config: cluster self must be in [0, gateways)");
-  }
-  if (cluster.enabled() && !resume.enabled()) {
-    return invalid_argument_error(
-        "config: cluster requires a resume session (the replicated "
-        "journals are the resume journals)");
-  }
-  if (rebalance.enabled() && !cluster.enabled()) {
-    return invalid_argument_error(
-        "config: rebalance requires a cluster (handoffs move streams "
-        "between federated gateways)");
-  }
-  if (scrub.enabled() && !resume.enabled()) {
-    return invalid_argument_error(
-        "config: scrub requires a resume session (there is no journal to "
-        "re-verify without one)");
   }
   if (tasks.empty()) {
     return invalid_argument_error("config: no task groups");

@@ -170,24 +170,20 @@ struct HealthConfig {
 
 /// Observability policy for one node's pipeline (DESIGN.md §10). Everything
 /// defaults to off, matching pre-observability behavior byte for byte: no
-/// spans recorded, no histograms, no sampler thread. The knobs are
+/// spans recorded, no histograms, no registry gauges. The knobs are
 /// measurement-only — turning them on never changes what the pipeline does
 /// to a chunk, only what it remembers about it.
 struct ObserveConfig {
   /// Record per-chunk lifecycle spans into per-worker rings.
   bool trace = false;
-  /// Spans buffered per worker before drop-oldest eviction kicks in.
-  std::size_t ring_capacity = 1024;
   /// Record per-stage latency histograms (p50/p99/p999 per NUMA domain).
   bool latency = false;
-  /// Periodic MetricsRegistry snapshot interval; 0 disables the sampler.
-  std::uint64_t sample_ms = 0;
 
   [[nodiscard]] bool is_default() const { return *this == ObserveConfig{}; }
 
-  /// Observability is on iff any knob moved; the absent directive keeps the
+  /// Observability is on iff either knob is; the absent directive keeps the
   /// pipeline bit-identical to the pre-observability runtime.
-  [[nodiscard]] bool enabled() const { return !is_default(); }
+  [[nodiscard]] bool enabled() const { return trace || latency; }
 
   friend bool operator==(const ObserveConfig&, const ObserveConfig&) = default;
 };
@@ -218,101 +214,6 @@ struct ResumeConfig {
   friend bool operator==(const ResumeConfig&, const ResumeConfig&) = default;
 };
 
-/// Gateway-federation policy for one node (DESIGN.md §12). Everything
-/// defaults to off, matching single-gateway behavior byte for byte: no
-/// ring, no REPL frames on the wire, no buddy. Turning it on means naming
-/// the ring size and this gateway's slot in it; stream ids are then
-/// sharded across gateways by consistent hashing, and each gateway ships
-/// its session journals synchronously to its ring successor so a
-/// whole-gateway death fails over with exactly-once intact.
-struct ClusterConfig {
-  /// Gateways in the ring. 0 disables the subsystem; >= 2 otherwise (a
-  /// one-gateway "ring" has no buddy to fail over to).
-  std::uint32_t gateways = 0;
-  /// This gateway's ring slot, in [0, gateways).
-  std::uint32_t self = 0;
-  /// Virtual nodes per gateway on the hash ring (placement smoothing).
-  std::uint32_t vnodes = 16;
-  /// Heartbeat probe interval toward ring peers, milliseconds.
-  std::uint64_t heartbeat_ms = 100;
-  /// Consecutive missed heartbeats before a peer is declared dead
-  /// (hysteresis against one delayed probe).
-  int miss_windows = 3;
-
-  [[nodiscard]] bool is_default() const { return *this == ClusterConfig{}; }
-
-  /// Federation is on iff any knob moved; the absent directive keeps the
-  /// wire and the pipeline bit-identical to the single-gateway runtime.
-  [[nodiscard]] bool enabled() const { return !is_default(); }
-
-  friend bool operator==(const ClusterConfig&, const ClusterConfig&) = default;
-};
-
-/// Load-driven rebalancing policy for a federated gateway (DESIGN.md §13).
-/// Everything defaults to off, matching failure-only federation behavior
-/// byte for byte: no load windows, no HANDOFF frames on the wire, streams
-/// move only when a gateway dies. Turning it on means setting `window_ms`
-/// (the load-observation window); the controller then watches per-gateway
-/// load gauges and plans lossless handoffs off hot or degraded gateways.
-struct RebalanceConfig {
-  /// Load-observation window in milliseconds (virtual time in simulation,
-  /// wall time on a real pipeline). 0 disables the whole subsystem.
-  std::uint64_t window_ms = 0;
-  /// A handoff is considered when the hottest gateway's load exceeds the
-  /// cluster mean by this factor. Must be > 1.
-  double imbalance_ratio = 1.5;
-  /// Consecutive over-threshold windows before a handoff engages, and
-  /// consecutive calm windows before the controller re-arms (hysteresis
-  /// against transient spikes). Must be >= 1.
-  int hysteresis_windows = 2;
-  /// Windows after a triggered handoff during which no further handoff may
-  /// start (migration-storm guard). Must be >= 1.
-  int cooldown_windows = 5;
-  /// Handoffs allowed in flight at once across the cluster. Must be >= 1.
-  int max_concurrent = 1;
-  /// Also drain streams off a peer classified *degraded* (gray failure),
-  /// not just off an overloaded-but-healthy one.
-  bool drain_degraded = true;
-
-  [[nodiscard]] bool is_default() const { return *this == RebalanceConfig{}; }
-
-  /// Rebalancing is on iff any knob moved; the absent directive keeps the
-  /// wire and the federation bit-identical to the failure-only runtime.
-  [[nodiscard]] bool enabled() const { return !is_default(); }
-
-  friend bool operator==(const RebalanceConfig&,
-                         const RebalanceConfig&) = default;
-};
-
-/// Anti-entropy scrubbing policy for one node's journals (DESIGN.md §14).
-/// Everything defaults to off, matching trust-the-fsync behavior byte for
-/// byte: durable records are never re-read, no SCRUB frames on the wire,
-/// latent rot surfaces only when a failover replays the replica. Turning it
-/// on means setting `cadence_ms`; the scrubber then re-verifies record
-/// checksums on that budgeted cadence and, when the node is clustered,
-/// compares per-range digests with the ring buddy and repairs divergence
-/// from whichever side verifies clean.
-struct ScrubConfig {
-  /// Scrub cadence in milliseconds (virtual time in simulation, wall time
-  /// on a real pipeline). 0 disables the whole subsystem.
-  std::uint64_t cadence_ms = 0;
-  /// Journal records per digest range: the repair granularity. Must be > 0.
-  std::uint32_t range_records = 64;
-  /// Records re-verified per scrub round (the budget that keeps scrubbing
-  /// off the hot path). Must be > 0.
-  std::uint64_t budget_records = 256;
-  /// Divergent ranges repaired per round. Must be >= 1.
-  int repair_concurrency = 1;
-
-  [[nodiscard]] bool is_default() const { return *this == ScrubConfig{}; }
-
-  /// Scrubbing is on iff a cadence is set; the absent directive keeps the
-  /// wire and the journals bit-identical to the pre-scrub runtime.
-  [[nodiscard]] bool enabled() const { return !is_default(); }
-
-  friend bool operator==(const ScrubConfig&, const ScrubConfig&) = default;
-};
-
 struct NodeConfig {
   std::string node_name;
   NodeRole role = NodeRole::kSender;
@@ -324,24 +225,18 @@ struct NodeConfig {
   HealthConfig health;
   ObserveConfig observe;
   ResumeConfig resume;
-  ClusterConfig cluster;
-  RebalanceConfig rebalance;
-  ScrubConfig scrub;
   std::vector<TaskGroupConfig> tasks;
 
   /// Total threads of one task type across all groups (optionally filtered
   /// to one stream).
   [[nodiscard]] int thread_count(TaskType type, int stream_id = -1) const;
 
-  /// Checks the config is executable on `topo`: known codec, positive
-  /// counts, every pinned domain exists, role/task-type consistency
+  /// Checks the config is executable on `topo`: every numeric field of
+  /// every directive finite and inside the range the directive table
+  /// declares (policies left at their defaults are off and not checked),
+  /// known codec, every pinned domain exists, role/task-type consistency
   /// (senders compress+send, receivers receive+decompress).
   [[nodiscard]] Status validate(const MachineTopology& topo) const;
-
-  /// The field-range part of validate(): every numeric field of every
-  /// directive, skipping policies left at their defaults (those are off),
-  /// must be finite and inside the range the directive table declares.
-  [[nodiscard]] Status check_ranges() const;
 
   /// Text form; the grammar is the directive table in config.cpp.
   [[nodiscard]] std::string serialize() const;

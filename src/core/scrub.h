@@ -23,11 +23,39 @@
 #include <set>
 #include <vector>
 
-#include "core/config.h"
 #include "core/journal.h"
 #include "metrics/scrub_counters.h"
 
 namespace numastream {
+
+/// Anti-entropy scrubbing policy for one node's journals (DESIGN.md §14).
+/// Everything defaults to off, matching trust-the-fsync behavior byte for
+/// byte: durable records are never re-read, no SCRUB frames on the wire,
+/// latent rot surfaces only when a failover replays the replica. Turning it
+/// on means setting `cadence_ms`; the scrubber then re-verifies record
+/// checksums on that budgeted cadence and, when the node is clustered,
+/// compares per-range digests with the ring buddy and repairs divergence
+/// from whichever side verifies clean.
+struct ScrubConfig {
+  /// Scrub cadence in milliseconds (virtual time in simulation, wall time
+  /// on a real pipeline). 0 disables the whole subsystem.
+  std::uint64_t cadence_ms = 0;
+  /// Journal records per digest range: the repair granularity. Must be > 0.
+  std::uint32_t range_records = 64;
+  /// Records re-verified per scrub round (the budget that keeps scrubbing
+  /// off the hot path). Must be > 0.
+  std::uint64_t budget_records = 256;
+  /// Divergent ranges repaired per round. Must be >= 1.
+  int repair_concurrency = 1;
+
+  [[nodiscard]] bool is_default() const { return *this == ScrubConfig{}; }
+
+  /// Scrubbing is on iff any knob moved; a default section keeps the wire
+  /// and the journals bit-identical to the pre-scrub runtime.
+  [[nodiscard]] bool enabled() const { return !is_default(); }
+
+  friend bool operator==(const ScrubConfig&, const ScrubConfig&) = default;
+};
 
 /// True when the 37-byte record at `rec` passes the magic/type/checksum
 /// validation — the single-record version of scan_journal's trust test.

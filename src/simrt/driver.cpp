@@ -19,6 +19,19 @@ namespace {
 
 using StageBusy = StreamPipeline::StageBusy;
 
+/// Spans each simulated worker's trace ring holds before drop-oldest
+/// eviction.
+constexpr std::size_t kTraceRingCapacity = 1024;
+
+/// INVALID_ARGUMENT saying `what` unless `holds`.
+Status require(bool holds, const char* what) {
+  return holds ? Status::ok()
+               : invalid_argument_error(std::string("driver: ") + what);
+}
+
+/// A virtual time or duration: finite and >= 0.
+bool is_time(double seconds) { return std::isfinite(seconds) && seconds >= 0; }
+
 /// The seeded PRNG behind rot injection (same generator the journal media's
 /// fault hooks use): one u64 stream fully determined by the seed, so a rot
 /// schedule is reproducible bit-for-bit.
@@ -942,75 +955,93 @@ Result<ExperimentResult> run_experiment(
   for (std::size_t i = 0; i < sender_configs.size(); ++i) {
     NS_RETURN_IF_ERROR(sender_configs[i].validate(sender_topos[i]));
   }
-  // The policy sections take the ranges the config table declares for
-  // their directives (finite, and e.g. gateways >= 2: a one-gateway ring
-  // has no buddy), checked exactly as a config file's would be.
-  NodeConfig policies;
-  policies.cluster = options.cluster;
-  policies.scrub = options.scrub;
-  policies.rebalance = options.rebalance;
-  NS_RETURN_IF_ERROR(policies.check_ranges());
+  // Option checks hold for the legal values, so a NaN fails every one. A
+  // policy section left at its defaults is off and not checked.
+  NS_RETURN_IF_ERROR(require(std::isfinite(options.memory_budget_bytes),
+                             "memory_budget_bytes must be finite"));
   const bool clustered = options.cluster.enabled();
   if (clustered) {
-    if (!options.resume) {
-      return invalid_argument_error(
-          "driver: cluster federation requires options.resume (the "
-          "replicated journals are the resume journals)");
-    }
+    const ClusterConfig& cluster = options.cluster;
+    NS_RETURN_IF_ERROR(require(options.resume,
+                               "cluster federation requires options.resume "
+                               "(the replicated journals are the resume "
+                               "journals)"));
+    NS_RETURN_IF_ERROR(require(cluster.gateways >= 2,
+                               "cluster gateways must be >= 2 (a one-gateway "
+                               "ring has no buddy)"));
+    NS_RETURN_IF_ERROR(require(cluster.self < cluster.gateways,
+                               "cluster self must be in [0, gateways)"));
+    NS_RETURN_IF_ERROR(require(cluster.vnodes > 0 && cluster.heartbeat_ms > 0 &&
+                                   cluster.miss_windows > 0,
+                               "cluster vnodes, heartbeat_ms and miss_windows "
+                               "must be > 0"));
   }
-  if (!options.gateway_crashes.empty() && !clustered) {
-    return invalid_argument_error(
-        "driver: gateway crash events need options.cluster enabled");
-  }
+  NS_RETURN_IF_ERROR(require(options.gateway_crashes.empty() || clustered,
+                             "gateway crash events need options.cluster enabled"));
   for (const auto& event : options.gateway_crashes) {
-    if (event.gateway >= options.cluster.gateways || event.at_seconds < 0 ||
-        event.failover_seconds < 0) {
-      return invalid_argument_error(
-          "driver: gateway crash event references an unknown gateway or a "
-          "negative time");
-    }
+    NS_RETURN_IF_ERROR(require(event.gateway < options.cluster.gateways &&
+                                   is_time(event.at_seconds) &&
+                                   is_time(event.failover_seconds),
+                               "gateway crash event needs a known gateway and "
+                               "finite times >= 0"));
   }
-  if (!options.gateway_degrades.empty() && !clustered) {
-    return invalid_argument_error(
-        "driver: gateway degrade events need options.cluster enabled");
-  }
+  NS_RETURN_IF_ERROR(require(options.gateway_degrades.empty() || clustered,
+                             "gateway degrade events need options.cluster "
+                             "enabled"));
   for (const auto& event : options.gateway_degrades) {
-    if (event.gateway >= options.cluster.gateways || event.at_seconds < 0 ||
-        (event.until_seconds != 0 && event.until_seconds <= event.at_seconds) ||
-        event.slow_factor <= 0 || event.slow_factor >= 1) {
-      return invalid_argument_error(
-          "driver: gateway degrade event needs a known gateway, "
-          "until > at (or 0 = forever) and slow_factor in (0, 1)");
-    }
+    NS_RETURN_IF_ERROR(require(
+        event.gateway < options.cluster.gateways && is_time(event.at_seconds) &&
+            (event.until_seconds == 0 ||
+             (std::isfinite(event.until_seconds) &&
+              event.until_seconds > event.at_seconds)) &&
+            event.slow_factor > 0 && event.slow_factor < 1,
+        "gateway degrade event needs a known gateway, a finite at >= 0, "
+        "until > at (or 0 = forever) and slow_factor in (0, 1)"));
   }
   if (options.scrub.enabled()) {
-    if (!clustered) {
-      return invalid_argument_error(
-          "driver: scrub needs options.cluster enabled (the ring buddy's "
-          "replica is the repair source)");
-    }
+    const ScrubConfig& scrub = options.scrub;
+    NS_RETURN_IF_ERROR(require(clustered,
+                               "scrub needs options.cluster enabled (the ring "
+                               "buddy's replica is the repair source)"));
+    NS_RETURN_IF_ERROR(require(scrub.cadence_ms > 0 && scrub.range_records > 0 &&
+                                   scrub.budget_records > 0 &&
+                                   scrub.repair_concurrency > 0,
+                               "scrub cadence_ms, range_records, budget_records "
+                               "and repair_concurrency must be > 0"));
   }
-  if (!options.rots.empty() && !clustered) {
-    return invalid_argument_error(
-        "driver: rot events need options.cluster enabled (rot lands on the "
-        "standby replica)");
-  }
+  NS_RETURN_IF_ERROR(require(options.rots.empty() || clustered,
+                             "rot events need options.cluster enabled (rot "
+                             "lands on the standby replica)"));
   for (const auto& event : options.rots) {
-    if (event.stream >= sender_configs.size() || event.at_seconds < 0 ||
-        event.records == 0) {
-      return invalid_argument_error(
-          "driver: rot event references an unknown stream, a negative time "
-          "or zero records");
-    }
+    NS_RETURN_IF_ERROR(require(event.stream < sender_configs.size() &&
+                                   is_time(event.at_seconds) && event.records > 0,
+                               "rot event needs a known stream, a finite time "
+                               ">= 0 and records > 0"));
   }
   if (options.rebalance.enabled()) {
-    if (!clustered) {
-      return invalid_argument_error(
-          "driver: rebalance needs options.cluster enabled");
-    }
-    if (options.handoff_seconds < 0) {
-      return invalid_argument_error("driver: rebalance needs handoff_seconds >= 0");
-    }
+    const RebalanceConfig& rebalance = options.rebalance;
+    NS_RETURN_IF_ERROR(require(clustered,
+                               "rebalance needs options.cluster enabled"));
+    NS_RETURN_IF_ERROR(require(
+        rebalance.window_ms > 0 && rebalance.hysteresis_windows > 0 &&
+            rebalance.cooldown_windows > 0 && rebalance.max_concurrent > 0,
+        "rebalance window_ms, hysteresis_windows, cooldown_windows and "
+        "max_concurrent must be > 0"));
+    NS_RETURN_IF_ERROR(require(std::isfinite(rebalance.imbalance_ratio) &&
+                                   rebalance.imbalance_ratio > 1,
+                               "rebalance imbalance_ratio must be finite and > 1"));
+    NS_RETURN_IF_ERROR(require(is_time(options.handoff_seconds),
+                               "rebalance needs a finite handoff_seconds >= 0"));
+  }
+  NS_RETURN_IF_ERROR(require(options.crashes.empty() || options.resume,
+                             "crash events require options.resume (the "
+                             "journal mirror)"));
+  for (const auto& event : options.crashes) {
+    NS_RETURN_IF_ERROR(require(event.stream < sender_configs.size() &&
+                                   is_time(event.at_seconds) &&
+                                   is_time(event.restart_seconds),
+                               "crash event needs a known stream and finite "
+                               "times >= 0"));
   }
 
   const auto preferred_nic_info = receiver_topo.preferred_nic();
@@ -1196,7 +1227,7 @@ Result<ExperimentResult> run_experiment(
   std::unique_ptr<obs::Tracer> tracer;
   if (options.observe.trace) {
     tracer = std::make_unique<obs::Tracer>(trace_workers_total,
-                                           options.observe.ring_capacity);
+                                           kTraceRingCapacity);
   }
   std::optional<obs::StageLatencies> latencies;
   if (options.observe.latency) {
@@ -1242,22 +1273,10 @@ Result<ExperimentResult> run_experiment(
   }
   std::optional<CrashInjector> crasher;
   if (!options.crashes.empty()) {
-    if (!options.resume) {
-      return invalid_argument_error(
-          "driver: crash events require options.resume (the journal mirror)");
-    }
     std::vector<StreamPipeline*> targets;
     targets.reserve(pipelines.size());
     for (auto& pipeline : pipelines) {
       targets.push_back(pipeline.get());
-    }
-    for (const auto& event : options.crashes) {
-      if (event.stream >= targets.size() || event.at_seconds < 0 ||
-          event.restart_seconds < 0) {
-        return invalid_argument_error(
-            "driver: crash event references an unknown stream or a negative "
-            "time");
-      }
     }
     crasher.emplace(sim, std::move(targets), options.crashes);
   }

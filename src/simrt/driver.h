@@ -10,6 +10,8 @@
 
 #include <vector>
 
+#include "cluster/failover.h"
+#include "cluster/rebalance.h"
 #include "core/advisor.h"
 #include "metrics/federation_counters.h"
 #include "metrics/health_counters.h"
@@ -17,6 +19,7 @@
 #include "metrics/timeline.h"
 #include "core/config.h"
 #include "core/config_generator.h"
+#include "core/scrub.h"
 #include "obs/span.h"
 #include "simhw/degradation.h"
 #include "simhw/network.h"
@@ -212,7 +215,7 @@ struct ExperimentResult {
   /// ExperimentOptions::observe.trace). Worker ids are stage-major per
   /// stream: compress, send, receive, decompress, streams packed in order.
   std::vector<obs::Span> spans;
-  /// Spans lost to full rings (ring_capacity too small for the run).
+  /// Spans lost to full rings (1024 spans per worker too few for the run).
   std::uint64_t dropped_spans = 0;
   /// Resume ledger summed across streams (all zero unless
   /// ExperimentOptions::resume). The bit-identity fingerprint of a seeded

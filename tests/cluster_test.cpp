@@ -1,7 +1,7 @@
 // Gateway-federation tests (DESIGN.md §12): the consistent-hash ring, the
 // REPL wire frame, synchronous journal replication with the standby-first
 // durability invariant, epoch fencing under a split-brain partition, the
-// `cluster` config directive, heartbeat failure detection, failover
+// ClusterConfig ranges, heartbeat failure detection, failover
 // planning, journal-media fault injection, a real-pipeline whole-gateway
 // failover with exactly-once intact across gateways, and the simulated
 // cluster's bit-identical federation-counter fingerprint.
@@ -238,98 +238,6 @@ TEST(ReplFrameTest, MalformedBodiesAreRejected) {
   // Too short to even carry the prefix.
   Bytes stub(frame.body.begin(), frame.body.begin() + kReplBodyPrefix / 2);
   EXPECT_FALSE(parse_repl_body(ByteSpan(stub.data(), stub.size())).ok());
-}
-
-// ------------------------------------------------------- cluster config
-
-NodeConfig federated_receiver_config() {
-  NodeConfig config;
-  config.node_name = "ctest-receiver";
-  config.role = NodeRole::kReceiver;
-  config.tasks = {
-      TaskGroupConfig{.type = TaskType::kReceive, .count = 1},
-      TaskGroupConfig{.type = TaskType::kDecompress, .count = 1},
-  };
-  config.recovery.reconnect = true;
-  config.resume.session = kSession;
-  config.cluster.gateways = 2;
-  config.cluster.self = 0;
-  return config;
-}
-
-TEST(ClusterConfigTest, AbsentDirectiveIsByteIdentical) {
-  NodeConfig config = federated_receiver_config();
-  config.cluster = ClusterConfig{};
-  const std::string text = config.serialize();
-  EXPECT_EQ(text.find("cluster"), std::string::npos)
-      << "default cluster config must not serialize a directive";
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_TRUE(parsed.value().cluster.is_default());
-  EXPECT_FALSE(parsed.value().cluster.enabled());
-  EXPECT_EQ(parsed.value().serialize(), text);
-}
-
-TEST(ClusterConfigTest, SerializeParseRoundTrip) {
-  NodeConfig config = federated_receiver_config();
-  config.cluster.gateways = 3;
-  config.cluster.self = 1;
-  config.cluster.vnodes = 8;
-  config.cluster.heartbeat_ms = 50;
-  config.cluster.miss_windows = 2;
-  const std::string text = config.serialize();
-  EXPECT_NE(text.find("cluster gateways=3"), std::string::npos);
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().cluster, config.cluster);
-  EXPECT_EQ(parsed.value().serialize(), text);
-}
-
-TEST(ClusterConfigTest, DuplicateDirectiveIsAParseError) {
-  NodeConfig config = federated_receiver_config();
-  std::string text = config.serialize();
-  text += "cluster gateways=4 self=1\n";
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().to_string().find("duplicate 'cluster'"),
-            std::string::npos)
-      << parsed.status().to_string();
-}
-
-TEST(ClusterConfigTest, ValidationBoundaries) {
-  const MachineTopology topo = host_topology();
-
-  // The smallest legal ring: two gateways, self in range.
-  NodeConfig ok = federated_receiver_config();
-  EXPECT_TRUE(ok.validate(topo).is_ok()) << ok.validate(topo).to_string();
-  ok.cluster.self = 1;  // the other slot is equally legal
-  EXPECT_TRUE(ok.validate(topo).is_ok());
-
-  // A one-gateway "ring" has no buddy: rejected at the boundary.
-  NodeConfig solo = federated_receiver_config();
-  solo.cluster.gateways = 1;
-  EXPECT_FALSE(solo.validate(topo).is_ok());
-
-  NodeConfig out_of_range = federated_receiver_config();
-  out_of_range.cluster.self = 2;  // == gateways
-  EXPECT_FALSE(out_of_range.validate(topo).is_ok());
-
-  NodeConfig no_vnodes = federated_receiver_config();
-  no_vnodes.cluster.vnodes = 0;
-  EXPECT_FALSE(no_vnodes.validate(topo).is_ok());
-
-  NodeConfig no_heartbeat = federated_receiver_config();
-  no_heartbeat.cluster.heartbeat_ms = 0;
-  EXPECT_FALSE(no_heartbeat.validate(topo).is_ok());
-
-  NodeConfig no_hysteresis = federated_receiver_config();
-  no_hysteresis.cluster.miss_windows = 0;
-  EXPECT_FALSE(no_hysteresis.validate(topo).is_ok());
-
-  // Federation without the resume journal has nothing to replicate.
-  NodeConfig no_resume = federated_receiver_config();
-  no_resume.resume = ResumeConfig{};
-  EXPECT_FALSE(no_resume.validate(topo).is_ok());
 }
 
 // ----------------------------------------------------------- replication
@@ -1042,6 +950,60 @@ TEST(SimFederationTest, GatewayCrashVictimMustBeARingMember) {
   options.cluster.self = 0;
   options.gateway_crashes = {{.gateway = 5, .at_seconds = 0.001}};
   EXPECT_FALSE(run_sim_federation(options).ok());
+
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    options.gateway_crashes = {{.gateway = 0, .at_seconds = bad}};
+    EXPECT_EQ(run_sim_federation(options).status().code(),
+              StatusCode::kInvalidArgument);
+    options.gateway_crashes = {
+        {.gateway = 0, .at_seconds = 0.001, .failover_seconds = bad}};
+    EXPECT_EQ(run_sim_federation(options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+ExperimentOptions federated_options() {
+  ExperimentOptions options;
+  options.chunks_per_stream = 30;
+  options.resume = true;
+  options.cluster.gateways = 2;
+  options.cluster.self = 0;
+  return options;
+}
+
+TEST(ClusterConfigTest, ValidationBoundaries) {
+  // The smallest legal ring: two gateways, self in range.
+  ExperimentOptions ok = federated_options();
+  EXPECT_TRUE(run_sim_federation(ok).ok())
+      << run_sim_federation(ok).status().to_string();
+  ok.cluster.self = 1;  // the other slot is equally legal
+  EXPECT_TRUE(run_sim_federation(ok).ok());
+
+  // A one-gateway "ring" has no buddy: rejected at the boundary.
+  ExperimentOptions solo = federated_options();
+  solo.cluster.gateways = 1;
+  EXPECT_FALSE(run_sim_federation(solo).ok());
+
+  ExperimentOptions out_of_range = federated_options();
+  out_of_range.cluster.self = 2;  // == gateways
+  EXPECT_FALSE(run_sim_federation(out_of_range).ok());
+
+  ExperimentOptions no_vnodes = federated_options();
+  no_vnodes.cluster.vnodes = 0;
+  EXPECT_FALSE(run_sim_federation(no_vnodes).ok());
+
+  ExperimentOptions no_heartbeat = federated_options();
+  no_heartbeat.cluster.heartbeat_ms = 0;
+  EXPECT_FALSE(run_sim_federation(no_heartbeat).ok());
+
+  ExperimentOptions no_hysteresis = federated_options();
+  no_hysteresis.cluster.miss_windows = 0;
+  EXPECT_FALSE(run_sim_federation(no_hysteresis).ok());
+
+  // Federation without the resume journal has nothing to replicate.
+  ExperimentOptions no_resume = federated_options();
+  no_resume.resume = false;
+  EXPECT_FALSE(run_sim_federation(no_resume).ok());
 }
 
 TEST(SimFederationTest, SeededGatewayKillIsBitIdenticalAndExactlyOnce) {

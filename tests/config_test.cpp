@@ -143,54 +143,13 @@ constexpr Accepted kAcceptedLines[] = {
      "health window_ms=0 ewma_alpha=0.2 degraded_ratio=0.7 failed_ratio=0.35 "
      "breach_windows=3 recover_windows=3 baseline_windows=5\n"},
     {"observe trace=on\n",
-     "observe trace=on ring_capacity=1024 latency=off sample_ms=0\n"},
-    {"observe ring_capacity=512\n",
-     "observe trace=off ring_capacity=512 latency=off sample_ms=0\n"},
+     "observe trace=on latency=off\n"},
     {"observe latency=on\n",
-     "observe trace=off ring_capacity=1024 latency=on sample_ms=0\n"},
-    {"observe sample_ms=20\n",
-     "observe trace=off ring_capacity=1024 latency=off sample_ms=20\n"},
+     "observe trace=off latency=on\n"},
     {"resume session=42\n",
      "resume session=42 ack_interval=0\n"},
     {"resume ack_interval=8\n",
      "resume session=0 ack_interval=8\n"},
-    {"cluster gateways=4\n",
-     "cluster gateways=4 self=0 vnodes=16 heartbeat_ms=100 miss_windows=3\n"},
-    {"cluster self=1\n",
-     "cluster gateways=0 self=1 vnodes=16 heartbeat_ms=100 miss_windows=3\n"},
-    {"cluster vnodes=8\n",
-     "cluster gateways=0 self=0 vnodes=8 heartbeat_ms=100 miss_windows=3\n"},
-    {"cluster heartbeat_ms=25\n",
-     "cluster gateways=0 self=0 vnodes=16 heartbeat_ms=25 miss_windows=3\n"},
-    {"cluster miss_windows=5\n",
-     "cluster gateways=0 self=0 vnodes=16 heartbeat_ms=100 miss_windows=5\n"},
-    {"rebalance window_ms=300\n",
-     "rebalance window_ms=300 imbalance_ratio=1.5 hysteresis_windows=2 "
-     "cooldown_windows=5 max_concurrent=1 drain_degraded=on\n"},
-    {"rebalance imbalance_ratio=1.75\n",
-     "rebalance window_ms=0 imbalance_ratio=1.75 hysteresis_windows=2 "
-     "cooldown_windows=5 max_concurrent=1 drain_degraded=on\n"},
-    {"rebalance hysteresis_windows=4\n",
-     "rebalance window_ms=0 imbalance_ratio=1.5 hysteresis_windows=4 "
-     "cooldown_windows=5 max_concurrent=1 drain_degraded=on\n"},
-    {"rebalance cooldown_windows=9\n",
-     "rebalance window_ms=0 imbalance_ratio=1.5 hysteresis_windows=2 "
-     "cooldown_windows=9 max_concurrent=1 drain_degraded=on\n"},
-    {"rebalance max_concurrent=3\n",
-     "rebalance window_ms=0 imbalance_ratio=1.5 hysteresis_windows=2 "
-     "cooldown_windows=5 max_concurrent=3 drain_degraded=on\n"},
-    {"rebalance drain_degraded=off\n",
-     "rebalance window_ms=0 imbalance_ratio=1.5 hysteresis_windows=2 "
-     "cooldown_windows=5 max_concurrent=1 drain_degraded=off\n"},
-    {"scrub cadence_ms=1000\n",
-     "scrub cadence_ms=1000 range_records=64 budget_records=256 "
-     "repair_concurrency=1\n"},
-    {"scrub range_records=32\n",
-     "scrub cadence_ms=0 range_records=32 budget_records=256 repair_concurrency=1\n"},
-    {"scrub budget_records=512\n",
-     "scrub cadence_ms=0 range_records=64 budget_records=512 repair_concurrency=1\n"},
-    {"scrub repair_concurrency=2\n",
-     "scrub cadence_ms=0 range_records=64 budget_records=256 repair_concurrency=2\n"},
     {"task compress count=3\n",
      "task compress count=3 exec=os mem=os\n"},
     {"task send count=1 exec=0,1 mem=1 stream=2\n",
@@ -245,10 +204,7 @@ constexpr Accepted kAcceptedTexts[] = {
      "overload\n"
      "health\n"
      "observe\n"
-     "resume\n"
-     "cluster\n"
-     "rebalance\n"
-     "scrub\n",
+     "resume\n",
      "node n\n"
      "role sender\n"
      "codec lz4\n"
@@ -256,8 +212,7 @@ constexpr Accepted kAcceptedTexts[] = {
      "queue_capacity 8\n"},
     {"node n\n"
      "recovery reconnect=off max_attempts=5 multiplier=2 jitter=0.5\n"
-     "observe trace=off latency=off\n"
-     "rebalance drain_degraded=on\n",
+     "observe trace=off latency=off\n",
      "node n\n"
      "role sender\n"
      "codec lz4\n"
@@ -295,8 +250,7 @@ constexpr Accepted kAcceptedTexts[] = {
      "chunk_bytes 11059200\n"
      "queue_capacity 8\n"
      "task receive count=1 exec=0 mem=0\n"},
-    {"scrub cadence_ms=9\n"
-     "priority stream=1 value=3\n"
+    {"priority stream=1 value=3\n"
      "priority stream=1 value=4\n"
      "node late\n"
      "task decompress count=1 exec=0 mem=0 stream=3\n"
@@ -311,12 +265,10 @@ constexpr Accepted kAcceptedTexts[] = {
      "default_priority=0\n"
      "priority stream=1 value=3\n"
      "priority stream=1 value=4\n"
-     "scrub cadence_ms=9 range_records=64 budget_records=256 repair_concurrency=1\n"
      "task decompress count=1 exec=0 mem=0 stream=3\n"
      "task receive count=1 exec=1 mem=1 stream=3\n"},
     {"node dbl\n"
      "health ewma_alpha=0.123456 degraded_ratio=0.9 failed_ratio=1e-05\n"
-     "rebalance imbalance_ratio=100000\n"
      "recovery multiplier=3.5 jitter=0\n",
      "node dbl\n"
      "role sender\n"
@@ -327,9 +279,7 @@ constexpr Accepted kAcceptedTexts[] = {
      "multiplier=3.5 jitter=0 retry_budget_us=0 corrupt_limit=8 "
      "degrade_watermark=0 watchdog_ms=0\n"
      "health window_ms=0 ewma_alpha=0.123456 degraded_ratio=0.9 "
-     "failed_ratio=1e-05 breach_windows=3 recover_windows=3 baseline_windows=3\n"
-     "rebalance window_ms=0 imbalance_ratio=100000 hysteresis_windows=2 "
-     "cooldown_windows=5 max_concurrent=1 drain_degraded=on\n"},
+     "failed_ratio=1e-05 breach_windows=3 recover_windows=3 baseline_windows=3\n"},
 };
 
 struct RejectedLine {
@@ -378,38 +328,19 @@ constexpr RejectedLine kRejectedLines[] = {
     {"health baseline_windows=zz\n", "baseline_windows"},
     {"health frob=1\n", "frob"},
     {"health window_ms\n", "window_ms"},
-    {"observe ring_capacity=zz\n", "ring_capacity"},
-    {"observe sample_ms=zz\n", "sample_ms"},
+    {"observe ring_capacity=1024\n", "unknown attribute 'ring_capacity'"},
+    {"observe sample_ms=50\n", "unknown attribute 'sample_ms'"},
     {"observe frob=1\n", "frob"},
-    {"observe ring_capacity\n", "ring_capacity"},
     {"resume session=zz\n", "session"},
     {"resume ack_interval=zz\n", "ack_interval"},
     {"resume frob=1\n", "frob"},
     {"resume session\n", "session"},
-    {"cluster gateways=zz\n", "gateways"},
-    {"cluster self=zz\n", "self"},
-    {"cluster vnodes=zz\n", "vnodes"},
-    {"cluster heartbeat_ms=zz\n", "heartbeat_ms"},
-    {"cluster miss_windows=zz\n", "miss_windows"},
-    {"cluster frob=1\n", "frob"},
-    {"cluster gateways\n", "gateways"},
-    {"rebalance window_ms=zz\n", "window_ms"},
-    {"rebalance imbalance_ratio=zz\n", "imbalance_ratio"},
-    {"rebalance hysteresis_windows=zz\n", "hysteresis_windows"},
-    {"rebalance cooldown_windows=zz\n", "cooldown_windows"},
-    {"rebalance max_concurrent=zz\n", "max_concurrent"},
-    {"rebalance frob=1\n", "frob"},
-    {"rebalance window_ms\n", "window_ms"},
-    {"scrub cadence_ms=zz\n", "cadence_ms"},
-    {"scrub range_records=zz\n", "range_records"},
-    {"scrub budget_records=zz\n", "budget_records"},
-    {"scrub repair_concurrency=zz\n", "repair_concurrency"},
-    {"scrub frob=1\n", "frob"},
-    {"scrub cadence_ms\n", "cadence_ms"},
+    {"cluster gateways=2 self=0\n", "unknown directive 'cluster'"},
+    {"rebalance window_ms=100\n", "unknown directive 'rebalance'"},
+    {"scrub cadence_ms=250\n", "unknown directive 'scrub'"},
     {"recovery reconnect=maybe\n", "reconnect"},
     {"observe trace=maybe\n", "trace"},
     {"observe latency=maybe\n", "latency"},
-    {"rebalance drain_degraded=maybe\n", "drain_degraded"},
     {"overload shed=sideways\n", "shed"},
     {"recovery max_attempts=99999999999\n", "max_attempts"},
     {"overload budget_bytes=99999999999999999999\n", "budget_bytes"},
@@ -479,18 +410,6 @@ constexpr RejectedText kRejectedTexts[] = {
      "resume session=1\n"
      "# between\n"
      "resume session=1\n", 4, "duplicate 'resume'"},
-    {"node n\n"
-     "cluster gateways=2\n"
-     "# between\n"
-     "cluster gateways=2\n", 4, "duplicate 'cluster'"},
-    {"node n\n"
-     "rebalance window_ms=5\n"
-     "# between\n"
-     "rebalance window_ms=5\n", 4, "duplicate 'rebalance'"},
-    {"node n\n"
-     "scrub cadence_ms=5\n"
-     "# between\n"
-     "scrub cadence_ms=5\n", 4, "duplicate 'scrub'"},
 };
 
 NodeConfig every_knob_moved() {
@@ -529,26 +448,9 @@ NodeConfig every_knob_moved() {
   config.health.recover_windows = 5;
   config.health.baseline_windows = 6;
   config.observe.trace = true;
-  config.observe.ring_capacity = 2048;
   config.observe.latency = true;
-  config.observe.sample_ms = 25;
   config.resume.session = 77;
   config.resume.ack_interval = 16;
-  config.cluster.gateways = 3;
-  config.cluster.self = 2;
-  config.cluster.vnodes = 32;
-  config.cluster.heartbeat_ms = 50;
-  config.cluster.miss_windows = 4;
-  config.rebalance.window_ms = 200;
-  config.rebalance.imbalance_ratio = 2.25;
-  config.rebalance.hysteresis_windows = 3;
-  config.rebalance.cooldown_windows = 7;
-  config.rebalance.max_concurrent = 2;
-  config.rebalance.drain_degraded = false;
-  config.scrub.cadence_ms = 500;
-  config.scrub.range_records = 128;
-  config.scrub.budget_records = 1024;
-  config.scrub.repair_concurrency = 3;
   constexpr int kOs = NumaBinding::kOsChoice;
   config.tasks = {
       TaskGroupConfig{.type = TaskType::kReceive,
@@ -583,13 +485,8 @@ constexpr const char* kEveryKnobMoved =
     "priority stream=0 value=-1\n"
     "health window_ms=40 ewma_alpha=0.35 degraded_ratio=0.8 "
     "failed_ratio=0.25 breach_windows=4 recover_windows=5 baseline_windows=6\n"
-    "observe trace=on ring_capacity=2048 latency=on sample_ms=25\n"
+    "observe trace=on latency=on\n"
     "resume session=77 ack_interval=16\n"
-    "cluster gateways=3 self=2 vnodes=32 heartbeat_ms=50 miss_windows=4\n"
-    "rebalance window_ms=200 imbalance_ratio=2.25 hysteresis_windows=3 "
-    "cooldown_windows=7 max_concurrent=2 drain_degraded=off\n"
-    "scrub cadence_ms=500 range_records=128 budget_records=1024 "
-    "repair_concurrency=3\n"
     "task receive count=4 exec=1 mem=1 stream=0\n"
     "task decompress count=6 exec=0,1 mem=os stream=1\n"
     "task receive count=2 exec=os mem=0\n";

@@ -655,8 +655,8 @@ TEST(FaultStreamPinTest, SeededPlansInjectTheRecordedFaults) {
     FaultCountersSnapshot counters;
   };
   // Recorded from the byte-level fault layer before the frame and link
-  // layers were folded into it. A plan that sets no duplicate or reorder
-  // chance must keep drawing exactly these faults.
+  // layers were folded into it. A seeded plan must keep drawing exactly
+  // these faults.
   const Pin kPins[] = {
       {1,
        "................................................................"

@@ -435,15 +435,11 @@ TEST(ObserveConfigTest, DirectiveRoundTrips) {
   NodeConfig config;
   config.node_name = "n";
   config.observe.trace = true;
-  config.observe.ring_capacity = 4096;
   config.observe.latency = true;
-  config.observe.sample_ms = 50;
   config.tasks = {TaskGroupConfig{.type = TaskType::kCompress, .count = 1},
                   TaskGroupConfig{.type = TaskType::kSend, .count = 1}};
   const std::string text = config.serialize();
-  EXPECT_NE(
-      text.find("observe trace=on ring_capacity=4096 latency=on sample_ms=50"),
-      std::string::npos);
+  EXPECT_NE(text.find("observe trace=on latency=on"), std::string::npos);
   auto parsed = NodeConfig::parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().observe, config.observe);
@@ -470,19 +466,6 @@ TEST(ObserveConfigTest, BadAttributeValuesAreParseErrors) {
   EXPECT_FALSE(NodeConfig::parse(prefix + "observe ring_capacity=huge" + suffix).ok());
   EXPECT_FALSE(NodeConfig::parse(prefix + "observe wat=1" + suffix).ok());
   EXPECT_FALSE(NodeConfig::parse(prefix + "observe trace" + suffix).ok());
-}
-
-TEST(ObserveConfigTest, ZeroRingCapacityFailsValidation) {
-  auto topo = discover_topology();
-  ASSERT_TRUE(topo.ok());
-  NodeConfig config;
-  config.node_name = "n";
-  config.tasks = {TaskGroupConfig{.type = TaskType::kCompress, .count = 1},
-                  TaskGroupConfig{.type = TaskType::kSend, .count = 1}};
-  config.observe.ring_capacity = 0;
-  EXPECT_FALSE(config.validate(topo.value()).is_ok());
-  config.observe.ring_capacity = 1024;
-  EXPECT_TRUE(config.validate(topo.value()).is_ok());
 }
 
 }  // namespace
@@ -582,11 +565,10 @@ TEST(PipelineObservabilityTest, TracingCoversTheChunkLifecycle) {
   ObserveConfig observe;
   observe.trace = true;
   observe.latency = true;
-  observe.ring_capacity = 1024;
   // Worker-id layouts: sender compress [0,2) + send [2,4); receiver
   // receive [0,2) + decompress [2,4).
-  Tracer sender_tracer(4, observe.ring_capacity);
-  Tracer receiver_tracer(4, observe.ring_capacity);
+  Tracer sender_tracer(4, 1024);
+  Tracer receiver_tracer(4, 1024);
   StageLatencies latencies(4);
   MetricsRegistry registry;
   const std::uint64_t kChunks = 20;

@@ -377,7 +377,7 @@ TEST(OverloadConfigTest, MalformedDirectivesFailWithDescriptiveErrors) {
   // a wrapped, truncated or narrowed number.
   expect_parse_error("overload credit_window=-2", "credit_window");
   expect_parse_error("recovery max_attempts=3x", "max_attempts");
-  expect_parse_error("cluster gateways=4294967298", "gateways");
+  expect_parse_error("priority stream=4294967298 value=1", "stream");
 }
 
 TEST(OverloadConfigTest, ValidateRejectsInconsistentKnobs) {

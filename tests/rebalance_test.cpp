@@ -3,7 +3,7 @@
 // policy (hysteresis, cooldown, concurrency cap, degraded-drain priority),
 // the three-phase PREPARE -> JOURNAL -> COMMIT handoff protocol with its
 // epoch fence, mid-handoff chaos degrading cleanly to crash failover, the
-// `rebalance` config directive, and the simulated cluster's bit-identical
+// RebalanceConfig ranges, and the simulated cluster's bit-identical
 // gray-drain fingerprint.
 //
 // Everything here is deterministic: flapping links, slow boxes and
@@ -64,108 +64,6 @@ RebalanceConfig enabled_rebalance() {
   config.cooldown_windows = 3;
   config.max_concurrent = 1;
   return config;
-}
-
-// ------------------------------------------------------- config directive
-
-NodeConfig rebalancing_receiver_config() {
-  NodeConfig config;
-  config.node_name = "handoff-receiver";
-  config.role = NodeRole::kReceiver;
-  config.tasks = {
-      TaskGroupConfig{.type = TaskType::kReceive, .count = 1},
-      TaskGroupConfig{.type = TaskType::kDecompress, .count = 1},
-  };
-  config.recovery.reconnect = true;
-  config.resume.session = kSession;
-  config.cluster.gateways = 2;
-  config.cluster.self = 0;
-  return config;
-}
-
-TEST(RebalanceConfigTest, AbsentDirectiveIsByteIdentical) {
-  NodeConfig config = rebalancing_receiver_config();
-  config.rebalance = RebalanceConfig{};
-  const std::string text = config.serialize();
-  EXPECT_EQ(text.find("rebalance"), std::string::npos)
-      << "default rebalance config must not serialize a directive";
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_TRUE(parsed.value().rebalance.is_default());
-  EXPECT_FALSE(parsed.value().rebalance.enabled());
-  EXPECT_EQ(parsed.value().serialize(), text);
-}
-
-TEST(RebalanceConfigTest, SerializeParseRoundTrip) {
-  NodeConfig config = rebalancing_receiver_config();
-  config.rebalance.window_ms = 200;
-  config.rebalance.imbalance_ratio = 2.0;
-  config.rebalance.hysteresis_windows = 3;
-  config.rebalance.cooldown_windows = 7;
-  config.rebalance.max_concurrent = 2;
-  config.rebalance.drain_degraded = false;
-  const std::string text = config.serialize();
-  EXPECT_NE(text.find("rebalance window_ms=200"), std::string::npos);
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().rebalance, config.rebalance);
-  EXPECT_EQ(parsed.value().serialize(), text);
-}
-
-TEST(RebalanceConfigTest, DuplicateDirectiveIsAParseError) {
-  NodeConfig config = rebalancing_receiver_config();
-  config.rebalance.window_ms = 100;
-  std::string text = config.serialize();
-  text += "rebalance window_ms=50\n";
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().to_string().find("duplicate 'rebalance'"),
-            std::string::npos)
-      << parsed.status().to_string();
-}
-
-TEST(RebalanceConfigTest, ValidationBoundaries) {
-  auto topo = lynxdtn_topology();
-
-  NodeConfig ok = rebalancing_receiver_config();
-  ok.rebalance.window_ms = 100;
-  EXPECT_TRUE(ok.validate(topo).is_ok()) << ok.validate(topo).to_string();
-
-  // Any knob moved without a window is half-configured, not off.
-  NodeConfig no_window = rebalancing_receiver_config();
-  no_window.rebalance.imbalance_ratio = 2.0;
-  EXPECT_FALSE(no_window.validate(topo).is_ok());
-
-  NodeConfig bad_ratio = rebalancing_receiver_config();
-  bad_ratio.rebalance.window_ms = 100;
-  bad_ratio.rebalance.imbalance_ratio = 1.0;  // threshold at the mean
-  EXPECT_FALSE(bad_ratio.validate(topo).is_ok());
-
-  NodeConfig no_hysteresis = rebalancing_receiver_config();
-  no_hysteresis.rebalance.window_ms = 100;
-  no_hysteresis.rebalance.hysteresis_windows = 0;
-  EXPECT_FALSE(no_hysteresis.validate(topo).is_ok());
-
-  NodeConfig no_cooldown = rebalancing_receiver_config();
-  no_cooldown.rebalance.window_ms = 100;
-  no_cooldown.rebalance.cooldown_windows = 0;
-  EXPECT_FALSE(no_cooldown.validate(topo).is_ok());
-
-  NodeConfig no_slots = rebalancing_receiver_config();
-  no_slots.rebalance.window_ms = 100;
-  no_slots.rebalance.max_concurrent = 0;
-  EXPECT_FALSE(no_slots.validate(topo).is_ok());
-
-  // Rebalancing moves streams between gateways: it needs a cluster.
-  NodeConfig no_cluster = rebalancing_receiver_config();
-  no_cluster.cluster = ClusterConfig{};
-  no_cluster.rebalance.window_ms = 100;
-  EXPECT_FALSE(no_cluster.validate(topo).is_ok());
-
-  NodeConfig nan_ratio = rebalancing_receiver_config();
-  nan_ratio.rebalance.window_ms = 100;
-  nan_ratio.rebalance.imbalance_ratio = std::nan("");
-  EXPECT_FALSE(nan_ratio.validate(topo).is_ok());
 }
 
 // --------------------------------------------------- gray-failure verdict
@@ -719,9 +617,9 @@ TEST(SimRebalanceTest, RebalanceRequiresACluster) {
   EXPECT_FALSE(run_sim(options).ok());
 }
 
-// The driver reads the rebalance fields through the config table's
-// ranges: NaN would make `hottest > ratio * mean` never true, so
-// rebalancing would silently never fire, and inf is no ratio at all.
+// The driver checks the rebalance ranges: NaN would make `hottest > ratio *
+// mean` never true, so rebalancing would silently never fire, and inf is no
+// ratio at all.
 TEST(SimRebalanceTest, NonFiniteImbalanceRatioIsRejected) {
   for (const double ratio : {std::nan(""), HUGE_VAL, 0.5}) {
     ExperimentOptions options = clustered_options();
@@ -753,6 +651,66 @@ TEST(SimRebalanceTest, DegradeEventsAreValidated) {
   bad_span.gateway_degrades = {
       {.gateway = 0, .at_seconds = 0.002, .until_seconds = 0.001}};
   EXPECT_FALSE(run_sim(bad_span).ok());
+
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    ExperimentOptions bad_time = clustered_options();
+    bad_time.gateway_degrades = {{.gateway = 0, .at_seconds = bad}};
+    EXPECT_EQ(run_sim(bad_time).status().code(), StatusCode::kInvalidArgument);
+
+    ExperimentOptions bad_until = clustered_options();
+    bad_until.gateway_degrades = {
+        {.gateway = 0, .at_seconds = 0.001, .until_seconds = bad}};
+    EXPECT_EQ(run_sim(bad_until).status().code(), StatusCode::kInvalidArgument);
+
+    ExperimentOptions bad_slow = clustered_options();
+    bad_slow.gateway_degrades = {
+        {.gateway = 0, .at_seconds = 0.001, .slow_factor = bad}};
+    EXPECT_EQ(run_sim(bad_slow).status().code(), StatusCode::kInvalidArgument);
+
+    ExperimentOptions bad_handoff = clustered_options();
+    bad_handoff.rebalance.window_ms = 10;
+    bad_handoff.handoff_seconds = bad;
+    EXPECT_EQ(run_sim(bad_handoff).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(RebalanceConfigTest, ValidationBoundaries) {
+  ExperimentOptions ok = clustered_options();
+  ok.chunks_per_stream = 30;
+  ok.rebalance.window_ms = 100;
+  EXPECT_TRUE(run_sim(ok).ok()) << run_sim(ok).status().to_string();
+
+  // Any knob moved without a window is half-configured, not off.
+  ExperimentOptions no_window = ok;
+  no_window.rebalance.window_ms = 0;
+  no_window.rebalance.imbalance_ratio = 2.0;
+  EXPECT_FALSE(run_sim(no_window).ok());
+
+  ExperimentOptions bad_ratio = ok;
+  bad_ratio.rebalance.imbalance_ratio = 1.0;  // threshold at the mean
+  EXPECT_FALSE(run_sim(bad_ratio).ok());
+
+  ExperimentOptions no_hysteresis = ok;
+  no_hysteresis.rebalance.hysteresis_windows = 0;
+  EXPECT_FALSE(run_sim(no_hysteresis).ok());
+
+  ExperimentOptions no_cooldown = ok;
+  no_cooldown.rebalance.cooldown_windows = 0;
+  EXPECT_FALSE(run_sim(no_cooldown).ok());
+
+  ExperimentOptions no_slots = ok;
+  no_slots.rebalance.max_concurrent = 0;
+  EXPECT_FALSE(run_sim(no_slots).ok());
+
+  // Rebalancing moves streams between gateways: it needs a cluster.
+  ExperimentOptions no_cluster = ok;
+  no_cluster.cluster = ClusterConfig{};
+  EXPECT_FALSE(run_sim(no_cluster).ok());
+
+  ExperimentOptions nan_ratio = ok;
+  nan_ratio.rebalance.imbalance_ratio = std::nan("");
+  EXPECT_FALSE(run_sim(nan_ratio).ok());
 }
 
 TEST(SimRebalanceTest, SeededGrayDrainIsBitIdenticalWithZeroReplay) {

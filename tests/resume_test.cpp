@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <set>
@@ -950,6 +951,17 @@ TEST(SimResumeTest, CrashScheduleRequiresResume) {
   options.chunks_per_stream = 30;
   options.crashes = {{.stream = 0, .sender = false, .at_seconds = 0.001}};
   EXPECT_FALSE(run_sim_crash(options).ok());  // crashes without the journal
+
+  options.resume = true;
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    options.crashes = {{.stream = 0, .sender = false, .at_seconds = bad}};
+    EXPECT_EQ(run_sim_crash(options).status().code(),
+              StatusCode::kInvalidArgument);
+    options.crashes = {{.stream = 0, .sender = false, .at_seconds = 0.001,
+                        .restart_seconds = bad}};
+    EXPECT_EQ(run_sim_crash(options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SimResumeTest, SeededCrashesAreBitIdenticalAndReworkBounded) {

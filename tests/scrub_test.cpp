@@ -1,5 +1,5 @@
 // Anti-entropy scrubbing tests (DESIGN.md §14): the SCRUB wire frame, the
-// `scrub` config directive, the budgeted journal scrubber with sticky
+// ScrubConfig ranges, the budgeted journal scrubber with sticky
 // quarantine counters, per-range digests, digest-compare-and-repair in both
 // directions with epoch fencing and receiving-side verification, the
 // parent-directory fsync on journal creation, seeded rot/stale fault
@@ -37,7 +37,6 @@
 #include "metrics/scrub_counters.h"
 #include "msg/message.h"
 #include "simrt/driver.h"
-#include "topo/discover.h"
 #include "topo/topology.h"
 
 namespace numastream {
@@ -237,86 +236,6 @@ TEST(ScrubFrameTest, DecoderRejectsConflictingAndShortFrames) {
   MessageDecoder strict;
   strict.feed(ByteSpan(stub.data(), stub.size()));
   EXPECT_EQ(strict.next().status().code(), StatusCode::kDataLoss);
-}
-
-// ----------------------------------------------------------- scrub config
-
-NodeConfig scrubbed_receiver_config() {
-  NodeConfig config;
-  config.node_name = "stest-receiver";
-  config.role = NodeRole::kReceiver;
-  config.tasks = {
-      TaskGroupConfig{.type = TaskType::kReceive, .count = 1},
-      TaskGroupConfig{.type = TaskType::kDecompress, .count = 1},
-  };
-  config.recovery.reconnect = true;
-  config.resume.session = kSession;
-  config.scrub.cadence_ms = 250;
-  return config;
-}
-
-TEST(ScrubConfigTest, AbsentDirectiveIsByteIdentical) {
-  NodeConfig config = scrubbed_receiver_config();
-  config.scrub = ScrubConfig{};
-  const std::string text = config.serialize();
-  EXPECT_EQ(text.find("scrub"), std::string::npos)
-      << "default scrub config must not serialize a directive";
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_TRUE(parsed.value().scrub.is_default());
-  EXPECT_FALSE(parsed.value().scrub.enabled());
-  EXPECT_EQ(parsed.value().serialize(), text);
-}
-
-TEST(ScrubConfigTest, SerializeParseRoundTrip) {
-  NodeConfig config = scrubbed_receiver_config();
-  config.scrub.cadence_ms = 500;
-  config.scrub.range_records = 32;
-  config.scrub.budget_records = 1024;
-  config.scrub.repair_concurrency = 2;
-  const std::string text = config.serialize();
-  EXPECT_NE(text.find("scrub cadence_ms=500"), std::string::npos);
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().scrub, config.scrub);
-  EXPECT_EQ(parsed.value().serialize(), text);
-}
-
-TEST(ScrubConfigTest, DuplicateDirectiveIsAParseError) {
-  NodeConfig config = scrubbed_receiver_config();
-  std::string text = config.serialize();
-  text += "scrub cadence_ms=100\n";
-  auto parsed = NodeConfig::parse(text);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().to_string().find("duplicate 'scrub'"),
-            std::string::npos)
-      << parsed.status().to_string();
-}
-
-TEST(ScrubConfigTest, ValidationBoundaries) {
-  auto topo = discover_topology();
-  ASSERT_TRUE(topo.ok()) << "scrub config tests need a discoverable host";
-
-  NodeConfig ok = scrubbed_receiver_config();
-  EXPECT_TRUE(ok.validate(topo.value()).is_ok())
-      << ok.validate(topo.value()).to_string();
-
-  NodeConfig no_ranges = scrubbed_receiver_config();
-  no_ranges.scrub.range_records = 0;
-  EXPECT_FALSE(no_ranges.validate(topo.value()).is_ok());
-
-  NodeConfig no_budget = scrubbed_receiver_config();
-  no_budget.scrub.budget_records = 0;
-  EXPECT_FALSE(no_budget.validate(topo.value()).is_ok());
-
-  NodeConfig no_repair = scrubbed_receiver_config();
-  no_repair.scrub.repair_concurrency = 0;
-  EXPECT_FALSE(no_repair.validate(topo.value()).is_ok());
-
-  // Scrubbing without a resume journal has nothing to re-verify.
-  NodeConfig no_resume = scrubbed_receiver_config();
-  no_resume.resume = ResumeConfig{};
-  EXPECT_FALSE(no_resume.validate(topo.value()).is_ok());
 }
 
 // -------------------------------------------------------- journal scrubber
@@ -997,6 +916,39 @@ TEST(SimScrubTest, RotRequiresClusterAndAKnownStream) {
   EXPECT_FALSE(run_sim_scrub(options).ok());
   options.rots = {{.stream = 0, .at_seconds = 0.001, .records = 0}};
   EXPECT_FALSE(run_sim_scrub(options).ok());
+
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    options.rots = {{.stream = 0, .at_seconds = bad}};
+    EXPECT_EQ(run_sim_scrub(options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ScrubConfigTest, ValidationBoundaries) {
+  ExperimentOptions ok;
+  ok.chunks_per_stream = 30;
+  ok.resume = true;
+  ok.cluster.gateways = 2;
+  ok.cluster.self = 0;
+  ok.scrub.cadence_ms = 250;
+  EXPECT_TRUE(run_sim_scrub(ok).ok()) << run_sim_scrub(ok).status().to_string();
+
+  ExperimentOptions no_ranges = ok;
+  no_ranges.scrub.range_records = 0;
+  EXPECT_FALSE(run_sim_scrub(no_ranges).ok());
+
+  ExperimentOptions no_budget = ok;
+  no_budget.scrub.budget_records = 0;
+  EXPECT_FALSE(run_sim_scrub(no_budget).ok());
+
+  ExperimentOptions no_repair = ok;
+  no_repair.scrub.repair_concurrency = 0;
+  EXPECT_FALSE(run_sim_scrub(no_repair).ok());
+
+  // Scrubbing without a resume journal has nothing to re-verify.
+  ExperimentOptions no_resume = ok;
+  no_resume.resume = false;
+  EXPECT_FALSE(run_sim_scrub(no_resume).ok());
 }
 
 TEST(SimScrubTest, SeededRotIsRepairedBeforeTheKillAndBitIdentical) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "core/config_generator.h"
@@ -405,6 +406,21 @@ TEST(DriverTest, MismatchedTopologyCountRejected) {
   config.node_name = "x";
   auto result = run_experiment({}, {}, lynxdtn_topology(), config, fast_options());
   EXPECT_FALSE(result.ok());
+}
+
+// A NaN budget passed every check and aborted the run inside the pipeline.
+TEST(DriverTest, NonFiniteMemoryBudgetIsRejected) {
+  const MachineTopology lynx = lynxdtn_topology();
+  const std::vector<MachineTopology> senders = {updraft_topology()};
+  ConfigGenerator generator(lynx, senders);
+  auto plan = generator.generate(WorkloadSpec{}, PlacementStrategy::kNumaAware);
+  ASSERT_TRUE(plan.ok());
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    ExperimentOptions options = fast_options();
+    options.memory_budget_bytes = bad;
+    EXPECT_EQ(run_plan(senders, lynx, plan.value(), options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DriverTest, DeterministicWithFixedSeeds) {
