@@ -27,8 +27,6 @@ int main() {
   spec.compression_threads = 32;
   spec.transfer_threads = 4;
   spec.decompression_threads = 4;
-  auto plan = generator.generate(spec, PlacementStrategy::kNumaAware);
-  NS_CHECK(plan.ok(), "plan generation failed");
 
   TextTable table({"chunk", "e2e (Gbps)", "vs paper chunk"});
   double reference = 0;
@@ -36,10 +34,12 @@ int main() {
   double largest = 0;
   const double paper_chunk = static_cast<double>(kProjectionChunkBytes);
   for (const double factor : {0.125, 0.5, 1.0, 4.0}) {
+    spec.chunk_bytes = static_cast<std::uint64_t>(paper_chunk * factor);
+    auto plan = generator.generate(spec, PlacementStrategy::kNumaAware);
+    NS_CHECK(plan.ok(), "plan generation failed");
     ExperimentOptions options;
     options.link.bandwidth_gbps = 200;
     options.source_gbps = 100;
-    options.calib.chunk_bytes = paper_chunk * factor;
     // Same total bytes per stream regardless of chunk size.
     options.chunks_per_stream = static_cast<std::uint64_t>(300 / factor);
     auto result = run_plan(senders, lynx, plan.value(), options);

@@ -77,7 +77,7 @@ int main() {
   const ExperimentResult& run = crashed.value();
   const ResumeCountersSnapshot& resume = run.resume;
   const double stream_bytes =
-      static_cast<double>(kChunks) * options.calib.chunk_bytes;
+      static_cast<double>(kChunks * plan.value().senders[0].chunk_bytes);
 
   TextTable table({"mode", "crashes", "replayed chunks", "re-work (MB)",
                    "re-work / stream", "recovery (ms)"});

@@ -94,7 +94,7 @@ int main() {
   const FederationCountersSnapshot& fed = run.federation;
   const ResumeCountersSnapshot& resume = run.resume;
   const double stream_bytes =
-      static_cast<double>(kChunks) * options.calib.chunk_bytes;
+      static_cast<double>(kChunks * plan.value().senders[0].chunk_bytes);
 
   TextTable table({"mode", "failovers", "re-work (MB)", "re-work / stream",
                    "takeover (ms)"});

@@ -31,17 +31,20 @@ using namespace numastream::simrt;
 
 namespace {
 
+/// One protection mode: the `overload` directive every sender config carries.
+/// The receiver config carries the same credit window (it grants it).
 struct Mode {
   const char* name;
-  std::size_t credit_window = 0;
-  double budget_bytes = 0;
-  std::size_t shed_high = 0;
-  std::size_t shed_low = 0;
+  OverloadConfig overload;
 };
 
 Result<ExperimentResult> run_mode(const std::vector<MachineTopology>& senders,
                                   const MachineTopology& lynx,
-                                  const StreamingPlan& plan, const Mode& mode) {
+                                  StreamingPlan plan, const Mode& mode) {
+  for (NodeConfig& sender : plan.senders) {
+    sender.overload = mode.overload;
+  }
+  plan.receiver.overload.credit_window = mode.overload.credit_window;
   ExperimentOptions options;
   options.link.bandwidth_gbps = 200;
   options.source_gbps = 100;
@@ -49,10 +52,6 @@ Result<ExperimentResult> run_mode(const std::vector<MachineTopology>& senders,
   // Throttle the receiver: decompression runs at ~10% of its calibrated
   // speed, so every queue upstream of it fills and stays full.
   options.calib.decompress_bytes_per_sec /= 10.0;
-  options.credit_window_chunks = mode.credit_window;
-  options.memory_budget_bytes = mode.budget_bytes;
-  options.shed_high_watermark = mode.shed_high;
-  options.shed_low_watermark = mode.shed_low;
   // Per-stage latency histograms ride along: under overload, the tail shows
   // where chunks wait, which the throughput columns alone cannot.
   options.observe.latency = true;
@@ -83,9 +82,13 @@ int main() {
   const double budget = 6.0 * wire_chunk;  // six wire chunks in flight, max
   const Mode modes[] = {
       {.name = "block"},
-      {.name = "credit", .credit_window = 2},
-      {.name = "budget", .budget_bytes = budget},
-      {.name = "shed", .shed_high = 6, .shed_low = 2},
+      {.name = "credit", .overload = {.credit_window = 2}},
+      {.name = "budget",
+       .overload = {.budget_bytes = static_cast<std::uint64_t>(budget)}},
+      {.name = "shed",
+       .overload = {.shed_policy = ShedPolicy::kDropNewest,
+                    .high_watermark = 6,
+                    .low_watermark = 2}},
   };
 
   TextTable table({"mode", "e2e (Gbps)", "delivered", "shed", "credit stalls",

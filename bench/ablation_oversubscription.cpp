@@ -6,6 +6,7 @@
 // zero overhead oversubscription is free (A at 32 equals A at 16); the
 // paper's "performance declines" needs a positive overhead.
 #include "bench/bench_util.h"
+#include "common/units.h"
 #include "core/placement.h"
 #include "simhw/machine.h"
 #include "simhw/scheduler.h"
@@ -35,12 +36,12 @@ double compression_gbps(double overhead, int threads,
       for (int i = 0; i < 30; ++i) {
         SimHost::StepSpec step;
         step.core = cpu;
-        step.work_bytes = cal.chunk_bytes;
+        step.work_bytes = static_cast<double>(kProjectionChunkBytes);
         step.cpu_seconds_per_byte = 1.0 / cal.compress_bytes_per_sec;
         step.accesses = {{.data_domain = 0, .bytes_per_work = 1.5}};
         sim::JobSpec job = h.step_job(step);
         co_await s.job(std::move(job));
-        bytes += cal.chunk_bytes;
+        bytes += static_cast<double>(kProjectionChunkBytes);
       }
     }(sim, host, calib, core, total_bytes));
   }

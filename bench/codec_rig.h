@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/units.h"
 #include "core/placement.h"
 #include "simhw/machine.h"
 #include "simhw/scheduler.h"
@@ -55,7 +56,7 @@ inline ComputeSweepResult run_compute_sweep(const ComputePlacementConfig& config
       for (std::uint64_t i = 0; i < chunks; ++i) {
         SimHost::StepSpec step;
         step.core = cpu;
-        step.work_bytes = cal.chunk_bytes;
+        step.work_bytes = static_cast<double>(kProjectionChunkBytes);
         if (is_decompress) {
           step.cpu_seconds_per_byte = 1.0 / cal.decompress_bytes_per_sec;
           step.accesses = {
@@ -75,7 +76,7 @@ inline ComputeSweepResult run_compute_sweep(const ComputePlacementConfig& config
         }
         sim::JobSpec job = h.step_job(step);
         co_await s.job(std::move(job));
-        bytes += cal.chunk_bytes;
+        bytes += static_cast<double>(kProjectionChunkBytes);
       }
     }(sim, host, calib, core, config.memory_domain, decompress, chunks_per_thread,
                  total_bytes));

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Builds the tree with AddressSanitizer + UndefinedBehaviorSanitizer and runs
 # the suites that exercise the codec, transport, fault-injection and recovery
-# paths. A clean exit means the LZ4 fast decoder's block copies (checked
-# against the reference decoder by Lz4DifferentialTest) and the chaos tests
-# (torn writes, reconnect storms, watchdog cancellation) are free of memory
-# errors and UB, not just functionally green.
+# paths, and the simulator's config-driven pipeline and its rejection of
+# configs it cannot run (StreamPipelineTest, DriverTest). A clean exit means
+# the LZ4 fast decoder's block copies (checked against the reference decoder
+# by Lz4DifferentialTest) and the chaos tests (torn writes, reconnect storms,
+# watchdog cancellation) are free of memory errors and UB, not just
+# functionally green.
 #
 #   $ scripts/check_sanitize.sh [extra ctest args...]
 #
@@ -33,7 +35,8 @@ suites=(
   OverloadPipelineTest ChaosOverloadTest HealthConfigTest HealthMonitorTest
   MigrationCoordinatorTest HealthMaskTest ReplanTest HealthCountersTest
   DegradationScheduleTest DegradationInjectorTest MigrationPipelineTest
-  WatchdogDrainTest SimRecoveryTest ChaosDegradationTest LatencyHistogramTest
+  WatchdogDrainTest SimRecoveryTest ChaosDegradationTest StreamPipelineTest
+  DriverTest LatencyHistogramTest
   StageLatenciesTest SpanRingTest TracerTest TraceExportTest
   MetricsRegistryTest SnapshotSeriesTest SnapshotSamplerTest
   ObserveConfigTest PipelineObservabilityTest TraceDeterminismTest

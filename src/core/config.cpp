@@ -227,10 +227,6 @@ constexpr Range kPositive{[](double v) { return v > 0; }, "> 0"};
 constexpr Range kAtLeastOne{[](double v) { return v >= 1; }, ">= 1"};
 constexpr Range kUnitClosed{[](double v) { return v >= 0 && v <= 1; },
                             "in [0, 1]"};
-constexpr Range kUnitHalfOpen{[](double v) { return v > 0 && v <= 1; },
-                              "in (0, 1]"};
-constexpr Range kUnitOpen{[](double v) { return v > 0 && v < 1; },
-                          "in (0, 1)"};
 
 /// One field of a directive line: a `name=value` attribute, or, with an
 /// empty name, a positional value that precedes the attributes.
@@ -286,15 +282,6 @@ constexpr Field<NodeConfig> kOverload[] = {
 constexpr Field<StreamPriority> kPriority[] = {
     {"stream", NS_AT(StreamPriority, stream_id), kAnyValue, true},
     {"value", NS_AT(StreamPriority, priority), kAnyValue, true},
-};
-constexpr Field<NodeConfig> kHealth[] = {
-    {"window_ms", NS_CONFIG(health.window_ms), kPositive},
-    {"ewma_alpha", NS_CONFIG(health.ewma_alpha), kUnitHalfOpen},
-    {"degraded_ratio", NS_CONFIG(health.degraded_ratio), kUnitOpen},
-    {"failed_ratio", NS_CONFIG(health.failed_ratio), kUnitOpen},
-    {"breach_windows", NS_CONFIG(health.breach_windows), kPositive},
-    {"recover_windows", NS_CONFIG(health.recover_windows), kPositive},
-    {"baseline_windows", NS_CONFIG(health.baseline_windows), kPositive},
 };
 constexpr Field<NodeConfig> kObserve[] = {
     {"trace", NS_CONFIG(observe.trace)},
@@ -459,7 +446,6 @@ constexpr Directive kDirectives[] = {
     {"recovery", kRecovery, moved<&NodeConfig::recovery>},
     {"overload", kOverload, moved<&NodeConfig::overload>},
     {"priority", {}, nullptr, read_priority, write_priorities},
-    {"health", kHealth, moved<&NodeConfig::health>},
     {"observe", kObserve, moved<&NodeConfig::observe>},
     {"resume", kResume, moved<&NodeConfig::resume>},
     {"task", {}, nullptr, read_task, write_tasks},
@@ -565,11 +551,6 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
             std::to_string(overload.priorities[i].stream_id));
       }
     }
-  }
-  if (health.enabled() && health.failed_ratio >= health.degraded_ratio) {
-    return invalid_argument_error(
-        "config: health ratios must satisfy 0 < failed_ratio < "
-        "degraded_ratio < 1");
   }
   if (resume.enabled() && !recovery.reconnect) {
     return invalid_argument_error(

@@ -135,39 +135,6 @@ struct OverloadConfig {
   friend bool operator==(const OverloadConfig&, const OverloadConfig&) = default;
 };
 
-/// Self-healing policy for one node's pipeline (DESIGN.md §9). Everything
-/// defaults to off, matching pre-health behavior byte for byte: no monitor
-/// windows, no baselines, no migrations. Turning it on means setting
-/// `window_ms` (the observation window) plus optionally moving the
-/// classifier knobs off their defaults.
-struct HealthConfig {
-  /// Observation window in milliseconds (virtual time in simulation, wall
-  /// time on a real pipeline). 0 disables the whole subsystem.
-  std::uint64_t window_ms = 0;
-  /// EWMA smoothing factor for the healthy baseline, in (0, 1]. Higher
-  /// tracks recent windows more aggressively.
-  double ewma_alpha = 0.2;
-  /// A window is degraded when observed/baseline falls below this...
-  double degraded_ratio = 0.7;
-  /// ...and failed when it falls below this (must be < degraded_ratio).
-  double failed_ratio = 0.35;
-  /// Consecutive breach windows before a resource is demoted (hysteresis
-  /// against transient dips).
-  int breach_windows = 3;
-  /// Consecutive clean windows before a demoted resource is promoted back.
-  int recover_windows = 3;
-  /// Windows used to seed the baseline before classification starts.
-  int baseline_windows = 3;
-
-  [[nodiscard]] bool is_default() const { return *this == HealthConfig{}; }
-
-  /// Health monitoring is on iff any knob moved; the absent directive keeps
-  /// the pipeline bit-identical to the pre-health runtime.
-  [[nodiscard]] bool enabled() const { return !is_default(); }
-
-  friend bool operator==(const HealthConfig&, const HealthConfig&) = default;
-};
-
 /// Observability policy for one node's pipeline (DESIGN.md §10). Everything
 /// defaults to off, matching pre-observability behavior byte for byte: no
 /// spans recorded, no histograms, no registry gauges. The knobs are
@@ -222,7 +189,6 @@ struct NodeConfig {
   std::size_t queue_capacity = 8;
   RecoveryConfig recovery;
   OverloadConfig overload;
-  HealthConfig health;
   ObserveConfig observe;
   ResumeConfig resume;
   std::vector<TaskGroupConfig> tasks;

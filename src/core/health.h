@@ -57,6 +57,35 @@ struct ResourceHealthMask {
   }
 };
 
+/// Classifier knobs of one HealthMonitor (DESIGN.md §9). Everything
+/// defaults to off: no monitor windows, no baselines, no migrations.
+/// Turning it on means setting `window_ms` (the observation window) plus
+/// optionally moving the classifier knobs off their defaults.
+struct HealthConfig {
+  /// Observation window in milliseconds (virtual time in simulation, wall
+  /// time on a real pipeline). 0 disables the whole subsystem.
+  std::uint64_t window_ms = 0;
+  /// EWMA smoothing factor for the healthy baseline, in (0, 1]. Higher
+  /// tracks recent windows more aggressively.
+  double ewma_alpha = 0.2;
+  /// A window is degraded when observed/baseline falls below this...
+  double degraded_ratio = 0.7;
+  /// ...and failed when it falls below this (must be < degraded_ratio).
+  double failed_ratio = 0.35;
+  /// Consecutive breach windows before a resource is demoted (hysteresis
+  /// against transient dips).
+  int breach_windows = 3;
+  /// Consecutive clean windows before a demoted resource is promoted back.
+  int recover_windows = 3;
+  /// Windows used to seed the baseline before classification starts.
+  int baseline_windows = 3;
+
+  /// Health monitoring is on iff any knob moved.
+  [[nodiscard]] bool enabled() const { return *this != HealthConfig{}; }
+
+  friend bool operator==(const HealthConfig&, const HealthConfig&) = default;
+};
+
 /// EWMA-baseline health classifier with hysteresis. Deterministic: the same
 /// observation sequence always yields the same state sequence.
 class HealthMonitor {

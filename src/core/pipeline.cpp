@@ -181,25 +181,24 @@ class OverloadRun {
 
 /// Chunk-boundary live-migration poll, one instance per worker thread (the
 /// epoch cursor is the worker's private state). Disabled — a single branch —
-/// unless the config's health directive is on and a MigrationCoordinator was
-/// supplied; enabled, the fast path is one atomic load per chunk. When a
-/// request arrives the worker re-pins *itself* through the affinity layer:
-/// the chunk in hand finished first, so migration never drops or reorders
-/// work, and every queue/credit/budget invariant is untouched.
+/// unless a MigrationCoordinator was supplied; enabled, the fast path is one
+/// atomic load per chunk. When a request arrives the worker re-pins *itself*
+/// through the affinity layer: the chunk in hand finished first, so migration
+/// never drops or reorders work, and every queue/credit/budget invariant is
+/// untouched.
 class MigrationPoller {
  public:
   MigrationPoller(const MachineTopology& topo, const HealthHooks& hooks,
-                  bool enabled, TaskType type, std::string task_name,
+                  TaskType type, std::string task_name,
                   PlacementRecorder* recorder)
       : topo_(topo),
         hooks_(hooks),
-        on_(enabled && hooks.migrations != nullptr),
         type_(type),
         task_name_(std::move(task_name)),
         recorder_(recorder) {}
 
   void poll() {
-    if (!on_) {
+    if (hooks_.migrations == nullptr) {
       return;
     }
     const std::optional<NumaBinding> target =
@@ -219,7 +218,6 @@ class MigrationPoller {
  private:
   const MachineTopology& topo_;
   HealthHooks hooks_;
-  bool on_;
   TaskType type_;
   std::string task_name_;
   PlacementRecorder* recorder_;
@@ -503,7 +501,7 @@ class RunFrame {
               ctx.worker_index,
               static_cast<std::uint32_t>(trace_base + ctx.worker_index),
               ctx.binding.execution_domain,
-              MigrationPoller(topo, hooks_.health, config.health.enabled(), spec.type,
+              MigrationPoller(topo, hooks_.health, spec.type,
                               std::string(spec.threads) + "-" +
                                   std::to_string(ctx.worker_index) + "-migrate",
                               hooks_.recorder)};

@@ -61,15 +61,13 @@ struct OverloadHooks {
 };
 
 /// Optional self-healing collaborators for one pipeline run (DESIGN.md §9).
-/// Borrowed, may be null; consulted only when `config.health` is enabled, so
-/// default hooks with a default HealthConfig are exactly the pre-health
-/// pipeline.
+/// Borrowed, may be null; default hooks are exactly the pre-health pipeline.
 struct HealthHooks {
   /// Accumulates detection/migration accounting when supplied.
   HealthCounters* counters = nullptr;
-  /// Live-migration handshake: workers poll it at chunk boundaries and
-  /// re-pin themselves (via apply_binding) when a request arrives for their
-  /// task type. Typically driven by a HealthMonitor loop outside the run.
+  /// Live-migration handshake, on iff supplied: workers poll it at chunk
+  /// boundaries and re-pin themselves (via apply_binding) for their task
+  /// type. Typically driven by a HealthMonitor loop outside the run.
   MigrationCoordinator* migrations = nullptr;
 };
 

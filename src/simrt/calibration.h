@@ -45,8 +45,6 @@
 //    ratio of 2:1"; Fig. 14's end-to-end = 2x network identity depends on it.
 #pragma once
 
-#include "common/units.h"
-
 namespace numastream::simrt {
 
 struct Calibration {
@@ -77,9 +75,6 @@ struct Calibration {
 
   /// Average LZ4 ratio on the tomographic stream.
   double compression_ratio = 2.0;
-
-  /// One projection (the paper's unit of streaming work).
-  double chunk_bytes = static_cast<double>(kProjectionChunkBytes);
 };
 
 }  // namespace numastream::simrt

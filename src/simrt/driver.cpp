@@ -954,11 +954,31 @@ Result<ExperimentResult> run_experiment(
   NS_RETURN_IF_ERROR(receiver_config.validate(receiver_topo));
   for (std::size_t i = 0; i < sender_configs.size(); ++i) {
     NS_RETURN_IF_ERROR(sender_configs[i].validate(sender_topos[i]));
+    // The receiver grants the credit window, so both ends must speak it.
+    NS_RETURN_IF_ERROR(require((sender_configs[i].overload.credit_window > 0) ==
+                                   (receiver_config.overload.credit_window > 0),
+                               "credit_window must be on at both ends of a "
+                               "stream or at neither"));
   }
   // Option checks hold for the legal values, so a NaN fails every one. A
   // policy section left at its defaults is off and not checked.
-  NS_RETURN_IF_ERROR(require(std::isfinite(options.memory_budget_bytes),
-                             "memory_budget_bytes must be finite"));
+  if (options.health.enabled()) {
+    const HealthConfig& health = options.health;
+    NS_RETURN_IF_ERROR(require(health.window_ms > 0,
+                               "health window_ms must be > 0"));
+    NS_RETURN_IF_ERROR(require(health.ewma_alpha > 0 && health.ewma_alpha <= 1,
+                               "health ewma_alpha must be in (0, 1]"));
+    NS_RETURN_IF_ERROR(require(health.failed_ratio > 0 &&
+                                   health.failed_ratio < health.degraded_ratio &&
+                                   health.degraded_ratio < 1,
+                               "health ratios must satisfy 0 < failed_ratio < "
+                               "degraded_ratio < 1"));
+    NS_RETURN_IF_ERROR(require(health.breach_windows > 0 &&
+                                   health.recover_windows > 0 &&
+                                   health.baseline_windows > 0,
+                               "health breach_windows, recover_windows and "
+                               "baseline_windows must be > 0"));
+  }
   const bool clustered = options.cluster.enabled();
   if (clustered) {
     const ClusterConfig& cluster = options.cluster;
@@ -1173,19 +1193,10 @@ Result<ExperimentResult> run_experiment(
         return result->status();
       }
     }
-    if (send_workers.value().empty() || receive_workers.value().empty()) {
-      return invalid_argument_error("driver: stream " + std::to_string(stream_id) +
-                                    " has no send/receive threads");
-    }
-    if (send_workers.value().size() != receive_workers.value().size()) {
-      return invalid_argument_error(
-          "driver: stream " + std::to_string(stream_id) +
-          " has asymmetric send/receive thread counts (the pipeline pairs them)");
-    }
-
     StreamPipeline::Spec spec;
     spec.stream_id = static_cast<std::uint32_t>(stream);
     spec.chunks = options.chunks_per_stream;
+    spec.chunk_bytes = static_cast<double>(sender_config.chunk_bytes);
     spec.compress = options.compress;
     spec.sender_host = &sender;
     spec.receiver_host = &gateway_host;
@@ -1199,11 +1210,10 @@ Result<ExperimentResult> run_experiment(
     spec.receive_workers = std::move(receive_workers).value();
     spec.decompress_workers = std::move(decompress_workers).value();
     spec.per_connection_cap = options.per_connection_cap;
-    spec.queue_capacity = options.queue_capacity;
-    spec.credit_window_chunks = options.credit_window_chunks;
-    spec.memory_budget_bytes = options.memory_budget_bytes;
-    spec.shed_high_watermark = options.shed_high_watermark;
-    spec.shed_low_watermark = options.shed_low_watermark;
+    spec.send_queue_capacity = sender_config.queue_capacity;
+    spec.decompress_queue_capacity = receiver_config.queue_capacity;
+    spec.overload = sender_config.overload;
+    spec.overload.credit_window = receiver_config.overload.credit_window;
     spec.resume_enabled = options.resume;
     if (options.source_gbps > 0) {
       spec.source_bytes_per_sec = gbps_to_bytes_per_sec(options.source_gbps);
@@ -1220,6 +1230,7 @@ Result<ExperimentResult> run_experiment(
                                 spec.decompress_workers.size()
                           : 0) +
         spec.send_workers.size() + spec.receive_workers.size());
+    NS_RETURN_IF_ERROR(StreamPipeline::check(spec, options.calib));
     specs.push_back(std::move(spec));
   }
 

@@ -6,6 +6,9 @@
 // simulated testbed (simhw/ + simrt/): the same NodeConfig that drives the
 // real threaded pipeline drives the simulated one, so "runtime placement vs
 // OS placement" is a one-flag difference here exactly as it is on metal.
+// Every pipeline knob the simulator models comes from the configs;
+// ExperimentOptions holds the rest: hardware, calibration, workload, injected
+// events and the policies no config directive carries.
 #pragma once
 
 #include <vector>
@@ -19,6 +22,7 @@
 #include "metrics/timeline.h"
 #include "core/config.h"
 #include "core/config_generator.h"
+#include "core/health.h"
 #include "core/scrub.h"
 #include "obs/span.h"
 #include "simhw/degradation.h"
@@ -47,14 +51,6 @@ struct ExperimentOptions {
   int source_data_domain = 0;
 
   double per_connection_cap = 1e18;
-  std::size_t queue_capacity = 8;
-
-  /// Overload protection, applied to every stream's pipeline (mirrors
-  /// StreamPipeline::Spec; 0 = off, the default).
-  std::size_t credit_window_chunks = 0;
-  double memory_budget_bytes = 0;  ///< per-stream in-flight wire-byte cap
-  std::size_t shed_high_watermark = 0;
-  std::size_t shed_low_watermark = 0;
 
   /// Per-sender instrument/dataset generation rate in Gbps of raw data
   /// ("senders exclusively generate data chunks at a fixed rate", §3.1).
@@ -239,8 +235,9 @@ struct ExperimentResult {
 };
 
 /// Runs one experiment: stream i flows from sender_configs[i] (on
-/// sender_topos[i]) to the shared receiver. Thread counts, placements and
-/// codec choice are taken from the configs.
+/// sender_topos[i]) to the shared receiver. Thread counts, placements, chunk
+/// size, queue depths and overload policy are taken from the configs; one the
+/// simulator cannot run (DESIGN.md §8) is INVALID_ARGUMENT.
 Result<ExperimentResult> run_experiment(
     const std::vector<MachineTopology>& sender_topos,
     const std::vector<NodeConfig>& sender_configs,

@@ -14,6 +14,10 @@ std::uint64_t to_ns(double seconds) {
   return seconds <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(seconds * 1e9));
 }
 
+/// Credit and budget windows are token queues seeded one token per chunk; a
+/// deeper window (a wrapped negative budget, say) would only exhaust memory.
+constexpr double kMaxWindowChunks = 1 << 20;
+
 }  // namespace
 
 std::vector<StreamPipeline::Worker> StreamPipeline::pinned_workers(
@@ -26,6 +30,39 @@ std::vector<StreamPipeline::Worker> StreamPipeline::pinned_workers(
   return workers;
 }
 
+Status StreamPipeline::check(const Spec& spec, const Calibration& calib) {
+  const auto require = [](bool holds, const char* what) {
+    return holds ? Status::ok()
+                 : invalid_argument_error(std::string("pipeline: ") + what);
+  };
+  NS_RETURN_IF_ERROR(require(!spec.send_workers.empty(),
+                             "needs at least one send worker"));
+  NS_RETURN_IF_ERROR(require(
+      spec.send_workers.size() == spec.receive_workers.size(),
+      "the paper's pipeline is symmetric: one receive thread per send thread"));
+  NS_RETURN_IF_ERROR(require(!spec.compress || (!spec.compress_workers.empty() &&
+                                                !spec.decompress_workers.empty()),
+                             "compression needs compress and decompress workers"));
+  const OverloadConfig& overload = spec.overload;
+  NS_RETURN_IF_ERROR(require(overload.shed_policy == ShedPolicy::kBlock ||
+                                 overload.shed_policy == ShedPolicy::kDropNewest,
+                             "only shed=block and shed=drop_newest are "
+                             "modelled"));
+  NS_RETURN_IF_ERROR(require(overload.shed_policy == ShedPolicy::kBlock ||
+                                 spec.compress,
+                             "shedding guards the compress->send queue; "
+                             "enable compress"));
+  const double wire_chunk = wire_chunk_bytes(spec, calib);
+  const auto budget = static_cast<double>(overload.budget_bytes);
+  NS_RETURN_IF_ERROR(require(budget == 0 || budget >= wire_chunk,
+                             "a budget smaller than one wire chunk would "
+                             "deadlock admission"));
+  return require(
+      static_cast<double>(overload.credit_window) <= kMaxWindowChunks &&
+          budget <= kMaxWindowChunks * wire_chunk,
+      "credit windows and budgets deeper than 2^20 chunks are not modelled");
+}
+
 StreamPipeline::StreamPipeline(sim::Simulation& sim, const Calibration& calib,
                                Spec spec)
     : sim_(sim), calib_(calib), spec_(std::move(spec)) {
@@ -34,41 +71,28 @@ StreamPipeline::StreamPipeline(sim::Simulation& sim, const Calibration& calib,
            "pipeline needs sender, receiver and link");
   NS_CHECK(spec_.sender_nic >= 0 && spec_.receiver_nic >= 0,
            "pipeline needs NIC resources");
-  NS_CHECK(!spec_.send_workers.empty(), "pipeline needs at least one send worker");
-  NS_CHECK(spec_.send_workers.size() == spec_.receive_workers.size(),
-           "the paper's pipeline is symmetric: one receive thread per send thread");
-  if (spec_.compress) {
-    NS_CHECK(!spec_.compress_workers.empty(), "compression enabled but no workers");
-    NS_CHECK(!spec_.decompress_workers.empty(), "decompression enabled but no workers");
-  }
-
-  NS_CHECK(spec_.shed_low_watermark <= spec_.shed_high_watermark,
-           "shed hysteresis band must be low <= high");
-  NS_CHECK(spec_.shed_high_watermark <= spec_.queue_capacity,
-           "shed high watermark exceeds queue capacity");
-  NS_CHECK(spec_.shed_high_watermark == 0 || spec_.compress,
-           "shedding guards the compress->send queue; enable compress");
-  NS_CHECK(spec_.memory_budget_bytes == 0 ||
-               spec_.memory_budget_bytes >= wire_chunk_bytes(),
-           "a budget smaller than one wire chunk would deadlock admission");
+  const Status runnable = check(spec_, calib_);
+  NS_CHECK(runnable.is_ok(), runnable.message().c_str());
 
   source_remaining_ = spec_.chunks;
-  send_queue_ = std::make_unique<sim::SimQueue<SimChunk>>(sim_, spec_.queue_capacity);
-  decompress_queue_ =
-      std::make_unique<sim::SimQueue<SimChunk>>(sim_, spec_.queue_capacity);
+  send_queue_ =
+      std::make_unique<sim::SimQueue<SimChunk>>(sim_, spec_.send_queue_capacity);
+  decompress_queue_ = std::make_unique<sim::SimQueue<SimChunk>>(
+      sim_, spec_.decompress_queue_capacity);
   for (std::size_t i = 0; i < spec_.send_workers.size(); ++i) {
     connection_queues_.push_back(std::make_unique<sim::SimQueue<SimChunk>>(
         sim_, spec_.connection_window_chunks));
   }
-  if (spec_.credit_window_chunks > 0) {
+  if (spec_.overload.credit_window > 0) {
     for (std::size_t i = 0; i < spec_.send_workers.size(); ++i) {
       credit_tokens_.push_back(std::make_unique<sim::SimQueue<int>>(
-          sim_, spec_.credit_window_chunks));
+          sim_, spec_.overload.credit_window));
     }
   }
-  if (spec_.memory_budget_bytes > 0) {
-    budget_chunk_cap_ = static_cast<std::size_t>(spec_.memory_budget_bytes /
-                                                 wire_chunk_bytes());
+  if (spec_.overload.budget_bytes > 0) {
+    budget_chunk_cap_ = static_cast<std::size_t>(
+        static_cast<double>(spec_.overload.budget_bytes) /
+        wire_chunk_bytes(spec_, calib_));
     budget_tokens_ =
         std::make_unique<sim::SimQueue<int>>(sim_, budget_chunk_cap_);
   }
@@ -89,8 +113,8 @@ std::optional<SimChunk> StreamPipeline::draw_source_chunk() {
   // respect the post-crash blackout via source_ready_time_.
   if (!replays_.empty()) {
     SimChunk chunk;
-    chunk.raw_bytes = calib_.chunk_bytes;
-    chunk.wire_bytes = wire_chunk_bytes();
+    chunk.raw_bytes = spec_.chunk_bytes;
+    chunk.wire_bytes = wire_chunk_bytes(spec_, calib_);
     chunk.data_domain = spec_.source_data_domain;
     chunk.sequence = *replays_.begin();
     chunk.replay = true;
@@ -105,12 +129,11 @@ std::optional<SimChunk> StreamPipeline::draw_source_chunk() {
   // has produced it. The drawing worker waits out the difference.
   if (spec_.source_bytes_per_sec < 1e17) {
     const double start = std::max(sim_.now(), source_ready_time_);
-    source_ready_time_ = start + calib_.chunk_bytes / spec_.source_bytes_per_sec;
+    source_ready_time_ = start + spec_.chunk_bytes / spec_.source_bytes_per_sec;
   }
   SimChunk chunk;
-  chunk.raw_bytes = calib_.chunk_bytes;
-  chunk.wire_bytes = spec_.compress ? calib_.chunk_bytes / calib_.compression_ratio
-                                    : calib_.chunk_bytes;
+  chunk.raw_bytes = spec_.chunk_bytes;
+  chunk.wire_bytes = wire_chunk_bytes(spec_, calib_);
   chunk.data_domain = spec_.source_data_domain;
   chunk.sequence = next_sequence_++;
   return chunk;
@@ -148,7 +171,7 @@ void StreamPipeline::launch() {
   // Seed the overload token pools first so the initial credit grant and the
   // full budget are in place before any worker runs.
   for (auto& tokens : credit_tokens_) {
-    sim_.spawn(token_filler(*tokens, spec_.credit_window_chunks));
+    sim_.spawn(token_filler(*tokens, spec_.overload.credit_window));
   }
   if (budget_tokens_ != nullptr) {
     sim_.spawn(token_filler(*budget_tokens_, budget_chunk_cap_));
@@ -203,7 +226,7 @@ void StreamPipeline::crash_endpoint(bool sender_side, double restart_seconds) {
   // bench can compare it against the journal's bounded replay window.
   restart_from_zero_bytes_ +=
       static_cast<double>(delivered_set_.size() + unacked_.size()) *
-      wire_chunk_bytes();
+      wire_chunk_bytes(spec_, calib_);
   // Journal-driven recovery replays exactly the sent-but-unacked window.
   replays_.insert(unacked_.begin(), unacked_.end());
   // Blackout: nothing leaves the source until the restart completes.
@@ -231,7 +254,7 @@ void StreamPipeline::fail_over_receiver(SimHost* new_host, int nic_resource,
   // a cold gateway — everything sent so far crosses the wire again.
   restart_from_zero_bytes_ +=
       static_cast<double>(delivered_set_.size() + unacked_.size()) *
-      wire_chunk_bytes();
+      wire_chunk_bytes(spec_, calib_);
   // The replica ledger survives on the buddy, so the RESUME handshake
   // replays only the sent-but-unacked window; the ledger suppresses any
   // replay whose delivery had already committed.
@@ -331,11 +354,12 @@ sim::SimProc StreamPipeline::compressor_worker(std::size_t index) {
     // Replays are exempt: they are recovery traffic whose originals are
     // already counted in flight, so shedding one would double-charge the
     // loss ledger and break all_chunks_accounted().
-    if (spec_.shed_high_watermark > 0 && !chunk->replay) {
+    if (spec_.overload.shed_policy == ShedPolicy::kDropNewest &&
+        spec_.overload.high_watermark > 0 && !chunk->replay) {
       const std::size_t depth = send_queue_->size();
-      if (depth >= spec_.shed_high_watermark) {
+      if (depth >= spec_.overload.high_watermark) {
         shedding_ = true;
-      } else if (depth <= spec_.shed_low_watermark) {
+      } else if (depth <= spec_.overload.low_watermark) {
         shedding_ = false;
       }
       if (shedding_) {

@@ -16,6 +16,7 @@
 #include <set>
 #include <vector>
 
+#include "core/config.h"
 #include "metrics/resume_counters.h"
 #include "metrics/timeline.h"
 #include "obs/histogram.h"
@@ -59,6 +60,8 @@ class StreamPipeline {
   struct Spec {
     std::uint32_t stream_id = 0;
     std::uint64_t chunks = 0;
+    /// Raw bytes per chunk (the sender config's chunk_bytes).
+    double chunk_bytes = static_cast<double>(kProjectionChunkBytes);
 
     bool compress = true;  ///< false = network-only (§3.4)
 
@@ -85,28 +88,19 @@ class StreamPipeline {
     /// rate"). 1e18 = source never limits.
     double source_bytes_per_sec = 1e18;
 
-    std::size_t queue_capacity = 8;
+    std::size_t send_queue_capacity = 8;        ///< sender's queue_capacity
+    std::size_t decompress_queue_capacity = 8;  ///< receiver's queue_capacity
     std::size_t connection_window_chunks = 4;  ///< socket-buffer depth
 
-    // ---- overload protection (mirrors core/pipeline.cpp; 0 = off) ----
-
-    /// Credit-based flow control: each connection starts with this many
-    /// chunks of credit; the receiver returns credit as it consumes, so a
-    /// stalled receiver stops its sender after exactly this many chunks in
-    /// flight on the wire. Modeled as a token queue per connection.
-    std::size_t credit_window_chunks = 0;
-
-    /// In-flight wire-byte budget across the whole pipeline (charged at
-    /// chunk granularity: the budget holds floor(budget / wire_chunk_bytes)
-    /// chunk tokens, acquired when a chunk enters the pipeline and released
-    /// at delivery). Acquisition blocks, mirroring ShedPolicy::kBlock.
-    double memory_budget_bytes = 0;
-
-    /// Drop-newest load shedding at the compress->send queue: sheds while
-    /// depth >= high until depth <= low (the real pipeline's hysteresis
-    /// latch). Requires `compress`; 0 disables.
-    std::size_t shed_high_watermark = 0;
-    std::size_t shed_low_watermark = 0;
+    /// Overload protection (mirrors core/pipeline.cpp; default off):
+    ///  * credit_window: a token queue per connection seeded with the window;
+    ///    the receiver returns a token per chunk it consumes.
+    ///  * budget_bytes: floor(budget / wire_chunk_bytes) tokens for the whole
+    ///    pipeline, taken when a chunk enters and returned at delivery.
+    ///  * shed=drop_newest at the compress->send queue: sheds while depth >=
+    ///    high_watermark until depth <= low_watermark. Requires `compress`.
+    /// The other fields are not modelled.
+    OverloadConfig overload;
 
     // ---- crash resumption (mirrors core/journal.h; DESIGN.md §11) ----
 
@@ -134,6 +128,10 @@ class StreamPipeline {
     /// streams consecutively so their ids stay disjoint.
     std::uint32_t trace_worker_base = 0;
   };
+
+  /// INVALID_ARGUMENT naming why `spec` cannot run under `calib`; the
+  /// constructor aborts on it, so a driver calls it first.
+  [[nodiscard]] static Status check(const Spec& spec, const Calibration& calib);
 
   /// Validates the spec and prepares queues; launch() spawns the workers.
   StreamPipeline(sim::Simulation& sim, const Calibration& calib, Spec spec);
@@ -242,9 +240,10 @@ class StreamPipeline {
     return budget_stalls_;
   }
   /// High-water mark of wire bytes concurrently charged to the budget
-  /// (0 when no budget is configured). Invariant: <= memory_budget_bytes.
+  /// (0 when no budget is configured). Invariant: <= overload.budget_bytes.
   [[nodiscard]] double peak_bytes_in_flight() const noexcept {
-    return static_cast<double>(peak_inflight_chunks_) * wire_chunk_bytes();
+    return static_cast<double>(peak_inflight_chunks_) *
+           wire_chunk_bytes(spec_, calib_);
   }
 
   // ---- resume accounting (mirrors metrics/resume_counters.h) ----
@@ -285,9 +284,10 @@ class StreamPipeline {
   void observe(obs::Stage stage, std::size_t worker_offset, int domain,
                double start_seconds, double end_seconds, std::uint64_t sequence);
 
-  [[nodiscard]] double wire_chunk_bytes() const noexcept {
-    return spec_.compress ? calib_.chunk_bytes / calib_.compression_ratio
-                          : calib_.chunk_bytes;
+  [[nodiscard]] static double wire_chunk_bytes(const Spec& spec,
+                                               const Calibration& calib) noexcept {
+    return spec.compress ? spec.chunk_bytes / calib.compression_ratio
+                         : spec.chunk_bytes;
   }
 
   /// Takes the next chunk off the synthetic dataset; nullopt when done.

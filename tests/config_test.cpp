@@ -121,27 +121,6 @@ constexpr Accepted kAcceptedLines[] = {
      "low_watermark=0 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=0 "
      "default_priority=0\n"
      "priority stream=5 value=2\n"},
-    {"health window_ms=100\n",
-     "health window_ms=100 ewma_alpha=0.2 degraded_ratio=0.7 failed_ratio=0.35 "
-     "breach_windows=3 recover_windows=3 baseline_windows=3\n"},
-    {"health ewma_alpha=0.5\n",
-     "health window_ms=0 ewma_alpha=0.5 degraded_ratio=0.7 failed_ratio=0.35 "
-     "breach_windows=3 recover_windows=3 baseline_windows=3\n"},
-    {"health degraded_ratio=0.65\n",
-     "health window_ms=0 ewma_alpha=0.2 degraded_ratio=0.65 failed_ratio=0.35 "
-     "breach_windows=3 recover_windows=3 baseline_windows=3\n"},
-    {"health failed_ratio=0.3\n",
-     "health window_ms=0 ewma_alpha=0.2 degraded_ratio=0.7 failed_ratio=0.3 "
-     "breach_windows=3 recover_windows=3 baseline_windows=3\n"},
-    {"health breach_windows=2\n",
-     "health window_ms=0 ewma_alpha=0.2 degraded_ratio=0.7 failed_ratio=0.35 "
-     "breach_windows=2 recover_windows=3 baseline_windows=3\n"},
-    {"health recover_windows=4\n",
-     "health window_ms=0 ewma_alpha=0.2 degraded_ratio=0.7 failed_ratio=0.35 "
-     "breach_windows=3 recover_windows=4 baseline_windows=3\n"},
-    {"health baseline_windows=5\n",
-     "health window_ms=0 ewma_alpha=0.2 degraded_ratio=0.7 failed_ratio=0.35 "
-     "breach_windows=3 recover_windows=3 baseline_windows=5\n"},
     {"observe trace=on\n",
      "observe trace=on latency=off\n"},
     {"observe latency=on\n",
@@ -202,7 +181,6 @@ constexpr Accepted kAcceptedTexts[] = {
     {"node n\n"
      "recovery\n"
      "overload\n"
-     "health\n"
      "observe\n"
      "resume\n",
      "node n\n"
@@ -268,7 +246,6 @@ constexpr Accepted kAcceptedTexts[] = {
      "task decompress count=1 exec=0 mem=0 stream=3\n"
      "task receive count=1 exec=1 mem=1 stream=3\n"},
     {"node dbl\n"
-     "health ewma_alpha=0.123456 degraded_ratio=0.9 failed_ratio=1e-05\n"
      "recovery multiplier=3.5 jitter=0\n",
      "node dbl\n"
      "role sender\n"
@@ -277,9 +254,7 @@ constexpr Accepted kAcceptedTexts[] = {
      "queue_capacity 8\n"
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
      "multiplier=3.5 jitter=0 retry_budget_us=0 corrupt_limit=8 "
-     "degrade_watermark=0 watchdog_ms=0\n"
-     "health window_ms=0 ewma_alpha=0.123456 degraded_ratio=0.9 "
-     "failed_ratio=1e-05 breach_windows=3 recover_windows=3 baseline_windows=3\n"},
+     "degrade_watermark=0 watchdog_ms=0\n"},
 };
 
 struct RejectedLine {
@@ -319,15 +294,6 @@ constexpr RejectedLine kRejectedLines[] = {
     {"overload default_priority=zz\n", "default_priority"},
     {"overload frob=1\n", "frob"},
     {"overload budget_bytes\n", "budget_bytes"},
-    {"health window_ms=zz\n", "window_ms"},
-    {"health ewma_alpha=zz\n", "ewma_alpha"},
-    {"health degraded_ratio=zz\n", "degraded_ratio"},
-    {"health failed_ratio=zz\n", "failed_ratio"},
-    {"health breach_windows=zz\n", "breach_windows"},
-    {"health recover_windows=zz\n", "recover_windows"},
-    {"health baseline_windows=zz\n", "baseline_windows"},
-    {"health frob=1\n", "frob"},
-    {"health window_ms\n", "window_ms"},
     {"observe ring_capacity=1024\n", "unknown attribute 'ring_capacity'"},
     {"observe sample_ms=50\n", "unknown attribute 'sample_ms'"},
     {"observe frob=1\n", "frob"},
@@ -338,13 +304,13 @@ constexpr RejectedLine kRejectedLines[] = {
     {"cluster gateways=2 self=0\n", "unknown directive 'cluster'"},
     {"rebalance window_ms=100\n", "unknown directive 'rebalance'"},
     {"scrub cadence_ms=250\n", "unknown directive 'scrub'"},
+    {"health window_ms=100\n", "unknown directive 'health'"},
     {"recovery reconnect=maybe\n", "reconnect"},
     {"observe trace=maybe\n", "trace"},
     {"observe latency=maybe\n", "latency"},
     {"overload shed=sideways\n", "shed"},
     {"recovery max_attempts=99999999999\n", "max_attempts"},
     {"overload budget_bytes=99999999999999999999\n", "budget_bytes"},
-    {"health breach_windows=\n", "breach_windows"},
     {"priority stream=3\n", "value"},
     {"priority value=3\n", "stream"},
     {"priority stream=-1 value=1\n", "stream"},
@@ -399,10 +365,6 @@ constexpr RejectedText kRejectedTexts[] = {
      "# between\n"
      "overload credit_window=4\n", 4, "duplicate 'overload'"},
     {"node n\n"
-     "health window_ms=5\n"
-     "# between\n"
-     "health window_ms=5\n", 4, "duplicate 'health'"},
-    {"node n\n"
      "observe trace=on\n"
      "# between\n"
      "observe trace=on\n", 4, "duplicate 'observe'"},
@@ -440,13 +402,6 @@ NodeConfig every_knob_moved() {
   config.overload.default_priority = -2;
   config.overload.priorities = {{.stream_id = 3, .priority = 9},
                                 {.stream_id = 0, .priority = -1}};
-  config.health.window_ms = 40;
-  config.health.ewma_alpha = 0.35;
-  config.health.degraded_ratio = 0.8;
-  config.health.failed_ratio = 0.25;
-  config.health.breach_windows = 4;
-  config.health.recover_windows = 5;
-  config.health.baseline_windows = 6;
   config.observe.trace = true;
   config.observe.latency = true;
   config.resume.session = 77;
@@ -483,8 +438,6 @@ constexpr const char* kEveryKnobMoved =
     "slow_floor=2 slow_grace_ms=300 default_priority=-2\n"
     "priority stream=3 value=9\n"
     "priority stream=0 value=-1\n"
-    "health window_ms=40 ewma_alpha=0.35 degraded_ratio=0.8 "
-    "failed_ratio=0.25 breach_windows=4 recover_windows=5 baseline_windows=6\n"
     "observe trace=on latency=on\n"
     "resume session=77 ack_interval=16\n"
     "task receive count=4 exec=1 mem=1 stream=0\n"

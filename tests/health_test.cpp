@@ -1,6 +1,6 @@
-// Self-healing placement tests (DESIGN.md §9): the health directive in the
-// config grammar (including the duplicate-policy-directive rejection), the
-// EWMA/hysteresis HealthMonitor state machine, replan against a resource
+// Self-healing placement tests (DESIGN.md §9): the grammar's rejection of a
+// health directive and the simulator's range checks on its health options,
+// the EWMA/hysteresis HealthMonitor state machine, replan against a resource
 // health mask, live migration at chunk boundaries in the real threaded
 // pipeline, the seeded degradation schedule + injector, the end-to-end
 // simulated NIC-failure recovery, and the watchdog x drain-deadline
@@ -139,8 +139,7 @@ NodeConfig receiver_config(int receive, int decompress) {
   return config;
 }
 
-/// A HealthConfig with every knob moved off its default — the round-trip
-/// and duplicate-directive tests want a directive that actually serializes.
+/// A HealthConfig with every knob moved off its default and in range.
 HealthConfig nondefault_health() {
   HealthConfig health;
   health.window_ms = 25;
@@ -153,98 +152,68 @@ HealthConfig nondefault_health() {
   return health;
 }
 
-// ------------------------------------------------------- health directive
-
-TEST(HealthConfigTest, DirectiveRoundTripsThroughSerialize) {
-  NodeConfig config = sender_config(2, 1);
-  config.health = nondefault_health();
-  const std::string text = config.serialize();
-  EXPECT_NE(text.find("health"), std::string::npos) << text;
-
-  const auto parsed = NodeConfig::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().health, config.health);
-  EXPECT_TRUE(parsed.value().health.enabled());
-}
+// ------------------------------------------------------- health options
 
 TEST(HealthConfigTest, DefaultConfigSerializesWithoutHealthDirective) {
-  // Default-off safety: a config that never mentions health must serialize
-  // byte-identically to the pre-health grammar — no "health" line at all.
+  // No runtime reads a health directive, so the grammar has none: a config
+  // serializes without one and a text carrying one does not parse.
   const NodeConfig config = sender_config(2, 1);
-  EXPECT_FALSE(config.health.enabled());
   EXPECT_EQ(config.serialize().find("health"), std::string::npos);
 
-  const auto parsed = NodeConfig::parse(config.serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_TRUE(parsed.value().health.is_default());
+  const auto parsed =
+      NodeConfig::parse(config.serialize() + "health window_ms=20\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("unknown directive 'health'"),
+            std::string::npos)
+      << parsed.status().to_string();
 }
 
 TEST(HealthConfigTest, ValidateRejectsBadKnobs) {
-  const MachineTopology topo = host_topology();
+  // The simulator's NIC healer is the one reader of HealthConfig ranges:
+  // run_experiment rejects a bad knob instead of aborting in HealthMonitor.
+  const auto code = [](const HealthConfig& health) {
+    const MachineTopology lynx = lynxdtn_topology();
+    const std::vector<MachineTopology> senders = {updraft_topology()};
+    ConfigGenerator generator(lynx, senders);
+    auto plan = generator.generate(WorkloadSpec{}, PlacementStrategy::kNumaAware);
+    NS_CHECK(plan.ok(), "plan generation must succeed");
+    ExperimentOptions options;
+    options.chunks_per_stream = 10;
+    options.health = health;
+    return run_plan(senders, lynx, plan.value(), options).status().code();
+  };
+  HealthConfig health = nondefault_health();
+  ASSERT_EQ(code(health), StatusCode::kOk);
 
-  NodeConfig config = sender_config(1, 1);
-  config.health = nondefault_health();
-  ASSERT_TRUE(config.validate(topo).is_ok());
+  health.ewma_alpha = 1.5;  // EWMA factor must stay in (0, 1]
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
+  health = nondefault_health();
+  health.ewma_alpha = 2;
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
 
-  config.health.ewma_alpha = 1.5;  // EWMA factor must stay in (0, 1]
-  EXPECT_FALSE(config.validate(topo).is_ok());
+  health = nondefault_health();
+  health.failed_ratio = health.degraded_ratio;  // must be <
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
+  health = nondefault_health();
+  health.failed_ratio = 0.9;
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
 
-  config.health = nondefault_health();
-  config.health.failed_ratio = config.health.degraded_ratio;  // must be <
-  EXPECT_FALSE(config.validate(topo).is_ok());
+  health = nondefault_health();
+  health.breach_windows = 0;  // hysteresis needs >= 1 window
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
 
-  config.health = nondefault_health();
-  config.health.breach_windows = 0;  // hysteresis needs >= 1 window
-  EXPECT_FALSE(config.validate(topo).is_ok());
-
-  config.health = nondefault_health();
-  config.health.window_ms = 0;  // knobs moved but the subsystem is off
-  EXPECT_FALSE(config.validate(topo).is_ok());
+  health = nondefault_health();
+  health.window_ms = 0;  // knobs moved but the subsystem is off
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
 
   // NaN fails every comparison, so it must not slip through a range check.
-  config.health = nondefault_health();
-  config.health.ewma_alpha = std::nan("");
-  EXPECT_FALSE(config.validate(topo).is_ok());
+  health = nondefault_health();
+  health.ewma_alpha = std::nan("");
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
 
-  config.health = nondefault_health();
-  config.health.degraded_ratio = std::nan("");
-  EXPECT_FALSE(config.validate(topo).is_ok());
-}
-
-TEST(HealthConfigTest, DuplicatePolicyDirectivesAreParseErrors) {
-  // Repeating any of the three policy directives is a parse error, not a
-  // silent last-wins: serialize a config carrying all three, then append
-  // each emitted policy line a second time and expect a clear failure.
-  NodeConfig config = sender_config(2, 1);
-  config.recovery.watchdog_ms = 500;
-  config.overload.credit_window = 4;
-  config.health = nondefault_health();
-  const std::string text = config.serialize();
-
-  for (const std::string keyword : {"recovery", "overload", "health"}) {
-    std::string duplicated_line;
-    std::size_t start = 0;
-    while (start < text.size()) {
-      std::size_t end = text.find('\n', start);
-      if (end == std::string::npos) {
-        end = text.size();
-      }
-      const std::string line = text.substr(start, end - start);
-      if (line.rfind(keyword, 0) == 0) {
-        duplicated_line = line;
-        break;
-      }
-      start = end + 1;
-    }
-    ASSERT_FALSE(duplicated_line.empty()) << "no '" << keyword << "' line";
-
-    const auto parsed = NodeConfig::parse(text + "\n" + duplicated_line + "\n");
-    ASSERT_FALSE(parsed.ok()) << "duplicate '" << keyword << "' accepted";
-    EXPECT_NE(parsed.status().message().find("duplicate"), std::string::npos)
-        << parsed.status().to_string();
-    EXPECT_NE(parsed.status().message().find(keyword), std::string::npos)
-        << parsed.status().to_string();
-  }
+  health = nondefault_health();
+  health.degraded_ratio = std::nan("");
+  EXPECT_EQ(code(health), StatusCode::kInvalidArgument);
 }
 
 // -------------------------------------------------------- health monitor
@@ -621,8 +590,6 @@ TEST(MigrationPipelineTest, WorkersRepinAtChunkBoundariesWithoutLoss) {
 
   NodeConfig sender_cfg = sender_config(1, 1);
   NodeConfig receiver_cfg = receiver_config(1, 1);
-  sender_cfg.health = monitor_config();
-  receiver_cfg.health = monitor_config();
 
   HealthCounters counters;
   MigrationCoordinator coordinator;
@@ -654,7 +621,6 @@ TEST(MigrationPipelineTest, MidRunRequestLandsWhileChunksFlow) {
 
   NodeConfig sender_cfg = sender_config(1, 1);
   NodeConfig receiver_cfg = receiver_config(1, 1);
-  receiver_cfg.health = monitor_config();
 
   HealthCounters counters;
   MigrationCoordinator coordinator;
@@ -679,20 +645,15 @@ TEST(MigrationPipelineTest, MidRunRequestLandsWhileChunksFlow) {
 }
 
 TEST(MigrationPipelineTest, DisabledHealthIgnoresRequests) {
-  // Default-off safety: hooks supplied but config.health absent — workers
-  // must never consult the coordinator.
+  // Default-off safety: counters supplied but no coordinator — live
+  // migration is off and workers never re-pin.
   const MachineTopology topo = host_topology();
   const std::uint64_t kChunks = 20;
 
   HealthCounters counters;
-  MigrationCoordinator coordinator;
-  coordinator.request(TaskType::kReceive,
-                      NumaBinding{.execution_domain = 0, .memory_domain = 0});
-  coordinator.request(TaskType::kDecompress, NumaBinding{});
-
   PatternSource source(1, kChunks, 2048);
   CountingSink sink;
-  const HealthHooks hooks{.counters = &counters, .migrations = &coordinator};
+  const HealthHooks hooks{.counters = &counters};
   const MigrationRunResult run =
       run_migration_pipeline(topo, sender_config(1, 1), receiver_config(1, 1),
                              source, sink, hooks, hooks);

@@ -586,8 +586,10 @@ using simrt::ExperimentOptions;
 using simrt::ExperimentResult;
 using simrt::run_plan;
 
+/// Runs a generated plan whose configs all set `credit_window`.
 Result<ExperimentResult> run_sim(const ExperimentOptions& options,
-                                 int num_streams = 2) {
+                                 int num_streams = 2,
+                                 std::size_t credit_window = 0) {
   const MachineTopology lynx = lynxdtn_topology();
   const std::vector<MachineTopology> senders(
       static_cast<std::size_t>(num_streams), updraft_topology());
@@ -596,6 +598,10 @@ Result<ExperimentResult> run_sim(const ExperimentOptions& options,
   workload.num_streams = num_streams;
   auto plan = generator.generate(workload, PlacementStrategy::kNumaAware);
   NS_CHECK(plan.ok(), "plan generation must succeed");
+  for (NodeConfig& sender : plan.value().senders) {
+    sender.overload.credit_window = credit_window;
+  }
+  plan.value().receiver.overload.credit_window = credit_window;
   return run_plan(senders, lynx, plan.value(), options);
 }
 
@@ -801,11 +807,9 @@ TEST(SimRebalanceTest, NewOwnerCrashAfterHandoffFallsBackToCrashFailover) {
   options.gateway_crashes = {{.gateway = adopter,
                               .at_seconds = 2 * elapsed / 3,
                               .failover_seconds = elapsed / 10}};
-  options.credit_window_chunks = 6;
-  options.queue_capacity = 8;
-
-  auto first = run_sim(options);
-  auto second = run_sim(options);
+  // Credit window 6 on every config; queue_capacity stays at its default 8.
+  auto first = run_sim(options, 2, 6);
+  auto second = run_sim(options, 2, 6);
   ASSERT_TRUE(first.ok()) << first.status().to_string();
   ASSERT_TRUE(second.ok()) << second.status().to_string();
   EXPECT_TRUE(first.value().federation == second.value().federation)

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <initializer_list>
 #include <memory>
+#include <tuple>
 
 #include "core/config_generator.h"
 #include "simrt/driver.h"
@@ -194,7 +195,7 @@ StreamPipeline::Spec throttled_spec(Rig& rig, std::uint64_t chunks) {
 TEST(StreamPipelineTest, CreditWindowStallsSenderBehindSlowReceiver) {
   Rig rig;
   auto spec = throttled_spec(rig, 40);
-  spec.credit_window_chunks = 2;
+  spec.overload.credit_window = 2;
   StreamPipeline pipeline(rig.sim, rig.calib, spec);
   pipeline.launch();
   rig.sim.run();
@@ -207,8 +208,8 @@ TEST(StreamPipelineTest, CreditWindowStallsSenderBehindSlowReceiver) {
 TEST(StreamPipelineTest, MemoryBudgetCapsPeakInFlightBytes) {
   Rig rig;
   auto spec = throttled_spec(rig, 40);
-  const double wire_chunk = rig.calib.chunk_bytes / rig.calib.compression_ratio;
-  spec.memory_budget_bytes = 3 * wire_chunk;
+  const double wire_chunk = spec.chunk_bytes / rig.calib.compression_ratio;
+  spec.overload.budget_bytes = static_cast<std::uint64_t>(3 * wire_chunk);
   StreamPipeline pipeline(rig.sim, rig.calib, spec);
   pipeline.launch();
   rig.sim.run();
@@ -216,14 +217,16 @@ TEST(StreamPipelineTest, MemoryBudgetCapsPeakInFlightBytes) {
   EXPECT_GT(pipeline.budget_stalls(), 0U);
   // The acceptance invariant: the high-water mark never exceeds the cap.
   EXPECT_GT(pipeline.peak_bytes_in_flight(), 0.0);
-  EXPECT_LE(pipeline.peak_bytes_in_flight(), spec.memory_budget_bytes);
+  EXPECT_LE(pipeline.peak_bytes_in_flight(),
+            static_cast<double>(spec.overload.budget_bytes));
 }
 
 TEST(StreamPipelineTest, ShedWatermarksDropButConserveAccounting) {
   Rig rig;
   auto spec = throttled_spec(rig, 60);
-  spec.shed_high_watermark = 4;
-  spec.shed_low_watermark = 1;
+  spec.overload.shed_policy = ShedPolicy::kDropNewest;
+  spec.overload.high_watermark = 4;
+  spec.overload.low_watermark = 1;
   StreamPipeline pipeline(rig.sim, rig.calib, spec);
   pipeline.launch();
   rig.sim.run();
@@ -240,11 +243,12 @@ TEST(StreamPipelineTest, OverloadCountersAreDeterministic) {
   auto run = [] {
     Rig rig;
     auto spec = throttled_spec(rig, 50);
-    spec.credit_window_chunks = 2;
-    spec.memory_budget_bytes =
-        4 * rig.calib.chunk_bytes / rig.calib.compression_ratio;
-    spec.shed_high_watermark = 5;
-    spec.shed_low_watermark = 2;
+    spec.overload.credit_window = 2;
+    spec.overload.budget_bytes = static_cast<std::uint64_t>(
+        4 * spec.chunk_bytes / rig.calib.compression_ratio);
+    spec.overload.shed_policy = ShedPolicy::kDropNewest;
+    spec.overload.high_watermark = 5;
+    spec.overload.low_watermark = 2;
     StreamPipeline pipeline(rig.sim, rig.calib, spec);
     pipeline.launch();
     rig.sim.run();
@@ -266,11 +270,12 @@ TEST(DriverTest, OverloadOptionsFlowThroughToStreamResults) {
   workload.decompression_threads = 2;
   auto plan = generator.generate(workload, PlacementStrategy::kNumaAware);
   ASSERT_TRUE(plan.ok());
+  plan.value().senders[0].overload.credit_window = 2;
+  plan.value().receiver.overload.credit_window = 2;
 
   ExperimentOptions options;
   options.chunks_per_stream = 40;
   options.calib.decompress_bytes_per_sec /= 20.0;
-  options.credit_window_chunks = 2;
   auto result = run_plan(senders, lynx, plan.value(), options);
   ASSERT_TRUE(result.ok()) << result.status().to_string();
   ASSERT_EQ(result.value().streams.size(), 1U);
@@ -408,18 +413,154 @@ TEST(DriverTest, MismatchedTopologyCountRejected) {
   EXPECT_FALSE(result.ok());
 }
 
-// A NaN budget passed every check and aborted the run inside the pipeline.
-TEST(DriverTest, NonFiniteMemoryBudgetIsRejected) {
+/// One change to a generated single-stream plan (and the options it runs
+/// under), named for failure messages.
+struct PlanEdit {
+  const char* name;
+  void (*apply)(StreamingPlan& plan, ExperimentOptions& options);
+};
+
+/// Runs the default single-stream plan with `edits` applied in order.
+Result<ExperimentResult> run_edited(std::initializer_list<PlanEdit> edits,
+                                    ExperimentOptions options) {
   const MachineTopology lynx = lynxdtn_topology();
   const std::vector<MachineTopology> senders = {updraft_topology()};
   ConfigGenerator generator(lynx, senders);
   auto plan = generator.generate(WorkloadSpec{}, PlacementStrategy::kNumaAware);
-  ASSERT_TRUE(plan.ok());
-  for (const double bad : {std::nan(""), HUGE_VAL}) {
-    ExperimentOptions options = fast_options();
-    options.memory_budget_bytes = bad;
-    EXPECT_EQ(run_plan(senders, lynx, plan.value(), options).status().code(),
-              StatusCode::kInvalidArgument);
+  NS_CHECK(plan.ok(), "plan generation must succeed");
+  for (const PlanEdit& edit : edits) {
+    edit.apply(plan.value(), options);
+  }
+  return run_plan(senders, lynx, plan.value(), options);
+}
+
+// Every pipeline knob the simulator models is read from the configs it runs:
+// moving one in the plan changes the simulated run.
+TEST(DriverTest, ConfigPolicyReachesTheSimulator) {
+  ExperimentOptions options = fast_options();
+  options.chunks_per_stream = 200;
+  options.calib.decompress_bytes_per_sec /= 20.0;  // pressure on every queue
+  // A budget no run reaches makes peak_bytes_in_flight read the depth the
+  // queues and windows let the pipeline hold.
+  const PlanEdit base = {"roomy budget", [](StreamingPlan& plan, ExperimentOptions&) {
+    plan.senders[0].overload.budget_bytes = 64 * kProjectionChunkBytes;
+  }};
+  const auto fingerprint = [](const ExperimentResult& result) {
+    const StreamResult& stream = result.streams.at(0);
+    return std::make_tuple(result.elapsed_seconds, stream.peak_bytes_in_flight,
+                           stream.credit_stalls, stream.shed_chunks);
+  };
+  const auto baseline = run_edited({base}, options);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().to_string();
+  const PlanEdit edits[] = {
+      {"sender queue_capacity",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.senders[0].queue_capacity = 2;
+       }},
+      {"receiver queue_capacity",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.receiver.queue_capacity = 2;
+       }},
+      {"chunk_bytes",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.senders[0].chunk_bytes = kProjectionChunkBytes / 2;
+       }},
+      {"credit_window",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.senders[0].overload.credit_window = 2;
+         plan.receiver.overload.credit_window = 2;
+       }},
+      {"budget_bytes",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.senders[0].overload.budget_bytes = 2 * kProjectionChunkBytes;
+       }},
+      {"shed=drop_newest",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         OverloadConfig& overload = plan.senders[0].overload;
+         overload.shed_policy = ShedPolicy::kDropNewest;
+         overload.high_watermark = 4;
+         overload.low_watermark = 1;
+       }},
+  };
+  for (const PlanEdit& edit : edits) {
+    const auto result = run_edited({base, edit}, options);
+    ASSERT_TRUE(result.ok()) << edit.name << ": " << result.status().to_string();
+    EXPECT_NE(fingerprint(result.value()), fingerprint(baseline.value()))
+        << edit.name;
+  }
+}
+
+// Configs that validate() accepts but the simulator cannot run are
+// INVALID_ARGUMENT, never an abort inside the pipeline.
+TEST(DriverTest, UnsimulatableConfigIsRejected) {
+  const PlanEdit edits[] = {
+      {"budget 1",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.senders[0].overload.budget_bytes = 1;
+       }},
+      {"budget -5",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.senders[0].overload.budget_bytes = static_cast<std::uint64_t>(-5);
+       }},
+      {"budget below one wire chunk",
+       [](StreamingPlan& plan, ExperimentOptions& options) {
+         options.calib.compression_ratio = 0.5;  // the wire chunk doubles
+         plan.senders[0].overload.budget_bytes = plan.senders[0].chunk_bytes;
+       }},
+      {"high watermark 100",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         OverloadConfig& overload = plan.senders[0].overload;
+         overload.shed_policy = ShedPolicy::kDropNewest;
+         overload.high_watermark = 100;
+       }},
+      {"low 4 / high 2",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         OverloadConfig& overload = plan.senders[0].overload;
+         overload.shed_policy = ShedPolicy::kDropNewest;
+         overload.high_watermark = 2;
+         overload.low_watermark = 4;
+       }},
+      {"shedding without compress",
+       [](StreamingPlan& plan, ExperimentOptions& options) {
+         options.compress = false;
+         OverloadConfig& overload = plan.senders[0].overload;
+         overload.shed_policy = ShedPolicy::kDropNewest;
+         overload.high_watermark = 6;
+         overload.low_watermark = 2;
+       }},
+      {"drop_oldest",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         OverloadConfig& overload = plan.senders[0].overload;
+         overload.shed_policy = ShedPolicy::kDropOldest;
+         overload.high_watermark = 6;
+         overload.low_watermark = 2;
+       }},
+      {"priority_evict",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         OverloadConfig& overload = plan.senders[0].overload;
+         overload.shed_policy = ShedPolicy::kPriorityEvict;
+         overload.high_watermark = 6;
+         overload.low_watermark = 2;
+       }},
+      {"sender without compress threads",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         std::erase_if(plan.senders[0].tasks, [](const TaskGroupConfig& group) {
+           return group.type == TaskType::kCompress;
+         });
+       }},
+      {"credit on the sender only",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.senders[0].overload.credit_window = 2;
+       }},
+      {"credit on the receiver only",
+       [](StreamingPlan& plan, ExperimentOptions&) {
+         plan.receiver.overload.credit_window = 2;
+       }},
+  };
+  for (const PlanEdit& edit : edits) {
+    EXPECT_EQ(run_edited({edit}, fast_options()).status().code(),
+              StatusCode::kInvalidArgument)
+        << edit.name;
   }
 }
 
