@@ -134,7 +134,7 @@ BENCHMARK(BM_XxHash64)->Arg(1 << 10)->Arg(1 << 20);
 // Frame rows: LZ4 frames and null frames through the joined wrappers
 // (encode_frame copies a stored payload in, decode_frame_content copies it
 // out), and null frames through the split core the pipeline runs, where the
-// stored payload is the chunk's own buffer, hashed in place.
+// stored payload is the chunk's own buffer, sealed in place with one xxh64.
 void frame_encode(benchmark::State& state, CodecId id) {
   const Codec* codec = codec_by_id(id);
   const Bytes input = projection_sample();

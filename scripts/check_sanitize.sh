@@ -56,7 +56,7 @@ suites=(
   ProbeSinkTest ChaosScheduleTest ChaosHarnessTest AsymmetricPartitionTest
   ChaosExplorerTest ChaosCountersTest CounterLedgerTest ConfigPinTest
   ConfigFuzzTest DedupPinTest StrictReceiverTest SequenceLedgerTest
-  FaultStreamPinTest ChaosPinTest
+  FaultStreamPinTest ChaosPinTest SealedFrameTest SealedPipelineTest
 )
 scripts/run_suites.sh build-sanitize "${suites[@]}" -- "$@"
 

@@ -12,7 +12,9 @@
 # anti-entropy layer where a background scrubber re-reads the journal while
 # appenders extend it and a promotion fences a mid-round repair, and the
 # wire pins and split-receive fault matrix, which hand frame buffers
-# between real sender and receiver pipeline threads. A clean
+# between real sender and receiver pipeline threads, and the sealed-frame
+# pipeline, whose receive stage checks each stored payload's seal before a
+# reconnect replays the flipped chunks. A clean
 # exit means the credit/budget/drain/observe machinery is free of data
 # races, not just functionally green.
 #
@@ -40,7 +42,7 @@ suites=(
   HandoffProtocolTest ChaosHandoffTest AntiEntropyTest ScrubConcurrencyTest
   CancelSignalTest ChunkPoolTest LinkCutsTest ChaosHarnessTest
   AsymmetricPartitionTest ChaosExplorerTest WirePinTest DecoderResyncTest
-  DedupPinTest StrictReceiverTest SequenceLedgerTest
+  DedupPinTest StrictReceiverTest SequenceLedgerTest SealedPipelineTest
 )
 scripts/run_suites.sh build-tsan "${suites[@]}" -- "$@"
 

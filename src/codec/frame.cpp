@@ -44,26 +44,36 @@ bool compress_into(const Codec& codec, ByteSpan raw, Bytes& out, std::size_t at)
 }
 
 /// Writes the header of a frame carrying `payload`, the `codec` encoding of
-/// `raw`. A stored payload is its own content, so one digest fills both hash
-/// fields.
+/// `raw`. A stored payload is its own content: the frame is sealed with one
+/// xxhash64 of it, low word then high word in the two hash fields.
 void write_header(std::uint8_t* p, CodecId codec, ByteSpan raw, ByteSpan payload) {
-  const std::uint32_t payload_hash = xxhash32(payload);
+  const bool stored = codec == CodecId::kNull;
   store_le32(p, kFrameMagic);
   p[4] = static_cast<std::uint8_t>(codec);
-  p[5] = 0;             // flags
-  store_le16(p + 6, 0); // reserved
+  p[5] = stored ? kFrameFlagSealed : 0;  // flags
+  store_le16(p + 6, 0);                  // reserved
   store_le64(p + 8, raw.size());
   store_le64(p + 16, payload.size());
-  store_le32(p + 24, payload_hash);
-  store_le32(p + 28, codec == CodecId::kNull ? payload_hash : xxhash32(raw));
+  if (stored) {
+    store_le64(p + 24, xxhash64(payload));
+  } else {
+    store_le32(p + 24, xxhash32(payload));
+    store_le32(p + 28, xxhash32(raw));
+  }
 }
 
 /// A validated frame header.
 struct ParsedHeader {
   CodecId codec = CodecId::kNull;
+  bool sealed = false;
   std::uint64_t raw_size = 0;
   std::uint32_t payload_hash = 0;
   std::uint32_t content_hash = 0;
+
+  /// A sealed frame's xxhash64 seal, held in the two hash fields.
+  [[nodiscard]] std::uint64_t seal() const noexcept {
+    return (std::uint64_t{content_hash} << 32) | payload_hash;
+  }
 };
 
 /// Validates a frame header against the `payload_bytes` that follow it.
@@ -83,9 +93,10 @@ Result<ParsedHeader> parse_header(ByteSpan header, std::size_t payload_bytes) {
   NS_RETURN_IF_ERROR(reader.u8(codec_id));
   NS_RETURN_IF_ERROR(reader.u8(flags));
   NS_RETURN_IF_ERROR(reader.u16(reserved));
-  if (flags != 0 || reserved != 0) {
+  if ((flags & ~kFrameFlagSealed) != 0 || reserved != 0) {
     return data_loss_error("frame: nonzero reserved fields (future format?)");
   }
+  parsed.sealed = flags == kFrameFlagSealed;
   NS_RETURN_IF_ERROR(reader.u64(parsed.raw_size));
   NS_RETURN_IF_ERROR(reader.u64(payload_size));
   NS_RETURN_IF_ERROR(reader.u32(parsed.payload_hash));
@@ -94,6 +105,9 @@ Result<ParsedHeader> parse_header(ByteSpan header, std::size_t payload_bytes) {
   parsed.codec = static_cast<CodecId>(codec_id);
   if (codec_by_id(parsed.codec) == nullptr) {
     return data_loss_error("frame: unknown codec id " + std::to_string(codec_id));
+  }
+  if (parsed.sealed && parsed.codec != CodecId::kNull) {
+    return data_loss_error("frame: sealed flag on a compressed frame");
   }
   if (payload_size != payload_bytes) {
     return data_loss_error("frame: payload size " + std::to_string(payload_size) +
@@ -112,16 +126,28 @@ Result<ParsedHeader> parse_header(ByteSpan header, std::size_t payload_bytes) {
 }
 
 /// The decode every path runs: header, payload checksum, decompression,
-/// content checksum. A stored payload's one digest answers both hash
-/// fields, checked in that order. Its content is `*owned` moved out when
-/// the caller hands over the payload's buffer, else a copy of `payload`;
-/// on failure `*owned` is left intact.
-Result<Bytes> decode_parts(ByteSpan header, ByteSpan payload, Bytes* owned) {
+/// content checksum. A sealed payload is checked once against its seal
+/// (skipped when `seal` says the receipt already did); an unsealed stored
+/// payload's one xxhash32 answers both hash fields, checked in that order.
+/// A stored frame's content is `*owned` moved out when the caller hands
+/// over the payload's buffer, else a copy of `payload`; on failure `*owned`
+/// is left intact.
+Result<Bytes> decode_parts(ByteSpan header, ByteSpan payload, Bytes* owned,
+                           SealCheck seal) {
   auto parsed = parse_header(header, payload.size());
   if (!parsed.ok()) {
     return parsed.status();
   }
   const ParsedHeader& frame = parsed.value();
+  const auto stored = [&] {
+    return owned != nullptr ? std::move(*owned) : Bytes(payload.begin(), payload.end());
+  };
+  if (frame.sealed) {
+    if (seal == SealCheck::kVerify && xxhash64(payload) != frame.seal()) {
+      return payload_mismatch();
+    }
+    return stored();
+  }
   const std::uint32_t digest = xxhash32(payload);
   if (digest != frame.payload_hash) {
     return payload_mismatch();
@@ -130,7 +156,7 @@ Result<Bytes> decode_parts(ByteSpan header, ByteSpan payload, Bytes* owned) {
     if (digest != frame.content_hash) {
       return content_mismatch();
     }
-    return owned != nullptr ? std::move(*owned) : Bytes(payload.begin(), payload.end());
+    return stored();
   }
   const Codec* codec = codec_by_id(frame.codec);
   NS_CHECK(codec != nullptr, "parse_header validated the codec id");
@@ -192,28 +218,21 @@ Bytes encode_frame(const Codec& codec, ByteSpan raw) {
   return frame;
 }
 
-Result<FrameView> decode_frame(ByteSpan frame) {
-  const auto [header, payload] = split(frame);
-  auto parsed = parse_header(header, payload.size());
-  if (!parsed.ok()) {
-    return parsed.status();
+std::optional<std::uint64_t> frame_seal(ByteSpan data) {
+  if (data.size() < kFrameHeaderSize || load_le32(data.data()) != kFrameMagic ||
+      (data[5] & kFrameFlagSealed) == 0) {
+    return std::nullopt;
   }
-  if (xxhash32(payload) != parsed.value().payload_hash) {
-    return payload_mismatch();
-  }
-  return FrameView{.codec = parsed.value().codec,
-                   .raw_size = parsed.value().raw_size,
-                   .content_hash = parsed.value().content_hash,
-                   .payload = payload};
+  return load_le64(data.data() + 24);
 }
 
-Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload) {
-  return decode_parts(header, payload, &payload);
+Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload, SealCheck seal) {
+  return decode_parts(header, payload, &payload, seal);
 }
 
 Result<Bytes> decode_frame_content(ByteSpan frame) {
   const auto [header, payload] = split(frame);
-  return decode_parts(header, payload, nullptr);
+  return decode_parts(header, payload, nullptr, SealCheck::kVerify);
 }
 
 std::optional<std::size_t> find_frame_magic(ByteSpan data, std::size_t from) {
@@ -239,11 +258,11 @@ Result<Bytes> decode_frame_content_resync(ByteSpan frame, bool* resynced) {
 }
 
 Result<Bytes> decode_frame_split_resync(ByteSpan header, Bytes payload,
-                                        bool* resynced) {
+                                        bool* resynced, SealCheck seal) {
   if (resynced != nullptr) {
     *resynced = false;
   }
-  auto first = decode_parts(header, payload, &payload);
+  auto first = decode_parts(header, payload, &payload, seal);
   if (first.ok()) {
     return first;
   }

@@ -2,15 +2,15 @@
 //
 // Every data chunk that leaves a compression thread is wrapped in this frame
 // before it is handed to a sending thread (Fig. 2 of the paper). The frame is
-// self-describing — codec id, raw size, payload checksum, content checksum —
-// so the receiving side can route any frame to the right decompressor and
-// verify both the bytes it received and the bytes it reconstructed.
+// self-describing — codec id, raw size, checksums — so the receiving side can
+// route any frame to the right decompressor and verify both the bytes it
+// received and the bytes it reconstructed.
 //
 // Layout (all little-endian):
 //   offset size  field
 //   0      4     magic "NSF1"
 //   4      1     codec id (CodecId)
-//   5      1     flags (reserved, must be 0)
+//   5      1     flags (bit 0: sealed stored frame; other bits must be 0)
 //   6      2     reserved (must be 0)
 //   8      8     raw (uncompressed) size
 //   16     8     payload (compressed) size
@@ -18,18 +18,26 @@
 //   28     4     xxhash32 of the raw content
 //   32     ...   payload
 //
-// A null-codec frame stores the raw bytes as its payload, so its two hash
-// fields are always equal; both are written from one digest, and the
-// decoder checks one digest against both. The header is not covered by
-// either hash, so decoders bound raw size before allocating by it: a null
-// frame's raw size must equal its payload size, any other codec's must not
-// exceed kMaxFrameRawSize.
+// A stored frame (null codec: configured, degraded, or the incompressible
+// fallback) carries the raw bytes as its payload, so payload and content are
+// one thing and need one check. It is *sealed*: flags bit 0 is set, and the
+// two hash fields hold one xxhash64 of the payload, low word at 24, high
+// word at 28. Only a null-codec frame may be sealed. A compressed frame
+// keeps flags 0 and both xxhash32 fields. Decoders still accept the
+// unsealed stored form every earlier writer produced (flags 0, both fields
+// xxhash32 of the payload).
+//
+// The seal also serves the message layer: an NSM1 message whose body opens
+// with a sealed frame hashes only the 32-byte frame header and checks the
+// seal on receipt (msg/message.h), so a stored payload is hashed once per
+// side. The header is not covered by the frame's own checks, so decoders
+// bound raw size before allocating by it: a null frame's raw size must equal
+// its payload size, any other codec's must not exceed kMaxFrameRawSize.
 //
 // The runtime carries a frame as its header plus a separate payload buffer
 // and never joins the two (SplitFrame): a stored payload is the chunk's own
-// buffer from the source to the sink, hashed in place on each side. The
-// joined forms (encode_frame, decode_frame_content) are thin wrappers over
-// the same header+payload core.
+// buffer from the source to the sink. The joined forms (encode_frame,
+// decode_frame_content) are thin wrappers over the same header+payload core.
 #pragma once
 
 #include <array>
@@ -48,6 +56,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x3146534EU;  // "NSF1" little-endi
 /// layer's kMaxMessageBody): a larger value is DATA_LOSS, not an allocation.
 inline constexpr std::uint64_t kMaxFrameRawSize = 1ULL << 30;
 
+/// Flags bit 0: a sealed stored frame (see the layout above).
+inline constexpr std::uint8_t kFrameFlagSealed = 1;
+
 /// A frame's header, held apart from its payload.
 using FrameHeader = std::array<std::uint8_t, kFrameHeaderSize>;
 
@@ -57,13 +68,11 @@ struct SplitFrame {
   Bytes payload;
 };
 
-/// Parsed header plus a view of the payload (borrowing the input buffer).
-struct FrameView {
-  CodecId codec = CodecId::kNull;
-  std::uint64_t raw_size = 0;
-  std::uint32_t content_hash = 0;
-  ByteSpan payload;
-};
+/// Whether a decode checks a sealed payload against its seal. A receiving
+/// PullSocket verifies the seal of every frame body it accepts
+/// (message_body_intact in msg/message.h), so the pipeline decodes a
+/// received split frame with kAlreadyVerified; every other decode verifies.
+enum class SealCheck { kVerify, kAlreadyVerified };
 
 /// Compresses `raw` with `codec` into a header and a payload. If the codec
 /// is null, or compression would expand the data (incompressible input),
@@ -74,16 +83,19 @@ SplitFrame encode_frame_split(const Codec& codec, Bytes raw);
 /// encode_frame_split's frame as one buffer, header then payload.
 Bytes encode_frame(const Codec& codec, ByteSpan raw);
 
-/// Parses and validates a frame header (raw size bound included) + payload
-/// checksum. The returned view borrows `frame`; it is valid while `frame`
-/// lives.
-Result<FrameView> decode_frame(ByteSpan frame);
+/// The seal of the sealed stored frame whose header opens `data`, or
+/// nullopt when `data` does not open with an NSF1 header whose sealed flag
+/// is set. The flag alone decides; the frame decode rejects a sealed
+/// compressed frame.
+std::optional<std::uint64_t> frame_seal(ByteSpan data);
 
-/// Decodes a frame held as header + payload: validates the header, checks
-/// the payload checksum, decompresses and checks the content checksum. A
-/// stored payload is hashed in place and becomes the content itself: the
+/// Decodes a frame held as header + payload: validates the header (raw size
+/// bound included), checks the payload (a stored frame's seal, unless
+/// `seal` says it was verified on receipt), decompresses and checks the
+/// content checksum. A stored payload becomes the content itself: the
 /// buffer moves through, it is not copied.
-Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload);
+Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload,
+                                 SealCheck seal = SealCheck::kVerify);
 
 /// decode_frame_split on a joined frame; a stored payload is copied out.
 Result<Bytes> decode_frame_content(ByteSpan frame);
@@ -103,8 +115,10 @@ Result<Bytes> decode_frame_content_resync(ByteSpan frame, bool* resynced = nullp
 
 /// decode_frame_split with decode_frame_content_resync's recovery: when the
 /// frame fails, its header and payload are joined once and scanned for an
-/// embedded frame exactly as the joined form would be.
+/// embedded frame exactly as the joined form would be (embedded frames
+/// always verify their seals).
 Result<Bytes> decode_frame_split_resync(ByteSpan header, Bytes payload,
-                                        bool* resynced = nullptr);
+                                        bool* resynced = nullptr,
+                                        SealCheck seal = SealCheck::kVerify);
 
 }  // namespace numastream

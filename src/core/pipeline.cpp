@@ -303,15 +303,19 @@ class ObsRun {
 
 /// Reconstructs a received data message's chunk. A frame body decodes from
 /// its header and payload, and a stored payload becomes the chunk's buffer
-/// without a copy. A body that arrived whole (it does not open with a frame
-/// header) takes the joined decode. `resync` selects the recovering
-/// decoders, which also try frames embedded after garbage. Consumes the
-/// message's body.
+/// without a copy and without a second hash: the PullSocket that received
+/// the message already checked its seal (message_body_intact). A body that
+/// arrived whole (it does not open with a frame header) takes the joined
+/// decode. `resync` selects the recovering decoders, which also try frames
+/// embedded after garbage. Consumes the message's body.
 Result<Bytes> decode_content(Message& message, bool resync, bool* resynced) {
+  constexpr SealCheck kReceived = SealCheck::kAlreadyVerified;
   if (message.frame_header) {
     return resync ? decode_frame_split_resync(*message.frame_header,
-                                              std::move(message.body), resynced)
-                  : decode_frame_split(*message.frame_header, std::move(message.body));
+                                              std::move(message.body), resynced,
+                                              kReceived)
+                  : decode_frame_split(*message.frame_header, std::move(message.body),
+                                       kReceived);
   }
   return resync ? decode_frame_content_resync(message.body, resynced)
                 : decode_frame_content(message.body);

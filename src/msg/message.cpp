@@ -22,9 +22,37 @@ void assign_body(Message& message, ByteSpan body) {
   message.body.assign(body.begin(), body.end());
 }
 
+/// The sealed stored frame a data message's wire body opens with: its
+/// header (held apart, or the body's first bytes), its payload and seal.
+struct SealedFrame {
+  ByteSpan header;
+  ByteSpan payload;
+  std::uint64_t seal = 0;
+};
+
+std::optional<SealedFrame> sealed_frame(const Message& message) {
+  if (!message.is_data()) {
+    return std::nullopt;
+  }
+  const ByteSpan body(message.body);
+  const bool apart = message.frame_header.has_value();
+  const ByteSpan header =
+      apart ? ByteSpan(*message.frame_header) : body.first(std::min(body.size(), kFrameHeaderSize));
+  const auto seal = frame_seal(header);
+  if (!seal) {
+    return std::nullopt;
+  }
+  return SealedFrame{.header = header,
+                     .payload = apart ? body : body.subspan(kFrameHeaderSize),
+                     .seal = *seal};
+}
+
 }  // namespace
 
 std::uint32_t message_body_hash(const Message& message) {
+  if (const auto sealed = sealed_frame(message)) {
+    return xxhash32(sealed->header);
+  }
   if (!message.frame_header) {
     return xxhash32(message.body);
   }
@@ -32,6 +60,14 @@ std::uint32_t message_body_hash(const Message& message) {
   hash.update(*message.frame_header);
   hash.update(message.body);
   return hash.digest();
+}
+
+bool message_body_intact(const Message& message, std::uint32_t body_hash) {
+  if (message_body_hash(message) != body_hash) {
+    return false;
+  }
+  const auto sealed = sealed_frame(message);
+  return !sealed || xxhash64(sealed->payload) == sealed->seal;
 }
 
 void encode_message_header(const Message& message, MutableByteSpan out) {
@@ -398,15 +434,14 @@ Result<Message> MessageDecoder::next() {
       return unavailable_error("need more bytes for body");
     }
 
-    const ByteSpan body(header + kMessageHeaderSize, body_size);
-    if (xxhash32(body) != decoded.value().body_hash) {
+    Message message = std::move(decoded.value().message);
+    assign_body(message, ByteSpan(header + kMessageHeaderSize, body_size));
+    if (!message_body_intact(message, decoded.value().body_hash)) {
       if (auto st = corruption("message: body checksum mismatch")) {
         return *st;
       }
       continue;
     }
-    Message message = std::move(decoded.value().message);
-    assign_body(message, body);
     consumed_ += kMessageHeaderSize + body_size;
     return message;
   }

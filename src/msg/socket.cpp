@@ -192,7 +192,7 @@ Result<Message> PullSocket::recv() {
   message.body = Bytes(body_size - (message.frame_header ? kFrameHeaderSize : 0));
   std::copy_n(lead.begin(), in_hand, message.body.begin());
   NS_RETURN_IF_ERROR(read_body(MutableByteSpan(message.body).subspan(in_hand)));
-  if (message_body_hash(message) != decoded.value().body_hash) {
+  if (!message_body_intact(message, decoded.value().body_hash)) {
     corrupt_ = true;
     return data_loss_error("message: body checksum mismatch");
   }

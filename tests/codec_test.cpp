@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/codec.h"
@@ -518,9 +520,8 @@ TEST(FrameTest, RoundTripLz4) {
 TEST(FrameTest, IncompressibleFallsBackToNullCodec) {
   const Bytes raw = make_corpus(4096, 5, 1);
   const Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), raw);
-  auto view = decode_frame(frame);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().codec, CodecId::kNull);
+  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(CodecId::kNull));
+  EXPECT_EQ(frame[5], kFrameFlagSealed);  // a stored frame is sealed
   EXPECT_EQ(frame.size(), kFrameHeaderSize + raw.size());
   auto decoded = decode_frame_content(frame);
   ASSERT_TRUE(decoded.ok());
@@ -537,40 +538,84 @@ TEST(FrameTest, EmptyContent) {
 TEST(FrameTest, HeaderFieldsAreCorrect) {
   const Bytes raw = make_corpus(5000, 1, 2);
   const Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), raw);
-  auto view = decode_frame(frame);
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().codec, CodecId::kLz4);
-  EXPECT_EQ(view.value().raw_size, raw.size());
-  EXPECT_EQ(view.value().content_hash, xxhash32(raw));
-  EXPECT_EQ(view.value().payload.size(), frame.size() - kFrameHeaderSize);
+  ASSERT_TRUE(decode_frame_content(frame).ok());
+  const ByteSpan payload = ByteSpan(frame).subspan(kFrameHeaderSize);
+  EXPECT_EQ(load_le32(frame.data()), kFrameMagic);
+  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(CodecId::kLz4));
+  EXPECT_EQ(frame[5], 0);  // a compressed frame is not sealed
+  EXPECT_EQ(load_le64(frame.data() + 8), raw.size());
+  EXPECT_EQ(load_le64(frame.data() + 16), payload.size());
+  EXPECT_EQ(load_le32(frame.data() + 24), xxhash32(payload));
+  EXPECT_EQ(load_le32(frame.data() + 28), xxhash32(raw));
+}
+
+TEST(FrameTest, StoredFrameIsSealedWithOneXxHash64) {
+  const Bytes raw = make_corpus(5000, 1, 2);
+  const Bytes frame = encode_frame(*codec_by_id(CodecId::kNull), raw);
+  EXPECT_EQ(frame[4], static_cast<std::uint8_t>(CodecId::kNull));
+  EXPECT_EQ(frame[5], kFrameFlagSealed);
+  EXPECT_EQ(load_le64(frame.data() + 8), raw.size());
+  EXPECT_EQ(load_le64(frame.data() + 16), raw.size());
+  EXPECT_EQ(load_le32(frame.data() + 24), static_cast<std::uint32_t>(xxhash64(raw)));
+  EXPECT_EQ(load_le32(frame.data() + 28), static_cast<std::uint32_t>(xxhash64(raw) >> 32));
+  EXPECT_EQ(frame_seal(frame), xxhash64(raw));
+  EXPECT_EQ(frame_seal(encode_frame(*codec_by_id(CodecId::kLz4), make_corpus(100000, 1, 1))),
+            std::nullopt);
+
+  // The seal is checked on decode; a sealed frame of any other codec is
+  // refused by the header check.
+  Bytes flipped = frame;
+  flipped[kFrameHeaderSize + 2500] ^= 0x08;
+  EXPECT_EQ(decode_frame_content(flipped).status().message(),
+            "frame: payload checksum mismatch");
+  Bytes relabelled = frame;
+  relabelled[4] = static_cast<std::uint8_t>(CodecId::kLz4);
+  EXPECT_EQ(decode_frame_content(relabelled).status().message(),
+            "frame: sealed flag on a compressed frame");
 }
 
 TEST(FrameTest, BadMagicRejected) {
   Bytes frame = encode_frame(*codec_by_id(CodecId::kNull), make_corpus(64, 1, 1));
   frame[0] ^= 0xFF;
-  EXPECT_EQ(decode_frame(frame).status().code(), StatusCode::kDataLoss);
+  const Status status = decode_frame_content(frame).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message().rfind("frame: bad magic (got ", 0), 0U) << status.message();
 }
 
 TEST(FrameTest, PayloadCorruptionDetected) {
   Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), make_corpus(8192, 1, 1));
   frame[kFrameHeaderSize + 5] ^= 0x40;
-  EXPECT_EQ(decode_frame(frame).status().code(), StatusCode::kDataLoss);
+  const Status status = decode_frame_content(frame).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "frame: payload checksum mismatch");
 }
 
 TEST(FrameTest, TruncationDetected) {
   const Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), make_corpus(8192, 1, 1));
-  for (const std::size_t cut : {std::size_t{0}, std::size_t{10}, kFrameHeaderSize,
-                                frame.size() - 1}) {
+  const std::string payload_size = std::to_string(frame.size() - kFrameHeaderSize);
+  const std::pair<std::size_t, std::string> cuts[] = {
+      {0, "byte stream truncated"},
+      {10, "byte stream truncated"},
+      {kFrameHeaderSize,
+       "frame: payload size " + payload_size + " does not match remaining 0 bytes"},
+      {frame.size() - 1, "frame: payload size " + payload_size +
+                             " does not match remaining " +
+                             std::to_string(frame.size() - kFrameHeaderSize - 1) + " bytes"},
+  };
+  for (const auto& [cut, text] : cuts) {
     Bytes truncated(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_EQ(decode_frame(truncated).status().code(), StatusCode::kDataLoss)
-        << "cut=" << cut;
+    const Status status = decode_frame_content(truncated).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << "cut=" << cut;
+    EXPECT_EQ(status.message(), text) << "cut=" << cut;
   }
 }
 
 TEST(FrameTest, UnknownCodecRejected) {
   Bytes frame = encode_frame(*codec_by_id(CodecId::kNull), make_corpus(64, 1, 1));
   frame[4] = 99;  // codec id byte
-  EXPECT_EQ(decode_frame(frame).status().code(), StatusCode::kDataLoss);
+  const Status status = decode_frame_content(frame).status();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(status.message(), "frame: unknown codec id 99");
 }
 
 TEST(FrameTest, FuzzDecodeNeverCrashes) {
@@ -632,7 +677,10 @@ TEST(FrameTest, FuzzDecodeNeverCrashes) {
       auto decoded = decode_frame_content(m);
       ASSERT_FALSE(decoded.ok()) << codec->name() << " raw_size " << raw_size;
       EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
-      EXPECT_FALSE(decode_frame(m).ok()) << codec->name() << " raw_size " << raw_size;
+      EXPECT_EQ(decoded.status().message(),
+                "frame: raw size " + std::to_string(raw_size) + " out of bounds for a " +
+                    std::to_string(payload_size) + "-byte payload")
+          << codec->name();
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "msg/socket.h"
 #include "msg/tcp.h"
 #include "topo/discover.h"
+#include "wire_reference.h"
 
 namespace numastream {
 namespace {
@@ -638,30 +639,37 @@ PinnedRun run_pinned(PinCodec codec, bool resume) {
 // Fingerprints of the bytes the sender pipeline writes to its socket:
 // message headers, frame headers and payloads as they leave the process.
 // Credit grants and RESUME frames travel the reverse direction, so the
-// resume runs pin the same forward bytes as the plain ones. Recorded from
-// the copy-based frame path; any change to how frames are built, carried or
-// written must leave them untouched.
+// resume runs pin the same forward bytes as the plain ones. Every stored
+// chunk (null codec, degraded, LZ4's incompressible fallback) travels as a
+// sealed frame. `unsealed` was recorded from the copy-based frame path
+// before stored frames were sealed: unsealing the wire again
+// (unseal_wire, tests/wire_reference.h) must give exactly those bytes, so
+// the seal is the only change, and any change to how frames are built,
+// carried or written must leave both fingerprints untouched.
 TEST(WirePinTest, ForwardStreamFingerprints) {
   struct Case {
     PinCodec codec;
     bool resume;
-    std::uint64_t xxh64;
+    std::uint64_t sealed;
+    std::uint64_t unsealed;
     const char* name;
   };
   const Case cases[] = {
-      {PinCodec::kNull, false, 0x554BC3429E9057E3ULL, "null"},
-      {PinCodec::kNull, true, 0x554BC3429E9057E3ULL, "null+resume"},
-      {PinCodec::kLz4, false, 0xB1DD565DC9C35884ULL, "lz4"},
-      {PinCodec::kLz4, true, 0xB1DD565DC9C35884ULL, "lz4+resume"},
-      {PinCodec::kDegrade, false, 0x873015BA1A765AD3ULL, "degrade"},
-      {PinCodec::kDegrade, true, 0x873015BA1A765AD3ULL, "degrade+resume"},
+      {PinCodec::kNull, false, 0x5FC78586A8C0D642ULL, 0x554BC3429E9057E3ULL, "null"},
+      {PinCodec::kNull, true, 0x5FC78586A8C0D642ULL, 0x554BC3429E9057E3ULL, "null+resume"},
+      {PinCodec::kLz4, false, 0x37C2ED93626C9C33ULL, 0xB1DD565DC9C35884ULL, "lz4"},
+      {PinCodec::kLz4, true, 0x37C2ED93626C9C33ULL, 0xB1DD565DC9C35884ULL, "lz4+resume"},
+      {PinCodec::kDegrade, false, 0x6BB079D4136EC12EULL, 0x873015BA1A765AD3ULL, "degrade"},
+      {PinCodec::kDegrade, true, 0x6BB079D4136EC12EULL, 0x873015BA1A765AD3ULL,
+       "degrade+resume"},
   };
   for (const Case& c : cases) {
     const PinnedRun run = run_pinned(c.codec, c.resume);
     EXPECT_EQ(run.wire_bytes, run.wire.size()) << c.name;
     EXPECT_EQ(run.degraded_chunks, c.codec == PinCodec::kDegrade ? 3U : 0U)
         << c.name;
-    EXPECT_EQ(xxhash64(run.wire), c.xxh64) << c.name;
+    EXPECT_EQ(xxhash64(run.wire), c.sealed) << c.name;
+    EXPECT_EQ(xxhash64(unseal_wire(run.wire)), c.unsealed) << c.name;
   }
 }
 

@@ -29,6 +29,8 @@
 #include "common/rng.h"
 #include "data/tomo.h"
 #include "lz4_reference.h"
+#include "msg/message.h"
+#include "wire_reference.h"
 
 namespace numastream {
 namespace {
@@ -303,23 +305,71 @@ TEST(Lz4GoldenTest, TomographyProjectionFingerprints) {
 
 // ------------------------------------------------------ null frame decode
 
-/// The generic frame decode a null frame took before its one-pass path:
-/// decode_frame (header + payload checksum), the codec's decompress into a
-/// raw_size buffer, then the content checksum.
+/// The generic frame decode, written from the layout in codec/frame.h with
+/// every check in the library's order and text: the header fields, the
+/// payload check (a sealed frame's xxhash64 seal, else the payload
+/// xxhash32), the codec's decompress into a raw_size buffer, then the
+/// content checksum. A null frame takes that same decompress path here.
 Result<Bytes> decode_frame_generic(ByteSpan frame) {
-  auto view = decode_frame(frame);
-  if (!view.ok()) {
-    return view.status();
+  const ByteSpan header = frame.first(std::min(frame.size(), kFrameHeaderSize));
+  const ByteSpan payload = frame.subspan(header.size());
+  ByteReader reader(header);
+  std::uint32_t magic = 0;
+  std::uint8_t codec_id = 0;
+  std::uint8_t flags = 0;
+  std::uint16_t reserved = 0;
+  std::uint64_t raw_size = 0;
+  std::uint64_t payload_size = 0;
+  std::uint32_t payload_hash = 0;
+  std::uint32_t content_hash = 0;
+  NS_RETURN_IF_ERROR(reader.u32(magic));
+  if (magic != kFrameMagic) {
+    return data_loss_error("frame: bad magic (got " + hex_preview(header) + ")");
   }
-  Bytes raw(view.value().raw_size);
-  auto produced = codec_by_id(view.value().codec)->decompress(view.value().payload, raw);
+  NS_RETURN_IF_ERROR(reader.u8(codec_id));
+  NS_RETURN_IF_ERROR(reader.u8(flags));
+  NS_RETURN_IF_ERROR(reader.u16(reserved));
+  if ((flags & ~kFrameFlagSealed) != 0 || reserved != 0) {
+    return data_loss_error("frame: nonzero reserved fields (future format?)");
+  }
+  NS_RETURN_IF_ERROR(reader.u64(raw_size));
+  NS_RETURN_IF_ERROR(reader.u64(payload_size));
+  NS_RETURN_IF_ERROR(reader.u32(payload_hash));
+  NS_RETURN_IF_ERROR(reader.u32(content_hash));
+  const Codec* codec = codec_by_id(static_cast<CodecId>(codec_id));
+  if (codec == nullptr) {
+    return data_loss_error("frame: unknown codec id " + std::to_string(codec_id));
+  }
+  const bool null = codec->id() == CodecId::kNull;
+  const bool sealed = flags == kFrameFlagSealed;
+  if (sealed && !null) {
+    return data_loss_error("frame: sealed flag on a compressed frame");
+  }
+  if (payload_size != payload.size()) {
+    return data_loss_error("frame: payload size " + std::to_string(payload_size) +
+                           " does not match remaining " + std::to_string(payload.size()) +
+                           " bytes");
+  }
+  if (null ? raw_size != payload_size : raw_size > kMaxFrameRawSize) {
+    return data_loss_error("frame: raw size " + std::to_string(raw_size) +
+                           " out of bounds for a " + std::to_string(payload_size) +
+                           "-byte payload");
+  }
+  const bool payload_ok =
+      sealed ? xxhash64(payload) == ((std::uint64_t{content_hash} << 32) | payload_hash)
+             : xxhash32(payload) == payload_hash;
+  if (!payload_ok) {
+    return data_loss_error("frame: payload checksum mismatch");
+  }
+  Bytes raw(raw_size);
+  auto produced = codec->decompress(payload, raw);
   if (!produced.ok()) {
     return produced.status();
   }
   if (produced.value() != raw.size()) {
     return data_loss_error("frame: decoded size mismatch");
   }
-  if (xxhash32(raw) != view.value().content_hash) {
+  if (!sealed && xxhash32(raw) != content_hash) {
     return data_loss_error("frame: content checksum mismatch after decompression");
   }
   return raw;
@@ -489,22 +539,54 @@ TEST(NullFrameDifferentialTest, SplitDecodeMatchesTheJoinedDecode) {
 }
 
 // Stored payloads: the null codec on the same projection, and LZ4's
-// incompressible-input fallback to a null frame. Both digests come from the
-// two-pass frame writer (zero-filled frame, copy, separate payload and
-// content hashes), so a fused copy+hash writer must reproduce its bytes.
+// incompressible-input fallback to a null frame. Both are sealed (one
+// xxhash64 of the payload in the two hash fields). Unsealed again
+// (unseal_frame, tests/wire_reference.h), each must be byte for byte the
+// frame the two-pass writer produced before the seal, whose digests are
+// the second of each pair.
 TEST(Lz4GoldenTest, StoredFrameFingerprints) {
   TomoConfig config;
   config.rows = 512;
   config.cols = 1350;
   const Bytes raw = TomoGenerator(config).projection(1);
-  EXPECT_EQ(xxhash64(encode_frame(*codec_by_id(CodecId::kNull), raw)),
-            0xC482DB440B434D37ULL);
+  const Bytes stored = encode_frame(*codec_by_id(CodecId::kNull), raw);
+  EXPECT_EQ(stored[5], kFrameFlagSealed);
+  EXPECT_EQ(xxhash64(stored), 0x1BBC761199A6FB33ULL);
+  EXPECT_EQ(xxhash64(unseal_frame(stored)), 0xC482DB440B434D37ULL);
 
   Rng rng(2023);
   const Bytes noise = random_bytes(300'001, rng);
   const Bytes fallback = encode_frame(*codec_by_id(CodecId::kLz4), noise);
   ASSERT_EQ(fallback[4], static_cast<std::uint8_t>(CodecId::kNull));
-  EXPECT_EQ(xxhash64(fallback), 0xC798B678BACB1C66ULL);
+  EXPECT_EQ(fallback[5], kFrameFlagSealed);
+  EXPECT_EQ(xxhash64(fallback), 0x6C69FC608B4B6294ULL);
+  EXPECT_EQ(xxhash64(unseal_frame(fallback)), 0xC798B678BACB1C66ULL);
+}
+
+// A compressible LZ4 chunk's whole NSM1 message, held split as a sender
+// holds it and joined: compressed frames are not sealed, so their frame and
+// message bytes (body hash over the whole body) must stay exactly as they
+// were before stored frames were sealed. Recorded from that code.
+TEST(Lz4GoldenTest, CompressedMessageFingerprint) {
+  TomoConfig config;
+  config.rows = 512;
+  config.cols = 1350;
+  const Bytes raw = TomoGenerator(config).projection(1);
+  SplitFrame frame = encode_frame_split(*codec_by_id(CodecId::kLz4), raw);
+  ASSERT_EQ(frame.header[5], 0);
+  Message split;
+  split.stream_id = 3;
+  split.sequence = 7;
+  split.frame_header = frame.header;
+  split.body = std::move(frame.payload);
+  Message joined;
+  joined.stream_id = 3;
+  joined.sequence = 7;
+  joined.body = encode_frame(*codec_by_id(CodecId::kLz4), raw);
+  const Bytes wire = encode_message(split);
+  EXPECT_EQ(wire.size(), 705639U);
+  EXPECT_EQ(xxhash64(wire), 0xB110923BF84636ABULL);
+  EXPECT_EQ(encode_message(joined), wire);
 }
 
 }  // namespace

@@ -877,6 +877,172 @@ TEST(PushPullTest, SplitReceiveCorruptionsMatchTheWholeBodyReceive) {
   }
 }
 
+// ------------------------------------------------ sealed stored frames
+
+/// A stored-frame data message over `payload` as every sender now writes
+/// it (sealed), or as every earlier sender wrote it (unsealed: flags 0,
+/// xxhash32 of the payload in both frame hash fields, and a body hash over
+/// the whole body).
+Message stored_message(std::uint64_t sequence, const Bytes& payload, bool sealed) {
+  Message m =
+      frame_message(6, sequence, encode_frame_split(*codec_by_id(CodecId::kNull), payload));
+  if (!sealed) {
+    unseal_frame_header(m.frame_header->data(), m.body);
+  }
+  return m;
+}
+
+/// One fault of the sealed-frame matrix applied to a stored-frame message's
+/// wire: a bit flip at `offset`, or (offset npos) a payload one byte short
+/// under a body size that says so, its body hash left as written.
+Bytes faulted_wire(const Message& message, std::size_t offset) {
+  Bytes wire = encode_message(message);
+  if (offset != std::string::npos) {
+    wire[offset] ^= 0x10;
+  } else {
+    wire.pop_back();
+    store_le64(wire.data() + 20, wire.size() - kMessageHeaderSize);
+  }
+  return wire;
+}
+
+TEST(SealedFrameTest, BodyHashCoversTheFrameHeaderAndTheSealThePayload) {
+  const Bytes payload = random_body(5000, 31);
+  const Message sealed = stored_message(1, payload, true);
+  ASSERT_EQ((*sealed.frame_header)[5], kFrameFlagSealed);
+  EXPECT_EQ(frame_seal(*sealed.frame_header), xxhash64(payload));
+  const Bytes wire = encode_message(sealed);
+  EXPECT_EQ(load_le32(wire.data() + 28), xxhash32(*sealed.frame_header));
+  EXPECT_TRUE(message_body_intact(sealed, message_body_hash(sealed)));
+
+  // The same body held joined hashes and encodes identically.
+  Message joined = sealed;
+  joined.frame_header.reset();
+  joined.body = joined_body(sealed);
+  EXPECT_EQ(message_body_hash(joined), message_body_hash(sealed));
+  EXPECT_EQ(encode_message(joined), wire);
+
+  // The seal covers the payload: the header digest alone cannot pass a
+  // changed payload, held split or joined.
+  Message flipped = sealed;
+  flipped.body[2500] ^= 0x01;
+  EXPECT_EQ(message_body_hash(flipped), message_body_hash(sealed));
+  EXPECT_FALSE(message_body_intact(flipped, message_body_hash(sealed)));
+  joined.body[kFrameHeaderSize + 2500] ^= 0x01;
+  EXPECT_FALSE(message_body_intact(joined, message_body_hash(sealed)));
+
+  // Compressed frames and control bodies keep the whole-body hash; a
+  // control body is never read as a frame, whatever its bytes.
+  Message lz4 = frame_message(
+      6, 2, encode_frame_split(*codec_by_id(CodecId::kLz4), Bytes(4000, 3)));
+  EXPECT_EQ(message_body_hash(lz4), xxhash32(joined_body(lz4)));
+  Message control = Message::resume_frame(9, {});
+  control.body = joined_body(sealed);
+  EXPECT_EQ(message_body_hash(control), xxhash32(control.body));
+}
+
+// A sealed stored-frame message hit by one fault — a flip in every frame
+// header byte, in each byte of the NSM1 body-hash field, in the first,
+// middle and last payload byte, or a payload one byte short — and followed
+// by a clean message and an end-of-stream marker. Strict, each case is
+// sticky DATA_LOSS at the message layer, from PullSocket::recv and from a
+// failing MessageDecoder alike. Resyncing, each is skipped with exactly the
+// resyncs(), skipped_bytes() and bytes_received() an unsealed body hit by
+// the same fault gets, and the clean message still arrives.
+TEST(SealedFrameTest, FaultMatrixFailsAtTheMessageLayer) {
+  const Bytes payload = random_body(1000, 32);
+  const Message sealed = stored_message(1, payload, true);
+  const Message unsealed = stored_message(1, payload, false);
+  Bytes tail = encode_message(stored_message(2, random_body(700, 33), true));
+  const Bytes eos = encode_message(Message::end_of_stream_marker(6, 3));
+  tail.insert(tail.end(), eos.begin(), eos.end());
+
+  const std::size_t payload_at = kMessageHeaderSize + kFrameHeaderSize;
+  std::vector<std::pair<std::string, std::size_t>> faults;
+  for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
+    faults.emplace_back("frame header byte " + std::to_string(i), kMessageHeaderSize + i);
+  }
+  for (std::size_t i = 28; i < kMessageHeaderSize; ++i) {
+    faults.emplace_back("body hash byte " + std::to_string(i), i);
+  }
+  faults.emplace_back("first payload byte", payload_at);
+  faults.emplace_back("middle payload byte", payload_at + payload.size() / 2);
+  faults.emplace_back("last payload byte", payload_at + payload.size() - 1);
+  faults.emplace_back("payload one byte short", std::string::npos);
+
+  for (const auto& [name, offset] : faults) {
+    SCOPED_TRACE(name);
+    Bytes wire = faulted_wire(sealed, offset);
+    wire.insert(wire.end(), tail.begin(), tail.end());
+    Bytes legacy = faulted_wire(unsealed, offset);
+    legacy.insert(legacy.end(), tail.begin(), tail.end());
+
+    // Strict: sticky DATA_LOSS before any message is handed on.
+    InprocPair pair = make_inproc_pair(wire.size() + 1);
+    ASSERT_TRUE(pair.first->write_all(wire).is_ok());
+    pair.first->shutdown_write();
+    PullSocket strict(std::move(pair.second));
+    auto first = strict.recv();
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(first.status().message(), "message: body checksum mismatch");
+    EXPECT_EQ(strict.recv().status().message(), "message stream previously corrupt");
+    MessageDecoder failing;
+    failing.feed(wire);
+    EXPECT_EQ(failing.next().status().message(), "message: body checksum mismatch");
+    EXPECT_EQ(failing.next().status().message(), "message stream previously corrupt");
+
+    // Resync: skipped exactly as the unsealed body is; the tail survives.
+    const ReceiveRun run = socket_receive(wire, /*resync=*/true);
+    expect_same_receive(run, socket_receive(legacy, /*resync=*/true));
+    EXPECT_GE(run.resyncs, 1U);
+    ASSERT_EQ(run.messages.size(), 2U);
+    EXPECT_EQ(run.messages[0].sequence, 2U);
+    EXPECT_TRUE(run.messages[1].end_of_stream);
+    EXPECT_EQ(run.end.code(), StatusCode::kUnavailable);
+  }
+}
+
+// Compat: the unsealed stored frame every earlier sender wrote still
+// decodes through the strict receive, the resync receive and the frame
+// decoders.
+TEST(SealedFrameTest, UnsealedStoredFrameStillDecodes) {
+  const Bytes payload = random_body(3000, 34);
+  const Message unsealed = stored_message(5, payload, false);
+  ASSERT_EQ((*unsealed.frame_header)[5], 0);
+  const Bytes wire = encode_message(unsealed);
+  EXPECT_EQ(load_le32(wire.data() + 28), xxhash32(joined_body(unsealed)));
+  for (const bool resync : {false, true}) {
+    SCOPED_TRACE(resync ? "resync" : "strict");
+    const ReceiveRun run = socket_receive(wire, resync);
+    ASSERT_EQ(run.messages.size(), 1U) << run.end.to_string();
+    const Message& got = run.messages[0];
+    EXPECT_EQ(got.frame_header, unsealed.frame_header);
+    EXPECT_EQ(got.body, payload);
+    auto content = decode_frame_split(*got.frame_header, got.body);
+    ASSERT_TRUE(content.ok()) << content.status().to_string();
+    EXPECT_EQ(content.value(), payload);
+    bool resynced = true;
+    content = decode_frame_split_resync(*got.frame_header, got.body, &resynced);
+    ASSERT_TRUE(content.ok()) << content.status().to_string();
+    EXPECT_FALSE(resynced);
+  }
+  const Bytes frame = joined_body(unsealed);
+  auto content = decode_frame_content(frame);
+  ASSERT_TRUE(content.ok()) << content.status().to_string();
+  EXPECT_EQ(content.value(), payload);
+
+  // Its two xxhash32 fields are still both checked.
+  Bytes flipped = frame;
+  flipped[kFrameHeaderSize + 10] ^= 0x02;
+  EXPECT_EQ(decode_frame_content(flipped).status().message(),
+            "frame: payload checksum mismatch");
+  Bytes content_field = frame;
+  content_field[28] ^= 0x02;
+  EXPECT_EQ(decode_frame_content(content_field).status().message(),
+            "frame: content checksum mismatch after decompression");
+}
+
 // --------------------------------------------- scatter-gather equivalence
 
 TEST(ScatterGatherTest, WireBytesIdenticalToEncodeMessage) {

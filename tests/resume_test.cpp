@@ -805,6 +805,81 @@ TEST(ResumePipelineTest, SenderCrashRecoversExactlyOnce) {
   EXPECT_LT(snapshot.replayed_chunks, kChunks);
 }
 
+// Stored chunks (null codec) travel as sealed frames, and the receiver
+// checks each payload's seal on receipt, before admit() records the chunk
+// as received. Seeded silent bit flips hit the gated first half of the
+// stream; the resync receive skips each flipped message, and after the
+// flips a link reset makes the sender redial. The RESUME handshake then
+// replays the retained frames from the receiver's watermark: every chunk
+// reaches the sink exactly once, and no flip reaches the frame decoder.
+TEST(SealedPipelineTest, BitFlippedStoredChunksReplayExactlyOnce) {
+  const MachineTopology topo = host_topology();
+  MemoryJournalMedia sender_media;
+  MemoryJournalMedia receiver_media;
+  ResumeCounters counters;
+  FaultCounters faults;
+  InprocListener listener;
+  VerifySink sink;
+
+  ReceiverJournal receiver_journal(receiver_media, kSession, &counters);
+  ASSERT_TRUE(receiver_journal.recover().is_ok());
+  Status receiver_status = Status::ok();
+  std::thread receiver_thread([&] {
+    NodeConfig config = resumable_receiver();
+    config.codec_name = "null";
+    StreamReceiver receiver(topo, std::move(config));
+    auto stats = receiver.run(listener, sink, nullptr, &faults, {}, {}, {},
+                              ResumeHooks{.receiver_journal = &receiver_journal,
+                                          .counters = &counters});
+    receiver_status = stats.ok() ? Status::ok() : stats.status();
+  });
+
+  constexpr std::uint64_t kFlips = 3;
+  FaultPlan plan;
+  plan.seed = 2511;
+  plan.bitflip_per_write = 0.1;
+  plan.max_faults = kFlips;
+  FaultInjector injector(plan, &faults);
+  const DialFn dial = faulty_dialer([&] { return listener.connect(); }, injector);
+
+  SenderJournal sender_journal(sender_media, kSession, &counters);
+  ASSERT_TRUE(sender_journal.recover().is_ok());
+  GatedPatternSource source(1, kChunks, kChunkBytes, /*gate_at=*/kChunks / 2);
+  Status sender_status = Status::ok();
+  std::thread sender_thread([&] {
+    NodeConfig config = resumable_sender();
+    config.codec_name = "null";
+    StreamSender sender(topo, std::move(config));
+    auto stats = sender.run(source, dial, nullptr, &faults, {}, {}, {},
+                            ResumeHooks{.sender_journal = &sender_journal,
+                                        .counters = &counters});
+    sender_status = stats.ok() ? Status::ok() : stats.status();
+  });
+
+  // Every flip lands in the gated half (the seeded plan's first writes),
+  // so the reset below follows all of them.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (faults.snapshot().injected_bitflips < kFlips &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool flipped = faults.snapshot().injected_bitflips == kFlips;
+  injector.trigger_crash(/*restart_delay_micros=*/20000);  // a link reset
+  source.release();
+  sender_thread.join();
+  receiver_thread.join();
+  ASSERT_TRUE(flipped) << "the seeded flips did not land in the gated half";
+  EXPECT_TRUE(sender_status.is_ok()) << sender_status.to_string();
+  EXPECT_TRUE(receiver_status.is_ok()) << receiver_status.to_string();
+
+  expect_exactly_once(sink.hashes());
+  EXPECT_EQ(sink.duplicates(), 0U);
+  const FaultCountersSnapshot snapshot = faults.snapshot();
+  EXPECT_GE(snapshot.message_resyncs, 1U);  // the flips were caught on receipt
+  EXPECT_EQ(snapshot.corrupt_frames, 0U);   // none reached the decompress stage
+  EXPECT_GE(counters.snapshot().replayed_chunks, 1U);
+}
+
 // Chaos composition: crash-restart x credit flow control x memory budget x
 // graceful drain, all in one run. The operator requests a drain and the
 // sender crashes mid-flush; the restarted incarnation (same journal, same

@@ -2,9 +2,11 @@
 //
 // Before data frames travelled split, a receiver read each message's
 // 32-byte header, then its whole body into one buffer, checked the body
-// hash over that buffer, and handed the joined frame to
+// over that buffer, and handed the joined frame to
 // decode_frame_content(_resync). whole_body_receive() replays exactly that,
-// strict or resyncing, on a complete byte string; socket_receive() drives
+// strict or resyncing, on a complete byte string, with the body check
+// written out from the wire rule in msg/message.h (whole_body_intact);
+// socket_receive() drives
 // the real PullSocket over the same bytes. The two must agree on every
 // message (as joined wire bodies), on the final status and its text, and on
 // bytes_received(), resyncs() and skipped_bytes(); expect_same_content()
@@ -42,6 +44,61 @@ inline Bytes joined_body(const Message& message) {
   return out;
 }
 
+/// The wire rule's body check on a joined wire body, written from
+/// msg/message.h rather than taken from it: a data body that opens with a
+/// sealed stored frame (NSF1 magic, flags bit 0) must match `body_hash`
+/// with its 32-byte frame header alone and its payload must match the
+/// frame's xxhash64 seal; any other body must match with all of its bytes.
+inline bool whole_body_intact(bool data, ByteSpan body, std::uint32_t body_hash) {
+  if (data && body.size() >= kFrameHeaderSize && load_le32(body.data()) == kFrameMagic &&
+      (body[5] & kFrameFlagSealed) != 0) {
+    return xxhash32(body.first(kFrameHeaderSize)) == body_hash &&
+           xxhash64(body.subspan(kFrameHeaderSize)) == load_le64(body.data() + 24);
+  }
+  return xxhash32(body) == body_hash;
+}
+
+/// Rewrites the sealed stored frame header at `header` into the unsealed
+/// form every earlier writer produced for `payload`: flags 0 and xxhash32
+/// of the payload in both hash fields.
+inline void unseal_frame_header(std::uint8_t* header, ByteSpan payload) {
+  const std::uint32_t digest = xxhash32(payload);
+  header[5] = 0;
+  store_le32(header + 24, digest);
+  store_le32(header + 28, digest);
+}
+
+/// `frame` (one joined frame) as the unsealing writer produced it.
+inline Bytes unseal_frame(ByteSpan frame) {
+  Bytes out(frame.begin(), frame.end());
+  if (frame_seal(out)) {
+    unseal_frame_header(out.data(), frame.subspan(kFrameHeaderSize));
+  }
+  return out;
+}
+
+/// `wire`, a run of whole NSM1 messages, as the unsealing writer produced
+/// it: every sealed stored frame of a data message unsealed, and that
+/// message's body hash taken over its whole body. Everything else is left
+/// byte for byte.
+inline Bytes unseal_wire(ByteSpan wire) {
+  Bytes out(wire.begin(), wire.end());
+  std::size_t pos = 0;
+  while (pos + kMessageHeaderSize <= out.size()) {
+    std::uint8_t* header = out.data() + pos;
+    const std::size_t body_size = load_le64(header + 20);
+    std::uint8_t* body = header + kMessageHeaderSize;
+    const bool data = (load_le16(header + 16) & ~kMessageFlagEndOfStream) == 0;
+    if (data && frame_seal(ByteSpan(body, body_size))) {
+      unseal_frame_header(body, ByteSpan(body + kFrameHeaderSize, body_size - kFrameHeaderSize));
+      store_le32(header + 28, xxhash32(ByteSpan(body, body_size)));
+    }
+    pos += kMessageHeaderSize + body_size;
+  }
+  EXPECT_EQ(pos, out.size()) << "unseal_wire needs whole messages";
+  return out;
+}
+
 /// A data message of stream `stream_id` whose body is `frame`, held split
 /// as a sender holds it.
 inline Message frame_message(std::uint32_t stream_id, std::uint64_t sequence,
@@ -55,13 +112,14 @@ inline Message frame_message(std::uint32_t stream_id, std::uint64_t sequence,
 }
 
 /// The split receive's corruption matrix, as named wires. Each opens with a
-/// stored-frame data message (stream 4, sequence 1) hit by one fault: a bit
-/// flip in the NSM1 body-hash field, in every NSF1 header byte, or in the
-/// first or last payload byte, each once as it lands (the message hash
-/// catches it) and once resealed under a fresh message hash (only the frame
-/// checks can); or a data body shorter than a frame header, with and
-/// without the NSF1 magic. A clean LZ4 frame message (sequence 2) and an
-/// end-of-stream marker follow.
+/// sealed stored-frame data message (stream 4, sequence 1) hit by one
+/// fault: a bit flip in the NSM1 body-hash field, in every NSF1 header
+/// byte, or in the first or last payload byte, each once as it lands (the
+/// message hash or the seal catches it) and once resealed under a fresh
+/// message hash (a header flip then reaches the frame checks, a payload
+/// flip still fails the seal on receipt); or a data body shorter than a
+/// frame header, with and without the NSF1 magic. A clean LZ4 frame message
+/// (sequence 2) and an end-of-stream marker follow.
 inline std::vector<std::pair<std::string, Bytes>> split_fault_wires() {
   Bytes payload(1000);
   Rng rng(22);
@@ -187,7 +245,8 @@ inline ReceiveRun whole_body_receive(ByteSpan wire, bool resync) {
       break;
     }
     const ByteSpan body = wire.subspan(pos + kMessageHeaderSize, body_size);
-    if (xxhash32(body) != header.value().body_hash) {
+    if (!whole_body_intact(header.value().message.is_data(), body,
+                           header.value().body_hash)) {
       if (!resync) {
         run.end = data_loss_error("message: body checksum mismatch");
         break;
