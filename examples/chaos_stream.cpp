@@ -8,8 +8,8 @@
 //      injectors (msg/faulty.h): dials and accepted connections randomly
 //      disconnect, tear writes mid-message and flip payload bits,
 //   2. runs StreamSender/StreamReceiver with `recovery reconnect=on`, so
-//      senders re-dial and re-send, receivers resync and recycle
-//      connections, and a watchdog bounds any hang,
+//      senders re-dial and re-send, receivers cut and recycle corrupt or
+//      broken connections, and a watchdog bounds any hang,
 //   3. prints the delivery stats plus the fault/recovery ledger
 //      (metrics/fault_counters.h) — every injected fault is matched by a
 //      recovery action or an accounted drop, never a silent loss.
@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
   const std::uint16_t port = listener.value()->port();
 
   // The chaos: disconnects and torn writes are losslessly recovered (the
-  // sender re-sends the failed frame); bit flips are silent on the wire and
-  // surface as checksum failures the receiver counts and resyncs past. One
-  // injector per side keeps per-connection fault sequences reproducible.
+  // sender re-sends the failed frame); a torn write's garbage fails the
+  // receiver's checksums and ends the connection. One injector per side
+  // keeps per-connection fault sequences reproducible.
   FaultPlan plan;
   plan.seed = seed;
   plan.disconnect_per_write = 0.08;

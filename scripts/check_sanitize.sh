@@ -25,9 +25,8 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 suites=(
   BytesTest XxHashTest XxHashStreaming 'Lz4.*' AllCodecsRoundTrip FrameTest
   NullFrameDifferentialTest MessageTest MessageDecoderTest InprocTest
-  InprocListenerTest TcpTest PushPullTest DecoderResyncTest FrameResyncTest
-  ConfigTest ConfigFileTest ConfigGeneratorTest PipelineTest TcpPipelineTest
-  PlacementTest RecoveryConfigTest BackoffTest RetryPolicyTest WithRetryTest
+  InprocListenerTest TcpTest PushPullTest ConfigTest ConfigFileTest
+  ConfigGeneratorTest PipelineTest TcpPipelineTest PlacementTest RecoveryConfigTest BackoffTest RetryPolicyTest WithRetryTest
   FaultPlanTest FaultyStreamTest FaultyListenerTest FaultCountersTest
   ChaosPipelineTest DegradationTest WatchdogTest StreamRegistryTest
   DeterminismTest GatewayTest MemoryBudgetTest OverloadCountersTest
@@ -57,6 +56,7 @@ suites=(
   ChaosExplorerTest ChaosCountersTest CounterLedgerTest ConfigPinTest
   ConfigFuzzTest DedupPinTest StrictReceiverTest SequenceLedgerTest
   FaultStreamPinTest ChaosPinTest SealedFrameTest SealedPipelineTest
+  CreditWedgeTest
 )
 scripts/run_suites.sh build-sanitize "${suites[@]}" -- "$@"
 

@@ -14,7 +14,8 @@
 # wire pins and split-receive fault matrix, which hand frame buffers
 # between real sender and receiver pipeline threads, and the sealed-frame
 # pipeline, whose receive stage checks each stored payload's seal before a
-# reconnect replays the flipped chunks. A clean
+# reconnect replays the flipped chunks, and the credit wedge, where every
+# flipped message cuts its connection under credit flow control. A clean
 # exit means the credit/budget/drain/observe machinery is free of data
 # races, not just functionally green.
 #
@@ -41,8 +42,8 @@ suites=(
   ChaosResumeTest ReplicationTest EpochFenceTest GatewayFailoverTest
   HandoffProtocolTest ChaosHandoffTest AntiEntropyTest ScrubConcurrencyTest
   CancelSignalTest ChunkPoolTest LinkCutsTest ChaosHarnessTest
-  AsymmetricPartitionTest ChaosExplorerTest WirePinTest DecoderResyncTest
-  DedupPinTest StrictReceiverTest SequenceLedgerTest SealedPipelineTest
+  AsymmetricPartitionTest ChaosExplorerTest WirePinTest DedupPinTest
+  StrictReceiverTest SequenceLedgerTest SealedPipelineTest CreditWedgeTest
 )
 scripts/run_suites.sh build-tsan "${suites[@]}" -- "$@"
 

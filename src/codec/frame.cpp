@@ -1,7 +1,6 @@
 #include "codec/frame.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "codec/xxhash.h"
@@ -174,25 +173,6 @@ Result<Bytes> decode_parts(ByteSpan header, ByteSpan payload, Bytes* owned,
   return raw;
 }
 
-/// Recovery past a frame that failed at offset 0: the first later magic
-/// that heads a decodable frame wins, else the offset-0 error stands. The
-/// checksums make a false positive decoding successfully vanishingly
-/// unlikely.
-Result<Bytes> resync_scan(ByteSpan frame, Status first, bool* resynced) {
-  std::size_t search_from = 1;
-  while (auto pos = find_frame_magic(frame, search_from)) {
-    auto recovered = decode_frame_content(frame.subspan(*pos));
-    if (recovered.ok()) {
-      if (resynced != nullptr) {
-        *resynced = true;
-      }
-      return recovered;
-    }
-    search_from = *pos + 1;
-  }
-  return first;
-}
-
 }  // namespace
 
 SplitFrame encode_frame_split(const Codec& codec, Bytes raw) {
@@ -233,44 +213,6 @@ Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload, SealCheck seal)
 Result<Bytes> decode_frame_content(ByteSpan frame) {
   const auto [header, payload] = split(frame);
   return decode_parts(header, payload, nullptr, SealCheck::kVerify);
-}
-
-std::optional<std::size_t> find_frame_magic(ByteSpan data, std::size_t from) {
-  std::uint8_t magic[4];
-  store_le32(magic, kFrameMagic);
-  for (std::size_t pos = from; pos + 4 <= data.size(); ++pos) {
-    if (std::memcmp(data.data() + pos, magic, 4) == 0) {
-      return pos;
-    }
-  }
-  return std::nullopt;
-}
-
-Result<Bytes> decode_frame_content_resync(ByteSpan frame, bool* resynced) {
-  if (resynced != nullptr) {
-    *resynced = false;
-  }
-  auto first = decode_frame_content(frame);
-  if (first.ok()) {
-    return first;
-  }
-  return resync_scan(frame, first.status(), resynced);
-}
-
-Result<Bytes> decode_frame_split_resync(ByteSpan header, Bytes payload,
-                                        bool* resynced, SealCheck seal) {
-  if (resynced != nullptr) {
-    *resynced = false;
-  }
-  auto first = decode_parts(header, payload, &payload, seal);
-  if (first.ok()) {
-    return first;
-  }
-  // The rare corrupt frame pays one join so the scan sees exactly the bytes
-  // the joined form would.
-  Bytes joined(header.begin(), header.end());
-  joined.insert(joined.end(), payload.begin(), payload.end());
-  return resync_scan(joined, first.status(), resynced);
 }
 
 }  // namespace numastream

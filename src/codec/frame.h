@@ -100,25 +100,4 @@ Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload,
 /// decode_frame_split on a joined frame; a stored payload is copied out.
 Result<Bytes> decode_frame_content(ByteSpan frame);
 
-/// Offset of the next "NSF1" magic at or after `from`, or nullopt. Receiver
-/// hardening uses this to resync inside a corrupted message body: a frame
-/// that fails to decode may still carry a valid frame after garbage (e.g. a
-/// corrupted prefix), and scanning for the magic recovers it instead of
-/// dropping the whole chunk.
-std::optional<std::size_t> find_frame_magic(ByteSpan data, std::size_t from);
-
-/// decode_frame_content with resync: tries the frame at offset 0 and, on
-/// failure, at every subsequent magic position. `resynced`, when supplied, is
-/// set to true if the successful decode required skipping garbage. Fails with
-/// the original offset-0 error when no embedded frame decodes.
-Result<Bytes> decode_frame_content_resync(ByteSpan frame, bool* resynced = nullptr);
-
-/// decode_frame_split with decode_frame_content_resync's recovery: when the
-/// frame fails, its header and payload are joined once and scanned for an
-/// embedded frame exactly as the joined form would be (embedded frames
-/// always verify their seals).
-Result<Bytes> decode_frame_split_resync(ByteSpan header, Bytes payload,
-                                        bool* resynced = nullptr,
-                                        SealCheck seal = SealCheck::kVerify);
-
 }  // namespace numastream

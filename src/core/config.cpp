@@ -264,7 +264,6 @@ constexpr Field<NodeConfig> kRecovery[] = {
     {"multiplier", NS_CONFIG(recovery.retry.multiplier), kAtLeastOne},
     {"jitter", NS_CONFIG(recovery.retry.jitter), kUnitClosed},
     {"retry_budget_us", NS_CONFIG(recovery.retry.max_elapsed_us)},
-    {"corrupt_limit", NS_CONFIG(recovery.max_consecutive_corrupt), kPositive},
     {"degrade_watermark", NS_CONFIG(recovery.degrade_watermark)},
     {"watchdog_ms", NS_CONFIG(recovery.watchdog_ms)},
 };

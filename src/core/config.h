@@ -46,14 +46,11 @@ struct TaskGroupConfig {
 /// the operator's problem. Production deployments turn the knobs on.
 struct RecoveryConfig {
   /// Senders: re-dial on UNAVAILABLE and re-send the in-flight message.
-  /// Receivers: recycle broken connections (re-accept) and resync the
-  /// message decoder past garbage instead of failing.
+  /// Receivers: recycle a connection that breaks or carries a corrupt
+  /// message (re-accept) instead of failing the run.
   bool reconnect = false;
   /// Dial/backoff schedule used when `reconnect` is on.
   RetryPolicy retry;
-  /// Receivers: abort after this many *consecutive* corrupt frames on one
-  /// decompress worker (isolated corruption is dropped and counted).
-  int max_consecutive_corrupt = 8;
   /// Senders: when the compress->send queue reaches this depth, compress
   /// workers switch to the passthrough codec until it drains to half the
   /// watermark. 0 disables degradation.

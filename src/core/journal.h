@@ -1,7 +1,7 @@
 // Crash-consistent write-ahead session journal (DESIGN.md §11).
 //
 // PR 1's recovery layer survives *connection* faults: the sender re-dials and
-// re-sends from memory, the receiver resyncs and dedups within one process
+// re-sends from memory, the receiver recycles and dedups within one process
 // lifetime. This file survives *process* faults. Each endpoint appends
 // fixed-size records to a journal before the action they describe becomes
 // externally visible (sender: before the chunk hits the wire; receiver:

@@ -301,24 +301,21 @@ class ObsRun {
   std::vector<std::string> gauges_;
 };
 
+/// Corrupt frames in a row on one decompress worker that fail the run.
+constexpr int kMaxConsecutiveCorrupt = 8;
+
 /// Reconstructs a received data message's chunk. A frame body decodes from
 /// its header and payload, and a stored payload becomes the chunk's buffer
 /// without a copy and without a second hash: the PullSocket that received
 /// the message already checked its seal (message_body_intact). A body that
 /// arrived whole (it does not open with a frame header) takes the joined
-/// decode. `resync` selects the recovering decoders, which also try frames
-/// embedded after garbage. Consumes the message's body.
-Result<Bytes> decode_content(Message& message, bool resync, bool* resynced) {
-  constexpr SealCheck kReceived = SealCheck::kAlreadyVerified;
+/// decode. Consumes the message's body.
+Result<Bytes> decode_content(Message& message) {
   if (message.frame_header) {
-    return resync ? decode_frame_split_resync(*message.frame_header,
-                                              std::move(message.body), resynced,
-                                              kReceived)
-                  : decode_frame_split(*message.frame_header, std::move(message.body),
-                                       kReceived);
+    return decode_frame_split(*message.frame_header, std::move(message.body),
+                              SealCheck::kAlreadyVerified);
   }
-  return resync ? decode_frame_content_resync(message.body, resynced)
-                : decode_frame_content(message.body);
+  return decode_frame_content(message.body);
 }
 
 // ---------------------------------------------------------------- run frame
@@ -728,7 +725,8 @@ class SendSession {
         // retry loop dials a fresh one instead of crashing.
         return unavailable_error("send: no connection for end-of-stream");
       }
-      return socket_->finish(0);
+      NS_RETURN_IF_ERROR(socket_->finish(0));
+      return await_echo();
     };
     Status status = flush_then_mark();
     for (int attempt = 0; !status.is_ok() && retryable(status) &&
@@ -773,15 +771,22 @@ class SendSession {
     }
   }
 
+  /// Replaces the connection. A fresh connection that breaks during its
+  /// handshake is replaced in turn, like any other broken connection.
   Status redial() {
-    retire();
-    auto fresh = run_.dial();
-    if (!fresh.ok()) {
-      return fresh.status();
+    while (true) {
+      retire();
+      auto fresh = run_.dial();
+      if (!fresh.ok()) {
+        return fresh.status();
+      }
+      adopt(std::move(fresh).value());
+      run_.fc.reconnects.fetch_add(1, std::memory_order_relaxed);
+      const Status ready = handshake();
+      if (ready.is_ok() || !retryable(ready)) {
+        return ready;
+      }
     }
-    adopt(std::move(fresh).value());
-    run_.fc.reconnects.fetch_add(1, std::memory_order_relaxed);
-    return handshake();
   }
 
   /// Folds the peer's RESUME watermarks into the journal: every point is a
@@ -870,6 +875,27 @@ class SendSession {
       NS_RETURN_IF_ERROR(absorb_control(control.value()));
     }
     return Status::ok();
+  }
+
+  /// In reconnect mode the marker has landed only once the receiver echoes
+  /// it. A receiver cuts a connection at its first corrupt message and
+  /// never reads the marker behind it, so a connection that closes without
+  /// the echo is re-dialed: the handshake replays what the cut lost, and
+  /// the marker goes again.
+  Status await_echo() {
+    if (!run_.config.recovery.reconnect) {
+      return Status::ok();
+    }
+    while (true) {
+      auto control = socket_->recv_control();
+      if (!control.ok()) {
+        return control.status();
+      }
+      if (control.value().end_of_stream) {
+        return Status::ok();
+      }
+      NS_RETURN_IF_ERROR(absorb_control(control.value()));
+    }
   }
 
   /// Re-sends every retained frame the latest reconnect handshake left
@@ -1268,7 +1294,9 @@ class ReceiveSession {
       }
       run_.ingest.progress.fetch_add(1, std::memory_order_relaxed);
       if (message.value().end_of_stream) {
-        if (!recycle(/*got_eos=*/true)) {
+        // A marker whose echo cannot be written counts as not received:
+        // the sender re-dials and sends it again, so it is counted once.
+        if (!recycle(/*got_eos=*/socket_->echo_end_of_stream().is_ok())) {
           return std::nullopt;
         }
         continue;
@@ -1316,10 +1344,7 @@ class ReceiveSession {
 
   void adopt(std::unique_ptr<ByteStream> stream) {
     raw_ = stream.get();
-    socket_ = std::make_unique<PullSocket>(
-        std::move(stream), run_.config.recovery.reconnect
-                               ? MessageDecoder::OnCorruption::kResync
-                               : MessageDecoder::OnCorruption::kFail);
+    socket_ = std::make_unique<PullSocket>(std::move(stream));
     run_.registry.add(raw_);
     consumed_ = 0;
     resume_tick_ = 0;
@@ -1340,18 +1365,17 @@ class ReceiveSession {
   void retire() {
     if (socket_ != nullptr) {
       run_.wire_bytes.fetch_add(socket_->bytes_received(), std::memory_order_relaxed);
-      run_.fc.message_resyncs.fetch_add(socket_->resyncs(), std::memory_order_relaxed);
       run_.registry.remove(raw_);
       socket_.reset();
       raw_ = nullptr;
     }
   }
 
-  /// Handles a failed recv. In reconnect mode a broken connection recycles;
-  /// otherwise the worker stops, recording why the stream ended when that
-  /// is an error. A strict receiver treats a peer disconnect as fatal
-  /// (RecoveryConfig): a connection that ends before its end-of-stream
-  /// marker may have lost chunks. A local watchdog, drain deadline or
+  /// Handles a failed recv. In reconnect mode a broken connection, or one
+  /// that carried a corrupt message, recycles; otherwise the worker stops,
+  /// recording why the stream ended when that is an error. Without
+  /// reconnect a peer disconnect is fatal (RecoveryConfig): a connection
+  /// that ends before its end-of-stream marker may have lost chunks. A local watchdog, drain deadline or
   /// cancel raised the cancel latch first and keeps its own verdict.
   bool end_connection(const Status& status) {
     const bool reconnect = run_.config.recovery.reconnect;
@@ -1475,7 +1499,6 @@ bool ReceiverRun::admit(const Message& message) {
 }
 
 void ReceiverRun::decompress(StageWorker& worker) {
-  const RecoveryConfig& recovery = config.recovery;
   int consecutive_corrupt = 0;
   while (auto message = queue.pop(qcancel)) {
     worker.migrate.poll();
@@ -1489,17 +1512,15 @@ void ReceiverRun::decompress(StageWorker& worker) {
       ovr.release(stream, charge);
       continue;  // the stream was cut for falling behind
     }
-    bool resynced = false;
     const StepTimer decode(obr, worker);
-    auto content = decode_content(*message, recovery.reconnect, &resynced);
+    auto content = decode_content(*message);
     if (!content.ok()) {
       corrupt_frames.fetch_add(1, std::memory_order_relaxed);
       fc.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-      fc.dropped_frames.fetch_add(1, std::memory_order_relaxed);
       ovr.release(stream, charge);
       // Isolated corruption is dropped and counted; a run of it means the
       // stream itself is bad — give up with the real error.
-      if (++consecutive_corrupt >= recovery.max_consecutive_corrupt) {
+      if (++consecutive_corrupt >= kMaxConsecutiveCorrupt) {
         errors.record(data_loss_error(std::to_string(consecutive_corrupt) +
                                             " consecutive corrupt frames: " +
                                             content.status().message()));
@@ -1510,9 +1531,6 @@ void ReceiverRun::decompress(StageWorker& worker) {
     }
     decode.note(obs::Stage::kDecompress, stream, sequence);
     consecutive_corrupt = 0;
-    if (resynced) {
-      fc.frame_resyncs.fetch_add(1, std::memory_order_relaxed);
-    }
     Chunk chunk;
     chunk.stream_id = stream;
     chunk.sequence = sequence;

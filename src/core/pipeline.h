@@ -258,15 +258,14 @@ class StreamReceiver {
 
   /// Accepts one connection per receiving thread from `listener`, then
   /// drains them all into `sink`; blocks until every peer finishes. With
-  /// `config.recovery.reconnect` on, a worker whose connection breaks
-  /// returns to accept() and keeps serving re-dialed peers; the message
-  /// decoder resyncs past garbage instead of failing, and resent messages
-  /// are deduplicated by (stream, sequence). The pipeline ends once every
-  /// expected end-of-stream marker (one per receiving thread's peer) has
-  /// arrived. `faults` accumulates recovery accounting when supplied;
-  /// `overload` supplies the optional budget/counters/drain collaborators
-  /// for overload protection (credit grants, slow-consumer eviction,
-  /// bounded drain).
+  /// `config.recovery.reconnect` on, a worker whose connection breaks or
+  /// carries a corrupt message returns to accept() and keeps serving
+  /// re-dialed peers, and resent messages are deduplicated by (stream,
+  /// sequence). The pipeline ends once every expected end-of-stream marker
+  /// (one per receiving thread's peer) has arrived. `faults` accumulates
+  /// recovery accounting when supplied; `overload` supplies the optional
+  /// budget/counters/drain collaborators for overload protection (credit
+  /// grants, slow-consumer eviction, bounded drain).
   Result<ReceiverStats> run(Listener& listener, ChunkSink& sink,
                             PlacementRecorder* recorder = nullptr,
                             FaultCounters* faults = nullptr,

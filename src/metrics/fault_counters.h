@@ -28,10 +28,7 @@ namespace numastream {
   X(reconnects)               /**< sender re-dialed a dead connection */     \
   X(dial_retries)             /**< backoff retries inside dials */           \
   X(connections_recycled)     /**< receiver replaced a dead connection */    \
-  X(message_resyncs)          /**< decoder re-locked onto NSM1 magic */      \
-  X(frame_resyncs)            /**< frame recovered at a later NSF1 magic */  \
   X(corrupt_frames)           /**< frames failing checksum/decode */         \
-  X(dropped_frames)           /**< corrupt frames not recovered by resync */ \
   X(duplicate_frames)         /**< resent frames deduplicated by sequence */ \
   X(degraded_chunks)          /**< chunks sent passthrough under backlog */  \
   X(watchdog_trips)           /**< stalled stages forcibly cancelled */

@@ -20,7 +20,7 @@
 //                 EOF. Models a reset between messages.
 //   torn write  - a corrupted, truncated prefix is delivered, then the
 //                 connection breaks as above. Models a reset mid-message:
-//                 the peer receives garbage it must resync past.
+//                 the peer receives garbage and cuts the connection.
 //   bit flip    - one random bit of the write is inverted and the write
 //                 "succeeds". Models silent corruption below the transport's
 //                 own checksums; only the NSM1/NSF1 checksums catch it.

@@ -399,74 +399,31 @@ void MessageDecoder::feed(ByteSpan data) {
 }
 
 Result<Message> MessageDecoder::next() {
-  while (true) {
-    if (corrupt_) {
-      return data_loss_error("message stream previously corrupt");
-    }
-    const std::size_t available = buffer_.size() - consumed_;
-    if (available < kMessageHeaderSize) {
-      return unavailable_error("need more bytes for header");
-    }
-    const std::uint8_t* header = buffer_.data() + consumed_;
-
-    // On any violation: sticky failure (kFail) or skip to the next magic and
-    // try again (kResync).
-    const auto corruption = [&](std::string why) -> std::optional<Status> {
-      if (on_corruption_ == OnCorruption::kFail) {
-        corrupt_ = true;
-        return data_loss_error(std::move(why));
-      }
-      if (!resync()) {
-        return unavailable_error("resyncing: need more bytes");
-      }
-      return std::nullopt;  // re-locked; caller retries the parse
-    };
-
-    auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
-    if (!decoded.ok()) {
-      if (auto st = corruption(decoded.status().message())) {
-        return *st;
-      }
-      continue;
-    }
-    const std::uint64_t body_size = decoded.value().body_size;
-    if (available < kMessageHeaderSize + body_size) {
-      return unavailable_error("need more bytes for body");
-    }
-
-    Message message = std::move(decoded.value().message);
-    assign_body(message, ByteSpan(header + kMessageHeaderSize, body_size));
-    if (!message_body_intact(message, decoded.value().body_hash)) {
-      if (auto st = corruption("message: body checksum mismatch")) {
-        return *st;
-      }
-      continue;
-    }
-    consumed_ += kMessageHeaderSize + body_size;
-    return message;
+  if (corrupt_) {
+    return data_loss_error("message stream previously corrupt");
   }
-}
-
-bool MessageDecoder::resync() {
-  // Hunt for the next "NSM1" magic strictly past the corrupt header byte.
-  std::uint8_t magic_bytes[4];
-  store_le32(magic_bytes, kMessageMagic);
-  for (std::size_t pos = consumed_ + 1; pos + 4 <= buffer_.size(); ++pos) {
-    if (std::memcmp(buffer_.data() + pos, magic_bytes, 4) == 0) {
-      skipped_bytes_ += pos - consumed_;
-      consumed_ = pos;
-      ++resyncs_;
-      return true;
-    }
+  const std::size_t available = buffer_.size() - consumed_;
+  if (available < kMessageHeaderSize) {
+    return unavailable_error("need more bytes for header");
   }
-  // No magic in the buffer: discard everything except a tail short enough to
-  // be a magic prefix still awaiting its remaining bytes.
-  const std::size_t keep_from =
-      buffer_.size() >= 3 ? buffer_.size() - 3 : buffer_.size();
-  const std::size_t new_consumed = std::max(consumed_ + 1, keep_from);
-  skipped_bytes_ += std::min(new_consumed, buffer_.size()) - consumed_;
-  consumed_ = std::min(new_consumed, buffer_.size());
-  return false;
+  const std::uint8_t* header = buffer_.data() + consumed_;
+  auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
+  if (!decoded.ok()) {
+    corrupt_ = true;
+    return decoded.status();
+  }
+  const std::uint64_t body_size = decoded.value().body_size;
+  if (available < kMessageHeaderSize + body_size) {
+    return unavailable_error("need more bytes for body");
+  }
+  Message message = std::move(decoded.value().message);
+  assign_body(message, ByteSpan(header + kMessageHeaderSize, body_size));
+  if (!message_body_intact(message, decoded.value().body_hash)) {
+    corrupt_ = true;
+    return data_loss_error("message: body checksum mismatch");
+  }
+  consumed_ += kMessageHeaderSize + body_size;
+  return message;
 }
 
 }  // namespace numastream

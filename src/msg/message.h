@@ -5,7 +5,9 @@
 // without the dependency: length-prefixed, checksummed messages over a byte
 // stream, with a stream id and sequence number so a multi-stream gateway can
 // demultiplex, and an end-of-stream flag so receivers know when a producer
-// has finished (ZeroMQ conveys this out of band; we carry it in-band).
+// has finished (ZeroMQ conveys this out of band; we carry it in-band). The
+// receiver echoes each end-of-stream marker back on the reverse channel
+// (msg/socket.h), so a reconnecting sender learns that its marker landed.
 //
 // Layout (little-endian):
 //   0   4  magic "NSM1"
@@ -405,7 +407,7 @@ void encode_message_header(const Message& message, MutableByteSpan out,
 
 /// A decoded wire header: the message's identity and flags plus the body
 /// length and checksum still to be read. Produced by decode_message_header
-/// for PullSocket's strict receive path, which reads the 32-byte header and
+/// for PullSocket's receive path, which reads the 32-byte header and
 /// then the body directly into the message's own buffers, and for
 /// MessageDecoder, which validates every buffered header through it.
 struct MessageHeader {
@@ -416,55 +418,30 @@ struct MessageHeader {
 
 /// Validates and decodes a 32-byte wire header: magic, unknown
 /// flags/reserved bits, per-frame-kind body constraints, kMaxMessageBody.
-/// DATA_LOSS on any violation; MessageDecoder turns that into its sticky or
-/// resync corruption policy.
+/// DATA_LOSS on any violation.
 Result<MessageHeader> decode_message_header(ByteSpan header);
 
 /// Incremental decoder: feed() arbitrary byte slices as they arrive from a
-/// stream; next() yields complete, checksum-verified messages.
-///
-/// Corruption handling is a policy choice:
-///   kFail   - any framing violation is sticky; the connection is unusable
-///             after DATA_LOSS (the strict default — a corrupt peer is cut).
-///   kResync - the decoder skips forward to the next "NSM1" magic and
-///             re-locks, so a single flipped bit costs one message, not the
-///             connection. Skipped bytes and re-locks are counted for the
-///             pipeline's FaultCounters.
+/// stream; next() yields complete, checksum-verified messages. Any framing
+/// violation is sticky: the stream is unusable after DATA_LOSS, exactly as
+/// PullSocket::recv cuts a corrupt connection.
 class MessageDecoder {
  public:
-  enum class OnCorruption { kFail, kResync };
-
-  explicit MessageDecoder(OnCorruption on_corruption = OnCorruption::kFail)
-      : on_corruption_(on_corruption) {}
-
   /// Appends received bytes to the internal reassembly buffer.
   void feed(ByteSpan data);
 
   /// Returns the next complete message, or:
   ///   UNAVAILABLE - need more bytes (not an error; keep feeding),
-  ///   DATA_LOSS   - stream corrupt (sticky; kFail mode only).
+  ///   DATA_LOSS   - stream corrupt (sticky).
   Result<Message> next();
 
   /// Bytes currently buffered awaiting completion.
   [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size() - consumed_; }
 
-  /// Times the decoder re-locked onto a magic after corruption (kResync).
-  [[nodiscard]] std::uint64_t resyncs() const noexcept { return resyncs_; }
-
-  /// Bytes discarded while hunting for the next magic (kResync).
-  [[nodiscard]] std::uint64_t skipped_bytes() const noexcept { return skipped_bytes_; }
-
  private:
-  /// Advances past corrupt bytes to the next plausible header; returns false
-  /// when no magic remains in the buffer (more input needed).
-  bool resync();
-
   Bytes buffer_;
   std::size_t consumed_ = 0;
   bool corrupt_ = false;
-  OnCorruption on_corruption_ = OnCorruption::kFail;
-  std::uint64_t resyncs_ = 0;
-  std::uint64_t skipped_bytes_ = 0;
 };
 
 }  // namespace numastream

@@ -114,27 +114,17 @@ Result<Message> PushSocket::recv_control() {
     control_corrupt_ = true;
     return data_loss_error("message: body checksum mismatch");
   }
-  if (!message.credit && !message.resume) {
+  if (message.is_data() && !message.end_of_stream) {
     return data_loss_error("control channel carried a data message");
   }
   return message;
 }
 
-PullSocket::PullSocket(std::unique_ptr<ByteStream> stream,
-                       MessageDecoder::OnCorruption on_corruption)
-    : stream_(std::move(stream)),
-      decoder_(on_corruption),
-      on_corruption_(on_corruption) {
+PullSocket::PullSocket(std::unique_ptr<ByteStream> stream) : stream_(std::move(stream)) {
   NS_CHECK(stream_ != nullptr, "PullSocket needs a stream");
-  if (on_corruption_ == MessageDecoder::OnCorruption::kResync) {
-    read_buffer_.resize(kResyncReadBytes);
-  }
 }
 
 Result<Message> PullSocket::recv() {
-  if (on_corruption_ == MessageDecoder::OnCorruption::kResync) {
-    return recv_resync();
-  }
   if (corrupt_) {
     return data_loss_error("message stream previously corrupt");
   }
@@ -151,7 +141,7 @@ Result<Message> PullSocket::recv() {
   // kMaxMessageBody, once.
   auto decoded = decode_message_header(ByteSpan(header, kMessageHeaderSize));
   if (!decoded.ok()) {
-    corrupt_ = true;  // strict mode: framing violations are sticky
+    corrupt_ = true;  // framing violations are sticky
     return decoded.status();
   }
   Message message = std::move(decoded.value().message);
@@ -200,31 +190,6 @@ Result<Message> PullSocket::recv() {
   return message;
 }
 
-Result<Message> PullSocket::recv_resync() {
-  while (true) {
-    auto message = decoder_.next();
-    if (message.ok()) {
-      return message;
-    }
-    if (message.status().code() == StatusCode::kDataLoss) {
-      return message.status();
-    }
-    // Need more bytes.
-    auto n = stream_->read_some(read_buffer_);
-    if (!n.ok()) {
-      return n.status();
-    }
-    if (n.value() == 0) {
-      if (decoder_.buffered() != 0) {
-        return data_loss_error("connection closed mid-message");
-      }
-      return unavailable_error("end of stream");
-    }
-    bytes_received_ += n.value();
-    decoder_.feed(ByteSpan(read_buffer_.data(), n.value()));
-  }
-}
-
 Status PullSocket::send_credit(std::uint64_t grant) {
   return stream_->write_all(encode_message(Message::credit_grant(grant)));
 }
@@ -233,6 +198,10 @@ Status PullSocket::send_resume(std::uint64_t session_id,
                                const std::vector<ResumePoint>& points) {
   return stream_->write_all(
       encode_message(Message::resume_frame(session_id, points)));
+}
+
+Status PullSocket::echo_end_of_stream() {
+  return stream_->write_all(encode_message(Message::end_of_stream_marker(0, 0)));
 }
 
 }  // namespace numastream

@@ -20,10 +20,6 @@ namespace numastream {
 /// resumes >340 streams per connection.
 inline constexpr std::size_t kMaxControlBody = 4096;
 
-/// Bytes a resync-mode PullSocket asks its stream for per read; the strict
-/// mode reads each header and body exactly and needs no scan buffer.
-inline constexpr std::size_t kResyncReadBytes = 256 * 1024;
-
 class PushSocket {
  public:
   explicit PushSocket(std::unique_ptr<ByteStream> stream);
@@ -53,9 +49,10 @@ class PushSocket {
   Result<std::uint64_t> recv_credit();
 
   /// Blocks until the peer's next *control* message arrives on the reverse
-  /// direction — a credit grant or a RESUME handshake (crash recovery,
-  /// DESIGN.md §11). The generalization of recv_credit for resume-enabled
-  /// sessions, where the receiver interleaves both frame kinds.
+  /// direction — a credit grant, a RESUME handshake (crash recovery,
+  /// DESIGN.md §11) or the echo of this side's end-of-stream marker. The
+  /// generalization of recv_credit for sessions where the receiver
+  /// interleaves these frame kinds.
   ///   UNAVAILABLE - peer closed the reverse channel,
   ///   DATA_LOSS   - the reverse channel carried a data message, a body
   ///                 over kMaxControlBody, or corrupt framing (sticky).
@@ -73,16 +70,12 @@ class PushSocket {
 
 class PullSocket {
  public:
-  /// `on_corruption` selects the corruption policy. The strict default
-  /// reads each 32-byte header exactly, then the body straight into the
+  /// Reads each 32-byte header exactly, then the body straight into the
   /// message's own buffers (a frame body's NSF1 header into frame_header,
-  /// its payload into body), and cuts the connection (sticky DATA_LOSS) on
-  /// any framing violation. kResync reassembles through a MessageDecoder and
-  /// re-locks onto the next message magic, so a hardened receiver survives
-  /// bit-flips at the cost of the corrupted message (see msg/message.h).
-  explicit PullSocket(
-      std::unique_ptr<ByteStream> stream,
-      MessageDecoder::OnCorruption on_corruption = MessageDecoder::OnCorruption::kFail);
+  /// its payload into body). Any framing violation cuts the connection:
+  /// recv() then fails with sticky DATA_LOSS, and a reconnecting receiver
+  /// recycles the connection for the sender's re-dial.
+  explicit PullSocket(std::unique_ptr<ByteStream> stream);
 
   /// Receives the next message (blocking).
   ///   UNAVAILABLE - clean end of stream (peer finished or disconnected
@@ -103,27 +96,19 @@ class PullSocket {
   Status send_resume(std::uint64_t session_id,
                      const std::vector<ResumePoint>& points);
 
-  /// Bytes pulled so far, including headers. Strict mode counts whole
-  /// verified messages; resync mode counts every byte read.
+  /// Echoes the peer's end-of-stream marker on the reverse direction once
+  /// recv() has returned it: every message the peer wrote on this
+  /// connection arrived intact (the paired PushSocket reads the echo via
+  /// recv_control). Call from the owning thread.
+  Status echo_end_of_stream();
+
+  /// Bytes of the whole verified messages pulled so far, headers included.
   [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_received_; }
 
-  /// Decoder re-locks after corruption (nonzero only in kResync mode).
-  [[nodiscard]] std::uint64_t resyncs() const noexcept { return decoder_.resyncs(); }
-
-  /// Bytes discarded while resyncing.
-  [[nodiscard]] std::uint64_t skipped_bytes() const noexcept {
-    return decoder_.skipped_bytes();
-  }
-
  private:
-  Result<Message> recv_resync();
-
   std::unique_ptr<ByteStream> stream_;
-  MessageDecoder decoder_;
-  MessageDecoder::OnCorruption on_corruption_;
-  Bytes read_buffer_;  ///< resync mode only
   std::uint64_t bytes_received_ = 0;
-  bool corrupt_ = false;  ///< strict mode: a framing violation was seen
+  bool corrupt_ = false;  ///< a framing violation was seen
 };
 
 }  // namespace numastream

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -706,6 +707,40 @@ class PatternSource final : public ChunkSource {
   std::atomic<std::uint64_t> issued_{0};
 };
 
+/// PatternSource that yields `gate_at` chunks, then blocks inside next()
+/// until release(), so a kill staged meanwhile always lands mid-stream.
+class GatedPatternSource final : public ChunkSource {
+ public:
+  GatedPatternSource(std::uint32_t stream_id, std::uint64_t count,
+                     std::size_t size, std::uint64_t gate_at)
+      : inner_(stream_id, count, size), gate_at_(gate_at) {}
+
+  std::optional<Chunk> next() override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return issued_ < gate_at_ || released_; });
+      ++issued_;
+    }
+    return inner_.next();
+  }
+
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  PatternSource inner_;
+  const std::uint64_t gate_at_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t issued_ = 0;
+  bool released_ = false;
+};
+
 NodeConfig federated_sender() {
   NodeConfig config;
   config.node_name = "ctest-sender";
@@ -793,7 +828,9 @@ TEST(GatewayFailoverTest, BuddyResumesFromReplicaExactlyOnce) {
       },
       injector);
 
-  PatternSource source(1, kChunks, kChunkBytes);
+  // The source stops at half the stream until the kill, so the kill always
+  // lands mid-stream, never after the victim has the whole stream.
+  GatedPatternSource source(1, kChunks, kChunkBytes, /*gate_at=*/kChunks / 2);
   VerifySink victim_sink;
   VerifySink buddy_sink;
 
@@ -830,11 +867,13 @@ TEST(GatewayFailoverTest, BuddyResumesFromReplicaExactlyOnce) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(victim_sink.count(), kChunks / 3) << "transfer never got going";
+  const bool got_going = victim_sink.count() >= kChunks / 3;
   phase.store(0, std::memory_order_release);
   injector.trigger_crash(/*restart_delay_micros=*/100000);
   counters.crashes_observed.fetch_add(1, std::memory_order_relaxed);
+  source.release();
   victim_thread.join();  // the watchdog reaps the dead incarnation
+  ASSERT_TRUE(got_going) << "transfer never got going";
 
   // The buddy's coordinator plans the takeover: stream 1 re-resolves here.
   FailoverCoordinator coordinator(ring, buddy, &fed);

@@ -42,43 +42,39 @@ struct Accepted {
 constexpr Accepted kAcceptedLines[] = {
     {"recovery reconnect=on\n",
      "recovery reconnect=on max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=2 jitter=0.5 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=0\n"},
     {"recovery max_attempts=9\n",
      "recovery reconnect=off max_attempts=9 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=2 jitter=0.5 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=0\n"},
     {"recovery backoff_us=300\n",
      "recovery reconnect=off max_attempts=5 backoff_us=300 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=2 jitter=0.5 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=0\n"},
     {"recovery max_backoff_us=70000\n",
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=70000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=2 jitter=0.5 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=0\n"},
     {"recovery multiplier=1.25\n",
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=1.25 jitter=0.5 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=1.25 jitter=0.5 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=0\n"},
     {"recovery jitter=0.75\n",
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.75 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=2 jitter=0.75 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=0\n"},
     {"recovery retry_budget_us=40000\n",
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=40000 corrupt_limit=8 "
-     "degrade_watermark=0 watchdog_ms=0\n"},
-    {"recovery corrupt_limit=2\n",
-     "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=0 corrupt_limit=2 "
+     "multiplier=2 jitter=0.5 retry_budget_us=40000 "
      "degrade_watermark=0 watchdog_ms=0\n"},
     {"recovery degrade_watermark=5\n",
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=2 jitter=0.5 retry_budget_us=0 "
      "degrade_watermark=5 watchdog_ms=0\n"},
     {"recovery watchdog_ms=750\n",
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=2 jitter=0.5 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=2 jitter=0.5 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=750\n"},
     {"overload budget_bytes=22118400\n",
      "overload budget_bytes=22118400 credit_window=0 shed=block "
@@ -253,7 +249,7 @@ constexpr Accepted kAcceptedTexts[] = {
      "chunk_bytes 11059200\n"
      "queue_capacity 8\n"
      "recovery reconnect=off max_attempts=5 backoff_us=1000 max_backoff_us=250000 "
-     "multiplier=3.5 jitter=0 retry_budget_us=0 corrupt_limit=8 "
+     "multiplier=3.5 jitter=0 retry_budget_us=0 "
      "degrade_watermark=0 watchdog_ms=0\n"},
 };
 
@@ -279,7 +275,7 @@ constexpr RejectedLine kRejectedLines[] = {
     {"recovery multiplier=zz\n", "multiplier"},
     {"recovery jitter=zz\n", "jitter"},
     {"recovery retry_budget_us=zz\n", "retry_budget_us"},
-    {"recovery corrupt_limit=zz\n", "corrupt_limit"},
+    {"recovery corrupt_limit=8\n", "unknown attribute 'corrupt_limit'"},
     {"recovery degrade_watermark=zz\n", "degrade_watermark"},
     {"recovery watchdog_ms=zz\n", "watchdog_ms"},
     {"recovery frob=1\n", "frob"},
@@ -388,7 +384,6 @@ NodeConfig every_knob_moved() {
   config.recovery.retry.multiplier = 1.75;
   config.recovery.retry.jitter = 0.125;
   config.recovery.retry.max_elapsed_us = 900000;
-  config.recovery.max_consecutive_corrupt = 3;
   config.recovery.degrade_watermark = 12;
   config.recovery.watchdog_ms = 2500;
   config.overload.budget_bytes = 1048576;
@@ -431,7 +426,7 @@ constexpr const char* kEveryKnobMoved =
     "chunk_bytes 65536\n"
     "queue_capacity 16\n"
     "recovery reconnect=on max_attempts=7 backoff_us=250 max_backoff_us=64000 "
-    "multiplier=1.75 jitter=0.125 retry_budget_us=900000 corrupt_limit=3 "
+    "multiplier=1.75 jitter=0.125 retry_budget_us=900000 "
     "degrade_watermark=12 watchdog_ms=2500\n"
     "overload budget_bytes=1048576 credit_window=6 shed=priority_evict "
     "high_watermark=14 low_watermark=5 drain_deadline_ms=8000 "

@@ -1,8 +1,8 @@
 // Fault-tolerance tests: the retry/backoff engine, the fault-injection
-// transport decorators and directed link cuts, decoder/frame
-// resynchronization, and the hardened pipeline end to end — chaos over
-// inproc with reconnect, degradation under backlog, and the watchdog
-// converting hangs into clean timed-out errors.
+// transport decorators and directed link cuts, the receiver's verdicts on
+// corrupt wires, and the hardened pipeline end to end — chaos over inproc
+// with reconnect, degradation under backlog, and the watchdog converting
+// hangs into clean timed-out errors.
 //
 // Everything here is deterministic: every fault comes from a seeded
 // FaultPlan, so a failing run replays bit-identically under a debugger.
@@ -751,141 +751,6 @@ TEST(FaultStreamPinTest, SeededPlansInjectTheRecordedFaults) {
   }
 }
 
-// ------------------------------------------------------------ decoder resync
-
-TEST(DecoderResyncTest, RelocksAfterCorruptMagic) {
-  Message first;
-  first.sequence = 1;
-  first.body = pattern_payload(1, 200);
-  Message second;
-  second.sequence = 2;
-  second.body = pattern_payload(2, 100);
-
-  Bytes wire = encode_message(first);
-  wire[0] ^= 0xFF;  // destroy the first message's magic
-  const Bytes good = encode_message(second);
-  wire.insert(wire.end(), good.begin(), good.end());
-
-  MessageDecoder decoder(MessageDecoder::OnCorruption::kResync);
-  decoder.feed(wire);
-  auto message = decoder.next();
-  ASSERT_TRUE(message.ok()) << message.status().to_string();
-  EXPECT_EQ(message.value().sequence, 2U);
-  EXPECT_EQ(message.value().body, second.body);
-  EXPECT_EQ(decoder.resyncs(), 1U);
-  EXPECT_GT(decoder.skipped_bytes(), 0U);
-  EXPECT_EQ(decoder.next().status().code(), StatusCode::kUnavailable);
-}
-
-TEST(DecoderResyncTest, SkipsMessageWithCorruptBody) {
-  Message first;
-  first.sequence = 1;
-  first.body = pattern_payload(1, 300);
-  Message second;
-  second.sequence = 2;
-  second.body = pattern_payload(2, 50);
-
-  Bytes wire = encode_message(first);
-  wire[kMessageHeaderSize + 10] ^= 0x01;  // body checksum will fail
-  const Bytes good = encode_message(second);
-  wire.insert(wire.end(), good.begin(), good.end());
-
-  MessageDecoder decoder(MessageDecoder::OnCorruption::kResync);
-  decoder.feed(wire);
-  auto message = decoder.next();
-  ASSERT_TRUE(message.ok()) << message.status().to_string();
-  EXPECT_EQ(message.value().sequence, 2U);
-  EXPECT_GE(decoder.resyncs(), 1U);
-}
-
-// The receiver pipeline on the split receive's corruption matrix
-// (split_fault_wires, tests/wire_reference.h), strict and resyncing: the
-// run's status, delivered chunks, wire bytes and FaultCounters must be the
-// ones the whole-body receive and the joined decode predict.
-TEST(DecoderResyncTest, SplitReceiveKeepsPipelineFaultCounters) {
-  const MachineTopology topo = host_topology();
-  for (const auto& [name, wire] : split_fault_wires()) {
-    for (const bool resync : {false, true}) {
-      SCOPED_TRACE(name + (resync ? " resync" : " strict"));
-      const ReceiveRun want = whole_body_receive(wire, resync);
-      FaultCountersSnapshot expected;
-      expected.message_resyncs = want.resyncs;
-      std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> delivered;
-      for (const Message& message : want.messages) {
-        if (message.end_of_stream) {
-          continue;
-        }
-        bool resynced = false;
-        const auto content = joined_content(message.body, resync, &resynced);
-        if (content.ok()) {
-          delivered[{message.stream_id, message.sequence}] = xxhash32(content.value());
-          expected.frame_resyncs += resynced ? 1 : 0;
-        } else {
-          ++expected.corrupt_frames;
-          ++expected.dropped_frames;
-        }
-      }
-
-      NodeConfig config = receiver_config(1, 1);
-      config.recovery.reconnect = resync;  // reconnect selects the resync receive
-      InprocListener listener(wire.size() + 1);
-      auto client = listener.connect();
-      ASSERT_TRUE(client.ok());
-      ASSERT_TRUE(client.value()->write_all(wire).is_ok());
-      client.value()->shutdown_write();
-      FaultCounters counters;
-      VerifySink sink;
-      StreamReceiver receiver(topo, config);
-      auto stats = receiver.run(listener, sink, nullptr, &counters);
-
-      EXPECT_EQ(counters.snapshot(), expected) << counters.snapshot().to_string();
-      EXPECT_EQ(sink.hashes(), delivered);
-      if (want.end.code() == StatusCode::kUnavailable) {
-        ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-        EXPECT_EQ(stats.value().wire_bytes, want.bytes_received);
-        EXPECT_EQ(stats.value().corrupt_frames, expected.corrupt_frames);
-      } else {
-        ASSERT_FALSE(stats.ok());
-        EXPECT_EQ(stats.status().code(), want.end.code());
-        EXPECT_EQ(stats.status().message(), want.end.message());
-      }
-    }
-  }
-}
-
-// ------------------------------------------------------------ frame resync
-
-TEST(FrameResyncTest, GarbagePrefixRecovered) {
-  const Bytes payload = pattern_payload(9, 5000);
-  const Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), payload);
-  Bytes wire = pattern_payload(1, 37);  // garbage prefix, no frame magic
-  wire.insert(wire.end(), frame.begin(), frame.end());
-
-  EXPECT_FALSE(decode_frame_content(wire).ok());
-  bool resynced = false;
-  auto content = decode_frame_content_resync(wire, &resynced);
-  ASSERT_TRUE(content.ok()) << content.status().to_string();
-  EXPECT_EQ(content.value(), payload);
-  EXPECT_TRUE(resynced);
-}
-
-TEST(FrameResyncTest, CleanFrameDoesNotSetResyncFlag) {
-  const Bytes payload = pattern_payload(4, 1000);
-  const Bytes frame = encode_frame(*codec_by_id(CodecId::kNull), payload);
-  bool resynced = false;
-  auto content = decode_frame_content_resync(frame, &resynced);
-  ASSERT_TRUE(content.ok());
-  EXPECT_EQ(content.value(), payload);
-  EXPECT_FALSE(resynced);
-}
-
-TEST(FrameResyncTest, HopelessGarbageStillFails) {
-  const Bytes garbage = pattern_payload(8, 4096);
-  bool resynced = false;
-  EXPECT_FALSE(decode_frame_content_resync(garbage, &resynced).ok());
-  EXPECT_FALSE(resynced);
-}
-
 // ------------------------------------------------------------ fault counters
 
 TEST(FaultCountersTest, SnapshotAndTable) {
@@ -917,7 +782,6 @@ TEST(RecoveryConfigTest, SerializeParseRoundTrip) {
   config.recovery.retry.multiplier = 1.5;
   config.recovery.retry.jitter = 0.25;
   config.recovery.retry.max_elapsed_us = 750000;
-  config.recovery.max_consecutive_corrupt = 4;
   config.recovery.degrade_watermark = 6;
   config.recovery.watchdog_ms = 1500;
 
@@ -939,9 +803,6 @@ TEST(RecoveryConfigTest, ValidateRejectsBadKnobs) {
   config.recovery.degrade_watermark = config.queue_capacity + 1;
   EXPECT_FALSE(config.validate(topo).is_ok());
   config = sender_config(1, 1);
-  config.recovery.max_consecutive_corrupt = 0;
-  EXPECT_FALSE(config.validate(topo).is_ok());
-  config = sender_config(1, 1);
   config.recovery.retry.max_attempts = 0;
   EXPECT_FALSE(config.validate(topo).is_ok());
 }
@@ -954,15 +815,19 @@ struct ChaosRun {
   std::uint64_t duplicates = 0;
 };
 
+/// Runs sender -> faulty inproc -> receiver. `plan` faults the sender's
+/// writes and, reseeded, the receiver's accepts and reverse-channel writes
+/// (credit grants), unless `dial_side_only`.
 ChaosRun run_chaos_pipeline(const MachineTopology& topo, const FaultPlan& plan,
                             NodeConfig sender_cfg, NodeConfig receiver_cfg,
-                            std::uint64_t chunk_count, std::size_t chunk_size) {
+                            std::uint64_t chunk_count, std::size_t chunk_size,
+                            bool dial_side_only = false) {
   FaultCounters counters;
   // One injector per side (see faulty.h): the dial side's connection indices
   // are then assigned in dial order alone, keeping per-connection fault
   // sequences reproducible even though dials race accepts across threads.
   FaultInjector dial_injector(plan, &counters);
-  FaultPlan accept_plan = plan;
+  FaultPlan accept_plan = dial_side_only ? FaultPlan{} : plan;
   accept_plan.seed = plan.seed ^ 0xACCE97;
   FaultInjector accept_injector(accept_plan, &counters);
   InprocListener inner_listener;
@@ -992,9 +857,8 @@ ChaosRun run_chaos_pipeline(const MachineTopology& topo, const FaultPlan& plan,
 
 // Disconnects and torn writes (truncated, bit-corrupted prefixes) against a
 // reconnecting pipeline: every chunk must arrive exactly once, bit-exact.
-// Torn writes corrupt delivered bytes, so this also exercises the receiver's
-// resync path; because the sender re-sends the reported-failed message, no
-// chunk is ever silently lost.
+// A torn write ends its connection on both sides; because the sender
+// re-sends the reported-failed message, no chunk is ever silently lost.
 TEST(ChaosPipelineTest, AllChunksDeliveredThroughDisconnectsAndTornWrites) {
   const MachineTopology topo = host_topology();
   FaultPlan plan;
@@ -1031,10 +895,13 @@ TEST(ChaosPipelineTest, AllChunksDeliveredThroughDisconnectsAndTornWrites) {
   }
 }
 
-// Silent single-bit flips pass the transport (the write "succeeds") and are
-// caught only by the NSM1/NSF1 checksums: the hardened receiver drops the
-// corrupted messages, counts them, and keeps the stream alive. Delivered
-// chunks are always bit-exact; at most one chunk per injected flip is lost.
+// Silent single-bit flips in the sender's writes pass the transport (the
+// write "succeeds") and are caught only by the NSM1 checksums: the
+// receiver cuts the connection a flipped message arrives on, and the
+// sender re-dials. Without resume the chunks lost are the ones written to a
+// cut connection and not yet verified, which credits bound to one window
+// per flip. Delivered chunks are always bit-exact, and none arrives twice.
+// The credit grants travel unflipped: no checksum covers a grant's count.
 TEST(ChaosPipelineTest, SilentBitFlipsAreCountedNotFatal) {
   const MachineTopology topo = host_topology();
   FaultPlan plan;
@@ -1043,30 +910,76 @@ TEST(ChaosPipelineTest, SilentBitFlipsAreCountedNotFatal) {
   plan.max_faults = 2;
   plan.fault_free_prefix_bytes = 512;  // never flip a connection's first frames
 
+  constexpr std::uint64_t kCreditWindow = 4;
   NodeConfig sender_cfg = sender_config(1, 1);
   sender_cfg.recovery.reconnect = true;
   sender_cfg.recovery.retry = fast_retry();
+  sender_cfg.overload.credit_window = kCreditWindow;
   NodeConfig receiver_cfg = receiver_config(1, 1);
   receiver_cfg.recovery.reconnect = true;
+  receiver_cfg.overload.credit_window = kCreditWindow;
 
   const std::uint64_t kChunks = 50;
   const std::size_t kChunkSize = 2048;
-  const ChaosRun run =
-      run_chaos_pipeline(topo, plan, sender_cfg, receiver_cfg, kChunks, kChunkSize);
+  const ChaosRun run = run_chaos_pipeline(topo, plan, sender_cfg, receiver_cfg, kChunks,
+                                          kChunkSize, /*dial_side_only=*/true);
 
   EXPECT_GE(run.counters.injected_bitflips, 1U);
   EXPECT_LE(run.counters.injected_bitflips, 2U);
+  EXPECT_GE(run.counters.connections_recycled, 1U);  // a flip costs its connection
   EXPECT_EQ(run.duplicates, 0U);
-  // No silent loss: every missing chunk is accounted for by a counted
-  // corruption (decoder resync or dropped frame).
   const std::uint64_t lost = kChunks - run.delivered.size();
-  EXPECT_LE(lost, run.counters.injected_bitflips);
-  EXPECT_LE(lost, run.counters.message_resyncs + run.counters.dropped_frames);
+  EXPECT_LE(lost, kCreditWindow * run.counters.injected_bitflips);
   // Whatever did arrive (under its claimed identity) is bit-exact.
   for (const auto& [key, hash] : run.delivered) {
     if (key.first == 1 && key.second < kChunks) {
       EXPECT_EQ(hash, xxhash32(pattern_payload(key.second, kChunkSize)));
     }
+  }
+}
+
+// A flip in the stream's last credit window: the sender can write its
+// end-of-stream marker before it learns of the cut. The receiver echoes
+// each marker it reads, so a marker written behind a corrupt message goes
+// unanswered, and the sender re-dials and sends it again: the run ends
+// instead of leaving the receiver waiting for a re-dial that never comes.
+// The watchdogs turn such a wait into a failed run.
+TEST(ChaosPipelineTest, FlipInTheLastWindowStillEndsTheRun) {
+  const MachineTopology topo = host_topology();
+  constexpr std::uint64_t kChunks = 50;
+  constexpr std::size_t kChunkSize = 2048;
+  constexpr std::uint64_t kCreditWindow = 4;
+  FaultPlan plan;
+  plan.seed = chaos_seed(5);
+  plan.bitflip_per_write = 1.0;
+  plan.max_faults = 1;
+  // One write per stored-frame message: the flip hits chunk kChunks - 3.
+  plan.fault_free_prefix_bytes =
+      (kChunks - 3) * (kMessageHeaderSize + kFrameHeaderSize + kChunkSize);
+
+  NodeConfig sender_cfg = sender_config(1, 1);
+  sender_cfg.codec_name = "null";
+  sender_cfg.recovery.reconnect = true;
+  sender_cfg.recovery.retry = fast_retry();
+  sender_cfg.recovery.watchdog_ms = 5000;
+  sender_cfg.overload.credit_window = kCreditWindow;
+  NodeConfig receiver_cfg = receiver_config(1, 1);
+  receiver_cfg.codec_name = "null";
+  receiver_cfg.recovery.reconnect = true;
+  receiver_cfg.recovery.watchdog_ms = 5000;
+  receiver_cfg.overload.credit_window = kCreditWindow;
+
+  const ChaosRun run = run_chaos_pipeline(topo, plan, sender_cfg, receiver_cfg, kChunks,
+                                          kChunkSize, /*dial_side_only=*/true);
+  EXPECT_EQ(run.counters.injected_bitflips, 1U);
+  EXPECT_EQ(run.counters.connections_recycled, 1U);
+  EXPECT_EQ(run.counters.reconnects, 1U);
+  EXPECT_EQ(run.duplicates, 0U);
+  EXPECT_LE(kChunks - run.delivered.size(), kCreditWindow);
+  for (std::uint64_t seq = 0; seq < kChunks - 3; ++seq) {
+    const auto it = run.delivered.find({1, seq});
+    ASSERT_NE(it, run.delivered.end()) << "chunk " << seq << " lost ahead of the flip";
+    EXPECT_EQ(it->second, xxhash32(pattern_payload(seq, kChunkSize)));
   }
 }
 
@@ -1346,6 +1259,56 @@ TEST(StrictReceiverTest, StreamEndingWithoutItsMarkerFailsUnavailable) {
     EXPECT_EQ(stats.status().code(), StatusCode::kUnavailable);
     EXPECT_NE(stats.status().message().find("end-of-stream"), std::string::npos)
         << stats.status().to_string();
+  }
+}
+
+// The receiver pipeline on the split receive's corruption matrix
+// (split_fault_wires, tests/wire_reference.h): the run's status, delivered
+// chunks, wire bytes and FaultCounters must be the ones the whole-body
+// receive and the joined decode predict. A flip as it lands never reaches
+// the frame decoder: only a body whose message hash the sender computed
+// over it can (the resealed rows and the short bodies).
+TEST(StrictReceiverTest, SplitReceiveKeepsPipelineFaultCounters) {
+  const MachineTopology topo = host_topology();
+  for (const auto& [name, wire] : split_fault_wires()) {
+    SCOPED_TRACE(name);
+    const ReceiveRun want = whole_body_receive(wire);
+    FaultCountersSnapshot expected;
+    std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> delivered;
+    for (const Message& message : want.messages) {
+      if (message.end_of_stream) {
+        continue;
+      }
+      const auto content = decode_frame_content(message.body);
+      if (content.ok()) {
+        delivered[{message.stream_id, message.sequence}] = xxhash32(content.value());
+      } else {
+        ++expected.corrupt_frames;
+      }
+    }
+    EXPECT_TRUE(expected.corrupt_frames == 0 || !name.starts_with("flip@"));
+
+    InprocListener listener(wire.size() + 1);
+    auto client = listener.connect();
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value()->write_all(wire).is_ok());
+    client.value()->shutdown_write();
+    FaultCounters counters;
+    VerifySink sink;
+    StreamReceiver receiver(topo, receiver_config(1, 1));
+    auto stats = receiver.run(listener, sink, nullptr, &counters);
+
+    EXPECT_EQ(counters.snapshot(), expected) << counters.snapshot().to_string();
+    EXPECT_EQ(sink.hashes(), delivered);
+    if (want.end.code() == StatusCode::kUnavailable) {
+      ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+      EXPECT_EQ(stats.value().wire_bytes, want.bytes_received);
+      EXPECT_EQ(stats.value().corrupt_frames, expected.corrupt_frames);
+    } else {
+      ASSERT_FALSE(stats.ok());
+      EXPECT_EQ(stats.status().code(), want.end.code());
+      EXPECT_EQ(stats.status().message(), want.end.message());
+    }
   }
 }
 

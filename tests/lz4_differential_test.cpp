@@ -465,20 +465,14 @@ void expect_same_result(const Result<Bytes>& got, const Result<Bytes>& want) {
 
 /// Splits `frame` as a receiver does (the first kFrameHeaderSize bytes
 /// apart, the rest in a payload buffer of its own) and records a failure
-/// unless the split decodes agree with the joined ones: decode_frame_split
-/// with the generic decode, decode_frame_split_resync with
-/// decode_frame_content_resync, resync flag included.
+/// unless the split decode agrees with the joined one: decode_frame_split
+/// with the generic decode.
 void expect_split_matches_joined(ByteSpan frame, const std::string& what) {
   SCOPED_TRACE(what);
   ASSERT_GE(frame.size(), kFrameHeaderSize);
   const ByteSpan header = frame.first(kFrameHeaderSize);
   const Bytes payload(frame.begin() + kFrameHeaderSize, frame.end());
   expect_same_result(decode_frame_split(header, payload), decode_frame_generic(frame));
-  bool split_resynced = false;
-  bool joined_resynced = false;
-  expect_same_result(decode_frame_split_resync(header, payload, &split_resynced),
-                     decode_frame_content_resync(frame, &joined_resynced));
-  EXPECT_EQ(split_resynced, joined_resynced);
 }
 
 TEST(NullFrameDifferentialTest, SplitDecodeMatchesTheJoinedDecode) {
@@ -524,17 +518,11 @@ TEST(NullFrameDifferentialTest, SplitDecodeMatchesTheJoinedDecode) {
   }
 
   // A frame whose header fails but whose payload carries a whole valid
-  // frame: the split resync must recover it just as the joined scan does.
+  // frame fails split exactly as joined: nothing scans for the inner one.
   const Bytes inner = encode_frame(*codec_by_id(CodecId::kNull), random_bytes(700, rng));
   Bytes outer = encode_frame(*codec_by_id(CodecId::kNull), inner);
   outer[24] ^= 0x01;  // the outer payload hash no longer matches
-  bool resynced = false;
-  auto recovered = decode_frame_split_resync(
-      ByteSpan(outer).first(kFrameHeaderSize),
-      Bytes(outer.begin() + kFrameHeaderSize, outer.end()), &resynced);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  EXPECT_TRUE(resynced);
-  EXPECT_EQ(recovered.value(), decode_frame_content(inner).value());
+  EXPECT_FALSE(decode_frame_content(outer).ok());
   expect_split_matches_joined(outer, "embedded frame");
 }
 

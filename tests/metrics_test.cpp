@@ -413,13 +413,10 @@ TEST(CounterLedgerTest, Fault) {
   live.reconnects = 9;
   live.dial_retries = 10;
   live.connections_recycled = 11;
-  live.message_resyncs = 12;
-  live.frame_resyncs = 13;
-  live.corrupt_frames = 14;
-  live.dropped_frames = 15;
-  live.duplicate_frames = 16;
-  live.degraded_chunks = 17;
-  live.watchdog_trips = 18;
+  live.corrupt_frames = 12;
+  live.duplicate_frames = 13;
+  live.degraded_chunks = 14;
+  live.watchdog_trips = 15;
   const FaultCountersSnapshot full = live.snapshot();
   const std::vector<std::uint64_t FaultCountersSnapshot::*> fields = {
       &FaultCountersSnapshot::injected_disconnects,
@@ -433,10 +430,7 @@ TEST(CounterLedgerTest, Fault) {
       &FaultCountersSnapshot::reconnects,
       &FaultCountersSnapshot::dial_retries,
       &FaultCountersSnapshot::connections_recycled,
-      &FaultCountersSnapshot::message_resyncs,
-      &FaultCountersSnapshot::frame_resyncs,
       &FaultCountersSnapshot::corrupt_frames,
-      &FaultCountersSnapshot::dropped_frames,
       &FaultCountersSnapshot::duplicate_frames,
       &FaultCountersSnapshot::degraded_chunks,
       &FaultCountersSnapshot::watchdog_trips,
@@ -447,9 +441,8 @@ TEST(CounterLedgerTest, Fault) {
             "injected_bitflips=3 injected_short_writes=4 "
             "injected_stalls=5 injected_throttles=6 injected_crashes=7 "
             "injected_accept_failures=8 reconnects=9 dial_retries=10 "
-            "connections_recycled=11 message_resyncs=12 frame_resyncs=13 "
-            "corrupt_frames=14 dropped_frames=15 duplicate_frames=16 "
-            "degraded_chunks=17 watchdog_trips=18");
+            "connections_recycled=11 corrupt_frames=12 duplicate_frames=13 "
+            "degraded_chunks=14 watchdog_trips=15");
   EXPECT_EQ(counter_table(full).render(), R"(counter                   count
 -------------------------------
 injected_disconnects          1
@@ -463,13 +456,10 @@ injected_accept_failures      8
 reconnects                    9
 dial_retries                 10
 connections_recycled         11
-message_resyncs              12
-frame_resyncs                13
-corrupt_frames               14
-dropped_frames               15
-duplicate_frames             16
-degraded_chunks              17
-watchdog_trips               18
+corrupt_frames               12
+duplicate_frames             13
+degraded_chunks              14
+watchdog_trips               15
 )");
   EXPECT_EQ(counter_table(every_other_cleared(full, fields), /*nonzero_only=*/true)
                 .render(),
@@ -481,9 +471,8 @@ injected_stalls           5
 injected_crashes          7
 reconnects                9
 connections_recycled     11
-frame_resyncs            13
-dropped_frames           15
-degraded_chunks          17
+duplicate_frames         13
+watchdog_trips           15
 )");
 }
 

@@ -429,7 +429,6 @@ TEST(RecoveryConfigBoundaryTest, MinimalKnobsRoundTripAndValidate) {
   config.recovery.retry.jitter = 0.0;
   config.recovery.retry.max_backoff_us = config.recovery.retry.initial_backoff_us;
   config.recovery.degrade_watermark = config.queue_capacity;
-  config.recovery.max_consecutive_corrupt = 1;
   EXPECT_TRUE(config.validate(topo).is_ok()) << config.validate(topo).to_string();
   auto parsed = NodeConfig::parse(config.serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();

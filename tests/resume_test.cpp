@@ -747,19 +747,21 @@ TEST(ResumePipelineTest, SenderCrashRecoversExactlyOnce) {
   });
 
   // Sender incarnation #1: dies (journal pending lost, connections cut,
-  // redials refused) once a third of the stream has committed.
+  // redials refused) once a third of the stream has committed. Its source
+  // stops at half the stream until the crash, so the crash always lands
+  // mid-stream, never after the end-of-stream marker.
   FaultPlan plan;
   FaultInjector injector(plan, &faults);
   injector.set_crash_hook([&] { sender_media.crash(); });
   const DialFn dying_dial =
       faulty_dialer([&] { return listener.connect(); }, injector);
 
+  GatedPatternSource source(1, kChunks, kChunkBytes, /*gate_at=*/kChunks / 2);
   Status sender1_status = Status::ok();
   std::thread sender1_thread([&] {
     SenderJournal journal(sender_media, kSession, &counters);
     const Status recovered = journal.recover();
     NS_CHECK(recovered.is_ok(), "fresh journal must recover");
-    PatternSource source(1, kChunks, kChunkBytes);
     NodeConfig config = resumable_sender();
     config.recovery.retry.max_attempts = 3;  // die fast once crashed
     StreamSender sender(topo, std::move(config));
@@ -774,10 +776,12 @@ TEST(ResumePipelineTest, SenderCrashRecoversExactlyOnce) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(sink.count(), kChunks / 3) << "transfer never got going";
+  const bool got_going = sink.count() >= kChunks / 3;
   injector.trigger_crash(/*restart_delay_micros=*/3600000000ULL);  // no return
   counters.crashes_observed.fetch_add(1, std::memory_order_relaxed);
+  source.release();
   sender1_thread.join();
+  ASSERT_TRUE(got_going) << "transfer never got going";
   EXPECT_FALSE(sender1_status.is_ok());  // it died mid-stream, no EOS
 
   // Sender incarnation #2: a fresh process recovers the journal and replays
@@ -808,8 +812,8 @@ TEST(ResumePipelineTest, SenderCrashRecoversExactlyOnce) {
 // Stored chunks (null codec) travel as sealed frames, and the receiver
 // checks each payload's seal on receipt, before admit() records the chunk
 // as received. Seeded silent bit flips hit the gated first half of the
-// stream; the resync receive skips each flipped message, and after the
-// flips a link reset makes the sender redial. The RESUME handshake then
+// stream; each flipped message ends its connection, and after the flips a
+// link reset makes the sender redial once more. Each RESUME handshake
 // replays the retained frames from the receiver's watermark: every chunk
 // reaches the sink exactly once, and no flip reaches the frame decoder.
 TEST(SealedPipelineTest, BitFlippedStoredChunksReplayExactlyOnce) {
@@ -875,9 +879,69 @@ TEST(SealedPipelineTest, BitFlippedStoredChunksReplayExactlyOnce) {
   expect_exactly_once(sink.hashes());
   EXPECT_EQ(sink.duplicates(), 0U);
   const FaultCountersSnapshot snapshot = faults.snapshot();
-  EXPECT_GE(snapshot.message_resyncs, 1U);  // the flips were caught on receipt
-  EXPECT_EQ(snapshot.corrupt_frames, 0U);   // none reached the decompress stage
+  EXPECT_GE(snapshot.connections_recycled, 1U);  // the flips were caught on receipt
+  EXPECT_EQ(snapshot.corrupt_frames, 0U);        // none reached the decompress stage
   EXPECT_GE(counters.snapshot().replayed_chunks, 1U);
+}
+
+// The credit wedge: seeded silent bit flips at half of all writes against a
+// credit window of 8, with resume on. A flipped message costs its
+// connection, and the re-dialed connection opens with a fresh window, so
+// no corruption strands credit: the sender never parks for a grant that
+// cannot come, and each RESUME handshake replays what its cut lost. The
+// watchdogs turn a wedge into a failed run instead of a hang. The NSM1
+// header's stream id, sequence and body size are under no checksum, so a
+// flip there would misdeliver or stall; this seed's flips miss them.
+TEST(CreditWedgeTest, BitFlipsUnderCreditsDeliverExactlyOnce) {
+  constexpr int kWatchdogMs = 5000;
+  const MachineTopology topo = host_topology();
+  MemoryJournalMedia sender_media;
+  MemoryJournalMedia receiver_media;
+  ResumeCounters counters;
+  FaultCounters faults;
+  InprocListener listener;
+  VerifySink sink;
+
+  ReceiverJournal receiver_journal(receiver_media, kSession, &counters);
+  ASSERT_TRUE(receiver_journal.recover().is_ok());
+  Status receiver_status = Status::ok();
+  std::thread receiver_thread([&] {
+    StreamReceiver receiver(topo, resumable_receiver(kWatchdogMs));
+    auto stats = receiver.run(listener, sink, nullptr, &faults, {}, {}, {},
+                              ResumeHooks{.receiver_journal = &receiver_journal,
+                                          .counters = &counters});
+    receiver_status = stats.ok() ? Status::ok() : stats.status();
+  });
+
+  FaultPlan plan;
+  plan.seed = 2511;
+  plan.bitflip_per_write = 0.5;
+  plan.max_faults = 16;
+  FaultInjector injector(plan, &faults);
+  const DialFn dial = faulty_dialer([&] { return listener.connect(); }, injector);
+
+  SenderJournal sender_journal(sender_media, kSession, &counters);
+  ASSERT_TRUE(sender_journal.recover().is_ok());
+  PatternSource source(1, kChunks, kChunkBytes);
+  Status sender_status = Status::ok();
+  std::thread sender_thread([&] {
+    StreamSender sender(topo, resumable_sender(kWatchdogMs));
+    auto stats = sender.run(source, dial, nullptr, &faults, {}, {}, {},
+                            ResumeHooks{.sender_journal = &sender_journal,
+                                        .counters = &counters});
+    sender_status = stats.ok() ? Status::ok() : stats.status();
+  });
+  sender_thread.join();
+  receiver_thread.join();
+  EXPECT_TRUE(sender_status.is_ok()) << sender_status.to_string();
+  EXPECT_TRUE(receiver_status.is_ok()) << receiver_status.to_string();
+
+  expect_exactly_once(sink.hashes());
+  EXPECT_EQ(sink.duplicates(), 0U);
+  const FaultCountersSnapshot snapshot = faults.snapshot();
+  EXPECT_EQ(snapshot.injected_bitflips, plan.max_faults);
+  EXPECT_GE(snapshot.connections_recycled, 1U);  // each flip cut its connection
+  EXPECT_EQ(snapshot.corrupt_frames, 0U);        // none reached the decompress stage
 }
 
 // Chaos composition: crash-restart x credit flow control x memory budget x

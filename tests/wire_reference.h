@@ -2,22 +2,18 @@
 //
 // Before data frames travelled split, a receiver read each message's
 // 32-byte header, then its whole body into one buffer, checked the body
-// over that buffer, and handed the joined frame to
-// decode_frame_content(_resync). whole_body_receive() replays exactly that,
-// strict or resyncing, on a complete byte string, with the body check
-// written out from the wire rule in msg/message.h (whole_body_intact);
-// socket_receive() drives
-// the real PullSocket over the same bytes. The two must agree on every
-// message (as joined wire bodies), on the final status and its text, and on
-// bytes_received(), resyncs() and skipped_bytes(); expect_same_content()
-// then holds the split frame decode to the joined one. Test-only, so the
-// library keeps exactly one receive path per mode.
+// over that buffer, and handed the joined frame to decode_frame_content.
+// whole_body_receive() replays exactly that on a complete byte string, with
+// the body check written out from the wire rule in msg/message.h
+// (whole_body_intact); socket_receive() drives the real PullSocket over the
+// same bytes. The two must agree on every message (as joined wire bodies),
+// on the final status and its text, and on bytes_received();
+// expect_same_content() then holds the split frame decode to the joined
+// one. Test-only, so the library keeps exactly one receive path.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -170,115 +166,64 @@ inline std::vector<std::pair<std::string, Bytes>> split_fault_wires() {
 }
 
 /// One receive run: every message before the run ended, the status that
-/// ended it, and the socket's counters.
+/// ended it, and the socket's byte count.
 struct ReceiveRun {
   std::vector<Message> messages;  ///< as received
   Status end = Status::ok();
   std::uint64_t bytes_received = 0;
-  std::uint64_t resyncs = 0;
-  std::uint64_t skipped_bytes = 0;
 };
 
 /// The whole-body receive on `wire`, as a peer that wrote `wire` and then
 /// closed its side would be received.
-inline ReceiveRun whole_body_receive(ByteSpan wire, bool resync) {
+inline ReceiveRun whole_body_receive(ByteSpan wire) {
   ReceiveRun run;
   std::size_t pos = 0;
-  // The resync decoder's hunt: the next "NSM1" strictly past `pos`, or, with
-  // none, everything but a tail short enough to be a magic prefix.
-  const auto hunt = [&]() -> bool {
-    std::uint8_t magic[4];
-    store_le32(magic, kMessageMagic);
-    for (std::size_t at = pos + 1; at + 4 <= wire.size(); ++at) {
-      if (std::memcmp(wire.data() + at, magic, 4) == 0) {
-        run.skipped_bytes += at - pos;
-        pos = at;
-        ++run.resyncs;
-        return true;
-      }
-    }
-    const std::size_t keep_from = wire.size() >= 3 ? wire.size() - 3 : wire.size();
-    const std::size_t next = std::min(std::max(pos + 1, keep_from), wire.size());
-    run.skipped_bytes += next - pos;
-    pos = next;
-    return false;
-  };
   while (true) {
     const std::size_t available = wire.size() - pos;
     if (available < kMessageHeaderSize) {
-      if (resync) {
-        run.end = available != 0 ? data_loss_error("connection closed mid-message")
-                                  : unavailable_error("end of stream");
-      } else {
-        run.end = available == 0
-                      ? unavailable_error("end of stream")
-                      : data_loss_error("stream ended mid-message (" +
-                                        std::to_string(available) + " of " +
-                                        std::to_string(kMessageHeaderSize) +
-                                        " bytes)");
-      }
+      run.end = available == 0
+                    ? unavailable_error("end of stream")
+                    : data_loss_error("stream ended mid-message (" +
+                                      std::to_string(available) + " of " +
+                                      std::to_string(kMessageHeaderSize) + " bytes)");
       break;
     }
     auto header = decode_message_header(wire.subspan(pos, kMessageHeaderSize));
     if (!header.ok()) {
-      if (!resync) {
-        run.end = header.status();
-        break;
-      }
-      if (!hunt()) {
-        run.end = data_loss_error("connection closed mid-message");
-        break;
-      }
-      continue;
+      run.end = header.status();
+      break;
     }
     const std::uint64_t body_size = header.value().body_size;
     const std::size_t have = available - kMessageHeaderSize;
     if (have < body_size) {
-      if (resync) {
-        run.end = data_loss_error("connection closed mid-message");
-      } else {
-        run.end = have == 0 ? data_loss_error("connection closed mid-message")
-                            : data_loss_error("stream ended mid-message (" +
-                                              std::to_string(have) + " of " +
-                                              std::to_string(body_size) + " bytes)");
-      }
+      run.end = have == 0 ? data_loss_error("connection closed mid-message")
+                          : data_loss_error("stream ended mid-message (" +
+                                            std::to_string(have) + " of " +
+                                            std::to_string(body_size) + " bytes)");
       break;
     }
     const ByteSpan body = wire.subspan(pos + kMessageHeaderSize, body_size);
     if (!whole_body_intact(header.value().message.is_data(), body,
                            header.value().body_hash)) {
-      if (!resync) {
-        run.end = data_loss_error("message: body checksum mismatch");
-        break;
-      }
-      if (!hunt()) {
-        run.end = data_loss_error("connection closed mid-message");
-        break;
-      }
-      continue;
+      run.end = data_loss_error("message: body checksum mismatch");
+      break;
     }
     Message message = header.value().message;
     message.body.assign(body.begin(), body.end());
     run.messages.push_back(std::move(message));
     pos += kMessageHeaderSize + body_size;
-    if (!resync) {
-      run.bytes_received = pos;
-    }
-  }
-  if (resync) {
-    run.bytes_received = wire.size();
+    run.bytes_received = pos;
   }
   return run;
 }
 
 /// The real PullSocket on `wire`, written in full by a peer that then
 /// closes its side.
-inline ReceiveRun socket_receive(ByteSpan wire, bool resync) {
+inline ReceiveRun socket_receive(ByteSpan wire) {
   InprocPair pair = make_inproc_pair(wire.size() + 1);
   NS_CHECK(pair.first->write_all(wire).is_ok(), "the window holds the whole wire");
   pair.first->shutdown_write();
-  PullSocket pull(std::move(pair.second), resync ? MessageDecoder::OnCorruption::kResync
-                                                 : MessageDecoder::OnCorruption::kFail);
+  PullSocket pull(std::move(pair.second));
   ReceiveRun run;
   while (true) {
     auto message = pull.recv();
@@ -289,13 +234,11 @@ inline ReceiveRun socket_receive(ByteSpan wire, bool resync) {
     run.messages.push_back(std::move(message).value());
   }
   run.bytes_received = pull.bytes_received();
-  run.resyncs = pull.resyncs();
-  run.skipped_bytes = pull.skipped_bytes();
   return run;
 }
 
 /// Records a failure unless the two runs agree on every message, the final
-/// status and its text, and the counters.
+/// status and its text, and the byte count.
 inline void expect_same_receive(const ReceiveRun& got, const ReceiveRun& want) {
   ASSERT_EQ(got.messages.size(), want.messages.size())
       << "split ended with " << got.end.to_string() << ", whole-body with "
@@ -310,44 +253,28 @@ inline void expect_same_receive(const ReceiveRun& got, const ReceiveRun& want) {
   EXPECT_EQ(got.end.code(), want.end.code());
   EXPECT_EQ(got.end.message(), want.end.message());
   EXPECT_EQ(got.bytes_received, want.bytes_received);
-  EXPECT_EQ(got.resyncs, want.resyncs);
-  EXPECT_EQ(got.skipped_bytes, want.skipped_bytes);
 }
 
 /// Decodes a received data message's chunk the way the decompress stage
 /// does: split when the frame header arrived apart, joined otherwise.
-inline Result<Bytes> split_content(const Message& message, bool resync,
-                                   bool* resynced) {
+inline Result<Bytes> split_content(const Message& message) {
   if (message.frame_header) {
-    return resync ? decode_frame_split_resync(*message.frame_header, message.body,
-                                              resynced)
-                  : decode_frame_split(*message.frame_header, message.body);
+    return decode_frame_split(*message.frame_header, message.body);
   }
-  return resync ? decode_frame_content_resync(message.body, resynced)
-                : decode_frame_content(message.body);
-}
-
-/// The whole-body decode of a joined wire body.
-inline Result<Bytes> joined_content(ByteSpan body, bool resync, bool* resynced) {
-  return resync ? decode_frame_content_resync(body, resynced)
-                : decode_frame_content(body);
+  return decode_frame_content(message.body);
 }
 
 /// Records a failure unless the split decode of `split` (as received by
 /// the socket) and the joined decode of `whole` (as received by the oracle)
-/// agree: the same content and resync flag, or the same error and text.
-inline void expect_same_content(const Message& split, const Message& whole,
-                                bool resync) {
-  bool split_resynced = false;
-  bool whole_resynced = false;
-  const auto got = split_content(split, resync, &split_resynced);
-  const auto want = joined_content(whole.body, resync, &whole_resynced);
+/// agree: the same content, or the same error and text.
+inline void expect_same_content(const Message& split, const Message& whole) {
+  const auto got = split_content(split);
+  const auto want = decode_frame_content(whole.body);
   ASSERT_EQ(got.ok(), want.ok())
       << "split " << (got.ok() ? "ok" : got.status().to_string()) << ", joined "
       << (want.ok() ? "ok" : want.status().to_string());
   if (want.ok()) {
     EXPECT_EQ(got.value(), want.value());
-    EXPECT_EQ(split_resynced, whole_resynced);
   } else {
     EXPECT_EQ(got.status().code(), want.status().code());
     EXPECT_EQ(got.status().message(), want.status().message());
