@@ -1,6 +1,8 @@
 #include "codec/frame.h"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "codec/xxhash.h"
@@ -24,41 +26,59 @@ std::pair<ByteSpan, ByteSpan> split(ByteSpan frame) {
   return {frame.first(header), frame.subspan(header)};
 }
 
-/// Compresses `raw` into `out` from offset `at`, trimming `out` to the
-/// compressed end. Returns false, with `out` cut back to `at`, when the codec
-/// is null or does not shrink the input: the frame then stores `raw`.
-bool compress_into(const Codec& codec, ByteSpan raw, Bytes& out, std::size_t at) {
+/// The `codec` encoding of `raw`, or nullopt when the codec is null or does
+/// not shrink the input: the frame then stores `raw`. The encoding lives in
+/// this thread's scratch buffer until its next call, and the caller copies
+/// it out. The scratch only grows and is never zero-filled, so no chunk
+/// pays for allocating and filling a bound-sized buffer, only the pages
+/// the codec writes become resident, and a payload in flight holds only
+/// its own bytes, not the bound's capacity.
+std::optional<ByteSpan> compress(const Codec& codec, ByteSpan raw) {
   if (codec.id() == CodecId::kNull) {
-    return false;
+    return std::nullopt;
   }
-  out.resize(at + codec.max_compressed_size(raw.size()));
-  auto written = codec.compress(raw, MutableByteSpan(out.data() + at, out.size() - at));
+  thread_local std::unique_ptr<std::uint8_t[]> scratch;
+  thread_local std::size_t scratch_size = 0;
+  const std::size_t bound = codec.max_compressed_size(raw.size());
+  if (scratch_size < bound) {
+    scratch = std::make_unique_for_overwrite<std::uint8_t[]>(bound);
+    scratch_size = bound;
+  }
+  auto written = codec.compress(raw, MutableByteSpan(scratch.get(), bound));
   NS_CHECK(written.ok(), "compress into a bound-sized buffer must succeed");
   if (written.value() >= raw.size()) {
-    out.resize(at);
-    return false;
+    return std::nullopt;
   }
-  out.resize(at + written.value());
-  return true;
+  return ByteSpan(scratch.get(), written.value());
 }
 
-/// Writes the header of a frame carrying `payload`, the `codec` encoding of
-/// `raw`. A stored payload is its own content: the frame is sealed with one
-/// xxhash64 of it, low word then high word in the two hash fields.
+/// Writes the sealed header of a frame carrying `payload`, the `codec`
+/// encoding of `raw`. A stored payload is its own content: one xxhash64 of
+/// it fills both hash fields, low word then high word. A compressed frame
+/// holds the low words of xxhash64(payload) and xxhash64(raw).
 void write_header(std::uint8_t* p, CodecId codec, ByteSpan raw, ByteSpan payload) {
-  const bool stored = codec == CodecId::kNull;
   store_le32(p, kFrameMagic);
   p[4] = static_cast<std::uint8_t>(codec);
-  p[5] = stored ? kFrameFlagSealed : 0;  // flags
-  store_le16(p + 6, 0);                  // reserved
+  p[5] = kFrameFlagSealed;  // flags
+  store_le16(p + 6, 0);     // reserved
   store_le64(p + 8, raw.size());
   store_le64(p + 16, payload.size());
-  if (stored) {
+  if (codec == CodecId::kNull) {
     store_le64(p + 24, xxhash64(payload));
   } else {
-    store_le32(p + 24, xxhash32(payload));
-    store_le32(p + 28, xxhash32(raw));
+    store_le32(p + 24, static_cast<std::uint32_t>(xxhash64(payload)));
+    store_le32(p + 28, static_cast<std::uint32_t>(xxhash64(raw)));
   }
+}
+
+/// Whether `payload` matches a sealed header's payload check, where
+/// `fields` holds the header's two hash fields (bytes 24-31): all 64 bits
+/// for a stored frame, the low 32 for a compressed one.
+bool seal_matches(CodecId codec, std::uint64_t fields, ByteSpan payload) {
+  const std::uint64_t digest = xxhash64(payload);
+  return codec == CodecId::kNull
+             ? digest == fields
+             : static_cast<std::uint32_t>(digest) == static_cast<std::uint32_t>(fields);
 }
 
 /// A validated frame header.
@@ -69,8 +89,8 @@ struct ParsedHeader {
   std::uint32_t payload_hash = 0;
   std::uint32_t content_hash = 0;
 
-  /// A sealed frame's xxhash64 seal, held in the two hash fields.
-  [[nodiscard]] std::uint64_t seal() const noexcept {
+  /// The two hash fields as one word, payload check low.
+  [[nodiscard]] std::uint64_t fields() const noexcept {
     return (std::uint64_t{content_hash} << 32) | payload_hash;
   }
 };
@@ -105,9 +125,6 @@ Result<ParsedHeader> parse_header(ByteSpan header, std::size_t payload_bytes) {
   if (codec_by_id(parsed.codec) == nullptr) {
     return data_loss_error("frame: unknown codec id " + std::to_string(codec_id));
   }
-  if (parsed.sealed && parsed.codec != CodecId::kNull) {
-    return data_loss_error("frame: sealed flag on a compressed frame");
-  }
   if (payload_size != payload_bytes) {
     return data_loss_error("frame: payload size " + std::to_string(payload_size) +
                            " does not match remaining " +
@@ -124,10 +141,12 @@ Result<ParsedHeader> parse_header(ByteSpan header, std::size_t payload_bytes) {
   return parsed;
 }
 
-/// The decode every path runs: header, payload checksum, decompression,
-/// content checksum. A sealed payload is checked once against its seal
-/// (skipped when `seal` says the receipt already did); an unsealed stored
-/// payload's one xxhash32 answers both hash fields, checked in that order.
+/// The decode every path runs: header, payload check, decompression,
+/// content check. A sealed payload is checked once against its seal
+/// (skipped when `seal` says the receipt already did), and a compressed
+/// sealed frame's content against the low word of its xxhash64. An
+/// unsealed frame's payload and content are checked by xxhash32; a stored
+/// one's single digest answers both fields, in that order.
 /// A stored frame's content is `*owned` moved out when the caller hands
 /// over the payload's buffer, else a copy of `payload`; on failure `*owned`
 /// is left intact.
@@ -138,24 +157,28 @@ Result<Bytes> decode_parts(ByteSpan header, ByteSpan payload, Bytes* owned,
     return parsed.status();
   }
   const ParsedHeader& frame = parsed.value();
-  const auto stored = [&] {
+  const bool stored = frame.codec == CodecId::kNull;
+  const auto stored_content = [&] {
     return owned != nullptr ? std::move(*owned) : Bytes(payload.begin(), payload.end());
   };
   if (frame.sealed) {
-    if (seal == SealCheck::kVerify && xxhash64(payload) != frame.seal()) {
+    if (seal == SealCheck::kVerify && !seal_matches(frame.codec, frame.fields(), payload)) {
       return payload_mismatch();
     }
-    return stored();
-  }
-  const std::uint32_t digest = xxhash32(payload);
-  if (digest != frame.payload_hash) {
-    return payload_mismatch();
-  }
-  if (frame.codec == CodecId::kNull) {
-    if (digest != frame.content_hash) {
-      return content_mismatch();
+    if (stored) {
+      return stored_content();
     }
-    return stored();
+  } else {
+    const std::uint32_t digest = xxhash32(payload);
+    if (digest != frame.payload_hash) {
+      return payload_mismatch();
+    }
+    if (stored) {
+      if (digest != frame.content_hash) {
+        return content_mismatch();
+      }
+      return stored_content();
+    }
   }
   const Codec* codec = codec_by_id(frame.codec);
   NS_CHECK(codec != nullptr, "parse_header validated the codec id");
@@ -167,7 +190,9 @@ Result<Bytes> decode_parts(ByteSpan header, ByteSpan payload, Bytes* owned,
   if (produced.value() != raw.size()) {
     return data_loss_error("frame: decoded size mismatch");
   }
-  if (xxhash32(raw) != frame.content_hash) {
+  const std::uint32_t content = frame.sealed ? static_cast<std::uint32_t>(xxhash64(raw))
+                                             : xxhash32(raw);
+  if (content != frame.content_hash) {
     return content_mismatch();
   }
   return raw;
@@ -177,7 +202,8 @@ Result<Bytes> decode_parts(ByteSpan header, ByteSpan payload, Bytes* owned,
 
 SplitFrame encode_frame_split(const Codec& codec, Bytes raw) {
   SplitFrame frame;
-  if (compress_into(codec, raw, frame.payload, 0)) {
+  if (const auto packed = compress(codec, raw)) {
+    frame.payload.assign(packed->begin(), packed->end());
     write_header(frame.header.data(), codec.id(), raw, frame.payload);
   } else {
     write_header(frame.header.data(), CodecId::kNull, raw, raw);
@@ -187,23 +213,23 @@ SplitFrame encode_frame_split(const Codec& codec, Bytes raw) {
 }
 
 Bytes encode_frame(const Codec& codec, ByteSpan raw) {
-  Bytes frame(kFrameHeaderSize);
-  CodecId effective = codec.id();
-  if (!compress_into(codec, raw, frame, kFrameHeaderSize)) {
-    effective = CodecId::kNull;
-    frame.reserve(kFrameHeaderSize + raw.size());
-    frame.insert(frame.end(), raw.begin(), raw.end());
-  }
-  write_header(frame.data(), effective, raw, ByteSpan(frame).subspan(kFrameHeaderSize));
+  const auto packed = compress(codec, raw);
+  const ByteSpan payload = packed.value_or(raw);
+  Bytes frame;
+  frame.reserve(kFrameHeaderSize + payload.size());
+  frame.resize(kFrameHeaderSize);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  write_header(frame.data(), packed ? codec.id() : CodecId::kNull, raw, payload);
   return frame;
 }
 
-std::optional<std::uint64_t> frame_seal(ByteSpan data) {
-  if (data.size() < kFrameHeaderSize || load_le32(data.data()) != kFrameMagic ||
-      (data[5] & kFrameFlagSealed) == 0) {
-    return std::nullopt;
-  }
-  return load_le64(data.data() + 24);
+bool frame_sealed(ByteSpan data) {
+  return data.size() >= kFrameHeaderSize && load_le32(data.data()) == kFrameMagic &&
+         (data[5] & kFrameFlagSealed) != 0;
+}
+
+bool seal_intact(ByteSpan header, ByteSpan payload) {
+  return seal_matches(static_cast<CodecId>(header[4]), load_le64(header.data() + 24), payload);
 }
 
 Result<Bytes> decode_frame_split(ByteSpan header, Bytes payload, SealCheck seal) {

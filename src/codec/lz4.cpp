@@ -80,27 +80,33 @@ inline void wild_copy(std::uint8_t* dst, const std::uint8_t* src,
   } while (dst < end);
 }
 
-// Match copy for the decoder's fast path (output has kWildSlack bytes of room
-// past op + len). Offsets 1-7 overlap within a block: the first 8 bytes are
-// expanded from the pattern and the source is re-based to a distance that is
-// a multiple of the offset and at least 8, after which 8-byte blocks are safe
-// (the table pair LZ4's reference decoder uses).
-inline void copy_match_fast(std::uint8_t* op, std::size_t offset,
-                            std::size_t len) noexcept {
+// Offsets 1-7 overlap within an 8-byte block. Writes op[0, 8) from the
+// pattern at op - offset and returns the source re-based to a distance
+// from op + 8 that is a multiple of the offset and at least 8, from which
+// 8-byte block copies are safe (the table pair LZ4's reference decoder
+// uses).
+inline const std::uint8_t* expand_pattern(std::uint8_t* op, std::size_t offset) noexcept {
   static constexpr std::size_t kInc[8] = {0, 1, 2, 1, 0, 4, 4, 4};
   static constexpr std::ptrdiff_t kDec[8] = {0, 0, 0, -1, -4, 1, 2, 3};
   const std::uint8_t* match = op - offset;
-  if (offset >= 8) {
-    wild_copy<8>(op, match, len);
-    return;
-  }
   op[0] = match[0];
   op[1] = match[1];
   op[2] = match[2];
   op[3] = match[3];
   match += kInc[offset];
   std::memcpy(op + 4, match, 4);
-  match -= kDec[offset];
+  return match - kDec[offset];
+}
+
+// Match copy for the decoder's fast path (output has kWildSlack bytes of room
+// past op + len): 8-byte blocks, after a pattern expansion for offsets 1-7.
+inline void copy_match_fast(std::uint8_t* op, std::size_t offset,
+                            std::size_t len) noexcept {
+  if (offset >= 8) {
+    wild_copy<8>(op, op - offset, len);
+    return;
+  }
+  const std::uint8_t* const match = expand_pattern(op, offset);
   if (len > 8) {
     wild_copy<8>(op + 8, match, len - 8);
   }
@@ -296,6 +302,48 @@ Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst) {
   // and the checked tail path (exact copies near the end of either buffer).
   while (ip < iend) {
     const std::uint8_t token = *ip++;
+
+    // Short sequence: both nibbles below 15, so no length bytes follow, the
+    // literal run is at most 14 bytes and the match 4-18. With at least
+    // kShortIn input bytes after the token, the literals, the 2-byte offset
+    // and kWildSlack more lie inside the input: the run is not the last
+    // sequence, the offset is not truncated, and the 16-byte literal copy
+    // reads in bounds. With at least kShortOut output bytes, the 16-byte
+    // literal copy and an 18-byte match copy from op + 14 end by op + 32,
+    // and a pattern expansion plus two 8-byte blocks by op + 38: inside the
+    // output with kWildSlack to spare, so neither run can pass its end. A
+    // valid offset is the one remaining check; a sequence that fails any of
+    // these takes the general path below, which reports exactly what it
+    // would have.
+    constexpr std::size_t kShortIn = 16 + 2 + kWildSlack;
+    constexpr std::size_t kShortOut = 32 + kWildSlack;
+    const std::size_t short_lits = token >> 4;
+    const std::size_t short_match = token & 0x0F;
+    if (short_lits < kTokenMax && short_match < kTokenMax &&
+        static_cast<std::size_t>(iend - ip) >= kShortIn &&
+        static_cast<std::size_t>(oend - op) >= kShortOut) {
+      const std::size_t offset = load_le16(ip + short_lits);
+      if (offset != 0 && offset <= static_cast<std::size_t>(op - dst.data()) + short_lits) {
+        std::memcpy(op, ip, 16);
+        op += short_lits;
+        ip += short_lits + 2;
+        if (offset >= 8) {
+          // Three sequential block copies, each at least 8 bytes behind its
+          // destination: an overlapping match reads what the copy before
+          // it wrote, which is LZ4's defined semantics.
+          const std::uint8_t* const match = op - offset;
+          std::memcpy(op, match, 8);
+          std::memcpy(op + 8, match + 8, 8);
+          std::memcpy(op + 16, match + 16, 2);
+        } else {
+          const std::uint8_t* const match = expand_pattern(op, offset);
+          std::memcpy(op + 8, match, 8);
+          std::memcpy(op + 16, match + 8, 8);
+        }
+        op += short_match + kMinMatch;
+        continue;
+      }
+    }
 
     // Literals.
     std::size_t lit_len = 0;

@@ -832,6 +832,20 @@ class SendSession {
     return merge_resume(control);
   }
 
+  /// The next reverse-channel message. A corrupt one ends this connection,
+  /// not the run, as a receiver ends a connection at its first corrupt
+  /// message: in reconnect mode its DATA_LOSS comes back as UNAVAILABLE, so
+  /// every caller redials as it does for a broken connection. A fault in a
+  /// well-formed message (merge_resume's session mismatch) stays fatal.
+  Result<Message> recv_control() {
+    auto control = socket_->recv_control();
+    if (!control.ok() && control.status().code() == StatusCode::kDataLoss &&
+        run_.config.recovery.reconnect) {
+      return unavailable_error("reverse channel corrupt: " + control.status().message());
+    }
+    return control;
+  }
+
   /// Blocks until the current connection's RESUME handshake has been merged
   /// (credit grants arriving first are banked, not lost). A no-op without
   /// resume: the receiver then never sends one.
@@ -840,7 +854,7 @@ class SendSession {
       return Status::ok();
     }
     while (true) {
-      auto control = socket_->recv_control();
+      auto control = recv_control();
       if (!control.ok()) {
         return control.status();
       }
@@ -864,7 +878,7 @@ class SendSession {
     }
     run_.ovr.counters().credit_stalls.fetch_add(1, std::memory_order_relaxed);
     while (credit_ == 0) {
-      auto control = socket_->recv_control();
+      auto control = recv_control();
       if (!control.ok()) {
         if (retryable(control.status())) {
           NS_RETURN_IF_ERROR(redial());
@@ -887,7 +901,7 @@ class SendSession {
       return Status::ok();
     }
     while (true) {
-      auto control = socket_->recv_control();
+      auto control = recv_control();
       if (!control.ok()) {
         return control.status();
       }

@@ -22,12 +22,11 @@ void assign_body(Message& message, ByteSpan body) {
   message.body.assign(body.begin(), body.end());
 }
 
-/// The sealed stored frame a data message's wire body opens with: its
-/// header (held apart, or the body's first bytes), its payload and seal.
+/// The sealed frame a data message's wire body opens with: its header
+/// (held apart, or the body's first bytes) and its payload.
 struct SealedFrame {
   ByteSpan header;
   ByteSpan payload;
-  std::uint64_t seal = 0;
 };
 
 std::optional<SealedFrame> sealed_frame(const Message& message) {
@@ -38,13 +37,11 @@ std::optional<SealedFrame> sealed_frame(const Message& message) {
   const bool apart = message.frame_header.has_value();
   const ByteSpan header =
       apart ? ByteSpan(*message.frame_header) : body.first(std::min(body.size(), kFrameHeaderSize));
-  const auto seal = frame_seal(header);
-  if (!seal) {
+  if (!frame_sealed(header)) {
     return std::nullopt;
   }
   return SealedFrame{.header = header,
-                     .payload = apart ? body : body.subspan(kFrameHeaderSize),
-                     .seal = *seal};
+                     .payload = apart ? body : body.subspan(kFrameHeaderSize)};
 }
 
 }  // namespace
@@ -67,7 +64,7 @@ bool message_body_intact(const Message& message, std::uint32_t body_hash) {
     return false;
   }
   const auto sealed = sealed_frame(message);
-  return !sealed || xxhash64(sealed->payload) == sealed->seal;
+  return !sealed || seal_intact(sealed->header, sealed->payload);
 }
 
 void encode_message_header(const Message& message, MutableByteSpan out) {

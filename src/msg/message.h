@@ -25,13 +25,14 @@
 // and read into its own buffer. The wire bytes are the same either way.
 //
 // The body hash is xxhash32 of the whole body, except for a data body that
-// opens with a sealed stored frame (NSF1 flags bit 0): its body hash is
-// xxhash32 of just the 32-byte frame header, and the frame's xxhash64 seal
-// covers the payload. A receiver checks both before it hands the message
-// on, so a stored payload is hashed once per side, by a 64-bit digest, and
-// a payload that fails its seal is a message-layer corruption exactly like
-// a body-hash mismatch. The header layout and flags word are the same for
-// both forms; which one applies is read from the frame header alone.
+// opens with a sealed frame (NSF1 flags bit 0): its body hash is xxhash32
+// of just the 32-byte frame header, and the frame's payload seal (an
+// xxhash64, whole for a stored frame and its low 32 bits for a compressed
+// one) covers the payload. A receiver checks both before it hands the
+// message on, so a payload is hashed once per side, by one xxhash64 pass,
+// and a payload that fails its seal is a message-layer corruption exactly
+// like a body-hash mismatch. The header layout and flags word are the same
+// for both forms; which one applies is read from the frame header alone.
 //
 // Protocol versioning: the "NSM1" magic names wire version 1. Bit 1 of the
 // flags word is the v1.1 extension — a body-less *credit grant* control
@@ -377,14 +378,14 @@ Result<HandoffInfo> parse_handoff_body(ByteSpan body);
 Result<ScrubInfo> parse_scrub_body(ByteSpan body);
 
 /// The wire body's checksum: xxhash32 of the frame header alone when the
-/// body opens with a sealed stored frame, else of the whole wire body (the
+/// body opens with a sealed frame, else of the whole wire body (the
 /// frame header, when held apart, then `body`, streamed so the two are
 /// never joined).
 std::uint32_t message_body_hash(const Message& message);
 
 /// Whether a received message's wire body matches the body hash its header
-/// carried: message_body_hash, then, for a sealed stored frame, the
-/// xxhash64 seal over its payload. Both receive paths (PullSocket::recv and
+/// carried: message_body_hash, then, for a sealed frame, the payload seal
+/// (seal_intact in codec/frame.h). Both receive paths (PullSocket::recv and
 /// MessageDecoder::next) reject a message that fails either check.
 bool message_body_intact(const Message& message, std::uint32_t body_hash);
 

@@ -542,11 +542,11 @@ TEST(FrameTest, HeaderFieldsAreCorrect) {
   const ByteSpan payload = ByteSpan(frame).subspan(kFrameHeaderSize);
   EXPECT_EQ(load_le32(frame.data()), kFrameMagic);
   EXPECT_EQ(frame[4], static_cast<std::uint8_t>(CodecId::kLz4));
-  EXPECT_EQ(frame[5], 0);  // a compressed frame is not sealed
+  EXPECT_EQ(frame[5], kFrameFlagSealed);  // a compressed frame is sealed too
   EXPECT_EQ(load_le64(frame.data() + 8), raw.size());
   EXPECT_EQ(load_le64(frame.data() + 16), payload.size());
-  EXPECT_EQ(load_le32(frame.data() + 24), xxhash32(payload));
-  EXPECT_EQ(load_le32(frame.data() + 28), xxhash32(raw));
+  EXPECT_EQ(load_le32(frame.data() + 24), static_cast<std::uint32_t>(xxhash64(payload)));
+  EXPECT_EQ(load_le32(frame.data() + 28), static_cast<std::uint32_t>(xxhash64(raw)));
 }
 
 TEST(FrameTest, StoredFrameIsSealedWithOneXxHash64) {
@@ -558,20 +558,111 @@ TEST(FrameTest, StoredFrameIsSealedWithOneXxHash64) {
   EXPECT_EQ(load_le64(frame.data() + 16), raw.size());
   EXPECT_EQ(load_le32(frame.data() + 24), static_cast<std::uint32_t>(xxhash64(raw)));
   EXPECT_EQ(load_le32(frame.data() + 28), static_cast<std::uint32_t>(xxhash64(raw) >> 32));
-  EXPECT_EQ(frame_seal(frame), xxhash64(raw));
-  EXPECT_EQ(frame_seal(encode_frame(*codec_by_id(CodecId::kLz4), make_corpus(100000, 1, 1))),
-            std::nullopt);
+  EXPECT_TRUE(frame_sealed(frame));
+  const ByteSpan header = ByteSpan(frame).first(kFrameHeaderSize);
+  EXPECT_TRUE(seal_intact(header, raw));
 
-  // The seal is checked on decode; a sealed frame of any other codec is
-  // refused by the header check.
+  // The seal is checked on decode, all 64 bits of it: a payload whose low
+  // word still matches fails on the high word.
   Bytes flipped = frame;
   flipped[kFrameHeaderSize + 2500] ^= 0x08;
+  EXPECT_FALSE(seal_intact(header, ByteSpan(flipped).subspan(kFrameHeaderSize)));
   EXPECT_EQ(decode_frame_content(flipped).status().message(),
             "frame: payload checksum mismatch");
+  Bytes high_word = frame;
+  high_word[28] ^= 0x01;
+  EXPECT_FALSE(seal_intact(ByteSpan(high_word).first(kFrameHeaderSize), raw));
+  EXPECT_EQ(decode_frame_content(high_word).status().message(),
+            "frame: payload checksum mismatch");
+
+  // Relabelled as LZ4, the stored frame passes the 32-bit payload check
+  // (its low word is the same) and fails in the decoder.
   Bytes relabelled = frame;
   relabelled[4] = static_cast<std::uint8_t>(CodecId::kLz4);
-  EXPECT_EQ(decode_frame_content(relabelled).status().message(),
-            "frame: sealed flag on a compressed frame");
+  EXPECT_EQ(decode_frame_content(relabelled).status().code(), StatusCode::kDataLoss);
+}
+
+// A compressed frame is sealed with the low words of two xxhash64s: of the
+// payload, checked on receipt (or by a verifying decode), and of the
+// content, checked after decompression by every decode.
+TEST(FrameTest, CompressedFrameIsSealedWithTwoXxHash64Words) {
+  const Bytes raw = make_corpus(20000, 1, 3);
+  const SplitFrame frame = encode_frame_split(*codec_by_id(CodecId::kLz4), raw);
+  ASSERT_EQ(frame.header[4], static_cast<std::uint8_t>(CodecId::kLz4));
+  ASSERT_LT(frame.payload.size(), raw.size());
+  EXPECT_EQ(frame.payload.capacity(), frame.payload.size());  // right-sized
+  EXPECT_TRUE(frame_sealed(frame.header));
+  EXPECT_TRUE(seal_intact(frame.header, frame.payload));
+  for (const SealCheck check : {SealCheck::kVerify, SealCheck::kAlreadyVerified}) {
+    auto decoded = decode_frame_split(frame.header, frame.payload, check);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    EXPECT_EQ(decoded.value(), raw);
+  }
+
+  // A flipped payload fails its seal. Told the receipt verified it, the
+  // decode skips that pass, and the content check or the decoder still
+  // refuses the result.
+  for (const std::size_t at : {std::size_t{0}, frame.payload.size() / 2,
+                               frame.payload.size() - 1}) {
+    Bytes payload = frame.payload;
+    payload[at] ^= 0x04;
+    EXPECT_FALSE(seal_intact(frame.header, payload)) << at;
+    EXPECT_EQ(decode_frame_split(frame.header, payload).status().message(),
+              "frame: payload checksum mismatch")
+        << at;
+    const auto trusted = decode_frame_split(frame.header, payload, SealCheck::kAlreadyVerified);
+    ASSERT_FALSE(trusted.ok()) << at;
+    EXPECT_EQ(trusted.status().code(), StatusCode::kDataLoss) << at;
+  }
+
+  // Each hash field is checked where it belongs: the payload word by the
+  // seal, the content word after decompression.
+  FrameHeader payload_field = frame.header;
+  payload_field[24] ^= 0x01;
+  EXPECT_FALSE(seal_intact(payload_field, frame.payload));
+  EXPECT_EQ(decode_frame_split(payload_field, frame.payload).status().message(),
+            "frame: payload checksum mismatch");
+  FrameHeader content_field = frame.header;
+  content_field[28] ^= 0x01;
+  EXPECT_TRUE(seal_intact(content_field, frame.payload));
+  for (const SealCheck check : {SealCheck::kVerify, SealCheck::kAlreadyVerified}) {
+    EXPECT_EQ(decode_frame_split(content_field, frame.payload, check).status().message(),
+              "frame: content checksum mismatch after decompression");
+  }
+
+  // Every header byte's top bit flipped: each field's check refuses it
+  // (a raw size of 2^23 + 20000 fails as a decoded-size mismatch).
+  for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
+    FrameHeader flipped = frame.header;
+    flipped[i] ^= 0x80;
+    const auto decoded = decode_frame_split(flipped, frame.payload);
+    EXPECT_FALSE(decoded.ok()) << "header byte " << i;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << "header byte " << i;
+  }
+}
+
+// Compat: the unsealed compressed frame every earlier writer produced
+// (flags 0, xxhash32 of payload and content) still decodes, both fields
+// checked by xxhash32.
+TEST(FrameTest, UnsealedCompressedFrameStillDecodes) {
+  const Bytes raw = make_corpus(20000, 1, 4);
+  SplitFrame frame = encode_frame_split(*codec_by_id(CodecId::kLz4), raw);
+  frame.header[5] = 0;
+  store_le32(frame.header.data() + 24, xxhash32(frame.payload));
+  store_le32(frame.header.data() + 28, xxhash32(raw));
+  EXPECT_FALSE(frame_sealed(frame.header));
+  auto decoded = decode_frame_split(frame.header, frame.payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded.value(), raw);
+
+  Bytes payload = frame.payload;
+  payload[7] ^= 0x02;
+  EXPECT_EQ(decode_frame_split(frame.header, payload).status().message(),
+            "frame: payload checksum mismatch");
+  FrameHeader content_field = frame.header;
+  content_field[29] ^= 0x02;
+  EXPECT_EQ(decode_frame_split(content_field, frame.payload).status().message(),
+            "frame: content checksum mismatch after decompression");
 }
 
 TEST(FrameTest, BadMagicRejected) {

@@ -128,7 +128,9 @@ TEST(TcpPipelineTest, HandRolledSenderInteroperates) {
 
 // A corrupt frame inside a valid message must be counted and dropped while
 // the stream continues (network checksums pass; the frame itself is bad —
-// e.g. a sender-side memory error).
+// e.g. a sender-side memory error in its content check). A sealed frame's
+// payload is checked on receipt, so a flip there ends the connection
+// instead (SealedFrameTest).
 TEST(TcpPipelineTest, CorruptFrameIsDroppedNotFatal) {
   const MachineTopology topo = host_topology();
   NodeConfig receiver_config;
@@ -155,7 +157,7 @@ TEST(TcpPipelineTest, CorruptFrameIsDroppedNotFatal) {
 
     Message bad = good;
     bad.sequence = 1;
-    bad.body[kFrameHeaderSize + 3] ^= 0xFF;  // corrupt the frame payload
+    bad.body[28] ^= 0xFF;  // corrupt the frame's content check
 
     Message good2 = good;
     good2.sequence = 2;
@@ -641,11 +643,12 @@ PinnedRun run_pinned(PinCodec codec, bool resume) {
 // Credit grants and RESUME frames travel the reverse direction, so the
 // resume runs pin the same forward bytes as the plain ones. Every stored
 // chunk (null codec, degraded, LZ4's incompressible fallback) travels as a
-// sealed frame. `unsealed` was recorded from the copy-based frame path
-// before stored frames were sealed: unsealing the wire again
-// (unseal_wire, tests/wire_reference.h) must give exactly those bytes, so
-// the seal is the only change, and any change to how frames are built,
-// carried or written must leave both fingerprints untouched.
+// sealed frame, and so does every compressed one (the lz4 chunks and the
+// degrade run's first chunks). `unsealed` was recorded from the
+// copy-based frame path before any frame was sealed: unsealing the wire
+// again (unseal_wire, tests/wire_reference.h) must give exactly those
+// bytes, so the seal is the only change, and any change to how frames are
+// built, carried or written must leave both fingerprints untouched.
 TEST(WirePinTest, ForwardStreamFingerprints) {
   struct Case {
     PinCodec codec;
@@ -657,10 +660,10 @@ TEST(WirePinTest, ForwardStreamFingerprints) {
   const Case cases[] = {
       {PinCodec::kNull, false, 0x5FC78586A8C0D642ULL, 0x554BC3429E9057E3ULL, "null"},
       {PinCodec::kNull, true, 0x5FC78586A8C0D642ULL, 0x554BC3429E9057E3ULL, "null+resume"},
-      {PinCodec::kLz4, false, 0x37C2ED93626C9C33ULL, 0xB1DD565DC9C35884ULL, "lz4"},
-      {PinCodec::kLz4, true, 0x37C2ED93626C9C33ULL, 0xB1DD565DC9C35884ULL, "lz4+resume"},
-      {PinCodec::kDegrade, false, 0x6BB079D4136EC12EULL, 0x873015BA1A765AD3ULL, "degrade"},
-      {PinCodec::kDegrade, true, 0x6BB079D4136EC12EULL, 0x873015BA1A765AD3ULL,
+      {PinCodec::kLz4, false, 0x572D6BC981D99597ULL, 0xB1DD565DC9C35884ULL, "lz4"},
+      {PinCodec::kLz4, true, 0x572D6BC981D99597ULL, 0xB1DD565DC9C35884ULL, "lz4+resume"},
+      {PinCodec::kDegrade, false, 0xEAB9AA741F180E22ULL, 0x873015BA1A765AD3ULL, "degrade"},
+      {PinCodec::kDegrade, true, 0xEAB9AA741F180E22ULL, 0x873015BA1A765AD3ULL,
        "degrade+resume"},
   };
   for (const Case& c : cases) {

@@ -216,12 +216,20 @@ TEST(Lz4DifferentialTest, EveryOffsetAtLengthEncodingBoundaries) {
   Rng rng(chaos_seed(1202));
   for (std::uint16_t offset = 1; offset <= 16; ++offset) {
     for (const std::size_t match_len : kMatchLengths) {
-      // The first run is long enough for the offset; the second sits on the
-      // literal nibble boundary; the block ends on a match or on literals.
-      for (const std::size_t first_lits : {std::size_t{16}, std::size_t{270}}) {
+      // The first run is long enough for the offset (14 literals keep both
+      // nibbles short); the second sits on the literal nibble boundary.
+      // The block ends on a match or on a literal run: 29/30 put the
+      // second sequence's input room just under and on the short-sequence
+      // path's threshold, and 64 gives both sequences room to take it.
+      for (const std::size_t first_lits : {std::size_t{14}, std::size_t{16},
+                                           std::size_t{270}}) {
+        if (offset > first_lits) {
+          continue;
+        }
         for (const std::size_t second_lits : {std::size_t{0}, std::size_t{14},
                                               std::size_t{15}}) {
-          for (const std::size_t tail : {std::size_t{0}, std::size_t{5}}) {
+          for (const std::size_t tail : {std::size_t{0}, std::size_t{5}, std::size_t{29},
+                                         std::size_t{30}, std::size_t{64}}) {
             BlockBuilder builder;
             builder.sequence(random_bytes(first_lits, rng), offset, match_len);
             builder.sequence(random_bytes(second_lits, rng), offset, match_len);
@@ -233,12 +241,48 @@ TEST(Lz4DifferentialTest, EveryOffsetAtLengthEncodingBoundaries) {
                          " literals=" + std::to_string(first_lits) + "/" +
                          std::to_string(second_lits) + " tail=" + std::to_string(tail));
             const std::size_t decoded = builder.decoded_size();
-            for (std::size_t slack = 0; slack <= 16; ++slack) {
+            // Output slack 0-64 walks the output room of both sequences
+            // across the short-sequence and fast-path thresholds.
+            for (std::size_t slack = 0; slack <= 64; ++slack) {
               auto produced = decode_both(builder.block(), decoded + slack);
               ASSERT_TRUE(produced.ok());
               EXPECT_EQ(produced.value(), decoded);
             }
             EXPECT_FALSE(decode_both(builder.block(), decoded - 1).ok());
+          }
+        }
+      }
+    }
+  }
+}
+
+// A sequence short enough for the short-sequence path, with room to take
+// it, whose offset is zero or reaches one byte before the output start:
+// the path's one check of its own must refuse it exactly as the general
+// path does.
+TEST(Lz4DifferentialTest, ShortSequencesWithInvalidOffsets) {
+  Rng rng(chaos_seed(1206));
+  for (const std::size_t lits : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                 std::size_t{14}}) {
+    for (const std::size_t match_len : {std::size_t{4}, std::size_t{11}, std::size_t{18}}) {
+      // The first sequence is bad, or a valid first one (14 literals, a
+      // 4-byte match) is followed by a bad second one.
+      for (const bool second : {false, true}) {
+        const std::size_t produced = (second ? 18 : 0) + lits;
+        for (const std::size_t offset : {std::size_t{0}, produced + 1, std::size_t{65535}}) {
+          BlockBuilder builder;
+          if (second) {
+            builder.sequence(random_bytes(14, rng), 3, 4);
+          }
+          builder.sequence(random_bytes(lits, rng), static_cast<std::uint16_t>(offset),
+                           match_len);
+          builder.last_literals(random_bytes(64, rng));
+          SCOPED_TRACE("literals=" + std::to_string(lits) +
+                       " match_len=" + std::to_string(match_len) +
+                       " offset=" + std::to_string(offset) +
+                       (second ? " second" : " first"));
+          for (const std::size_t slack : {std::size_t{0}, std::size_t{64}}) {
+            EXPECT_FALSE(decode_both(builder.block(), builder.decoded_size() + slack).ok());
           }
         }
       }
@@ -275,6 +319,32 @@ TEST(Lz4DifferentialTest, SeededTruncationsAndMutations) {
   }
 }
 
+// Seeded flips and cuts of a whole projection's block, decoded into
+// buffers a few bytes either side of the raw size: corruption deep inside
+// a real 5 MB block, where nearly every sequence takes the short-sequence
+// path, must end exactly as in the reference decoder.
+TEST(Lz4DifferentialTest, SeededMutationsOfAFullProjectionBlock) {
+  const std::uint64_t seed = chaos_seed(1205);
+  SCOPED_TRACE("NUMASTREAM_CHAOS_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  const Bytes raw = TomoGenerator{TomoConfig{}}.projection(2);
+  const Bytes block = lz4_compress(raw);
+  for (int iter = 0; iter < 8; ++iter) {
+    Bytes mutated = block;
+    if (iter % 4 == 3) {
+      mutated.resize(rng.next_below(mutated.size()));
+    } else {
+      const std::uint64_t flips = 1 + rng.next_below(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        mutated[rng.next_below(mutated.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.next_below(255));
+      }
+    }
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    (void)decode_both(mutated, raw.size() - 8 + rng.next_below(25));
+  }
+}
+
 TEST(Lz4DifferentialTest, RandomGarbage) {
   Rng rng(chaos_seed(1204));
   for (int iter = 0; iter < 2000; ++iter) {
@@ -299,17 +369,24 @@ TEST(Lz4GoldenTest, TomographyProjectionFingerprints) {
   EXPECT_EQ(fast.size(), 705575U);
   EXPECT_EQ(xxhash64(fast), 0x4E6FD6C0D7623550ULL);
   EXPECT_EQ(xxhash64(lz4hc_compress(raw)), 0x790D89E1459F68AAULL);
-  EXPECT_EQ(xxhash64(encode_frame(*codec_by_id(CodecId::kLz4), raw)),
-            0x04E31892DF201BA5ULL);
+  // The sealed frame; unsealed again it is the frame the xxhash32 writer
+  // produced.
+  const Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), raw);
+  EXPECT_EQ(frame[5], kFrameFlagSealed);
+  EXPECT_EQ(xxhash64(frame), 0x74C51AFB81584888ULL);
+  EXPECT_EQ(xxhash64(unseal_frame(frame)), 0x04E31892DF201BA5ULL);
 }
 
 // ------------------------------------------------------ null frame decode
 
 /// The generic frame decode, written from the layout in codec/frame.h with
 /// every check in the library's order and text: the header fields, the
-/// payload check (a sealed frame's xxhash64 seal, else the payload
-/// xxhash32), the codec's decompress into a raw_size buffer, then the
-/// content checksum. A null frame takes that same decompress path here.
+/// payload check (a sealed frame's xxhash64 seal, all 64 bits for a null
+/// frame and the low 32 for any other; else the payload xxhash32), the
+/// codec's decompress into a raw_size buffer, then the content check (the
+/// low 32 bits of xxhash64 when sealed, else xxhash32; a sealed null
+/// frame's seal already covers it). A null frame takes that same
+/// decompress path here.
 Result<Bytes> decode_frame_generic(ByteSpan frame) {
   const ByteSpan header = frame.first(std::min(frame.size(), kFrameHeaderSize));
   const ByteSpan payload = frame.subspan(header.size());
@@ -342,9 +419,6 @@ Result<Bytes> decode_frame_generic(ByteSpan frame) {
   }
   const bool null = codec->id() == CodecId::kNull;
   const bool sealed = flags == kFrameFlagSealed;
-  if (sealed && !null) {
-    return data_loss_error("frame: sealed flag on a compressed frame");
-  }
   if (payload_size != payload.size()) {
     return data_loss_error("frame: payload size " + std::to_string(payload_size) +
                            " does not match remaining " + std::to_string(payload.size()) +
@@ -355,9 +429,12 @@ Result<Bytes> decode_frame_generic(ByteSpan frame) {
                            " out of bounds for a " + std::to_string(payload_size) +
                            "-byte payload");
   }
-  const bool payload_ok =
-      sealed ? xxhash64(payload) == ((std::uint64_t{content_hash} << 32) | payload_hash)
-             : xxhash32(payload) == payload_hash;
+  const std::uint64_t seal = (std::uint64_t{content_hash} << 32) | payload_hash;
+  bool payload_ok = xxhash32(payload) == payload_hash;
+  if (sealed) {
+    payload_ok = null ? xxhash64(payload) == seal
+                      : static_cast<std::uint32_t>(xxhash64(payload)) == payload_hash;
+  }
   if (!payload_ok) {
     return data_loss_error("frame: payload checksum mismatch");
   }
@@ -369,7 +446,10 @@ Result<Bytes> decode_frame_generic(ByteSpan frame) {
   if (produced.value() != raw.size()) {
     return data_loss_error("frame: decoded size mismatch");
   }
-  if (!sealed && xxhash32(raw) != content_hash) {
+  const bool content_ok = sealed ? null || static_cast<std::uint32_t>(xxhash64(raw)) ==
+                                                content_hash
+                                  : xxhash32(raw) == content_hash;
+  if (!content_ok) {
     return data_loss_error("frame: content checksum mismatch after decompression");
   }
   return raw;
@@ -552,16 +632,17 @@ TEST(Lz4GoldenTest, StoredFrameFingerprints) {
 }
 
 // A compressible LZ4 chunk's whole NSM1 message, held split as a sender
-// holds it and joined: compressed frames are not sealed, so their frame and
-// message bytes (body hash over the whole body) must stay exactly as they
-// were before stored frames were sealed. Recorded from that code.
+// holds it and joined. Its frame is sealed, so the body hash covers only
+// the frame header. Unsealed again (unseal_wire, tests/wire_reference.h),
+// the message must be byte for byte the one the xxhash32 writer produced
+// (whose digest is the second pin), so the seal is the only change.
 TEST(Lz4GoldenTest, CompressedMessageFingerprint) {
   TomoConfig config;
   config.rows = 512;
   config.cols = 1350;
   const Bytes raw = TomoGenerator(config).projection(1);
   SplitFrame frame = encode_frame_split(*codec_by_id(CodecId::kLz4), raw);
-  ASSERT_EQ(frame.header[5], 0);
+  ASSERT_EQ(frame.header[5], kFrameFlagSealed);
   Message split;
   split.stream_id = 3;
   split.sequence = 7;
@@ -573,7 +654,8 @@ TEST(Lz4GoldenTest, CompressedMessageFingerprint) {
   joined.body = encode_frame(*codec_by_id(CodecId::kLz4), raw);
   const Bytes wire = encode_message(split);
   EXPECT_EQ(wire.size(), 705639U);
-  EXPECT_EQ(xxhash64(wire), 0xB110923BF84636ABULL);
+  EXPECT_EQ(xxhash64(wire), 0xF83BF4DDB8D1E083ULL);
+  EXPECT_EQ(xxhash64(unseal_wire(wire)), 0xB110923BF84636ABULL);
   EXPECT_EQ(encode_message(joined), wire);
 }
 

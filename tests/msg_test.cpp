@@ -898,22 +898,40 @@ TEST(PushPullTest, SplitReceiveCorruptionsMatchTheWholeBodyReceive) {
 
 // ------------------------------------------------ sealed stored frames
 
-/// A stored-frame data message over `payload` as every sender now writes
-/// it (sealed), or as every earlier sender wrote it (unsealed: flags 0,
-/// xxhash32 of the payload in both frame hash fields, and a body hash over
-/// the whole body).
-Message stored_message(std::uint64_t sequence, const Bytes& payload, bool sealed) {
-  Message m =
-      frame_message(6, sequence, encode_frame_split(*codec_by_id(CodecId::kNull), payload));
+/// A data message framing `content` with `codec` as every sender now
+/// writes it (sealed), or as every earlier sender wrote it (unsealed: flags
+/// 0, xxhash32 of the payload and the content in the frame hash fields, and
+/// a body hash over the whole body).
+Message frame_message_of(CodecId codec, std::uint64_t sequence, const Bytes& content,
+                         bool sealed) {
+  Message m = frame_message(6, sequence, encode_frame_split(*codec_by_id(codec), content));
   if (!sealed) {
     unseal_frame_header(m.frame_header->data(), m.body);
   }
   return m;
 }
 
-/// One fault of the sealed-frame matrix applied to a stored-frame message's
-/// wire: a bit flip at `offset`, or (offset npos) a payload one byte short
-/// under a body size that says so, its body hash left as written.
+Message stored_message(std::uint64_t sequence, const Bytes& payload, bool sealed) {
+  return frame_message_of(CodecId::kNull, sequence, payload, sealed);
+}
+
+/// `size` bytes that LZ4 compresses: random 16-bit steps held for 24 bytes.
+Bytes compressible_body(std::size_t size, std::uint64_t seed) {
+  Bytes body(size);
+  Rng rng(seed);
+  std::uint8_t value = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    if (i % 24 == 0) {
+      value = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    body[i] = static_cast<std::uint8_t>(value + (i & 1));
+  }
+  return body;
+}
+
+/// One fault of the sealed-frame matrix applied to a frame message's wire:
+/// a bit flip at `offset`, or (offset npos) a payload one byte short under
+/// a body size that says so, its body hash left as written.
 Bytes faulted_wire(const Message& message, std::size_t offset) {
   Bytes wire = encode_message(message);
   if (offset != std::string::npos) {
@@ -926,91 +944,101 @@ Bytes faulted_wire(const Message& message, std::size_t offset) {
 }
 
 TEST(SealedFrameTest, BodyHashCoversTheFrameHeaderAndTheSealThePayload) {
-  const Bytes payload = random_body(5000, 31);
-  const Message sealed = stored_message(1, payload, true);
-  ASSERT_EQ((*sealed.frame_header)[5], kFrameFlagSealed);
-  EXPECT_EQ(frame_seal(*sealed.frame_header), xxhash64(payload));
-  const Bytes wire = encode_message(sealed);
-  EXPECT_EQ(load_le32(wire.data() + 28), xxhash32(*sealed.frame_header));
-  EXPECT_TRUE(message_body_intact(sealed, message_body_hash(sealed)));
+  const Bytes stored = random_body(5000, 31);
+  const Bytes compressible = compressible_body(5000, 31);
+  for (const Message& sealed : {stored_message(1, stored, true),
+                                frame_message_of(CodecId::kLz4, 1, compressible, true)}) {
+    const bool lz4 = (*sealed.frame_header)[4] == static_cast<std::uint8_t>(CodecId::kLz4);
+    SCOPED_TRACE(lz4 ? "lz4" : "stored");
+    ASSERT_EQ((*sealed.frame_header)[5], kFrameFlagSealed);
+    ASSERT_EQ(sealed.body.size() < compressible.size(), lz4);
+    EXPECT_TRUE(seal_intact(*sealed.frame_header, sealed.body));
+    const Bytes wire = encode_message(sealed);
+    EXPECT_EQ(load_le32(wire.data() + 28), xxhash32(*sealed.frame_header));
+    EXPECT_TRUE(message_body_intact(sealed, message_body_hash(sealed)));
 
-  // The same body held joined hashes and encodes identically.
-  Message joined = sealed;
-  joined.frame_header.reset();
-  joined.body = joined_body(sealed);
-  EXPECT_EQ(message_body_hash(joined), message_body_hash(sealed));
-  EXPECT_EQ(encode_message(joined), wire);
+    // The same body held joined hashes and encodes identically.
+    Message joined = sealed;
+    joined.frame_header.reset();
+    joined.body = joined_body(sealed);
+    EXPECT_EQ(message_body_hash(joined), message_body_hash(sealed));
+    EXPECT_EQ(encode_message(joined), wire);
 
-  // The seal covers the payload: the header digest alone cannot pass a
-  // changed payload, held split or joined.
-  Message flipped = sealed;
-  flipped.body[2500] ^= 0x01;
-  EXPECT_EQ(message_body_hash(flipped), message_body_hash(sealed));
-  EXPECT_FALSE(message_body_intact(flipped, message_body_hash(sealed)));
-  joined.body[kFrameHeaderSize + 2500] ^= 0x01;
-  EXPECT_FALSE(message_body_intact(joined, message_body_hash(sealed)));
+    // The seal covers the payload: the header digest alone cannot pass a
+    // changed payload, held split or joined.
+    Message flipped = sealed;
+    flipped.body[flipped.body.size() / 2] ^= 0x01;
+    EXPECT_EQ(message_body_hash(flipped), message_body_hash(sealed));
+    EXPECT_FALSE(message_body_intact(flipped, message_body_hash(sealed)));
+    joined.body[kFrameHeaderSize + flipped.body.size() / 2] ^= 0x01;
+    EXPECT_FALSE(message_body_intact(joined, message_body_hash(sealed)));
+  }
 
-  // Compressed frames and control bodies keep the whole-body hash; a
-  // control body is never read as a frame, whatever its bytes.
-  Message lz4 = frame_message(
-      6, 2, encode_frame_split(*codec_by_id(CodecId::kLz4), Bytes(4000, 3)));
-  EXPECT_EQ(message_body_hash(lz4), xxhash32(joined_body(lz4)));
+  // Unsealed frames and control bodies keep the whole-body hash; a control
+  // body is never read as a frame, whatever its bytes.
+  const Message unsealed = frame_message_of(CodecId::kLz4, 2, compressible, false);
+  EXPECT_EQ(message_body_hash(unsealed), xxhash32(joined_body(unsealed)));
   Message control = Message::resume_frame(9, {});
-  control.body = joined_body(sealed);
+  control.body = joined_body(stored_message(1, stored, true));
   EXPECT_EQ(message_body_hash(control), xxhash32(control.body));
 }
 
-// A sealed stored-frame message hit by one fault — a flip in every frame
-// header byte, in each byte of the NSM1 body-hash field, in the first,
-// middle and last payload byte, or a payload one byte short — and followed
-// by a clean message and an end-of-stream marker. Strict, each case is
-// sticky DATA_LOSS at the message layer, from PullSocket::recv and from
-// MessageDecoder alike, and the receive ends exactly as it does for an
+// A sealed frame message, stored and compressed, hit by one fault — a flip
+// in every frame header byte, in each byte of the NSM1 body-hash field, in
+// the first, middle and last payload byte, or a payload one byte short —
+// and followed by a clean message and an end-of-stream marker. Strict, each
+// case is sticky DATA_LOSS at the message layer, from PullSocket::recv and
+// from MessageDecoder alike, and the receive ends exactly as it does for an
 // unsealed body hit by the same fault.
 TEST(SealedFrameTest, FaultMatrixFailsAtTheMessageLayer) {
-  const Bytes payload = random_body(1000, 32);
-  const Message sealed = stored_message(1, payload, true);
-  const Message unsealed = stored_message(1, payload, false);
-  Bytes tail = encode_message(stored_message(2, random_body(700, 33), true));
-  const Bytes eos = encode_message(Message::end_of_stream_marker(6, 3));
-  tail.insert(tail.end(), eos.begin(), eos.end());
+  for (const CodecId codec : {CodecId::kNull, CodecId::kLz4}) {
+    const Bytes content =
+        codec == CodecId::kNull ? random_body(1000, 32) : compressible_body(3000, 32);
+    const Message sealed = frame_message_of(codec, 1, content, true);
+    const Message unsealed = frame_message_of(codec, 1, content, false);
+    ASSERT_EQ((*sealed.frame_header)[4], static_cast<std::uint8_t>(codec));
+    Bytes tail = encode_message(frame_message_of(codec, 2, content, true));
+    const Bytes eos = encode_message(Message::end_of_stream_marker(6, 3));
+    tail.insert(tail.end(), eos.begin(), eos.end());
 
-  const std::size_t payload_at = kMessageHeaderSize + kFrameHeaderSize;
-  std::vector<std::pair<std::string, std::size_t>> faults;
-  for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
-    faults.emplace_back("frame header byte " + std::to_string(i), kMessageHeaderSize + i);
-  }
-  for (std::size_t i = 28; i < kMessageHeaderSize; ++i) {
-    faults.emplace_back("body hash byte " + std::to_string(i), i);
-  }
-  faults.emplace_back("first payload byte", payload_at);
-  faults.emplace_back("middle payload byte", payload_at + payload.size() / 2);
-  faults.emplace_back("last payload byte", payload_at + payload.size() - 1);
-  faults.emplace_back("payload one byte short", std::string::npos);
+    const std::size_t payload_at = kMessageHeaderSize + kFrameHeaderSize;
+    const std::size_t payload_size = sealed.body.size();
+    std::vector<std::pair<std::string, std::size_t>> faults;
+    for (std::size_t i = 0; i < kFrameHeaderSize; ++i) {
+      faults.emplace_back("frame header byte " + std::to_string(i), kMessageHeaderSize + i);
+    }
+    for (std::size_t i = 28; i < kMessageHeaderSize; ++i) {
+      faults.emplace_back("body hash byte " + std::to_string(i), i);
+    }
+    faults.emplace_back("first payload byte", payload_at);
+    faults.emplace_back("middle payload byte", payload_at + payload_size / 2);
+    faults.emplace_back("last payload byte", payload_at + payload_size - 1);
+    faults.emplace_back("payload one byte short", std::string::npos);
 
-  for (const auto& [name, offset] : faults) {
-    SCOPED_TRACE(name);
-    Bytes wire = faulted_wire(sealed, offset);
-    wire.insert(wire.end(), tail.begin(), tail.end());
-    Bytes legacy = faulted_wire(unsealed, offset);
-    legacy.insert(legacy.end(), tail.begin(), tail.end());
+    for (const auto& [name, offset] : faults) {
+      SCOPED_TRACE(std::string(codec_by_id(codec)->name()) + " " + name);
+      Bytes wire = faulted_wire(sealed, offset);
+      wire.insert(wire.end(), tail.begin(), tail.end());
+      Bytes legacy = faulted_wire(unsealed, offset);
+      legacy.insert(legacy.end(), tail.begin(), tail.end());
 
-    // Sticky DATA_LOSS before any message is handed on.
-    InprocPair pair = make_inproc_pair(wire.size() + 1);
-    ASSERT_TRUE(pair.first->write_all(wire).is_ok());
-    pair.first->shutdown_write();
-    PullSocket strict(std::move(pair.second));
-    auto first = strict.recv();
-    ASSERT_FALSE(first.ok());
-    EXPECT_EQ(first.status().code(), StatusCode::kDataLoss);
-    EXPECT_EQ(first.status().message(), "message: body checksum mismatch");
-    EXPECT_EQ(strict.recv().status().message(), "message stream previously corrupt");
-    MessageDecoder failing;
-    failing.feed(wire);
-    EXPECT_EQ(failing.next().status().message(), "message: body checksum mismatch");
-    EXPECT_EQ(failing.next().status().message(), "message stream previously corrupt");
+      // Sticky DATA_LOSS before any message is handed on.
+      InprocPair pair = make_inproc_pair(wire.size() + 1);
+      ASSERT_TRUE(pair.first->write_all(wire).is_ok());
+      pair.first->shutdown_write();
+      PullSocket strict(std::move(pair.second));
+      auto first = strict.recv();
+      ASSERT_FALSE(first.ok());
+      EXPECT_EQ(first.status().code(), StatusCode::kDataLoss);
+      EXPECT_EQ(first.status().message(), "message: body checksum mismatch");
+      EXPECT_EQ(strict.recv().status().message(), "message stream previously corrupt");
+      MessageDecoder failing;
+      failing.feed(wire);
+      EXPECT_EQ(failing.next().status().message(), "message: body checksum mismatch");
+      EXPECT_EQ(failing.next().status().message(), "message stream previously corrupt");
 
-    expect_same_receive(socket_receive(wire), socket_receive(legacy));
+      expect_same_receive(socket_receive(wire), socket_receive(legacy));
+    }
   }
 }
 

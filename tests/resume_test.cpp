@@ -638,7 +638,9 @@ TEST(ResumePipelineTest, ReceiverCrashRecoversExactlyOnce) {
       },
       injector);
 
-  PatternSource source(1, kChunks, kChunkBytes);
+  // The source stops at half the stream until the crash, so the crash
+  // always lands mid-stream, never after the end-of-stream marker.
+  GatedPatternSource source(1, kChunks, kChunkBytes, /*gate_at=*/kChunks / 2);
   VerifySink sink1;
   VerifySink sink2;
 
@@ -674,11 +676,13 @@ TEST(ResumePipelineTest, ReceiverCrashRecoversExactlyOnce) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(sink1.count(), kChunks / 3) << "transfer never got going";
+  const bool got_going = sink1.count() >= kChunks / 3;
   phase.store(0, std::memory_order_release);
   injector.trigger_crash(/*restart_delay_micros=*/100000);
   counters.crashes_observed.fetch_add(1, std::memory_order_relaxed);
+  source.release();
   receiver1_thread.join();  // the watchdog reaps the dead incarnation
+  EXPECT_TRUE(got_going) << "transfer never got going";
 
   // Receiver #2: same ledger media, recovered — its RESUME handshake tells
   // the sender where to resume, and seen() dedups anything already sunk.
@@ -942,6 +946,71 @@ TEST(CreditWedgeTest, BitFlipsUnderCreditsDeliverExactlyOnce) {
   EXPECT_EQ(snapshot.injected_bitflips, plan.max_faults);
   EXPECT_GE(snapshot.connections_recycled, 1U);  // each flip cut its connection
   EXPECT_EQ(snapshot.corrupt_frames, 0U);        // none reached the decompress stage
+}
+
+// A corrupt message on the reverse channel ends its connection, not the
+// sender's run. The receiver's side of each connection flips one bit in
+// one write after a 64-byte fault-free prefix: this seed's flip lands in a
+// checked field of a credit grant, so the sender's recv_control reports
+// DATA_LOSS. In reconnect mode the sender redials, the RESUME handshake
+// replays what the cut lost, and every chunk arrives exactly once.
+TEST(ReverseChannelTest, CorruptCreditGrantRedialsInsteadOfFailingTheRun) {
+  constexpr std::uint64_t kCount = 50;
+  constexpr int kWatchdogMs = 5000;
+  const MachineTopology topo = host_topology();
+  MemoryJournalMedia sender_media;
+  MemoryJournalMedia receiver_media;
+  ResumeCounters counters;
+  FaultCounters faults;
+  InprocListener inner;
+  VerifySink sink;
+
+  FaultPlan plan;
+  plan.seed = 2;
+  plan.bitflip_per_write = 1.0;
+  plan.fault_free_prefix_bytes = 64;
+  plan.max_faults = 1;
+  FaultInjector injector(plan, &faults);
+  FaultyListener listener(inner, injector);
+
+  NodeConfig receiver_config = resumable_receiver(kWatchdogMs);
+  receiver_config.overload.credit_window = 4;
+  ReceiverJournal receiver_journal(receiver_media, kSession, &counters);
+  ASSERT_TRUE(receiver_journal.recover().is_ok());
+  Status receiver_status = Status::ok();
+  std::thread receiver_thread([&] {
+    StreamReceiver receiver(topo, receiver_config);
+    auto stats = receiver.run(listener, sink, nullptr, &faults, {}, {}, {},
+                              ResumeHooks{.receiver_journal = &receiver_journal,
+                                          .counters = &counters});
+    receiver_status = stats.ok() ? Status::ok() : stats.status();
+  });
+
+  NodeConfig sender_config = resumable_sender(kWatchdogMs);
+  sender_config.overload.credit_window = 4;
+  SenderJournal sender_journal(sender_media, kSession, &counters);
+  ASSERT_TRUE(sender_journal.recover().is_ok());
+  PatternSource source(1, kCount, kChunkBytes);
+  StreamSender sender(topo, sender_config);
+  auto stats = sender.run(source, [&] { return inner.connect(); }, nullptr, &faults, {}, {},
+                          {},
+                          ResumeHooks{.sender_journal = &sender_journal,
+                                      .counters = &counters});
+  receiver_thread.join();
+  EXPECT_TRUE(stats.ok()) << stats.status().to_string();
+  EXPECT_TRUE(receiver_status.is_ok()) << receiver_status.to_string();
+
+  const auto delivered = sink.hashes();
+  EXPECT_EQ(delivered.size(), kCount);
+  for (std::uint64_t seq = 0; seq < kCount; ++seq) {
+    const auto it = delivered.find({1, seq});
+    ASSERT_NE(it, delivered.end()) << "chunk " << seq << " lost";
+    EXPECT_EQ(it->second, xxhash32(pattern_payload(seq, kChunkBytes))) << "chunk " << seq;
+  }
+  EXPECT_EQ(sink.duplicates(), 0U);
+  const FaultCountersSnapshot snapshot = faults.snapshot();
+  EXPECT_EQ(snapshot.injected_bitflips, 1U);
+  EXPECT_GE(snapshot.reconnects, 1U);  // the flip cost the sender its connection
 }
 
 // Chaos composition: crash-restart x credit flow control x memory budget x

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "codec/codec.h"
 #include "codec/frame.h"
 #include "codec/xxhash.h"
 #include "common/bytes.h"
@@ -42,41 +43,55 @@ inline Bytes joined_body(const Message& message) {
 
 /// The wire rule's body check on a joined wire body, written from
 /// msg/message.h rather than taken from it: a data body that opens with a
-/// sealed stored frame (NSF1 magic, flags bit 0) must match `body_hash`
-/// with its 32-byte frame header alone and its payload must match the
-/// frame's xxhash64 seal; any other body must match with all of its bytes.
+/// sealed frame (NSF1 magic, flags bit 0) must match `body_hash` with its
+/// 32-byte frame header alone, and its payload must match the frame's
+/// payload seal: the xxhash64 in both hash fields of a stored (codec 0)
+/// frame, the low 32 bits of one in the first field of any other. Any
+/// other body must match with all of its bytes.
 inline bool whole_body_intact(bool data, ByteSpan body, std::uint32_t body_hash) {
   if (data && body.size() >= kFrameHeaderSize && load_le32(body.data()) == kFrameMagic &&
       (body[5] & kFrameFlagSealed) != 0) {
-    return xxhash32(body.first(kFrameHeaderSize)) == body_hash &&
-           xxhash64(body.subspan(kFrameHeaderSize)) == load_le64(body.data() + 24);
+    const std::uint64_t seal = xxhash64(body.subspan(kFrameHeaderSize));
+    const bool payload_ok = body[4] == 0 ? seal == load_le64(body.data() + 24)
+                                         : static_cast<std::uint32_t>(seal) ==
+                                               load_le32(body.data() + 24);
+    return xxhash32(body.first(kFrameHeaderSize)) == body_hash && payload_ok;
   }
   return xxhash32(body) == body_hash;
 }
 
-/// Rewrites the sealed stored frame header at `header` into the unsealed
-/// form every earlier writer produced for `payload`: flags 0 and xxhash32
-/// of the payload in both hash fields.
+/// Rewrites the sealed frame header at `header` into the unsealed form
+/// every earlier writer produced for `payload`: flags 0, xxhash32 of the
+/// payload at 24 and of the content at 28. A stored frame's content is its
+/// payload; a compressed one's is decompressed from it.
 inline void unseal_frame_header(std::uint8_t* header, ByteSpan payload) {
-  const std::uint32_t digest = xxhash32(payload);
+  const auto codec = static_cast<CodecId>(header[4]);
+  std::uint32_t content = xxhash32(payload);
+  if (codec != CodecId::kNull) {
+    Bytes raw(load_le64(header + 8));
+    const auto produced = codec_by_id(codec)->decompress(payload, raw);
+    EXPECT_TRUE(produced.ok() && produced.value() == raw.size())
+        << "unseal_frame_header needs a frame that decodes";
+    content = xxhash32(raw);
+  }
   header[5] = 0;
-  store_le32(header + 24, digest);
-  store_le32(header + 28, digest);
+  store_le32(header + 24, xxhash32(payload));
+  store_le32(header + 28, content);
 }
 
 /// `frame` (one joined frame) as the unsealing writer produced it.
 inline Bytes unseal_frame(ByteSpan frame) {
   Bytes out(frame.begin(), frame.end());
-  if (frame_seal(out)) {
+  if (frame_sealed(out)) {
     unseal_frame_header(out.data(), frame.subspan(kFrameHeaderSize));
   }
   return out;
 }
 
 /// `wire`, a run of whole NSM1 messages, as the unsealing writer produced
-/// it: every sealed stored frame of a data message unsealed, and that
-/// message's body hash taken over its whole body. Everything else is left
-/// byte for byte.
+/// it: every sealed frame of a data message unsealed, and that message's
+/// body hash taken over its whole body. Everything else is left byte for
+/// byte.
 inline Bytes unseal_wire(ByteSpan wire) {
   Bytes out(wire.begin(), wire.end());
   std::size_t pos = 0;
@@ -85,7 +100,7 @@ inline Bytes unseal_wire(ByteSpan wire) {
     const std::size_t body_size = load_le64(header + 20);
     std::uint8_t* body = header + kMessageHeaderSize;
     const bool data = (load_le16(header + 16) & ~kMessageFlagEndOfStream) == 0;
-    if (data && frame_seal(ByteSpan(body, body_size))) {
+    if (data && frame_sealed(ByteSpan(body, body_size))) {
       unseal_frame_header(body, ByteSpan(body + kFrameHeaderSize, body_size - kFrameHeaderSize));
       store_le32(header + 28, xxhash32(ByteSpan(body, body_size)));
     }
