@@ -2,7 +2,8 @@
 // running the build: LZ4 block codec, delta+RLE codec, xxHash, and the frame
 // wrapper, on synthetic tomographic data. These numbers are hardware-local;
 // the figure benches use the calibrated simulator instead. Each codec rate
-// is written to BENCH_micro_codec.json in MB/s (10^6 bytes per second).
+// is written to BENCH_micro_codec.json in MB/s (10^6 bytes per second),
+// next to the LZ4 and LZ4-HC compression ratios.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -29,6 +30,23 @@ Bytes projection_sample() {
   config.cols = 1350;
   static const Bytes sample = TomoGenerator(config).projection(1);
   return sample;
+}
+
+// Full-size projections as rtbench's ring renders them: entry i under
+// `--seed S` uses TomoConfig seed S * 0x9E3779B97F4A7C15 + i
+// (Ring::entry_config). These are seed 7's entries 0, 1 and 7, the
+// chunks the proj_lz4 workload compresses.
+const std::vector<Bytes>& ring_samples() {
+  static const std::vector<Bytes> samples = [] {
+    std::vector<Bytes> out;
+    for (const std::uint64_t index : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{7}}) {
+      TomoConfig config;
+      config.seed = 7 * 0x9E3779B97F4A7C15ULL + index;
+      out.push_back(TomoGenerator(config).projection(index));
+    }
+    return out;
+  }();
+  return samples;
 }
 
 Bytes random_sample(std::size_t size) {
@@ -67,6 +85,46 @@ void BM_Lz4DecompressTomo(benchmark::State& state) {
                           static_cast<std::int64_t>(input.size()));
 }
 BENCHMARK(BM_Lz4DecompressTomo);
+
+void BM_Lz4CompressRing(benchmark::State& state) {
+  const std::vector<Bytes>& inputs = ring_samples();
+  Bytes output(lz4_compress_bound(inputs.front().size()));
+  std::size_t raw = 0;
+  std::size_t compressed = 0;
+  for (auto _ : state) {
+    raw = 0;
+    compressed = 0;
+    for (const Bytes& input : inputs) {
+      auto written = lz4_compress_block(input, output);
+      benchmark::DoNotOptimize(written.value());
+      raw += input.size();
+      compressed += written.value();
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw));
+  state.counters["ratio"] = static_cast<double>(raw) / static_cast<double>(compressed);
+}
+BENCHMARK(BM_Lz4CompressRing)->Unit(benchmark::kMillisecond);
+
+void BM_Lz4DecompressRing(benchmark::State& state) {
+  std::vector<Bytes> blocks;
+  std::size_t raw = 0;
+  for (const Bytes& input : ring_samples()) {
+    blocks.push_back(lz4_compress(input));
+    raw += input.size();
+  }
+  Bytes output(ring_samples().front().size());
+  for (auto _ : state) {
+    for (const Bytes& block : blocks) {
+      auto produced = lz4_decompress_block(block, output);
+      benchmark::DoNotOptimize(produced.value());
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw));
+}
+BENCHMARK(BM_Lz4DecompressRing)->Unit(benchmark::kMillisecond);
 
 void BM_Lz4CompressIncompressible(benchmark::State& state) {
   const Bytes input = random_sample(1 << 20);
@@ -195,28 +253,37 @@ void BM_FrameDecodeNullSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecodeNullSplit);
 
-// Console output, plus each benchmark's throughput in MB/s for the JSON
-// artifact.
+// Console output, plus each benchmark's throughput in MB/s and its
+// compression ratio (where it reports one) for the JSON artifact.
 class RateRecorder : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) {
+        continue;
+      }
       const auto rate = run.counters.find("bytes_per_second");
-      if (run.run_type == Run::RT_Iteration && !run.error_occurred &&
-          rate != run.counters.end()) {
+      if (rate != run.counters.end()) {
         mbps[run.benchmark_name()] = rate->second.value / 1e6;
+      }
+      const auto compression = run.counters.find("ratio");
+      if (compression != run.counters.end()) {
+        ratio[run.benchmark_name()] = compression->second.value;
       }
     }
   }
 
   std::map<std::string, double> mbps;
+  std::map<std::string, double> ratio;
 };
 
 // Benchmark name -> JSON field for the rates the artifact carries.
 constexpr std::pair<const char*, const char*> kRateFields[] = {
     {"BM_Lz4CompressTomo", "lz4_compress_mbps"},
     {"BM_Lz4DecompressTomo", "lz4_decompress_mbps"},
+    {"BM_Lz4CompressRing", "lz4_compress_ring_mbps"},
+    {"BM_Lz4DecompressRing", "lz4_decompress_ring_mbps"},
     {"BM_Lz4HcCompressTomo", "lz4hc_compress_mbps"},
     {"BM_XxHash32/1048576", "xxh32_mbps"},
     {"BM_XxHash64/1048576", "xxh64_mbps"},
@@ -226,6 +293,13 @@ constexpr std::pair<const char*, const char*> kRateFields[] = {
     {"BM_FrameDecodeNull", "frame_null_decode_mbps"},
     {"BM_FrameEncodeNullSplit", "frame_null_encode_split_mbps"},
     {"BM_FrameDecodeNullSplit", "frame_null_decode_split_mbps"},
+};
+
+// Benchmark name -> JSON field for the compression ratios it carries.
+constexpr std::pair<const char*, const char*> kRatioFields[] = {
+    {"BM_Lz4CompressTomo", "lz4_ratio"},
+    {"BM_Lz4HcCompressTomo", "lz4hc_ratio"},
+    {"BM_Lz4CompressRing", "lz4_ring_ratio"},
 };
 
 }  // namespace
@@ -244,12 +318,16 @@ int main(int argc, char** argv) {
   numastream::bench::JsonWriter json =
       numastream::bench::bench_json("micro_codec", bench_clock.seconds());
   json.field("benchmarks_run", static_cast<double>(benchmarks_run));
-  for (const auto& [benchmark_name, field] : numastream::kRateFields) {
-    const auto rate = recorder.mbps.find(benchmark_name);
-    if (rate != recorder.mbps.end()) {  // absent when filtered out
-      json.field(field, rate->second);
+  const auto record = [&json](const auto& fields, const std::map<std::string, double>& values) {
+    for (const auto& [benchmark_name, field] : fields) {
+      const auto value = values.find(benchmark_name);
+      if (value != values.end()) {  // absent when filtered out
+        json.field(field, value->second);
+      }
     }
-  }
+  };
+  record(numastream::kRateFields, recorder.mbps);
+  record(numastream::kRatioFields, recorder.ratio);
   if (!json.write(numastream::bench::json_artifact_path(
           "BENCH_micro_codec.json"))) {
     std::fprintf(stderr, "failed to write BENCH_micro_codec.json\n");

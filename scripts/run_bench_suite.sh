@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Runs the figure-12 end-to-end bench plus every ablation bench and collects
-# their machine-readable BENCH_<name>.json artifacts into one directory.
+# Runs the two micro benches (queue handoff, and the real codec's rates and
+# ratios), the figure-12 end-to-end bench and every ablation bench, and
+# collects their machine-readable BENCH_<name>.json artifacts into one
+# directory.
 #
 #   scripts/run_bench_suite.sh [build-dir] [out-dir]
 #
@@ -19,6 +21,7 @@ out_dir=${2:-bench-json}
 
 benches=(
   micro_queue
+  micro_codec
   fig12_end_to_end
   ablation_adaptive
   ablation_chunk_size

@@ -4,11 +4,14 @@
 // ~2:1 ratio; this is that codec, self-contained so the library has no
 // external compression dependency.
 //
-// The compressor is the greedy single-pass variant with a 64 Ki-entry
-// hash table over 4-byte windows — the same design point as LZ4's default
-// "fast" mode: favours throughput over ratio, exactly what a streaming
-// pipeline that must outrun a 100 Gbps NIC wants. Both compressors extend
-// matches forward 8 bytes at a time (XOR of two words, count trailing zeros).
+// The compressor is the greedy single-pass variant — the same design point
+// as LZ4's default "fast" mode: favours throughput over ratio, exactly what
+// a streaming pipeline that must outrun a 100 Gbps NIC wants. Its match
+// table is 2^13 entries of 16-bit positions hashed from 6-byte windows:
+// 16 KiB on the stack, small enough to stay in L1 beside the data, and 16
+// bits are all a 64 KiB offset window needs (the argument is at the table in
+// lz4.cpp). Both compressors extend matches forward 8 bytes at a time (XOR
+// of two words, count trailing zeros).
 //
 // The decompressor is fully bounds-checked and returns DATA_LOSS on any
 // malformed input instead of reading or writing out of bounds, because frames
@@ -19,7 +22,7 @@
 //     copies: a 16-byte literal copy and an 18-byte match copy (pattern
 //     expansion below offset 8), with no branch on the lengths. The room
 //     makes every other check hold by construction. On tomography
-//     projections 95% of the 1.24 M sequences per chunk take it.
+//     projections about 90% of the ~0.87 M sequences per chunk take it.
 //   * fast path, when input and output both have >= 16 bytes of room past
 //     the sequence: 16-byte literal block copies, 8-byte match block copies,
 //     and pattern expansion for overlapping offsets 1-7 (runs of uint16
@@ -53,12 +56,13 @@ Result<std::size_t> lz4_compress_block(ByteSpan src, MutableByteSpan dst);
 /// past the returned count may be overwritten.
 Result<std::size_t> lz4_decompress_block(ByteSpan src, MutableByteSpan dst);
 
-/// High-compression variant: hash-chain match search that examines up to
-/// `max_chain` candidates per position and picks the longest match, instead
-/// of the fast mode's single-probe greedy scan. Produces the same block
-/// format (decompress with lz4_decompress_block), trades ~5-10x compression
-/// speed for a better ratio — the right end of the spectrum when the wire,
-/// not the sender's cores, is the bottleneck.
+/// High-compression variant: hash-chain match search (2^16 heads over 4-byte
+/// windows) that examines up to `max_chain` candidates per position and
+/// picks the longest match, instead of the fast mode's single-probe greedy
+/// scan. Produces the same block format (decompress with
+/// lz4_decompress_block), trades ~5-10x compression speed for a better ratio
+/// — the right end of the spectrum when the wire, not the sender's cores, is
+/// the bottleneck.
 Result<std::size_t> lz4hc_compress_block(ByteSpan src, MutableByteSpan dst,
                                          int max_chain = 64);
 

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -353,11 +354,139 @@ TEST(Lz4DifferentialTest, RandomGarbage) {
   }
 }
 
+// ------------------------------------------------ the compressor's window
+
+/// Walks a well-formed block and returns each sequence's match offset,
+/// recording a failure for an offset of 0 or one that reaches before the
+/// start of the data decoded so far (the 16-bit field caps it at 65535).
+std::vector<std::size_t> match_offsets(ByteSpan block) {
+  std::vector<std::size_t> offsets;
+  std::size_t ip = 0;
+  std::size_t produced = 0;
+  const auto length = [&](std::size_t nibble) {
+    std::size_t len = nibble;
+    if (nibble == 15) {
+      std::uint8_t byte = 0;
+      do {
+        byte = block[ip++];
+        len += byte;
+      } while (byte == 255 && ip < block.size());
+    }
+    return len;
+  };
+  while (ip < block.size()) {
+    const std::uint8_t token = block[ip++];
+    const std::size_t literals = length(token >> 4);
+    ip += literals;
+    produced += literals;
+    if (ip >= block.size()) {
+      break;
+    }
+    const std::size_t offset = load_le16(block.data() + ip);
+    ip += 2;
+    EXPECT_NE(offset, 0U) << "at decoded byte " << produced;
+    EXPECT_LE(offset, produced) << "reaches before the input at decoded byte " << produced;
+    offsets.push_back(offset);
+    produced += length(token & 0x0F) + 4;
+  }
+  return offsets;
+}
+
+/// Compresses `raw` with the fast compressor into an exactly bound-sized
+/// heap buffer, checks every offset and decodes it with both decoders into
+/// an exactly raw-sized buffer. Returns the block's match offsets.
+std::vector<std::size_t> fast_round_trip(ByteSpan raw) {
+  const std::size_t bound = lz4_compress_bound(raw.size());
+  const auto block = std::make_unique<std::uint8_t[]>(bound);
+  auto written = lz4_compress_block(raw, MutableByteSpan(block.get(), bound));
+  EXPECT_TRUE(written.ok());
+  if (!written.ok()) {
+    return {};
+  }
+  const ByteSpan compressed(block.get(), written.value());
+  std::vector<std::size_t> offsets = match_offsets(compressed);
+  Bytes decoded(raw.size());
+  auto produced = lz4_reference_decompress_block(compressed, decoded);
+  EXPECT_TRUE(produced.ok()) << produced.status().to_string();
+  EXPECT_TRUE(std::equal(raw.begin(), raw.end(), decoded.begin())) << "round trip differs";
+  EXPECT_TRUE(decode_both(compressed, raw.size()).ok());
+  return offsets;
+}
+
+// The match table keeps 16-bit positions, so a repeat exactly 65536 bytes
+// back (or a multiple of it) wraps to distance 0 and must be refused, while
+// one exactly 65535 back is the longest legal offset and is found. A
+// random 32-byte block sits at every multiple of the gap, with zeros
+// between, so its table entry survives to each repeat.
+TEST(Lz4DifferentialTest, RepeatsAtTheEdgeOfTheOffsetWindow) {
+  Rng rng(chaos_seed(1207));
+  for (const std::size_t gap : {std::size_t{65535}, std::size_t{65536}}) {
+    const Bytes block = random_bytes(32, rng);
+    Bytes raw(3 * gap + 4096);
+    for (std::size_t at = 0; at + block.size() <= raw.size(); at += gap) {
+      std::copy(block.begin(), block.end(), raw.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    SCOPED_TRACE("gap=" + std::to_string(gap));
+    const std::vector<std::size_t> offsets = fast_round_trip(raw);
+    if (gap == 65535) {
+      EXPECT_NE(std::find(offsets.begin(), offsets.end(), gap), offsets.end())
+          << "the repeat at the window's edge was not found";
+    }
+  }
+}
+
+// Random 256-byte blocks repeated across 4 MiB, most of them further back
+// than the window: most table entries are older than 64 KiB and alias to a
+// nearer position, which only the byte compare can reject.
+TEST(Lz4DifferentialTest, StaleTableEntriesAcrossAMultiMebibyteInput) {
+  Rng rng(chaos_seed(1208));
+  std::vector<Bytes> pool;
+  for (int i = 0; i < 64; ++i) {
+    pool.push_back(random_bytes(256, rng));
+  }
+  Bytes raw;
+  while (raw.size() < (std::size_t{4} << 20)) {
+    if (rng.next_below(4) == 0) {
+      const Bytes noise = random_bytes(1 + rng.next_below(300), rng);
+      raw.insert(raw.end(), noise.begin(), noise.end());
+    } else {
+      const Bytes& block = pool[rng.next_below(pool.size())];
+      raw.insert(raw.end(), block.begin(), block.end());
+    }
+  }
+  const std::vector<std::size_t> offsets = fast_round_trip(raw);
+  EXPECT_GT(offsets.size(), raw.size() / 1024) << "the repeats were not found";
+}
+
+// Every input length 0-80, and lengths either side of the 64 KiB wrap, at
+// the very end of exactly-sized heap buffers: the 8-byte hash loads must
+// stay inside the input (AddressSanitizer checks them).
+TEST(Lz4DifferentialTest, EveryShortLengthInAnExactlySizedBuffer) {
+  Rng rng(chaos_seed(1209));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 80; ++n) {
+    lengths.push_back(n);
+  }
+  for (std::size_t n = 65530; n <= 65542; ++n) {
+    lengths.push_back(n);
+  }
+  for (const std::size_t n : lengths) {
+    for (int kind = 0; kind <= 4; ++kind) {
+      const Bytes corpus = make_corpus(n, kind, rng);
+      const auto raw = std::make_unique<std::uint8_t[]>(n);
+      std::copy(corpus.begin(), corpus.end(), raw.get());
+      SCOPED_TRACE("size=" + std::to_string(n) + " kind=" + std::to_string(kind));
+      (void)fast_round_trip(ByteSpan(raw.get(), n));
+    }
+  }
+}
+
 // ------------------------------------------------------------ golden pins
 
-// Output bytes of the codec on a fixed quarter-size projection, recorded from
-// the byte-at-a-time matcher. The raw-data pin tells a generator change from
-// a codec change.
+// Output bytes of the codec on a fixed quarter-size projection: the fast
+// compressor's pins were recorded from its 2^13-entry, 16-bit, 6-byte-hash
+// table, HC's from its 2^16-head chain matcher. The raw-data pin tells a
+// generator change from a codec change.
 TEST(Lz4GoldenTest, TomographyProjectionFingerprints) {
   TomoConfig config;
   config.rows = 512;
@@ -366,15 +495,15 @@ TEST(Lz4GoldenTest, TomographyProjectionFingerprints) {
   ASSERT_EQ(xxhash64(raw), 0x4F4A25DD5260309CULL) << "generator output changed";
 
   const Bytes fast = lz4_compress(raw);
-  EXPECT_EQ(fast.size(), 705575U);
-  EXPECT_EQ(xxhash64(fast), 0x4E6FD6C0D7623550ULL);
+  EXPECT_EQ(fast.size(), 732104U);
+  EXPECT_EQ(xxhash64(fast), 0x7E72DB7D6EF0314AULL);
   EXPECT_EQ(xxhash64(lz4hc_compress(raw)), 0x790D89E1459F68AAULL);
   // The sealed frame; unsealed again it is the frame the xxhash32 writer
-  // produced.
+  // would write around the same block.
   const Bytes frame = encode_frame(*codec_by_id(CodecId::kLz4), raw);
   EXPECT_EQ(frame[5], kFrameFlagSealed);
-  EXPECT_EQ(xxhash64(frame), 0x74C51AFB81584888ULL);
-  EXPECT_EQ(xxhash64(unseal_frame(frame)), 0x04E31892DF201BA5ULL);
+  EXPECT_EQ(xxhash64(frame), 0x111FF6A0AA627EB0ULL);
+  EXPECT_EQ(xxhash64(unseal_frame(frame)), 0xD7C5CE0C0D23BA4BULL);
 }
 
 // ------------------------------------------------------ null frame decode
@@ -634,8 +763,9 @@ TEST(Lz4GoldenTest, StoredFrameFingerprints) {
 // A compressible LZ4 chunk's whole NSM1 message, held split as a sender
 // holds it and joined. Its frame is sealed, so the body hash covers only
 // the frame header. Unsealed again (unseal_wire, tests/wire_reference.h),
-// the message must be byte for byte the one the xxhash32 writer produced
-// (whose digest is the second pin), so the seal is the only change.
+// the message must be byte for byte the one the xxhash32 writer would
+// write around the same block (whose digest is the second pin), so the seal
+// is the only change.
 TEST(Lz4GoldenTest, CompressedMessageFingerprint) {
   TomoConfig config;
   config.rows = 512;
@@ -653,9 +783,9 @@ TEST(Lz4GoldenTest, CompressedMessageFingerprint) {
   joined.sequence = 7;
   joined.body = encode_frame(*codec_by_id(CodecId::kLz4), raw);
   const Bytes wire = encode_message(split);
-  EXPECT_EQ(wire.size(), 705639U);
-  EXPECT_EQ(xxhash64(wire), 0xF83BF4DDB8D1E083ULL);
-  EXPECT_EQ(xxhash64(unseal_wire(wire)), 0xB110923BF84636ABULL);
+  EXPECT_EQ(wire.size(), 732168U);
+  EXPECT_EQ(xxhash64(wire), 0x1093C8989E191AE7ULL);
+  EXPECT_EQ(xxhash64(unseal_wire(wire)), 0x37C308B0261CA684ULL);
   EXPECT_EQ(encode_message(joined), wire);
 }
 
