@@ -99,7 +99,7 @@ int main() {
   // 4. One anti-entropy round against the primary: digests diverge on the
   //    quarantined ranges, clean bytes pull across, quarantine lifts.
   cluster::ScrubServer server(primary, kSession, config.range_records);
-  cluster::InprocScrubLink link(server);
+  cluster::InprocPeerLink link(server);
   cluster::AntiEntropyScrubber antientropy(replica, link, kSession, config,
                                            /*epoch=*/1, &counters, &scrubber);
   const Status round = antientropy.run_round();

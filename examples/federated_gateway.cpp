@@ -135,17 +135,15 @@ int main(int argc, char** argv) {
       serve_status = stream.status();
       return;
     }
-    serve_status = cluster::serve_standby(*stream.value(), standby);
+    serve_status = cluster::serve_peer(*stream.value(), standby);
   });
   auto repl_stream = tcp_connect("127.0.0.1", repl_port);
   if (!repl_stream.ok()) {
     std::fprintf(stderr, "replication connect failed\n");
     return 1;
   }
-  auto transport = std::make_unique<cluster::StreamReplicationTransport>(
-      std::move(repl_stream).value());
-  cluster::PrimaryReplicator replicator(*transport, kSession, /*epoch=*/1,
-                                        &fed);
+  auto link = std::make_unique<cluster::StreamPeerLink>(std::move(repl_stream).value());
+  cluster::PrimaryReplicator replicator(*link, kSession, /*epoch=*/1, &fed);
   if (!replicator.hello().is_ok()) {
     std::fprintf(stderr, "replication hello failed\n");
     return 1;
@@ -303,7 +301,7 @@ int main(int argc, char** argv) {
 
   sender_thread.join();
   buddy_thread.join();
-  transport.reset();  // close the replication link: the standby loop exits
+  link.reset();  // close the replication link: the standby loop exits
   repl_thread.join();
   std::remove(replica_path);
   if (!sender_ok || !buddy_ok) {

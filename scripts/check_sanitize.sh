@@ -56,7 +56,7 @@ suites=(
   ChaosExplorerTest ChaosCountersTest CounterLedgerTest ConfigPinTest
   ConfigFuzzTest DedupPinTest StrictReceiverTest SequenceLedgerTest
   FaultStreamPinTest ChaosPinTest SealedFrameTest SealedPipelineTest
-  CreditWedgeTest ReverseChannelTest
+  CreditWedgeTest ReverseChannelTest ControlKindPinTest ChannelKindTest
 )
 scripts/run_suites.sh build-sanitize "${suites[@]}" -- "$@"
 

@@ -44,6 +44,7 @@ suites=(
   CancelSignalTest ChunkPoolTest LinkCutsTest ChaosHarnessTest
   AsymmetricPartitionTest ChaosExplorerTest WirePinTest DedupPinTest
   StrictReceiverTest SequenceLedgerTest SealedPipelineTest CreditWedgeTest
+  ControlKindPinTest ChannelKindTest
 )
 scripts/run_suites.sh build-tsan "${suites[@]}" -- "$@"
 

@@ -59,10 +59,9 @@ ScrubConfig harness_scrub_config() {
 /// converge), or gives up and fails over while the standby is *ahead* of
 /// the acked watermark (which the standby-superset invariant must tolerate,
 /// and does — superset, not equality).
-template <typename Transport>
-class CutLink final : public Transport {
+class CutLink final : public cluster::PeerLink {
  public:
-  CutLink(Transport& inner, const LinkCuts& cuts, std::uint32_t from,
+  CutLink(cluster::PeerLink& inner, const LinkCuts& cuts, std::uint32_t from,
           std::uint32_t to)
       : inner_(inner), cuts_(cuts), from_(from), to_(to) {}
 
@@ -89,25 +88,10 @@ class CutLink final : public Transport {
   }
 
  private:
-  Transport& inner_;
+  cluster::PeerLink& inner_;
   const LinkCuts& cuts_;
   const std::uint32_t from_;
   const std::uint32_t to_;
-};
-
-/// Routes HANDOFF frames into a HandoffTarget, the same shape the
-/// rebalance tests use; a CutLink wraps this so a partition can kill any
-/// phase of the three-phase protocol.
-class HandoffCall final : public cluster::ReplicationTransport {
- public:
-  explicit HandoffCall(cluster::HandoffTarget& target) : target_(target) {}
-
-  Result<Message> exchange(const Message& frame) override {
-    return target_.handle(frame);
-  }
-
- private:
-  cluster::HandoffTarget& target_;
 };
 
 }  // namespace
@@ -252,11 +236,8 @@ Status ChaosHarness::ensure_replicator(std::uint32_t g) {
   if (gateway.replicator != nullptr) {
     return Status::ok();
   }
-  gateway.link = std::make_unique<cluster::InprocReplicationLink>(
-      *gateways_[peer].standby);
-  gateway.chaos_link =
-      std::make_unique<CutLink<cluster::ReplicationTransport>>(
-          *gateway.link, cuts_, g, peer);
+  gateway.link = std::make_unique<cluster::InprocPeerLink>(*gateways_[peer].standby);
+  gateway.chaos_link = std::make_unique<CutLink>(*gateway.link, cuts_, g, peer);
   gateway.replicator = std::make_unique<cluster::PrimaryReplicator>(
       *gateway.chaos_link, kSession, gateway.epoch, &fed_);
   const Status hello = gateway.replicator->hello();
@@ -471,8 +452,8 @@ void ChaosHarness::scrub() {
     if (!gateways_[g].alive || !gateways_[peer].alive) {
       continue;
     }
-    cluster::InprocScrubLink raw_link(*gateways_[peer].scrub_server);
-    CutLink<cluster::ScrubTransport> link(raw_link, cuts_, g, peer);
+    cluster::InprocPeerLink raw_link(*gateways_[peer].scrub_server);
+    CutLink link(raw_link, cuts_, g, peer);
     // Scrub with the freshest epoch this gateway knows — as a standby that
     // is the epoch it adopted from the primary's frames, not the stale one
     // it last owned.
@@ -499,10 +480,9 @@ void ChaosHarness::handoff(std::uint32_t stream_id) {
   streams_used_.insert(stream_id);
   cluster::HandoffTarget handoff_target(*gateways_[target].standby, kSession,
                                         target, &fed_);
-  HandoffCall call(handoff_target);
-  CutLink<cluster::ReplicationTransport> transport(call, cuts_, source,
-                                                   target);
-  cluster::HandoffSource handoff_source(transport, kSession, &fed_);
+  cluster::InprocPeerLink direct(handoff_target);
+  CutLink link(direct, cuts_, source, target);
+  cluster::HandoffSource handoff_source(link, kSession, &fed_);
 
   Gateway& src = gateways_[source];
   std::uint64_t fenced_epoch = 0;

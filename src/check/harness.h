@@ -112,8 +112,8 @@ class ChaosHarness {
     std::unique_ptr<cluster::StandbySession> standby;
     std::unique_ptr<cluster::ScrubServer> scrub_server;
     // Owner-role plumbing, rebuilt lazily after crash/fence/promotion.
-    std::unique_ptr<cluster::InprocReplicationLink> link;
-    std::unique_ptr<cluster::ReplicationTransport> chaos_link;
+    std::unique_ptr<cluster::InprocPeerLink> link;
+    std::unique_ptr<cluster::PeerLink> chaos_link;
     std::unique_ptr<cluster::PrimaryReplicator> replicator;
     bool alive = true;
     bool believes_owner = false;

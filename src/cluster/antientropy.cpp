@@ -55,6 +55,90 @@ bool records_verify(ByteSpan records) {
 
 }  // namespace
 
+// ---- SCRUB frames ----------------------------------------------------------
+
+Message scrub_frame(const ScrubInfo& info, std::uint64_t scrub_sequence) {
+  NS_CHECK(info.kind == ScrubKind::kDigestReply || info.digests.empty(),
+           "only digest replies carry digest entries");
+  NS_CHECK(info.records.size() % kJournalRecordSize == 0,
+           "scrub frame records must be whole journal records");
+  NS_CHECK(info.kind == ScrubKind::kRepairPush ||
+               info.kind == ScrubKind::kRepairReply || info.records.empty(),
+           "only repair push/reply frames carry records");
+  Message m;
+  m.kind = MessageKind::kScrub;
+  m.sequence = scrub_sequence;
+  const std::size_t payload =
+      info.kind == ScrubKind::kDigestReply
+          ? info.digests.size() * kScrubDigestSize
+          : info.records.size();
+  m.body.reserve(kScrubBodyPrefix + payload);
+  ByteWriter w(m.body);
+  w.u32(static_cast<std::uint32_t>(info.kind));
+  w.u64(info.session_id);
+  w.u64(info.epoch);
+  w.u64(info.range);
+  w.u32(info.range_records);
+  if (info.kind == ScrubKind::kDigestReply) {
+    w.u32(static_cast<std::uint32_t>(info.digests.size()));
+    for (const ScrubRangeDigest& entry : info.digests) {
+      w.u64(entry.range);
+      w.u32(entry.records);
+      w.u32(entry.digest);
+    }
+  } else {
+    w.u32(static_cast<std::uint32_t>(info.records.size() / kJournalRecordSize));
+    w.raw(info.records);
+  }
+  return m;
+}
+
+Result<ScrubInfo> parse_scrub_body(ByteSpan body) {
+  ByteReader r(body);
+  ScrubInfo info;
+  std::uint32_t kind = 0;
+  std::uint32_t count = 0;
+  if (!r.u32(kind).is_ok() || !r.u64(info.session_id).is_ok() ||
+      !r.u64(info.epoch).is_ok() || !r.u64(info.range).is_ok() ||
+      !r.u32(info.range_records).is_ok() || !r.u32(count).is_ok()) {
+    return invalid_argument_error("scrub frame: body shorter than prefix");
+  }
+  if (kind < static_cast<std::uint32_t>(ScrubKind::kDigestRequest) ||
+      kind > static_cast<std::uint32_t>(ScrubKind::kRepairReply)) {
+    return invalid_argument_error("scrub frame: unknown kind " +
+                                  std::to_string(kind));
+  }
+  info.kind = static_cast<ScrubKind>(kind);
+  const std::size_t entry_size =
+      info.kind == ScrubKind::kDigestReply ? kScrubDigestSize
+                                           : kJournalRecordSize;
+  if (body.size() != kScrubBodyPrefix + std::size_t{count} * entry_size) {
+    return invalid_argument_error(
+        "scrub frame: entry count disagrees with body length");
+  }
+  if (count != 0 && info.kind != ScrubKind::kDigestReply &&
+      info.kind != ScrubKind::kRepairPush &&
+      info.kind != ScrubKind::kRepairReply) {
+    return invalid_argument_error(
+        "scrub frame: payload on a request frame");
+  }
+  if (info.kind == ScrubKind::kDigestReply) {
+    info.digests.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      ScrubRangeDigest entry;
+      NS_RETURN_IF_ERROR(r.u64(entry.range));
+      NS_RETURN_IF_ERROR(r.u32(entry.records));
+      NS_RETURN_IF_ERROR(r.u32(entry.digest));
+      info.digests.push_back(entry);
+    }
+  } else {
+    info.records.assign(body.begin() + kScrubBodyPrefix, body.end());
+  }
+  return info;
+}
+
+// ---- range digests ---------------------------------------------------------
+
 std::vector<ScrubRangeDigest> journal_range_digests(
     ByteSpan journal, std::uint32_t range_records) {
   NS_CHECK(range_records > 0, "digest ranges must hold at least one record");
@@ -96,7 +180,7 @@ std::uint64_t ScrubServer::promote() {
 }
 
 Result<Message> ScrubServer::handle(const Message& frame) {
-  if (!frame.scrub) {
+  if (frame.kind != MessageKind::kScrub) {
     return invalid_argument_error("scrub server: non-SCRUB frame on the link");
   }
   auto parsed =
@@ -136,7 +220,7 @@ Result<Message> ScrubServer::handle(const Message& frame) {
     // stale scrubber to stop.
     count(&ScrubCounters::fenced_scrubs_rejected, counters_);
     reply.epoch = epoch_;
-    return Message::scrub_frame(reply, frame.sequence);
+    return scrub_frame(reply, frame.sequence);
   }
   epoch_ = std::max(epoch_, info.epoch);
   reply.epoch = epoch_;
@@ -182,20 +266,20 @@ Result<Message> ScrubServer::handle(const Message& frame) {
     default:
       return invalid_argument_error("scrub server: unreachable kind");
   }
-  return Message::scrub_frame(reply, frame.sequence);
+  return scrub_frame(reply, frame.sequence);
 }
 
 // ---- AntiEntropyScrubber ---------------------------------------------------
 
 AntiEntropyScrubber::AntiEntropyScrubber(JournalMedia& local,
-                                         ScrubTransport& transport,
+                                         PeerLink& link,
                                          std::uint64_t session_id,
                                          const ScrubConfig& config,
                                          std::uint64_t epoch,
                                          ScrubCounters* counters,
                                          JournalScrubber* local_scrubber)
     : local_(local),
-      transport_(transport),
+      link_(link),
       session_id_(session_id),
       config_(config),
       counters_(counters),
@@ -213,12 +297,12 @@ std::uint64_t AntiEntropyScrubber::epoch() const {
 Result<ScrubInfo> AntiEntropyScrubber::exchange_checked(
     const ScrubInfo& request) {
   const std::uint64_t sequence = next_sequence_++;
-  auto frame = Message::scrub_frame(request, sequence);
-  auto reply = transport_.exchange(frame);
+  auto frame = scrub_frame(request, sequence);
+  auto reply = link_.exchange(frame);
   if (!reply.ok()) {
     return reply.status();
   }
-  if (!reply.value().scrub || reply.value().sequence != sequence) {
+  if (reply.value().kind != MessageKind::kScrub || reply.value().sequence != sequence) {
     return data_loss_error("anti-entropy: reply sequence mismatch");
   }
   auto info = parse_scrub_body(

@@ -29,12 +29,30 @@
 // fenced_scrubs_rejected) and its replies carry the higher epoch, which the
 // scrubbing side turns into DATA_LOSS — a fenced primary must not keep
 // "repairing" the new primary's replica.
+//
+// SCRUB frame (NSM1 flag bit 5, mask 32, msg/message.h). The message's
+// sequence field is the scrub exchange sequence number and the body is:
+//
+//   0   4  kind (1 digest request, 2 digest reply, 3 repair pull,
+//           4 repair push, 5 repair reply)
+//   4   8  session id
+//   12  8  epoch
+//   20  8  range index
+//   28  4  range size in records (both sides must agree)
+//   32  4  count N (digest entries or journal records; 0 otherwise)
+//   36  .. N x 16-byte digest entries (digest reply:
+//           u64 range index, u32 record count, u32 xxhash32 of the range)
+//           or N x 37-byte journal records (repair push / repair reply)
+//
+// SCRUB frames only appear when anti-entropy scrubbing is on; without it
+// the wire stays bit-identical to NSM1 v1.4.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
+#include "cluster/peer_link.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "core/journal.h"
@@ -45,8 +63,65 @@
 namespace numastream {
 namespace cluster {
 
-static_assert(kScrubRecordSize == kJournalRecordSize,
-              "SCRUB frame grammar and journal record format must agree");
+/// Fixed prefix of a SCRUB body: kind + session + epoch + range index +
+/// range size + entry count.
+inline constexpr std::size_t kScrubBodyPrefix = 36;
+static_assert(kScrubBodyPrefix == message_kind_rule(MessageKind::kScrub).min_body,
+              "the NSM1 header check admits exactly the SCRUB prefix");
+/// Bytes per range-digest entry in a SCRUB digest reply.
+inline constexpr std::size_t kScrubDigestSize = 16;
+
+/// SCRUB frame kinds: the anti-entropy sub-protocol between a primary and
+/// its ring buddy (the scrubbing side drives requests; the buddy answers).
+enum class ScrubKind : std::uint32_t {
+  kDigestRequest = 1,  ///< scrubber -> buddy: send your range digests
+  kDigestReply = 2,    ///< buddy -> scrubber: per-range digests of the replica
+  kRepairPull = 3,     ///< scrubber -> buddy: send range's records verbatim
+  kRepairPush = 4,     ///< scrubber -> buddy: install these verified records
+  kRepairReply = 5,    ///< buddy -> scrubber: pulled records / push receipt
+};
+
+/// One journal range's fingerprint: `records` whole records hashed as raw
+/// bytes. Two sides whose (records, digest) pairs agree per range hold
+/// byte-identical journals without ever shipping them.
+struct ScrubRangeDigest {
+  std::uint64_t range = 0;      ///< range index (record index / range size)
+  std::uint32_t records = 0;    ///< whole records present in the range
+  std::uint32_t digest = 0;     ///< xxhash32 over the range's raw bytes
+
+  friend bool operator==(const ScrubRangeDigest&,
+                         const ScrubRangeDigest&) = default;
+};
+
+/// Decoded payload of a SCRUB frame.
+struct ScrubInfo {
+  ScrubKind kind = ScrubKind::kDigestRequest;
+  std::uint64_t session_id = 0;
+  std::uint64_t epoch = 0;
+  /// Range the frame addresses (repair kinds); ignored for digest kinds,
+  /// which always cover the whole journal.
+  std::uint64_t range = 0;
+  /// Records per range; both sides must agree or the exchange is refused.
+  std::uint32_t range_records = 0;
+  /// kDigestReply only: the replying side's per-range digests.
+  std::vector<ScrubRangeDigest> digests;
+  /// kRepairPush / kRepairReply only: concatenated 37-byte journal records.
+  Bytes records;
+
+  friend bool operator==(const ScrubInfo&, const ScrubInfo&) = default;
+};
+
+/// Anti-entropy scrub frame. `scrub_sequence` lands in the message's
+/// sequence field. `info.digests` must be empty unless the kind is
+/// kDigestReply; `info.records` must be a whole number of journal records
+/// and empty unless the kind is kRepairPush or kRepairReply.
+[[nodiscard]] Message scrub_frame(const ScrubInfo& info,
+                                  std::uint64_t scrub_sequence = 0);
+
+/// Parses a SCRUB frame body. INVALID_ARGUMENT when the kind is unknown,
+/// the declared entry count disagrees with the body length, or a payload
+/// rides on a kind that must be payload-less.
+Result<ScrubInfo> parse_scrub_body(ByteSpan body);
 
 /// Per-range digests of a raw journal image: range i covers records
 /// [i * range_records, (i+1) * range_records), the final range may be
@@ -57,20 +132,11 @@ static_assert(kScrubRecordSize == kJournalRecordSize,
 [[nodiscard]] std::vector<ScrubRangeDigest> journal_range_digests(
     ByteSpan journal, std::uint32_t range_records);
 
-/// One synchronous request/reply exchange with the buddy's scrub server.
-/// Used under the scrubber's lock, so implementations need not be
-/// thread-safe. InprocScrubLink below is the in-process one.
-class ScrubTransport {
- public:
-  virtual ~ScrubTransport() = default;
-  virtual Result<Message> exchange(const Message& frame) = 0;
-};
-
 /// The buddy's side of the anti-entropy link: answers digest requests from
 /// its replica media, serves repair pulls, and installs repair pushes after
 /// re-verifying every record. Thread-safe; promote() may race handle()
 /// from the failover path, exactly like StandbySession.
-class ScrubServer {
+class ScrubServer final : public PeerHandler {
  public:
   /// Borrows `media` (the replica journal) and optional `counters`; both
   /// must outlive the server. `range_records` must match the peer's.
@@ -81,7 +147,7 @@ class ScrubServer {
   /// stale epoch is refused — the reply carries our higher epoch and no
   /// payload, and a push is NOT installed. Errors are protocol violations
   /// (wrong session, disagreeing range size, malformed body).
-  Result<Message> handle(const Message& frame);
+  Result<Message> handle(const Message& frame) override;
 
   /// Takes over: bumps the epoch past everything the old primary used.
   std::uint64_t promote();
@@ -105,7 +171,7 @@ class AntiEntropyScrubber {
   /// Borrows everything; all must outlive the scrubber. `local_scrubber`
   /// is optional — when given, a successful pull-repair re-verifies the
   /// range and lifts its quarantine (JournalScrubber::reverify).
-  AntiEntropyScrubber(JournalMedia& local, ScrubTransport& transport,
+  AntiEntropyScrubber(JournalMedia& local, PeerLink& link,
                       std::uint64_t session_id, const ScrubConfig& config,
                       std::uint64_t epoch = 1,
                       ScrubCounters* counters = nullptr,
@@ -128,7 +194,7 @@ class AntiEntropyScrubber {
                       const ScrubRangeDigest* theirs, ByteSpan local_bytes);
 
   JournalMedia& local_;
-  ScrubTransport& transport_;
+  PeerLink& link_;
   const std::uint64_t session_id_;
   const ScrubConfig config_;
   ScrubCounters* counters_;
@@ -137,27 +203,6 @@ class AntiEntropyScrubber {
   mutable std::mutex mutex_;
   std::uint64_t epoch_;
   std::uint64_t next_sequence_ = 1;
-};
-
-/// In-process scrub link for tests and the simulated cluster, mirroring
-/// InprocReplicationLink: a direct call into the buddy's server, with a
-/// partition switch.
-class InprocScrubLink final : public ScrubTransport {
- public:
-  explicit InprocScrubLink(ScrubServer& server) : server_(server) {}
-
-  void set_partitioned(bool partitioned) { partitioned_ = partitioned; }
-
-  Result<Message> exchange(const Message& frame) override {
-    if (partitioned_) {
-      return unavailable_error("scrub link partitioned");
-    }
-    return server_.handle(frame);
-  }
-
- private:
-  ScrubServer& server_;
-  bool partitioned_ = false;
 };
 
 }  // namespace cluster

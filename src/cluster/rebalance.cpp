@@ -7,6 +7,50 @@
 namespace numastream {
 namespace cluster {
 
+Message handoff_frame(const HandoffInfo& info, std::uint64_t handoff_sequence) {
+  Message m;
+  m.kind = MessageKind::kHandoff;
+  m.sequence = handoff_sequence;
+  m.body.reserve(kHandoffBodySize);
+  ByteWriter w(m.body);
+  w.u32(static_cast<std::uint32_t>(info.phase));
+  w.u64(info.session_id);
+  w.u64(info.epoch);
+  w.u32(info.stream_id);
+  w.u32(info.source_gateway);
+  w.u32(info.target_gateway);
+  w.u64(info.watermark);
+  NS_CHECK(m.body.size() == kHandoffBodySize,
+           "handoff frame body must be exactly kHandoffBodySize");
+  return m;
+}
+
+Result<HandoffInfo> parse_handoff_body(ByteSpan body) {
+  if (body.size() != kHandoffBodySize) {
+    return invalid_argument_error(
+        "handoff frame: body must be exactly " +
+        std::to_string(kHandoffBodySize) + " bytes, got " +
+        std::to_string(body.size()));
+  }
+  ByteReader r(body);
+  HandoffInfo info;
+  std::uint32_t phase = 0;
+  NS_RETURN_IF_ERROR(r.u32(phase));
+  if (phase < static_cast<std::uint32_t>(HandoffPhase::kPrepare) ||
+      phase > static_cast<std::uint32_t>(HandoffPhase::kAbort)) {
+    return invalid_argument_error("handoff frame: unknown phase " +
+                                  std::to_string(phase));
+  }
+  info.phase = static_cast<HandoffPhase>(phase);
+  NS_RETURN_IF_ERROR(r.u64(info.session_id));
+  NS_RETURN_IF_ERROR(r.u64(info.epoch));
+  NS_RETURN_IF_ERROR(r.u32(info.stream_id));
+  NS_RETURN_IF_ERROR(r.u32(info.source_gateway));
+  NS_RETURN_IF_ERROR(r.u32(info.target_gateway));
+  NS_RETURN_IF_ERROR(r.u64(info.watermark));
+  return info;
+}
+
 double GatewayLoad::score() const {
   return static_cast<double>(inflight_bytes) / (1024.0 * 1024.0) +
          static_cast<double>(queue_depth) +
@@ -135,7 +179,7 @@ HandoffTarget::HandoffTarget(StandbySession& standby, std::uint64_t session_id,
       counters_(counters) {}
 
 Result<Message> HandoffTarget::handle(const Message& frame) {
-  if (!frame.handoff) {
+  if (frame.kind != MessageKind::kHandoff) {
     return invalid_argument_error("handoff target: not a handoff frame");
   }
   auto parsed = parse_handoff_body(ByteSpan(frame.body.data(), frame.body.size()));
@@ -166,7 +210,7 @@ Result<Message> HandoffTarget::handle(const Message& frame) {
       // was abandoned on its side.
       pending_ = info;
       phase_ = Phase::kPrepared;
-      return Message::handoff_frame(ack, frame.sequence);
+      return handoff_frame(ack, frame.sequence);
     case HandoffPhase::kJournal:
       if (phase_ != Phase::kPrepared || info.stream_id != pending_.stream_id) {
         return invalid_argument_error(
@@ -174,7 +218,7 @@ Result<Message> HandoffTarget::handle(const Message& frame) {
       }
       pending_ = info;  // adopt the declared freeze watermark
       phase_ = Phase::kJournaled;
-      return Message::handoff_frame(ack, frame.sequence);
+      return handoff_frame(ack, frame.sequence);
     case HandoffPhase::kCommit: {
       if (phase_ != Phase::kJournaled || info.stream_id != pending_.stream_id) {
         return invalid_argument_error(
@@ -192,32 +236,30 @@ Result<Message> HandoffTarget::handle(const Message& frame) {
         counters_->handoff_streams_moved.fetch_add(1,
                                                    std::memory_order_relaxed);
       }
-      return Message::handoff_frame(ack, frame.sequence);
+      return handoff_frame(ack, frame.sequence);
     }
     case HandoffPhase::kAbort:
       phase_ = Phase::kIdle;
       if (counters_ != nullptr) {
         counters_->handoffs_aborted.fetch_add(1, std::memory_order_relaxed);
       }
-      return Message::handoff_frame(ack, frame.sequence);
+      return handoff_frame(ack, frame.sequence);
     case HandoffPhase::kAck:
       return invalid_argument_error("handoff target: unexpected ack");
   }
   return invalid_argument_error("handoff target: unreachable phase");
 }
 
-HandoffSource::HandoffSource(ReplicationTransport& transport,
-                             std::uint64_t session_id,
+HandoffSource::HandoffSource(PeerLink& link, std::uint64_t session_id,
                              FederationCounters* counters)
-    : transport_(transport), session_id_(session_id), counters_(counters) {}
+    : link_(link), session_id_(session_id), counters_(counters) {}
 
 Result<std::uint64_t> HandoffSource::exchange_phase(const HandoffInfo& info) {
-  auto reply = transport_.exchange(
-      Message::handoff_frame(info, next_sequence_++));
+  auto reply = link_.exchange(handoff_frame(info, next_sequence_++));
   if (!reply.ok()) {
     return reply.status();
   }
-  if (!reply.value().handoff) {
+  if (reply.value().kind != MessageKind::kHandoff) {
     return invalid_argument_error("handoff source: reply is not a handoff frame");
   }
   auto parsed = parse_handoff_body(
@@ -254,7 +296,7 @@ Status HandoffSource::run(std::uint32_t stream_id, std::uint32_t source,
   // the abort, and surface the original error.
   const auto abort_with = [&](Status why) {
     info.phase = HandoffPhase::kAbort;
-    (void)transport_.exchange(Message::handoff_frame(info, next_sequence_++));
+    (void)link_.exchange(handoff_frame(info, next_sequence_++));
     if (counters_ != nullptr) {
       counters_->handoffs_aborted.fetch_add(1, std::memory_order_relaxed);
     }

@@ -33,6 +33,20 @@
 // `hysteresis_windows` consecutive windows, every trigger starts a
 // `cooldown_windows` quiet period, and at most `max_concurrent` handoffs
 // may be in flight. Everything defaults off behind RebalanceConfig below.
+//
+// HANDOFF frame (NSM1 flag bit 4, mask 16, msg/message.h). The message's
+// sequence field is the handoff sequence number and the body is fixed-size:
+//
+//   0   4  phase (1 prepare, 2 journal, 3 commit, 4 ack, 5 abort)
+//   4   8  session id
+//   12  8  epoch
+//   20  4  stream id
+//   24  4  source gateway
+//   28  4  target gateway
+//   32  8  watermark (sequence the stream is frozen at)
+//
+// HANDOFF frames only appear when rebalancing is on; without it the wire
+// stays bit-identical to NSM1 v1.3.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +100,49 @@ struct RebalanceConfig {
 };
 
 namespace cluster {
+
+/// Exact size of a HANDOFF body: phase + session + epoch + stream +
+/// source gateway + target gateway + watermark. HANDOFF frames are always
+/// exactly this long; any other length is corruption.
+inline constexpr std::size_t kHandoffBodySize = 40;
+static_assert(kHandoffBodySize == message_kind_rule(MessageKind::kHandoff).min_body &&
+                  kHandoffBodySize == message_kind_rule(MessageKind::kHandoff).max_body,
+              "the NSM1 header check admits exactly the HANDOFF body size");
+
+/// HANDOFF frame phases: the planned-transfer sub-protocol between
+/// gateways (source drives prepare/journal/commit; the target answers each
+/// with an ack or an abort).
+enum class HandoffPhase : std::uint32_t {
+  kPrepare = 1,  ///< source -> target: stream frozen at `watermark`, drained
+  kJournal = 2,  ///< source -> target: journal tail flushed and replicated
+  kCommit = 3,   ///< source -> target: transfer ownership (epoch bump fences us)
+  kAck = 4,      ///< target -> source: phase accepted
+  kAbort = 5,    ///< either: abandon; fall back to crash-failover rules
+};
+
+/// Decoded payload of a HANDOFF frame.
+struct HandoffInfo {
+  HandoffPhase phase = HandoffPhase::kAbort;
+  std::uint64_t session_id = 0;
+  std::uint64_t epoch = 0;
+  std::uint32_t stream_id = 0;
+  std::uint32_t source_gateway = 0;
+  std::uint32_t target_gateway = 0;
+  /// Sequence the stream is frozen at: everything below is drained and
+  /// replicated before commit, so the target resumes exactly here.
+  std::uint64_t watermark = 0;
+
+  friend bool operator==(const HandoffInfo&, const HandoffInfo&) = default;
+};
+
+/// Planned-handoff frame. `handoff_sequence` lands in the message's
+/// sequence field; the fixed-size body carries the rest of `info`.
+[[nodiscard]] Message handoff_frame(const HandoffInfo& info,
+                                    std::uint64_t handoff_sequence = 0);
+
+/// Parses a HANDOFF frame body. INVALID_ARGUMENT when the phase is unknown
+/// or the body is not exactly kHandoffBodySize bytes.
+Result<HandoffInfo> parse_handoff_body(ByteSpan body);
 
 /// One gateway's load sample for one observation window. The components
 /// are folded into a dimensionless pressure index; only *relative* scores
@@ -159,7 +216,7 @@ class RebalanceController {
 /// the thread that serves the link (same contract as StandbySession —
 /// handle() itself is not re-entrant, but promote() under the hood is
 /// thread-safe against the crash-failover path).
-class HandoffTarget {
+class HandoffTarget final : public PeerHandler {
  public:
   /// Borrows `standby` (the replica session for the handoff's streams);
   /// it must outlive the target. `self` is this gateway's ring slot.
@@ -170,7 +227,7 @@ class HandoffTarget {
   /// (an ack, echoing our epoch). Errors are protocol violations (wrong
   /// session, wrong target, out-of-order phase, malformed body) — the link
   /// should drop, and the source treats that as an abort.
-  Result<Message> handle(const Message& frame);
+  Result<Message> handle(const Message& frame) override;
 
   /// True once a COMMIT has been applied (the standby was promoted and
   /// this gateway owns the stream).
@@ -196,8 +253,8 @@ class HandoffTarget {
 };
 
 /// The source gateway's side: drives PREPARE → JOURNAL → COMMIT over a
-/// request/reply transport, calling back into the pipeline for the local
-/// work between phases. Any failure before COMMIT aborts the handoff (best
+/// peer link, calling back into the pipeline for the local work between
+/// phases. Any failure before COMMIT aborts the handoff (best
 /// effort abort frame) and leaves the source the owner — the caller then
 /// falls back to crash-failover rules if the target is in fact dead.
 class HandoffSource {
@@ -216,7 +273,7 @@ class HandoffSource {
     std::function<void(std::uint64_t new_epoch)> fenced;
   };
 
-  HandoffSource(ReplicationTransport& transport, std::uint64_t session_id,
+  HandoffSource(PeerLink& link, std::uint64_t session_id,
                 FederationCounters* counters = nullptr);
 
   /// Runs one complete handoff of `stream_id` from `source` to `target`,
@@ -231,7 +288,7 @@ class HandoffSource {
   /// Sends one phase frame and validates the ack. Returns the ack's epoch.
   Result<std::uint64_t> exchange_phase(const HandoffInfo& info);
 
-  ReplicationTransport& transport_;
+  PeerLink& link_;
   const std::uint64_t session_id_;
   FederationCounters* counters_;
   std::uint64_t next_sequence_ = 1;

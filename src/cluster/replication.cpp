@@ -8,6 +8,53 @@
 namespace numastream {
 namespace cluster {
 
+// ---- REPL frames -----------------------------------------------------------
+
+Message repl_frame(ReplKind kind, std::uint64_t session_id, std::uint64_t epoch,
+                   std::uint64_t repl_sequence, ByteSpan records) {
+  NS_CHECK(records.size() % kJournalRecordSize == 0,
+           "repl frame records must be whole journal records");
+  NS_CHECK(kind == ReplKind::kAppend || records.empty(),
+           "only append frames carry records");
+  Message m;
+  m.kind = MessageKind::kRepl;
+  m.sequence = repl_sequence;
+  m.body.reserve(kReplBodyPrefix + records.size());
+  ByteWriter w(m.body);
+  w.u32(static_cast<std::uint32_t>(kind));
+  w.u64(session_id);
+  w.u64(epoch);
+  w.u32(static_cast<std::uint32_t>(records.size() / kJournalRecordSize));
+  w.raw(records);
+  return m;
+}
+
+Result<ReplInfo> parse_repl_body(ByteSpan body) {
+  ByteReader r(body);
+  ReplInfo info;
+  std::uint32_t kind = 0;
+  std::uint32_t count = 0;
+  if (!r.u32(kind).is_ok() || !r.u64(info.session_id).is_ok() ||
+      !r.u64(info.epoch).is_ok() || !r.u32(count).is_ok()) {
+    return invalid_argument_error("repl frame: body shorter than prefix");
+  }
+  if (kind < static_cast<std::uint32_t>(ReplKind::kHello) ||
+      kind > static_cast<std::uint32_t>(ReplKind::kHeartbeat)) {
+    return invalid_argument_error("repl frame: unknown kind " +
+                                  std::to_string(kind));
+  }
+  info.kind = static_cast<ReplKind>(kind);
+  if (body.size() != kReplBodyPrefix + std::size_t{count} * kJournalRecordSize) {
+    return invalid_argument_error(
+        "repl frame: record count disagrees with body length");
+  }
+  if (count != 0 && info.kind != ReplKind::kAppend) {
+    return invalid_argument_error("repl frame: records on a non-append frame");
+  }
+  info.records.assign(body.begin() + kReplBodyPrefix, body.end());
+  return info;
+}
+
 // ---- StandbySession --------------------------------------------------------
 
 StandbySession::StandbySession(JournalMedia& media, std::uint64_t session_id,
@@ -34,7 +81,7 @@ std::uint64_t StandbySession::promote() {
 }
 
 Result<Message> StandbySession::handle(const Message& frame) {
-  if (!frame.repl) {
+  if (frame.kind != MessageKind::kRepl) {
     return invalid_argument_error("standby: non-REPL frame on the link");
   }
   auto info = parse_repl_body(ByteSpan(frame.body.data(), frame.body.size()));
@@ -72,7 +119,7 @@ Result<Message> StandbySession::handle(const Message& frame) {
       NS_RETURN_IF_ERROR(
           media_.append(ByteSpan(records.data(), records.size())));
       NS_RETURN_IF_ERROR(media_.flush());
-      records_applied_ += records.size() / kReplRecordSize;
+      records_applied_ += records.size() / kJournalRecordSize;
       break;
     }
     case ReplKind::kAck:
@@ -81,17 +128,15 @@ Result<Message> StandbySession::handle(const Message& frame) {
   if (counters_ != nullptr) {
     counters_->note_epoch(epoch_);
   }
-  return Message::repl_frame(ReplKind::kAck, session_id_, epoch_,
-                             frame.sequence);
+  return repl_frame(ReplKind::kAck, session_id_, epoch_, frame.sequence);
 }
 
 // ---- PrimaryReplicator -----------------------------------------------------
 
-PrimaryReplicator::PrimaryReplicator(ReplicationTransport& transport,
-                                     std::uint64_t session_id,
+PrimaryReplicator::PrimaryReplicator(PeerLink& link, std::uint64_t session_id,
                                      std::uint64_t epoch,
                                      FederationCounters* counters)
-    : transport_(transport),
+    : link_(link),
       session_id_(session_id),
       counters_(counters),
       epoch_(epoch) {
@@ -108,9 +153,8 @@ std::uint64_t PrimaryReplicator::epoch() const {
 Status PrimaryReplicator::exchange_checked(ReplKind kind, ByteSpan records) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t sequence = next_sequence_++;
-  const Message frame =
-      Message::repl_frame(kind, session_id_, epoch_, sequence, records);
-  const std::uint64_t record_count = records.size() / kReplRecordSize;
+  const Message frame = repl_frame(kind, session_id_, epoch_, sequence, records);
+  const std::uint64_t record_count = records.size() / kJournalRecordSize;
   if (counters_ != nullptr && kind == ReplKind::kAppend) {
     counters_->repl_records_shipped.fetch_add(record_count,
                                               std::memory_order_relaxed);
@@ -121,11 +165,11 @@ Status PrimaryReplicator::exchange_checked(ReplKind kind, ByteSpan records) {
   if (counters_ != nullptr && kind == ReplKind::kHeartbeat) {
     counters_->heartbeats_sent.fetch_add(1, std::memory_order_relaxed);
   }
-  auto reply = transport_.exchange(frame);
+  auto reply = link_.exchange(frame);
   if (!reply.ok()) {
     return reply.status();
   }
-  if (!reply.value().repl || reply.value().sequence != sequence) {
+  if (reply.value().kind != MessageKind::kRepl || reply.value().sequence != sequence) {
     return data_loss_error("replicator: ack sequence mismatch");
   }
   auto ack = parse_repl_body(
@@ -158,7 +202,7 @@ Status PrimaryReplicator::hello() {
 }
 
 Status PrimaryReplicator::ship(ByteSpan records) {
-  NS_CHECK(records.size() % kReplRecordSize == 0,
+  NS_CHECK(records.size() % kJournalRecordSize == 0,
            "ship() takes whole journal records");
   if (records.empty()) {
     return Status::ok();
@@ -198,73 +242,6 @@ Result<Bytes> ReplicatedJournalMedia::read_all() { return local_.read_all(); }
 
 Status ReplicatedJournalMedia::write_at(std::uint64_t offset, ByteSpan data) {
   return local_.write_at(offset, data);
-}
-
-// ---- InprocReplicationLink -------------------------------------------------
-
-Result<Message> InprocReplicationLink::exchange(const Message& frame) {
-  if (partitioned_.load(std::memory_order_acquire)) {
-    return unavailable_error("replication link partitioned");
-  }
-  auto reply = standby_.handle(frame);
-  if (drop_ack_.exchange(false, std::memory_order_acq_rel)) {
-    // The standby applied the frame durably; only the ack is lost.
-    return unavailable_error("replication link died before the ack");
-  }
-  return reply;
-}
-
-// ---- StreamReplicationTransport --------------------------------------------
-
-Result<Message> StreamReplicationTransport::exchange(const Message& frame) {
-  const Bytes wire = encode_message(frame);
-  NS_RETURN_IF_ERROR(stream_->write_all(ByteSpan(wire.data(), wire.size())));
-  std::uint8_t buffer[4096];
-  for (;;) {
-    auto reply = decoder_.next();
-    if (reply.ok()) {
-      return reply;
-    }
-    if (reply.status().code() != StatusCode::kUnavailable) {
-      return reply.status();
-    }
-    auto n = stream_->read_some(MutableByteSpan(buffer, sizeof(buffer)));
-    if (!n.ok()) {
-      return n.status();
-    }
-    if (n.value() == 0) {
-      return unavailable_error("replication peer closed the link");
-    }
-    decoder_.feed(ByteSpan(buffer, n.value()));
-  }
-}
-
-Status serve_standby(ByteStream& stream, StandbySession& standby) {
-  MessageDecoder decoder;
-  std::uint8_t buffer[4096];
-  for (;;) {
-    auto frame = decoder.next();
-    if (frame.ok()) {
-      auto reply = standby.handle(frame.value());
-      if (!reply.ok()) {
-        return reply.status();
-      }
-      const Bytes wire = encode_message(reply.value());
-      NS_RETURN_IF_ERROR(stream.write_all(ByteSpan(wire.data(), wire.size())));
-      continue;
-    }
-    if (frame.status().code() != StatusCode::kUnavailable) {
-      return frame.status();
-    }
-    auto n = stream.read_some(MutableByteSpan(buffer, sizeof(buffer)));
-    if (!n.ok()) {
-      return n.status();
-    }
-    if (n.value() == 0) {
-      return Status::ok();  // clean shutdown: the primary closed the link
-    }
-    decoder.feed(ByteSpan(buffer, n.value()));
-  }
 }
 
 }  // namespace cluster

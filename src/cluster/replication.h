@@ -4,7 +4,7 @@
 // death but not a machine death: when the whole box goes, the journal goes
 // with it. The federation layer closes that hole by shipping every journal
 // record to the stream's buddy gateway *before* the write is acknowledged —
-// synchronous replication, carried by NSM1 REPL frames (msg/message.h).
+// synchronous replication, carried by NSM1 REPL frames (below).
 //
 // Roles and ordering invariant:
 //
@@ -28,40 +28,75 @@
 // DATA_LOSS — the stale side can no longer report client writes as durable.
 // This is the split-brain guard: at most one side of a partition can make
 // progress.
+//
+// REPL frame (NSM1 flag bit 3, mask 8, msg/message.h). The message's
+// sequence field is the replication sequence number (monotone per link,
+// echoed back by acks) and the body is:
+//
+//   0   4  kind (1 hello, 2 append, 3 ack, 4 heartbeat)
+//   4   8  session id
+//   12  8  epoch
+//   20  4  record count N (append frames; 0 otherwise)
+//   24  .. N x 37-byte journal records (core/journal.h wire format)
+//
+// REPL frames only appear when the gateways are federated; without
+// federation the wire stays bit-identical to NSM1 v1.2.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
+#include "cluster/peer_link.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "core/journal.h"
 #include "metrics/federation_counters.h"
 #include "msg/message.h"
-#include "msg/transport.h"
 
 namespace numastream {
 namespace cluster {
 
-static_assert(kReplRecordSize == kJournalRecordSize,
-              "REPL frame grammar and journal record format must agree");
+/// Fixed prefix of a REPL body: kind + session id + epoch + record count.
+inline constexpr std::size_t kReplBodyPrefix = 24;
+static_assert(kReplBodyPrefix == message_kind_rule(MessageKind::kRepl).min_body,
+              "the NSM1 header check admits exactly the REPL prefix");
 
-/// One synchronous request/reply exchange with the standby. Implementations
-/// are used under the replicator's lock, so they need not be thread-safe.
-class ReplicationTransport {
- public:
-  virtual ~ReplicationTransport() = default;
-  /// Ships an encoded REPL frame and blocks for the peer's reply frame.
-  virtual Result<Message> exchange(const Message& frame) = 0;
+/// REPL frame kinds: the replication sub-protocol between gateways.
+enum class ReplKind : std::uint32_t {
+  kHello = 1,      ///< primary -> standby: open a replication session
+  kAppend = 2,     ///< primary -> standby: journal records to mirror
+  kAck = 3,        ///< standby -> primary: durable through repl sequence
+  kHeartbeat = 4,  ///< either direction: liveness probe
 };
+
+/// Decoded payload of a REPL frame.
+struct ReplInfo {
+  ReplKind kind = ReplKind::kHeartbeat;
+  std::uint64_t session_id = 0;
+  std::uint64_t epoch = 0;
+  /// kAppend only: concatenated 37-byte journal records, ready for
+  /// scan_journal (core/journal.h). Empty for the other kinds.
+  Bytes records;
+
+  friend bool operator==(const ReplInfo&, const ReplInfo&) = default;
+};
+
+/// Replication frame. `repl_sequence` lands in the message's sequence
+/// field; `records` must be a whole number of journal records (kAppend) or
+/// empty (the other kinds).
+[[nodiscard]] Message repl_frame(ReplKind kind, std::uint64_t session_id,
+                                 std::uint64_t epoch, std::uint64_t repl_sequence,
+                                 ByteSpan records = ByteSpan());
+
+/// Parses a REPL frame body. INVALID_ARGUMENT when the kind is unknown or
+/// the declared record count disagrees with the body length.
+Result<ReplInfo> parse_repl_body(ByteSpan body);
 
 /// The standby side of one replication link: applies REPL frames against
 /// the replica journal media and produces the ack the primary blocks on.
 /// Thread-safe; promote() may race handle() from the failover path.
-class StandbySession {
+class StandbySession final : public PeerHandler {
  public:
   /// Borrows `media` (the replica journal) and optional `counters`; both
   /// must outlive the session.
@@ -72,7 +107,7 @@ class StandbySession {
   /// Appends carrying a stale epoch are *not* applied; the reply's higher
   /// epoch tells the sender it has been fenced. Errors are protocol
   /// violations (wrong session, malformed body) — the link should drop.
-  Result<Message> handle(const Message& frame);
+  Result<Message> handle(const Message& frame) override;
 
   /// Takes over: bumps the epoch past everything the old primary used, so
   /// its in-flight and future appends are fenced. Returns the new epoch.
@@ -97,7 +132,7 @@ class StandbySession {
 /// blocking on the standby's ack. Thread-safe.
 class PrimaryReplicator {
  public:
-  PrimaryReplicator(ReplicationTransport& transport, std::uint64_t session_id,
+  PrimaryReplicator(PeerLink& link, std::uint64_t session_id,
                     std::uint64_t epoch = 1,
                     FederationCounters* counters = nullptr);
 
@@ -119,7 +154,7 @@ class PrimaryReplicator {
  private:
   Status exchange_checked(ReplKind kind, ByteSpan records);
 
-  ReplicationTransport& transport_;
+  PeerLink& link_;
   const std::uint64_t session_id_;
   FederationCounters* counters_;
 
@@ -151,55 +186,6 @@ class ReplicatedJournalMedia final : public JournalMedia {
   std::mutex mutex_;
   Bytes pending_;  ///< appended since the last successful ship
 };
-
-/// In-process replication link for tests and the simulated cluster: a
-/// direct call into the standby, with a partition switch for split-brain
-/// scenarios. Thread-safe.
-class InprocReplicationLink final : public ReplicationTransport {
- public:
-  explicit InprocReplicationLink(StandbySession& standby)
-      : standby_(standby) {}
-
-  /// A partitioned link fails every exchange with UNAVAILABLE — the
-  /// network between the gateways, not either endpoint, is down.
-  void set_partitioned(bool partitioned) {
-    partitioned_.store(partitioned, std::memory_order_release);
-  }
-
-  /// Fault injection: the next exchange delivers the frame to the standby
-  /// (which applies it durably) but the reply is lost — the link dies
-  /// between apply and ack, the worst spot for a mid-flush failure. The
-  /// primary must treat the flush as NOT replicated even though the
-  /// standby holds the records; the resulting divergence (a duplicated
-  /// range after the retry) is what anti-entropy scrubbing converges.
-  void drop_next_ack() { drop_ack_.store(true, std::memory_order_release); }
-
-  Result<Message> exchange(const Message& frame) override;
-
- private:
-  StandbySession& standby_;
-  std::atomic<bool> partitioned_{false};
-  std::atomic<bool> drop_ack_{false};
-};
-
-/// Byte-stream replication link for real deployments (TCP loopback in
-/// examples/federated_gateway): one frame out, one reply back.
-class StreamReplicationTransport final : public ReplicationTransport {
- public:
-  explicit StreamReplicationTransport(std::unique_ptr<ByteStream> stream)
-      : stream_(std::move(stream)) {}
-
-  Result<Message> exchange(const Message& frame) override;
-
- private:
-  std::unique_ptr<ByteStream> stream_;
-  MessageDecoder decoder_;
-};
-
-/// Standby-side service loop: decodes REPL frames off `stream`, feeds them
-/// to `standby`, writes replies back. Returns OK on clean peer shutdown,
-/// the first error otherwise.
-Status serve_standby(ByteStream& stream, StandbySession& standby);
 
 }  // namespace cluster
 }  // namespace numastream

@@ -819,7 +819,7 @@ class SendSession {
   /// directive on and this sender does not — a config mismatch worth
   /// failing loudly on.
   Status absorb_control(const Message& control) {
-    if (control.credit) {
+    if (control.kind == MessageKind::kCredit) {
       credit_ += control.sequence;
       run_.ovr.credit_held.fetch_add(static_cast<std::int64_t>(control.sequence),
                                      std::memory_order_relaxed);
@@ -859,7 +859,7 @@ class SendSession {
         return control.status();
       }
       NS_RETURN_IF_ERROR(absorb_control(control.value()));
-      if (control.value().resume) {
+      if (control.value().kind == MessageKind::kResume) {
         // Whatever the merge did not prune, the peer lost: schedule the
         // survivors for retransmission on this connection.
         replay_pending_ = !retained_.empty();

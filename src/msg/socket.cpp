@@ -1,6 +1,7 @@
 #include "msg/socket.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "codec/xxhash.h"
@@ -24,6 +25,13 @@ Result<std::size_t> fill(ByteStream& stream, MutableByteSpan out) {
     got += n.value();
   }
   return got;
+}
+
+/// The DATA_LOSS for a message of `kind` on a channel that never carries
+/// it: each direction of a connection has its own kinds (socket.h).
+Status wrong_kind(const char* channel, MessageKind kind) {
+  return data_loss_error(std::string(channel) + " channel carried a " +
+                         message_kind_rule(kind).name + " message");
 }
 
 }  // namespace
@@ -64,17 +72,6 @@ Status PushSocket::finish(std::uint32_t stream_id) {
   return status;
 }
 
-Result<std::uint64_t> PushSocket::recv_credit() {
-  auto message = recv_control();
-  if (!message.ok()) {
-    return message.status();
-  }
-  if (!message.value().credit) {
-    return data_loss_error("credit channel carried a data message");
-  }
-  return message.value().sequence;
-}
-
 Result<Message> PushSocket::recv_control() {
   if (control_corrupt_) {
     return data_loss_error("message stream previously corrupt");
@@ -97,6 +94,12 @@ Result<Message> PushSocket::recv_control() {
     control_corrupt_ = true;
     return decoded.status();
   }
+  const Message& head = decoded.value().message;
+  if (!(head.kind == MessageKind::kCredit || head.kind == MessageKind::kResume ||
+        head.end_of_stream)) {
+    control_corrupt_ = true;
+    return wrong_kind("control", head.kind);
+  }
   const std::uint64_t body_size = decoded.value().body_size;
   if (body_size > kMaxControlBody) {
     // Fail loudly: a control frame this large means a confused or hostile
@@ -113,9 +116,6 @@ Result<Message> PushSocket::recv_control() {
   if (xxhash32(message.body) != decoded.value().body_hash) {
     control_corrupt_ = true;
     return data_loss_error("message: body checksum mismatch");
-  }
-  if (message.is_data() && !message.end_of_stream) {
-    return data_loss_error("control channel carried a data message");
   }
   return message;
 }
@@ -145,6 +145,10 @@ Result<Message> PullSocket::recv() {
     return decoded.status();
   }
   Message message = std::move(decoded.value().message);
+  if (!message.is_data()) {
+    corrupt_ = true;
+    return wrong_kind("data", message.kind);
+  }
   const std::uint64_t body_size = decoded.value().body_size;
   // EOF anywhere in the body is mid-message, even at its first byte, and is
   // reported against the whole body however many reads it takes.
@@ -171,7 +175,7 @@ Result<Message> PullSocket::recv() {
   // then goes straight into a buffer of its own.
   FrameHeader lead{};
   std::size_t in_hand = 0;
-  if (message.is_data() && body_size >= kFrameHeaderSize) {
+  if (body_size >= kFrameHeaderSize) {
     NS_RETURN_IF_ERROR(read_body(lead));
     if (load_le32(lead.data()) == kFrameMagic) {
       message.frame_header = lead;

@@ -3,6 +3,11 @@
 // thread owns one PushSocket; one receiving thread owns one PullSocket; the
 // pair forms one TCP stream of the paper's "x sending threads, x receiving
 // threads, x TCP streams" layout.
+//
+// Each direction of a connection carries its own kinds. Data messages,
+// end-of-stream markers included, go forward. Credit grants, RESUME
+// handshakes and the end-of-stream echo come back. Any other kind on a
+// direction is DATA_LOSS, and ends the connection as a corrupt message does.
 #pragma once
 
 #include <memory>
@@ -39,22 +44,15 @@ class PushSocket {
   /// Sends the end-of-stream marker and closes the write side. Idempotent.
   Status finish(std::uint32_t stream_id);
 
-  /// Blocks until the peer's next credit grant arrives on the reverse
-  /// direction of this connection and returns the granted message count.
-  /// Credit frames (msg/message.h, flag bit 1) are the only traffic a
-  /// receiver ever sends back, so a sender only reads when it is out of
-  /// credit — there is no select() loop, and the stall is the flow control.
-  ///   UNAVAILABLE - peer closed without granting (shutdown),
-  ///   DATA_LOSS   - the reverse channel carried a non-credit message.
-  Result<std::uint64_t> recv_credit();
-
   /// Blocks until the peer's next *control* message arrives on the reverse
-  /// direction — a credit grant, a RESUME handshake (crash recovery,
-  /// DESIGN.md §11) or the echo of this side's end-of-stream marker. The
-  /// generalization of recv_credit for sessions where the receiver
-  /// interleaves these frame kinds.
+  /// direction of this connection: a credit grant, a RESUME handshake
+  /// (crash recovery, DESIGN.md §11) or the echo of this side's
+  /// end-of-stream marker, the only kinds a receiver sends back. A sender
+  /// reads only when it needs one (out of credit, awaiting a handshake or
+  /// the echo), so there is no select() loop, and the stall is the flow
+  /// control.
   ///   UNAVAILABLE - peer closed the reverse channel,
-  ///   DATA_LOSS   - the reverse channel carried a data message, a body
+  ///   DATA_LOSS   - the reverse channel carried any other kind, a body
   ///                 over kMaxControlBody, or corrupt framing (sticky).
   Result<Message> recv_control();
 
@@ -77,17 +75,18 @@ class PullSocket {
   /// recycles the connection for the sender's re-dial.
   explicit PullSocket(std::unique_ptr<ByteStream> stream);
 
-  /// Receives the next message (blocking).
+  /// Receives the next data message (blocking).
   ///   UNAVAILABLE - clean end of stream (peer finished or disconnected
   ///                 between messages),
-  ///   DATA_LOSS   - corrupt framing or connection lost mid-message.
+  ///   DATA_LOSS   - corrupt framing, a control kind on this data channel,
+  ///                 or connection lost mid-message (sticky).
   /// An end-of-stream marker message is delivered like any other; callers
   /// check Message::end_of_stream.
   Result<Message> recv();
 
   /// Writes a credit grant for `grant` messages on the reverse direction of
   /// this connection (credit-based flow control; the paired PushSocket reads
-  /// it via recv_credit). Call from the thread that owns this socket.
+  /// it via recv_control). Call from the thread that owns this socket.
   Status send_credit(std::uint64_t grant);
 
   /// Writes a RESUME handshake on the reverse direction of this connection:

@@ -466,7 +466,7 @@ sim::SimProc StreamPipeline::sender_worker(std::size_t connection) {
     const double send_t0 = sim_.now();
     // Credit flow control: one token per chunk on the wire; the receiver
     // returns tokens as it consumes, so an empty pool is the sender stalled
-    // on its peer — exactly the real pipeline's recv_credit() wait.
+    // on its peer — exactly the real pipeline's wait_for_credit().
     if (!credit_tokens_.empty()) {
       auto& tokens = *credit_tokens_[connection];
       if (tokens.size() == 0) {

@@ -52,13 +52,17 @@ namespace {
 
 using cluster::FailoverCoordinator;
 using cluster::GatewayRing;
-using cluster::InprocReplicationLink;
+using cluster::InprocPeerLink;
+using cluster::kReplBodyPrefix;
+using cluster::parse_repl_body;
 using cluster::PeerFailureDetector;
 using cluster::PrimaryReplicator;
+using cluster::repl_frame;
 using cluster::ReplicatedJournalMedia;
+using cluster::ReplKind;
+using cluster::serve_peer;
 using cluster::StandbySession;
-using cluster::StreamReplicationTransport;
-using cluster::serve_standby;
+using cluster::StreamPeerLink;
 
 constexpr std::uint64_t kSession = 42;
 constexpr std::uint64_t kChunks = 240;
@@ -175,7 +179,7 @@ TEST(ReplFrameTest, RoundTripsThroughTheDecoderForEveryKind) {
     const bool append = kind == ReplKind::kAppend;
     const ByteSpan payload =
         append ? ByteSpan(records.data(), records.size()) : ByteSpan();
-    const Message frame = Message::repl_frame(
+    const Message frame = repl_frame(
         kind, /*session_id=*/kSession, /*epoch=*/7, /*repl_sequence=*/3,
         payload);
     const Bytes wire = encode_message(frame);
@@ -184,9 +188,7 @@ TEST(ReplFrameTest, RoundTripsThroughTheDecoderForEveryKind) {
     decoder.feed(ByteSpan(wire.data(), wire.size()));
     auto decoded = decoder.next();
     ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-    EXPECT_TRUE(decoded.value().repl);
-    EXPECT_FALSE(decoded.value().credit);
-    EXPECT_FALSE(decoded.value().resume);
+    EXPECT_EQ(decoded.value().kind, MessageKind::kRepl);
     EXPECT_EQ(decoded.value().sequence, 3U);
 
     auto info = parse_repl_body(ByteSpan(decoded.value().body.data(),
@@ -210,7 +212,7 @@ TEST(ReplFrameTest, RoundTripsThroughTheDecoderForEveryKind) {
 TEST(ReplFrameTest, MalformedBodiesAreRejected) {
   const Bytes records = encode_records({delivered_record(1, 0),
                                         delivered_record(1, 1)});
-  const Message frame = Message::repl_frame(
+  const Message frame = repl_frame(
       ReplKind::kAppend, kSession, 1, 1, ByteSpan(records.data(), records.size()));
 
   // Truncated body: the declared record count no longer fits.
@@ -232,8 +234,8 @@ TEST(ReplFrameTest, MalformedBodiesAreRejected) {
       parse_repl_body(ByteSpan(high_count.data(), high_count.size())).ok());
 
   // Records dangling off a body-less kind.
-  Bytes hello = Message::repl_frame(ReplKind::kHello, kSession, 1, 1).body;
-  hello.insert(hello.end(), records.begin(), records.begin() + kReplRecordSize);
+  Bytes hello = repl_frame(ReplKind::kHello, kSession, 1, 1).body;
+  hello.insert(hello.end(), records.begin(), records.begin() + kJournalRecordSize);
   EXPECT_FALSE(parse_repl_body(ByteSpan(hello.data(), hello.size())).ok());
 
   // Too short to even carry the prefix.
@@ -247,7 +249,7 @@ TEST(ReplicationTest, StandbyAppliesDurablyBeforeAcking) {
   MemoryJournalMedia replica;
   FederationCounters fed;
   StandbySession standby(replica, kSession, &fed);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator primary(link, kSession, /*epoch=*/1, &fed);
 
   ASSERT_TRUE(primary.hello().is_ok());
@@ -273,7 +275,7 @@ TEST(ReplicationTest, StandbyAppliesDurablyBeforeAcking) {
 TEST(ReplicationTest, SessionMismatchRefusesToApply) {
   MemoryJournalMedia replica;
   StandbySession standby(replica, /*session_id=*/7);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator primary(link, /*session_id=*/8);
 
   EXPECT_FALSE(primary.hello().is_ok());
@@ -293,7 +295,7 @@ TEST(ReplicationTest, ReceiverJournalThroughTeeRecoversFromReplica) {
   MemoryJournalMedia replica;
   FederationCounters fed;
   StandbySession standby(replica, kSession, &fed);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator primary(link, kSession, 1, &fed);
   ReplicatedJournalMedia tee(local, primary);
 
@@ -329,7 +331,7 @@ TEST(ReplicationTest, SenderJournalThroughTeeRecoversFromReplica) {
   MemoryJournalMedia local;
   MemoryJournalMedia replica;
   StandbySession standby(replica, kSession);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator primary(link, kSession);
   ReplicatedJournalMedia tee(local, primary);
 
@@ -353,7 +355,7 @@ TEST(ReplicationTest, SenderJournalThroughTeeRecoversFromReplica) {
   EXPECT_EQ(recovered.unacked_count(), 2U);
 }
 
-// The byte-stream transport and the standby service loop: same protocol,
+// The byte-stream link and the standby service loop: same protocol,
 // framed over a ByteStream instead of a direct call — what the federated
 // TCP deployment runs.
 TEST(ReplicationTest, StreamTransportServesAppendsAndShutsDownCleanly) {
@@ -364,13 +366,13 @@ TEST(ReplicationTest, StreamTransportServesAppendsAndShutsDownCleanly) {
 
   Status serve_status = Status::ok();
   std::thread server([&, stream = std::move(pair.second)]() mutable {
-    serve_status = serve_standby(*stream, standby);
+    serve_status = serve_peer(*stream, standby);
   });
 
   {
     ByteStream* primary_end = pair.first.get();
-    StreamReplicationTransport transport(std::move(pair.first));
-    PrimaryReplicator primary(transport, kSession);
+    StreamPeerLink link(std::move(pair.first));
+    PrimaryReplicator primary(link, kSession);
     EXPECT_TRUE(primary.hello().is_ok());
     const Bytes batch = encode_records({delivered_record(1, 0),
                                         delivered_record(1, 1),
@@ -396,7 +398,7 @@ TEST(EpochFenceTest, StalePrimaryCannotCommitAfterTakeover) {
   MemoryJournalMedia replica;
   FederationCounters fed;
   StandbySession standby(replica, kSession, &fed);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator stale(link, kSession, /*epoch=*/1, &fed);
 
   ASSERT_TRUE(stale.hello().is_ok());
@@ -448,7 +450,7 @@ TEST(EpochFenceTest, StalePrimaryCannotCommitAfterTakeover) {
 TEST(EpochFenceTest, PromotionFencesWithoutAPartition) {
   MemoryJournalMedia replica;
   StandbySession standby(replica, kSession);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator primary(link, kSession);
 
   ASSERT_TRUE(primary.hello().is_ok());
@@ -517,7 +519,7 @@ TEST(JournalMediaFaultTest, TeePropagatesReplicaRefusalToTheJournal) {
   MemoryJournalMedia local;
   MemoryJournalMedia replica;
   StandbySession standby(replica, kSession);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator primary(link, kSession);
   ReplicatedJournalMedia tee(local, primary);
 
@@ -799,7 +801,7 @@ TEST(GatewayFailoverTest, BuddyResumesFromReplicaExactlyOnce) {
   FaultCounters faults;
 
   StandbySession standby(replica, kSession, &fed);
-  InprocReplicationLink link(standby);
+  InprocPeerLink link(standby);
   PrimaryReplicator replicator(link, kSession, /*epoch=*/1, &fed);
   ASSERT_TRUE(replicator.hello().is_ok());
   ReplicatedJournalMedia victim_journal_media(victim_media, replicator);

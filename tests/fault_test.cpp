@@ -1312,6 +1312,63 @@ TEST(StrictReceiverTest, SplitReceiveKeepsPipelineFaultCounters) {
   }
 }
 
+// ---------------------------------------------------------- channel kinds
+
+// A RESUME frame written on the forward channel is a corrupt message, not
+// a chunk: under reconnect it costs its connection, and the chunk behind it
+// arrives on the peer's re-dial. Admitted as data, it would take the ledger
+// slot of its (stream 0, sequence 0) pair, fail decode, and the real chunk
+// (0, 0) would then be dropped as a duplicate: silent loss.
+TEST(ChannelKindTest, ResumeOnTheDataChannelCostsTheConnectionNotAChunk) {
+  const MachineTopology topo = host_topology();
+  NodeConfig receiver_cfg = receiver_config(1, 1);
+  receiver_cfg.codec_name = "null";
+  receiver_cfg.recovery.reconnect = true;
+  InprocListener listener;
+  FaultCounters counters;
+  VerifySink sink;
+  Status received = Status::ok();
+  std::thread receiver_thread([&] {
+    StreamReceiver receiver(topo, receiver_cfg);
+    auto stats = receiver.run(listener, sink, nullptr, &counters);
+    received = stats.ok() ? Status::ok() : stats.status();
+  });
+
+  // A raw peer: the RESUME frame, chunk (0, 0) and the end-of-stream
+  // marker, re-dialing without the RESUME until the marker is echoed.
+  const Bytes payload = pattern_payload(0, 4096);
+  const Message chunk =
+      frame_message(0, 0, encode_frame_split(*codec_by_id(CodecId::kNull), payload));
+  int dials = 0;
+  for (bool echoed = false; !echoed && dials < 4; ++dials) {
+    auto stream = listener.connect();
+    if (!stream.ok()) {
+      ADD_FAILURE() << stream.status().to_string();
+      break;
+    }
+    PushSocket peer(std::move(stream).value());
+    if (dials == 0) {
+      EXPECT_TRUE(peer.send(Message::resume_frame(7, {{0, 0}})).is_ok());
+    }
+    (void)peer.send(chunk);
+    (void)peer.finish(0);
+    auto echo = peer.recv_control();
+    echoed = echo.ok() && echo.value().end_of_stream;
+  }
+  receiver_thread.join();
+  ASSERT_TRUE(received.is_ok()) << received.to_string();
+
+  EXPECT_EQ(dials, 2) << "the RESUME frame ends the first connection";
+  const auto delivered = sink.hashes();
+  ASSERT_EQ(delivered.count({0, 0}), 1U) << "chunk (0, 0) lost";
+  EXPECT_EQ(delivered.at({0, 0}), xxhash32(payload));
+  EXPECT_EQ(sink.duplicates(), 0U);
+  const FaultCountersSnapshot snapshot = counters.snapshot();
+  EXPECT_EQ(snapshot.connections_recycled, 1U);
+  EXPECT_EQ(snapshot.corrupt_frames, 0U);
+  EXPECT_EQ(snapshot.duplicate_frames, 0U);
+}
+
 TEST(StreamRegistryTest, CancelAllLatchesAndCancelsLateAdds) {
   InprocPair pair = make_inproc_pair();
   StreamRegistry registry;

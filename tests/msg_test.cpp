@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 #include <set>
@@ -9,6 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/antientropy.h"
+#include "cluster/rebalance.h"
+#include "cluster/replication.h"
 #include "codec/frame.h"
 #include "codec/xxhash.h"
 #include "common/rng.h"
@@ -151,84 +155,48 @@ TEST(MessageDecoderTest, UnknownFlagsRejected) {
   EXPECT_EQ(decoder.next().status().code(), StatusCode::kDataLoss);
 }
 
-// --------------------------------------------------------------- handoff
-
-HandoffInfo sample_handoff() {
-  return {.phase = HandoffPhase::kJournal,
-          .session_id = 0xFEEDFACECAFEULL,
-          .epoch = 7,
-          .stream_id = 3,
-          .source_gateway = 1,
-          .target_gateway = 2,
-          .watermark = 100161};
-}
-
-TEST(HandoffFrameTest, RoundTripPreservesEveryField) {
-  const HandoffInfo info = sample_handoff();
-  const Message m = Message::handoff_frame(info, /*handoff_sequence=*/42);
-  EXPECT_EQ(m.body.size(), kHandoffBodySize);
-  MessageDecoder decoder;
-  decoder.feed(encode_message(m));
-  auto decoded = decoder.next();
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_TRUE(decoded.value().handoff);
-  EXPECT_EQ(decoded.value().sequence, 42U);
-  auto parsed = parse_handoff_body(
-      ByteSpan(decoded.value().body.data(), decoded.value().body.size()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value(), info);
-}
-
-TEST(HandoffFrameTest, EveryPhaseRoundTrips) {
-  for (const auto phase : {HandoffPhase::kPrepare, HandoffPhase::kJournal,
-                           HandoffPhase::kCommit, HandoffPhase::kAck,
-                           HandoffPhase::kAbort}) {
-    HandoffInfo info = sample_handoff();
-    info.phase = phase;
-    const Message m = Message::handoff_frame(info);
-    auto parsed = parse_handoff_body(ByteSpan(m.body.data(), m.body.size()));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value().phase, phase);
+// The header rule over all 64 combinations of the six known flag bits: a
+// message is accepted exactly when at most one bit is set, so a control
+// kind never carries end-of-stream and no message is two kinds. Each wire
+// gets a body the set bits' kinds admit where one exists: the largest
+// fixed prefix among them (credit's empty body otherwise).
+TEST(MessageDecoderTest, AtMostOneFlagBitIsAccepted) {
+  // Bit i's smallest legal body: end-of-stream, credit, RESUME, REPL,
+  // HANDOFF, SCRUB.
+  constexpr std::size_t kFloor[] = {0, 0, 12, 24, 40, 36};
+  for (std::uint16_t flags = 0; flags < 64; ++flags) {
+    SCOPED_TRACE("flags " + std::to_string(flags));
+    std::size_t body_size = 0;
+    for (int bit = 0; bit < 6; ++bit) {
+      if ((flags >> bit) & 1U) {
+        body_size = std::max(body_size, kFloor[bit]);
+      }
+    }
+    const Bytes body = random_body(body_size, flags);
+    Bytes wire;
+    ByteWriter w(wire);
+    w.u32(kMessageMagic);
+    w.u32(0);  // stream id
+    w.u64(5);  // sequence
+    w.u16(flags);
+    w.u16(0);  // reserved
+    w.u64(body.size());
+    w.u32(xxhash32(body));
+    w.raw(body);
+    MessageDecoder decoder;
+    decoder.feed(wire);
+    auto decoded = decoder.next();
+    const bool legal = std::popcount(flags) <= 1;
+    ASSERT_EQ(decoded.ok(), legal) << (decoded.ok() ? "accepted" : decoded.status().to_string());
+    if (!legal) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+      continue;
+    }
+    EXPECT_EQ(decoded.value().end_of_stream, flags == kMessageFlagEndOfStream);
+    EXPECT_EQ(message_kind_rule(decoded.value().kind).flag,
+              flags & ~kMessageFlagEndOfStream);
+    EXPECT_EQ(encode_message(decoded.value()), wire);
   }
-}
-
-TEST(HandoffFrameTest, ForgedPhaseRejected) {
-  Message m = Message::handoff_frame(sample_handoff());
-  store_le32(m.body.data(), 0);  // phase below the valid range
-  EXPECT_EQ(parse_handoff_body(ByteSpan(m.body.data(), m.body.size()))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  store_le32(m.body.data(), 6);  // phase past kAbort
-  EXPECT_EQ(parse_handoff_body(ByteSpan(m.body.data(), m.body.size()))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(HandoffFrameTest, WrongBodyLengthRejected) {
-  const Message m = Message::handoff_frame(sample_handoff());
-  EXPECT_EQ(
-      parse_handoff_body(ByteSpan(m.body.data(), m.body.size() - 1)).status().code(),
-      StatusCode::kInvalidArgument);
-}
-
-TEST(HandoffFrameTest, TruncatedFrameRejectedByDecoder) {
-  // A handoff header whose declared body is shorter than kHandoffBodySize is
-  // corruption at the decoder layer, before parse_handoff_body ever runs.
-  Message m = Message::handoff_frame(sample_handoff());
-  m.body.resize(kHandoffBodySize / 2);
-  MessageDecoder decoder;
-  decoder.feed(encode_message(m));
-  EXPECT_EQ(decoder.next().status().code(), StatusCode::kDataLoss);
-}
-
-TEST(HandoffFrameTest, ConflictingFlagsRejected) {
-  Message m = Message::handoff_frame(sample_handoff());
-  m.credit = true;  // HANDOFF cannot also be a credit grant
-  MessageDecoder decoder;
-  decoder.feed(encode_message(m));
-  EXPECT_EQ(decoder.next().status().code(), StatusCode::kDataLoss);
 }
 
 // ---------------------------------------------------------------- inproc
@@ -580,7 +548,7 @@ TEST(PushPullTest, EndOfStreamEchoIsAControlMessage) {
   ASSERT_TRUE(pull.echo_end_of_stream().is_ok());
   auto credit = push.recv_control();
   ASSERT_TRUE(credit.ok()) << credit.status().to_string();
-  EXPECT_TRUE(credit.value().credit);
+  EXPECT_EQ(credit.value().kind, MessageKind::kCredit);
   auto echo = push.recv_control();
   ASSERT_TRUE(echo.ok()) << echo.status().to_string();
   EXPECT_TRUE(echo.value().end_of_stream);
@@ -593,6 +561,72 @@ TEST(PushPullTest, EndOfStreamEchoIsAControlMessage) {
   ASSERT_TRUE(data_pair.second->write_all(encode_message(data)).is_ok());
   EXPECT_EQ(sender.recv_control().status().message(),
             "control channel carried a data message");
+}
+
+// ----------------------------------------------------- channel kinds
+
+/// One well-formed message of every control kind, as a peer could write it.
+std::vector<Message> every_control_kind() {
+  return {Message::credit_grant(4), Message::resume_frame(9, {{1, 2}}),
+          cluster::repl_frame(cluster::ReplKind::kHeartbeat, 9, 1, 1),
+          cluster::handoff_frame({.phase = cluster::HandoffPhase::kPrepare}),
+          cluster::scrub_frame({.kind = cluster::ScrubKind::kDigestRequest})};
+}
+
+// The forward direction carries data alone: a control kind there is a
+// corrupt message, not a chunk. It ends the connection, sticky, before any
+// of its body is read, and the chunk written behind it is never handed on.
+TEST(ChannelKindTest, DataChannelRejectsEveryControlKind) {
+  Message chunk;
+  chunk.body = Bytes(8, 0x11);
+  for (const Message& control : every_control_kind()) {
+    SCOPED_TRACE(message_kind_rule(control.kind).name);
+    InprocPair pair = make_inproc_pair(1 << 16);
+    ASSERT_TRUE(pair.first->write_all(encode_message(control)).is_ok());
+    ASSERT_TRUE(pair.first->write_all(encode_message(chunk)).is_ok());
+    PullSocket pull(std::move(pair.second));
+    auto got = pull.recv();
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(got.status().message(), std::string("data channel carried a ") +
+                                          message_kind_rule(control.kind).name +
+                                          " message");
+    EXPECT_EQ(pull.recv().status().message(), "message stream previously corrupt");
+    EXPECT_EQ(pull.bytes_received(), 0U);
+  }
+}
+
+// The reverse direction carries credit grants, RESUME handshakes and the
+// end-of-stream echo. Data and the gateway kinds there end the channel,
+// sticky, as a corrupt message does.
+TEST(ChannelKindTest, ControlChannelAcceptsOnlyItsOwnKinds) {
+  Message data;
+  data.body = Bytes(8, 0x11);
+  std::vector<Message> kinds = every_control_kind();
+  kinds.push_back(data);
+  kinds.push_back(Message::end_of_stream_marker(0, 0));
+  for (const Message& message : kinds) {
+    const bool own = message.kind == MessageKind::kCredit ||
+                     message.kind == MessageKind::kResume || message.end_of_stream;
+    SCOPED_TRACE(std::string(message_kind_rule(message.kind).name) +
+                 (message.end_of_stream ? " end-of-stream" : ""));
+    InprocPair pair = make_inproc_pair(1 << 16);
+    ASSERT_TRUE(pair.second->write_all(encode_message(message)).is_ok());
+    ASSERT_TRUE(pair.second->write_all(encode_message(Message::credit_grant(1))).is_ok());
+    PushSocket push(std::move(pair.first));
+    auto got = push.recv_control();
+    if (own) {
+      ASSERT_TRUE(got.ok()) << got.status().to_string();
+      EXPECT_EQ(got.value().kind, message.kind);
+      EXPECT_EQ(push.recv_control().status().code(), StatusCode::kOk);
+      continue;
+    }
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().message(), std::string("control channel carried a ") +
+                                          message_kind_rule(message.kind).name +
+                                          " message");
+    EXPECT_EQ(push.recv_control().status().message(), "message stream previously corrupt");
+  }
 }
 
 // ------------------------------------------------------------------ fuzz
@@ -645,21 +679,21 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
         case 3: {
           // Gateway replication traffic (cluster/replication): append frames
           // carry whole journal records, the other kinds are body-less.
-          const auto kind = static_cast<ReplKind>(1 + rng.next_u64() % 4);
+          const auto kind = static_cast<cluster::ReplKind>(1 + rng.next_u64() % 4);
           const Bytes records =
-              kind == ReplKind::kAppend
-                  ? random_body((rng.next_u64() % 4) * kReplRecordSize,
+              kind == cluster::ReplKind::kAppend
+                  ? random_body((rng.next_u64() % 4) * kJournalRecordSize,
                                 rng.next_u64())
                   : Bytes();
-          m = Message::repl_frame(kind, rng.next_u64(), 1 + rng.next_u64() % 8,
+          m = cluster::repl_frame(kind, rng.next_u64(), 1 + rng.next_u64() % 8,
                                   i, ByteSpan(records.data(), records.size()));
           break;
         }
         case 4:
           // Planned-handoff control traffic (cluster/handoff): fixed-size
           // body, any of the five phases.
-          m = Message::handoff_frame(
-              {.phase = static_cast<HandoffPhase>(1 + rng.next_u64() % 5),
+          m = cluster::handoff_frame(
+              {.phase = static_cast<cluster::HandoffPhase>(1 + rng.next_u64() % 5),
                .session_id = rng.next_u64(),
                .epoch = rng.next_u64() % 16,
                .stream_id = static_cast<std::uint32_t>(rng.next_u64() % 4),
@@ -672,13 +706,13 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
           // Anti-entropy control traffic (cluster/antientropy): digest
           // replies carry range digests, repair push/reply carry whole
           // journal records, the request kinds are payload-free.
-          ScrubInfo info;
-          info.kind = static_cast<ScrubKind>(1 + rng.next_u64() % 5);
+          cluster::ScrubInfo info;
+          info.kind = static_cast<cluster::ScrubKind>(1 + rng.next_u64() % 5);
           info.session_id = rng.next_u64();
           info.epoch = rng.next_u64() % 16;
           info.range = rng.next_u64() % 64;
           info.range_records = 1 + static_cast<std::uint32_t>(rng.next_u64() % 64);
-          if (info.kind == ScrubKind::kDigestReply) {
+          if (info.kind == cluster::ScrubKind::kDigestReply) {
             const std::size_t entries = rng.next_u64() % 4;
             for (std::size_t d = 0; d < entries; ++d) {
               info.digests.push_back(
@@ -686,12 +720,12 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
                    1 + static_cast<std::uint32_t>(rng.next_u64() % 64),
                    static_cast<std::uint32_t>(rng.next_u64())});
             }
-          } else if (info.kind == ScrubKind::kRepairPush ||
-                     info.kind == ScrubKind::kRepairReply) {
-            info.records = random_body((rng.next_u64() % 3) * kScrubRecordSize,
+          } else if (info.kind == cluster::ScrubKind::kRepairPush ||
+                     info.kind == cluster::ScrubKind::kRepairReply) {
+            info.records = random_body((rng.next_u64() % 3) * kJournalRecordSize,
                                        rng.next_u64());
           }
-          m = Message::scrub_frame(info, i);
+          m = cluster::scrub_frame(info, i);
           break;
         }
         default:
@@ -756,12 +790,12 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
         // Digest-forgery check: any surviving SCRUB body that parses must
         // re-encode byte-identically — the parser can never invent a
         // digest or record that was not on the wire.
-        if (message.value().scrub) {
-          auto info = parse_scrub_body(ByteSpan(message.value().body.data(),
+        if (message.value().kind == MessageKind::kScrub) {
+          auto info = cluster::parse_scrub_body(ByteSpan(message.value().body.data(),
                                                 message.value().body.size()));
           if (info.ok()) {
             const Message reencoded =
-                Message::scrub_frame(info.value(), message.value().sequence);
+                cluster::scrub_frame(info.value(), message.value().sequence);
             ASSERT_EQ(reencoded.body, message.value().body)
                 << "scrub parse/encode asymmetry forged content (round "
                 << round << ")";
@@ -772,11 +806,11 @@ TEST(MessageFuzzTest, MutatedFramesNeverCrashTheDecoder) {
         // frame whose parsed phase, epoch or watermark differs from what
         // the encoder would put on the wire for those values, so the
         // fence arithmetic downstream always sees what was sent.
-        if (message.value().handoff) {
-          auto info = parse_handoff_body(ByteSpan(
+        if (message.value().kind == MessageKind::kHandoff) {
+          auto info = cluster::parse_handoff_body(ByteSpan(
               message.value().body.data(), message.value().body.size()));
           if (info.ok()) {
-            const Message reencoded = Message::handoff_frame(
+            const Message reencoded = cluster::handoff_frame(
                 info.value(), message.value().sequence);
             ASSERT_EQ(reencoded.body, message.value().body)
                 << "handoff parse/encode asymmetry forged content (round "
@@ -810,7 +844,7 @@ TEST(ControlFrameBoundaryTest, LargestFittingResumeFrameIsAccepted) {
   ASSERT_TRUE(pair.second->write_all(encode_message(frame)).is_ok());
   auto received = push.recv_control();
   ASSERT_TRUE(received.ok()) << received.status().to_string();
-  EXPECT_TRUE(received.value().resume);
+  EXPECT_EQ(received.value().kind, MessageKind::kResume);
   EXPECT_EQ(received.value().body.size(), frame.body.size());
 }
 

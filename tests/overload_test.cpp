@@ -257,7 +257,7 @@ TEST(CreditFrameTest, EncodeDecodeRoundTrip) {
   decoder.feed(ByteSpan(wire.data(), wire.size()));
   auto decoded = decoder.next();
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_TRUE(decoded.value().credit);
+  EXPECT_EQ(decoded.value().kind, MessageKind::kCredit);
   EXPECT_FALSE(decoded.value().end_of_stream);
   EXPECT_EQ(decoded.value().sequence, 17U);
   EXPECT_TRUE(decoded.value().body.empty());
@@ -283,12 +283,14 @@ TEST(CreditFrameTest, SocketRoundTripOverInproc) {
   PullSocket pull(std::move(server).value());
   ASSERT_TRUE(pull.send_credit(8).is_ok());
   ASSERT_TRUE(pull.send_credit(3).is_ok());
-  auto first = push.recv_credit();
-  auto second = push.recv_credit();
+  auto first = push.recv_control();
+  auto second = push.recv_control();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value(), 8U);
-  EXPECT_EQ(second.value(), 3U);
+  EXPECT_EQ(first.value().kind, MessageKind::kCredit);
+  EXPECT_EQ(second.value().kind, MessageKind::kCredit);
+  EXPECT_EQ(first.value().sequence, 8U);
+  EXPECT_EQ(second.value().sequence, 3U);
 }
 
 TEST(CreditFrameTest, DataMessageOnReverseChannelIsDataLoss) {
@@ -303,7 +305,7 @@ TEST(CreditFrameTest, DataMessageOnReverseChannelIsDataLoss) {
   data.stream_id = 1;
   data.body = Bytes(64, 0x11);
   ASSERT_TRUE(server.value()->write_all(encode_message(data)).is_ok());
-  EXPECT_EQ(push.recv_credit().status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(push.recv_control().status().code(), StatusCode::kDataLoss);
 }
 
 // --------------------------------------------------------- config directive

@@ -1,10 +1,10 @@
 // Gray-failure detection and planned live stream handoff (DESIGN.md §13):
 // the two-channel PeerFailureDetector's degraded verdict, the rebalancing
 // policy (hysteresis, cooldown, concurrency cap, degraded-drain priority),
-// the three-phase PREPARE -> JOURNAL -> COMMIT handoff protocol with its
-// epoch fence, mid-handoff chaos degrading cleanly to crash failover, the
-// RebalanceConfig ranges, and the simulated cluster's bit-identical
-// gray-drain fingerprint.
+// the HANDOFF frame grammar, the three-phase PREPARE -> JOURNAL -> COMMIT
+// handoff protocol with its epoch fence, mid-handoff chaos degrading
+// cleanly to crash failover, the RebalanceConfig ranges, and the simulated
+// cluster's bit-identical gray-drain fingerprint.
 //
 // Everything here is deterministic: flapping links, slow boxes and
 // mid-handoff deaths are driven by the test (or a seeded schedule), so a
@@ -37,10 +37,16 @@ namespace {
 using cluster::FailoverCoordinator;
 using cluster::GatewayLoad;
 using cluster::GatewayRing;
+using cluster::handoff_frame;
+using cluster::HandoffInfo;
+using cluster::HandoffPhase;
 using cluster::HandoffSource;
 using cluster::HandoffTarget;
+using cluster::kHandoffBodySize;
+using cluster::parse_handoff_body;
 using cluster::PeerFailureDetector;
 using cluster::PeerHealth;
+using cluster::PeerLink;
 using cluster::RebalanceController;
 using cluster::RebalanceDecision;
 using cluster::StandbySession;
@@ -306,12 +312,92 @@ TEST(RebalanceControllerTest, DeadPeersAreNeitherSourceNorTarget) {
   }
 }
 
+// --------------------------------------------------------- handoff frame
+
+HandoffInfo sample_handoff() {
+  return {.phase = HandoffPhase::kJournal,
+          .session_id = 0xFEEDFACECAFEULL,
+          .epoch = 7,
+          .stream_id = 3,
+          .source_gateway = 1,
+          .target_gateway = 2,
+          .watermark = 100161};
+}
+
+TEST(HandoffFrameTest, RoundTripPreservesEveryField) {
+  const HandoffInfo info = sample_handoff();
+  const Message m = handoff_frame(info, /*handoff_sequence=*/42);
+  EXPECT_EQ(m.body.size(), kHandoffBodySize);
+  MessageDecoder decoder;
+  decoder.feed(encode_message(m));
+  auto decoded = decoder.next();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded.value().kind, MessageKind::kHandoff);
+  EXPECT_EQ(decoded.value().sequence, 42U);
+  auto parsed = parse_handoff_body(
+      ByteSpan(decoded.value().body.data(), decoded.value().body.size()));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value(), info);
+}
+
+TEST(HandoffFrameTest, EveryPhaseRoundTrips) {
+  for (const auto phase : {HandoffPhase::kPrepare, HandoffPhase::kJournal,
+                           HandoffPhase::kCommit, HandoffPhase::kAck,
+                           HandoffPhase::kAbort}) {
+    HandoffInfo info = sample_handoff();
+    info.phase = phase;
+    const Message m = handoff_frame(info);
+    auto parsed = parse_handoff_body(ByteSpan(m.body.data(), m.body.size()));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().phase, phase);
+  }
+}
+
+TEST(HandoffFrameTest, ForgedPhaseRejected) {
+  Message m = handoff_frame(sample_handoff());
+  store_le32(m.body.data(), 0);  // phase below the valid range
+  EXPECT_EQ(parse_handoff_body(ByteSpan(m.body.data(), m.body.size()))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  store_le32(m.body.data(), 6);  // phase past kAbort
+  EXPECT_EQ(parse_handoff_body(ByteSpan(m.body.data(), m.body.size()))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(HandoffFrameTest, WrongBodyLengthRejected) {
+  const Message m = handoff_frame(sample_handoff());
+  EXPECT_EQ(
+      parse_handoff_body(ByteSpan(m.body.data(), m.body.size() - 1)).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+TEST(HandoffFrameTest, TruncatedFrameRejectedByDecoder) {
+  // A handoff header whose declared body is shorter than kHandoffBodySize is
+  // corruption at the decoder layer, before parse_handoff_body ever runs.
+  Message m = handoff_frame(sample_handoff());
+  m.body.resize(kHandoffBodySize / 2);
+  MessageDecoder decoder;
+  decoder.feed(encode_message(m));
+  EXPECT_EQ(decoder.next().status().code(), StatusCode::kDataLoss);
+}
+
+TEST(HandoffFrameTest, ConflictingFlagsRejected) {
+  Bytes wire = encode_message(handoff_frame(sample_handoff()));
+  wire[16] |= kMessageFlagCredit;  // HANDOFF cannot also be a credit grant
+  MessageDecoder decoder;
+  decoder.feed(wire);
+  EXPECT_EQ(decoder.next().status().code(), StatusCode::kDataLoss);
+}
+
 // ------------------------------------------------------ handoff protocol
 
 /// Routes the source's HANDOFF frames straight into a HandoffTarget — the
 /// in-process stand-in for the gateway-to-gateway control link. Can be told
 /// to kill the link after N exchanges (the target "dies" mid-handoff).
-class HandoffLink final : public cluster::ReplicationTransport {
+class HandoffLink final : public PeerLink {
  public:
   explicit HandoffLink(HandoffTarget& target) : target_(target) {}
 
@@ -389,17 +475,17 @@ TEST(HandoffProtocolTest, TargetRejectsProtocolViolations) {
 
   // JOURNAL and COMMIT without the preceding phase are rejected.
   info.phase = HandoffPhase::kJournal;
-  EXPECT_FALSE(target.handle(Message::handoff_frame(info)).ok());
+  EXPECT_FALSE(target.handle(handoff_frame(info)).ok());
   info.phase = HandoffPhase::kCommit;
-  EXPECT_FALSE(target.handle(Message::handoff_frame(info)).ok());
+  EXPECT_FALSE(target.handle(handoff_frame(info)).ok());
 
   // Wrong session and wrong addressee are protocol violations too.
   info.phase = HandoffPhase::kPrepare;
   info.session_id = kSession + 1;
-  EXPECT_FALSE(target.handle(Message::handoff_frame(info)).ok());
+  EXPECT_FALSE(target.handle(handoff_frame(info)).ok());
   info.session_id = kSession;
   info.target_gateway = 2;
-  EXPECT_FALSE(target.handle(Message::handoff_frame(info)).ok());
+  EXPECT_FALSE(target.handle(handoff_frame(info)).ok());
 
   // Nothing of the above moved ownership.
   EXPECT_FALSE(target.committed());
@@ -416,24 +502,24 @@ TEST(HandoffProtocolTest, FreshPrepareSupersedesAStaleHandoff) {
   stale.stream_id = 3;
   stale.target_gateway = 1;
   stale.phase = HandoffPhase::kPrepare;
-  ASSERT_TRUE(target.handle(Message::handoff_frame(stale)).ok());
+  ASSERT_TRUE(target.handle(handoff_frame(stale)).ok());
 
   // The source died and came back with a new handoff for another stream:
   // the fresh PREPARE wins, and the old stream's JOURNAL is now stale.
   HandoffInfo fresh = stale;
   fresh.stream_id = 5;
   fresh.watermark = 64;
-  ASSERT_TRUE(target.handle(Message::handoff_frame(fresh)).ok());
+  ASSERT_TRUE(target.handle(handoff_frame(fresh)).ok());
   HandoffInfo stale_journal = stale;
   stale_journal.phase = HandoffPhase::kJournal;
-  EXPECT_FALSE(target.handle(Message::handoff_frame(stale_journal)).ok());
+  EXPECT_FALSE(target.handle(handoff_frame(stale_journal)).ok());
 
   HandoffInfo fresh_journal = fresh;
   fresh_journal.phase = HandoffPhase::kJournal;
-  ASSERT_TRUE(target.handle(Message::handoff_frame(fresh_journal)).ok());
+  ASSERT_TRUE(target.handle(handoff_frame(fresh_journal)).ok());
   HandoffInfo commit = fresh;
   commit.phase = HandoffPhase::kCommit;
-  ASSERT_TRUE(target.handle(Message::handoff_frame(commit)).ok());
+  ASSERT_TRUE(target.handle(handoff_frame(commit)).ok());
   EXPECT_TRUE(target.committed());
   EXPECT_EQ(target.committed_watermark(), 64U);
 }
@@ -496,7 +582,7 @@ TEST(ChaosHandoffTest, CommitAckMustAdvanceTheEpochFence) {
   // A target that acks COMMIT without promoting (a broken or byzantine
   // standby) must not fence the source: echoing the old epoch is treated
   // as data loss and aborts the handoff.
-  class EchoingLink final : public cluster::ReplicationTransport {
+  class EchoingLink final : public PeerLink {
    public:
     Result<Message> exchange(const Message& frame) override {
       auto parsed = parse_handoff_body(
@@ -509,7 +595,7 @@ TEST(ChaosHandoffTest, CommitAckMustAdvanceTheEpochFence) {
         ++aborts_seen_;
       }
       ack.phase = HandoffPhase::kAck;  // note: epoch echoed, never advanced
-      return Message::handoff_frame(ack, frame.sequence);
+      return handoff_frame(ack, frame.sequence);
     }
     int aborts_seen_ = 0;
   };

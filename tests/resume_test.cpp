@@ -493,13 +493,13 @@ TEST(ReceiverJournalTest, RestartPreservesTheLedger) {
 TEST(ResumeFrameTest, RoundTripsThroughTheDecoder) {
   const std::vector<ResumePoint> points = {{1, 17}, {2, 0}, {9, 1000}};
   const Message frame = Message::resume_frame(42, points);
-  EXPECT_TRUE(frame.resume);
+  EXPECT_EQ(frame.kind, MessageKind::kResume);
 
   MessageDecoder decoder;
   decoder.feed(encode_message(frame));
   auto decoded = decoder.next();
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_TRUE(decoded.value().resume);
+  EXPECT_EQ(decoded.value().kind, MessageKind::kResume);
   auto info = parse_resume_body(
       ByteSpan(decoded.value().body.data(), decoded.value().body.size()));
   ASSERT_TRUE(info.ok()) << info.status().to_string();

@@ -43,14 +43,18 @@ namespace numastream {
 namespace {
 
 using cluster::AntiEntropyScrubber;
-using cluster::InprocReplicationLink;
-using cluster::InprocScrubLink;
+using cluster::InprocPeerLink;
+using cluster::journal_range_digests;
+using cluster::kScrubBodyPrefix;
+using cluster::parse_scrub_body;
+using cluster::PeerLink;
 using cluster::PrimaryReplicator;
 using cluster::ReplicatedJournalMedia;
+using cluster::scrub_frame;
+using cluster::ScrubInfo;
+using cluster::ScrubKind;
 using cluster::ScrubServer;
-using cluster::ScrubTransport;
 using cluster::StandbySession;
-using cluster::journal_range_digests;
 
 constexpr std::uint64_t kSession = 77;
 
@@ -101,16 +105,14 @@ TEST(ScrubFrameTest, DigestReplyRoundTripsThroughTheDecoder) {
   info.range = 2;
   info.range_records = 16;
   info.digests = {{0, 16, 0xDEADBEEF}, {1, 16, 0x12345678}, {2, 4, 0x9}};
-  const Message frame = Message::scrub_frame(info, /*scrub_sequence=*/11);
+  const Message frame = scrub_frame(info, /*scrub_sequence=*/11);
   const Bytes wire = encode_message(frame);
 
   MessageDecoder decoder;
   decoder.feed(ByteSpan(wire.data(), wire.size()));
   auto decoded = decoder.next();
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_TRUE(decoded.value().scrub);
-  EXPECT_FALSE(decoded.value().repl);
-  EXPECT_FALSE(decoded.value().credit);
+  EXPECT_EQ(decoded.value().kind, MessageKind::kScrub);
   EXPECT_EQ(decoded.value().sequence, 11U);
 
   auto parsed = parse_scrub_body(
@@ -136,7 +138,7 @@ TEST(ScrubFrameTest, RepairFramesCarryWholeJournalRecords) {
     info.range = 7;
     info.range_records = 4;
     info.records = records;
-    const Message frame = Message::scrub_frame(info, 3);
+    const Message frame = scrub_frame(info, 3);
     auto parsed =
         parse_scrub_body(ByteSpan(frame.body.data(), frame.body.size()));
     ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
@@ -151,7 +153,7 @@ TEST(ScrubFrameTest, RepairFramesCarryWholeJournalRecords) {
     info.kind = kind;
     info.session_id = kSession;
     info.range_records = 4;
-    const Message frame = Message::scrub_frame(info, 4);
+    const Message frame = scrub_frame(info, 4);
     auto parsed =
         parse_scrub_body(ByteSpan(frame.body.data(), frame.body.size()));
     ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
@@ -167,7 +169,7 @@ TEST(ScrubFrameTest, MalformedBodiesAreRejected) {
   info.session_id = kSession;
   info.range_records = 8;
   info.digests = {{0, 8, 1}, {1, 8, 2}};
-  const Message frame = Message::scrub_frame(info, 1);
+  const Message frame = scrub_frame(info, 1);
 
   // Truncated: the declared digest count no longer fits.
   Bytes truncated = frame.body;
@@ -194,7 +196,7 @@ TEST(ScrubFrameTest, MalformedBodiesAreRejected) {
   request.kind = ScrubKind::kDigestRequest;
   request.session_id = kSession;
   request.range_records = 8;
-  Bytes padded = Message::scrub_frame(request, 1).body;
+  Bytes padded = scrub_frame(request, 1).body;
   padded.insert(padded.end(), frame.body.begin() + 36, frame.body.end());
   EXPECT_FALSE(parse_scrub_body(ByteSpan(padded.data(), padded.size())).ok());
 
@@ -208,7 +210,7 @@ TEST(ScrubFrameTest, DecoderRejectsConflictingAndShortFrames) {
   info.kind = ScrubKind::kDigestRequest;
   info.session_id = kSession;
   info.range_records = 8;
-  Bytes wire = encode_message(Message::scrub_frame(info, 1));
+  Bytes wire = encode_message(scrub_frame(info, 1));
 
   // SCRUB combined with CREDIT is contradictory; the header carries no
   // checksum, so the decoder must catch it structurally.
@@ -405,7 +407,7 @@ TEST(AntiEntropyTest, PushRepairsARottedReplica) {
   ScrubCounters primary_counters;
   ScrubCounters replica_counters;
   ScrubServer server(replica, kSession, 4, &replica_counters);
-  InprocScrubLink link(server);
+  InprocPeerLink link(server);
   AntiEntropyScrubber scrubber(primary, link, kSession, antientropy_config(),
                                /*epoch=*/1, &primary_counters);
   ASSERT_TRUE(scrubber.run_round().is_ok());
@@ -439,7 +441,7 @@ TEST(AntiEntropyTest, PullRepairsRottedLocalAndLiftsQuarantine) {
   ASSERT_FALSE(local_scrubber.quarantined_ranges().empty());
 
   ScrubServer server(replica, kSession, 4);
-  InprocScrubLink link(server);
+  InprocPeerLink link(server);
   AntiEntropyScrubber scrubber(primary, link, kSession, config, /*epoch=*/1,
                                &counters, &local_scrubber);
   ASSERT_TRUE(scrubber.run_round().is_ok());
@@ -465,7 +467,7 @@ TEST(AntiEntropyTest, StaleReplicaTailIsPushedBack) {
   replica.drop_durable_tail(10 * kJournalRecordSize);
 
   ScrubServer server(replica, kSession, 4);
-  InprocScrubLink link(server);
+  InprocPeerLink link(server);
   ScrubCounters counters;
   AntiEntropyScrubber scrubber(primary, link, kSession, antientropy_config(),
                                /*epoch=*/1, &counters);
@@ -494,7 +496,7 @@ TEST(AntiEntropyTest, ServerRefusesARottedPush) {
   push.range_records = 4;
   push.records = journal_image(4);
   push.records[10] ^= 0x04;  // rot in flight: the push itself is damaged
-  auto reply = server.handle(Message::scrub_frame(push, 1));
+  auto reply = server.handle(scrub_frame(push, 1));
   ASSERT_TRUE(reply.ok()) << reply.status().to_string();
   auto info = parse_scrub_body(
       ByteSpan(reply.value().body.data(), reply.value().body.size()));
@@ -507,10 +509,10 @@ TEST(AntiEntropyTest, ServerRefusesARottedPush) {
       << "a rotted push must never reach the replica's journal";
 }
 
-/// A transport that forwards to the real server but substitutes the records
+/// A link that forwards to the real server but substitutes the records
 /// of every repair reply — a wire-level forgery the per-record checksums
 /// cannot catch (the substitute records are individually valid).
-class ForgingScrubLink final : public ScrubTransport {
+class ForgingScrubLink final : public PeerLink {
  public:
   ForgingScrubLink(ScrubServer& server, Bytes forged)
       : server_(server), forged_(std::move(forged)) {}
@@ -528,7 +530,7 @@ class ForgingScrubLink final : public ScrubTransport {
     }
     ScrubInfo forged = info.value();
     forged.records = forged_;
-    return Message::scrub_frame(forged, reply.value().sequence);
+    return scrub_frame(forged, reply.value().sequence);
   }
 
  private:
@@ -578,7 +580,7 @@ TEST(AntiEntropyTest, NeitherSideCleanIsUnrepairableNotSilent) {
 
   ScrubCounters counters;
   ScrubServer server(replica, kSession, 4);
-  InprocScrubLink link(server);
+  InprocPeerLink link(server);
   AntiEntropyScrubber scrubber(primary, link, kSession, antientropy_config(),
                                /*epoch=*/1, &counters);
   ASSERT_TRUE(scrubber.run_round().is_ok());
@@ -598,7 +600,7 @@ TEST(AntiEntropyTest, PromotionFencesTheStaleScrubber) {
   ScrubCounters scrubber_counters;
   ScrubCounters server_counters;
   ScrubServer server(replica, kSession, 4, &server_counters);
-  InprocScrubLink link(server);
+  InprocPeerLink link(server);
   AntiEntropyScrubber scrubber(primary, link, kSession, antientropy_config(),
                                /*epoch=*/1, &scrubber_counters);
   // The replica is promoted (its gateway took over): the old primary's
@@ -625,7 +627,7 @@ TEST(AntiEntropyTest, SessionMismatchIsDataLoss) {
   request.session_id = kSession + 1;
   request.epoch = 1;
   request.range_records = 4;
-  auto reply = server.handle(Message::scrub_frame(request, 1));
+  auto reply = server.handle(scrub_frame(request, 1));
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDataLoss);
 }
@@ -639,7 +641,7 @@ TEST(AntiEntropyTest, RangeSizeDisagreementIsAProtocolViolation) {
   request.session_id = kSession;
   request.epoch = 1;
   request.range_records = 8;  // peer scrubs in different ranges
-  auto reply = server.handle(Message::scrub_frame(request, 1));
+  auto reply = server.handle(scrub_frame(request, 1));
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
 }
@@ -650,7 +652,7 @@ TEST(AntiEntropyTest, MidFlushAckLossKeepsDurabilityHonestAndScrubConverges) {
   MemoryJournalMedia local;
   MemoryJournalMedia replica;
   StandbySession standby(replica, kSession);
-  InprocReplicationLink repl_link(standby);
+  InprocPeerLink repl_link(standby);
   PrimaryReplicator primary(repl_link, kSession);
   ReplicatedJournalMedia tee(local, primary);
 
@@ -683,7 +685,7 @@ TEST(AntiEntropyTest, MidFlushAckLossKeepsDurabilityHonestAndScrubConverges) {
   config.range_records = 2;
   ScrubCounters counters;
   ScrubServer server(replica, kSession, config.range_records);
-  InprocScrubLink scrub_link(server);
+  InprocPeerLink scrub_link(server);
   AntiEntropyScrubber scrubber(local, scrub_link, kSession, config,
                                /*epoch=*/1, &counters);
   for (int round = 0; round < 8; ++round) {
@@ -849,7 +851,7 @@ TEST(ScrubConcurrencyTest, AntiEntropyRacesPromotionWithoutTearing) {
 
   ScrubCounters counters;
   ScrubServer server(replica, kSession, 4, &counters);
-  InprocScrubLink link(server);
+  InprocPeerLink link(server);
   AntiEntropyScrubber scrubber(primary, link, kSession, antientropy_config(),
                                /*epoch=*/1, &counters);
   std::thread promoter([&] { server.promote(); });
