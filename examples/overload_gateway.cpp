@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   std::printf("\ndelivered %llu chunks (%.1f MiB) of %llu produced\n",
               static_cast<unsigned long long>(sink.chunks()),
               static_cast<double>(sink.bytes()) / (1024.0 * 1024.0),
-              static_cast<unsigned long long>(sink.chunks() + sent.total_shed()));
+              static_cast<unsigned long long>(sink.chunks() + sent.shed_newest));
   std::printf("budget peak %llu / %llu bytes (never exceeded), %llu bytes "
               "still charged after teardown\n",
               static_cast<unsigned long long>(ledger.peak()),

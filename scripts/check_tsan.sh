@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer and runs the concurrency-heavy suites:
-# the bounded queue (blocking, cancel, eviction, MPMC stress), the memory
+# the bounded queue (blocking, cancel, MPMC stress), the memory
 # budget ledger (shared by sender and receiver threads), the overload
 # pipelines where credit grants, shedding and drain deadlines all race real
 # worker threads, and the observability layer (span rings written by worker

@@ -126,12 +126,6 @@ void FailoverCoordinator::mark_dead(std::uint32_t gateway) {
   }
 }
 
-void FailoverCoordinator::mark_live(std::uint32_t gateway) {
-  if (gateway < live_.size()) {
-    live_[gateway] = true;
-  }
-}
-
 Result<std::uint32_t> FailoverCoordinator::resolve(
     std::uint32_t stream_id) const {
   return resolve_view(stream_id, live_);

@@ -134,7 +134,6 @@ class FailoverCoordinator {
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
   void mark_dead(std::uint32_t gateway);
-  void mark_live(std::uint32_t gateway);
 
   /// Where `stream_id` is served under the current liveness view. Planned
   /// handoffs (note_handoff) override the ring while their target lives;

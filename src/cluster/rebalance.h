@@ -198,7 +198,6 @@ class RebalanceController {
   void handoff_finished();
 
   [[nodiscard]] int handoffs_in_flight() const noexcept { return in_flight_; }
-  [[nodiscard]] int cooldown_remaining() const noexcept { return cooldown_; }
 
  private:
   const RebalanceConfig config_;

@@ -29,10 +29,6 @@ constexpr double bytes_per_sec_to_gbps(double bytes_per_sec) noexcept {
   return bytes_per_sec / kGbpsInBytesPerSec;
 }
 
-constexpr double bytes_per_sec_to_gib_per_sec(double bytes_per_sec) noexcept {
-  return bytes_per_sec / static_cast<double>(kGiB);
-}
-
 /// "12.34 Gbps" with two decimals; for log lines and bench tables.
 std::string format_gbps(double bytes_per_sec);
 

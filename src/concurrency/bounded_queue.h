@@ -23,7 +23,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <iterator>
 #include <mutex>
 #include <optional>
 
@@ -162,60 +161,6 @@ class BoundedQueue {
     lock.unlock();
     not_full_.notify_one();
     return item;
-  }
-
-  /// Removes and returns the queued item that ranks lowest under `better`
-  /// (better(a, b) == true when `a` outranks `b`), or nullopt when empty.
-  /// This is the priority-evict shed primitive: under overload a producer
-  /// evicts the least valuable queued item to make room for a more valuable
-  /// incoming one (see core/pipeline.cpp).
-  template <typename Better>
-  std::optional<T> try_evict_worst(Better better) {
-    std::optional<T> worst;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (items_.empty()) {
-        return std::nullopt;
-      }
-      auto worst_it = items_.begin();
-      for (auto it = std::next(items_.begin()); it != items_.end(); ++it) {
-        if (better(*worst_it, *it)) {
-          worst_it = it;
-        }
-      }
-      worst = std::move(*worst_it);
-      items_.erase(worst_it);
-    }
-    not_full_.notify_one();
-    return worst;
-  }
-
-  /// try_evict_worst, but only when `incoming` outranks the worst queued
-  /// item: the conditional form of priority eviction. Returns the evicted
-  /// item, or nullopt when the queue is empty or every queued item ranks at
-  /// least as high as `incoming` (the caller then sheds `incoming` itself).
-  template <typename Better>
-  std::optional<T> try_evict_if_worse(const T& incoming, Better better) {
-    std::optional<T> worst;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (items_.empty()) {
-        return std::nullopt;
-      }
-      auto worst_it = items_.begin();
-      for (auto it = std::next(items_.begin()); it != items_.end(); ++it) {
-        if (better(*worst_it, *it)) {
-          worst_it = it;
-        }
-      }
-      if (!better(incoming, *worst_it)) {
-        return std::nullopt;
-      }
-      worst = std::move(*worst_it);
-      items_.erase(worst_it);
-    }
-    not_full_.notify_one();
-    return worst;
   }
 
   /// Non-blocking pop; nullopt when currently empty (not necessarily closed).

@@ -35,15 +35,13 @@ struct StageObservation {
 /// condensed to what the advisor can reason about). All-zero means the run
 /// never hit its overload protections.
 struct OverloadObservation {
-  std::uint64_t shed_chunks = 0;        ///< frames dropped by any shed policy
+  std::uint64_t shed_chunks = 0;        ///< frames dropped by shed=drop_newest
   std::uint64_t credit_stalls = 0;      ///< sender dry spells (flow control bit)
   std::uint64_t budget_stalls = 0;      ///< admissions that had to wait
-  std::uint64_t evicted_chunks = 0;     ///< frames dropped for evicted streams
   std::uint64_t peak_bytes_in_flight = 0;
 
   [[nodiscard]] bool any() const noexcept {
-    return shed_chunks != 0 || credit_stalls != 0 || budget_stalls != 0 ||
-           evicted_chunks != 0;
+    return shed_chunks != 0 || credit_stalls != 0 || budget_stalls != 0;
   }
 };
 

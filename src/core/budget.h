@@ -9,8 +9,8 @@
 // is charged against a hard cap when it enters the process (generated on the
 // sender, received off the wire on the receiver) and released when it leaves
 // (send completed, delivered to the sink, or shed). The ledger accounts per
-// stream, so an overload policy can see *which* stream is hoarding the
-// budget and evict it rather than letting it starve the rest.
+// stream, so a release of more than a stream holds is caught (debug builds)
+// instead of silently freeing another stream's charge.
 //
 // One MemoryBudget is typically shared by every pipeline in the process
 // (passed through OverloadHooks, core/pipeline.h); a pipeline whose config

@@ -46,8 +46,6 @@ constexpr EnumName<TaskType> kTaskTypeNames[] = {
 constexpr EnumName<ShedPolicy> kShedPolicyNames[] = {
     {ShedPolicy::kBlock, "block"},
     {ShedPolicy::kDropNewest, "drop_newest"},
-    {ShedPolicy::kDropOldest, "drop_oldest"},
-    {ShedPolicy::kPriorityEvict, "priority_evict"},
 };
 
 /// The name table of a named slot type.
@@ -90,8 +88,8 @@ static_assert(std::is_same_v<std::size_t, std::uint64_t>,
 
 /// Where one field lives; the pointer type picks how it reads and writes.
 using Slot = std::variant<std::string*, NodeRole*, bool*, ShedPolicy*,
-                          TaskType*, int*, std::uint32_t*, std::uint64_t*,
-                          double*, ExecDomains, MemDomain, StreamId>;
+                          TaskType*, int*, std::uint64_t*, double*,
+                          ExecDomains, MemDomain, StreamId>;
 
 std::optional<int> domain_from_token(std::string_view token) {
   return token == "os" ? NumaBinding::kOsChoice : parse_integer<int>(token, 0);
@@ -274,13 +272,6 @@ constexpr Field<NodeConfig> kOverload[] = {
     {"high_watermark", NS_CONFIG(overload.high_watermark)},
     {"low_watermark", NS_CONFIG(overload.low_watermark)},
     {"drain_deadline_ms", NS_CONFIG(overload.drain_deadline_ms)},
-    {"slow_floor", NS_CONFIG(overload.slow_stream_floor)},
-    {"slow_grace_ms", NS_CONFIG(overload.slow_grace_ms)},
-    {"default_priority", NS_CONFIG(overload.default_priority)},
-};
-constexpr Field<StreamPriority> kPriority[] = {
-    {"stream", NS_AT(StreamPriority, stream_id), kAnyValue, true},
-    {"value", NS_AT(StreamPriority, priority), kAnyValue, true},
 };
 constexpr Field<NodeConfig> kObserve[] = {
     {"trace", NS_CONFIG(observe.trace)},
@@ -390,8 +381,8 @@ Status check_fields(const char* directive,
 /// `moved` set is a policy: its line is written only when its section moved
 /// off the defaults, and then with every attribute, so a config that never
 /// turns a subsystem on serializes as it did before the subsystem existed.
-/// `priority` and `task` are repeatable and read and write their own lists;
-/// every other directive may appear at most once.
+/// `task` is repeatable and reads and writes its own list; every other
+/// directive may appear at most once.
 struct Directive {
   const char* name;
   std::span<const Field<NodeConfig>> fields;
@@ -404,20 +395,6 @@ struct Directive {
 template <auto Section>
 bool moved(const NodeConfig& config) {
   return !(config.*Section).is_default();
-}
-
-Status read_priority(const Directive& self, Words words, NodeConfig& config) {
-  StreamPriority entry;
-  NS_RETURN_IF_ERROR(read_fields(self.name, kPriority, words, entry));
-  config.overload.priorities.push_back(entry);
-  return Status::ok();
-}
-
-void write_priorities(const Directive& self, const NodeConfig& config,
-                      std::string& out) {
-  for (const StreamPriority& entry : config.overload.priorities) {
-    write_line(out, self.name, kPriority, entry);
-  }
 }
 
 Status read_task(const Directive& self, Words words, NodeConfig& config) {
@@ -444,7 +421,6 @@ constexpr Directive kDirectives[] = {
     {"queue_capacity", kQueueCapacity},
     {"recovery", kRecovery, moved<&NodeConfig::recovery>},
     {"overload", kOverload, moved<&NodeConfig::overload>},
-    {"priority", {}, nullptr, read_priority, write_priorities},
     {"observe", kObserve, moved<&NodeConfig::observe>},
     {"resume", kResume, moved<&NodeConfig::resume>},
     {"task", {}, nullptr, read_task, write_tasks},
@@ -454,35 +430,7 @@ constexpr Directive kDirectives[] = {
 
 std::string to_string(TaskType type) { return name_of(type); }
 
-Result<TaskType> task_type_from_string(const std::string& text) {
-  if (const auto type = enum_value<TaskType>(kTaskTypeNames, text)) {
-    return *type;
-  }
-  return invalid_argument_error("config: unknown task type '" + text + "'");
-}
-
 std::string to_string(ShedPolicy policy) { return name_of(policy); }
-
-Result<ShedPolicy> shed_policy_from_string(const std::string& text) {
-  if (const auto policy = enum_value<ShedPolicy>(kShedPolicyNames, text)) {
-    return *policy;
-  }
-  std::string want;
-  for (const auto& entry : kShedPolicyNames) {
-    want += (want.empty() ? "" : "|") + std::string(entry.text);
-  }
-  return invalid_argument_error("config: unknown shed policy '" + text +
-                                "' (want " + want + ")");
-}
-
-int OverloadConfig::priority_of(std::uint32_t stream_id) const {
-  for (const auto& entry : priorities) {
-    if (entry.stream_id == stream_id) {
-      return entry.priority;
-    }
-  }
-  return default_priority;
-}
 
 int NodeConfig::thread_count(TaskType type, int stream_id) const {
   int total = 0;
@@ -533,23 +481,10 @@ Status NodeConfig::validate(const MachineTopology& topo) const {
         "config: shed policy '" + to_string(overload.shed_policy) +
         "' needs high_watermark > 0 to ever engage");
   }
-  if (overload.slow_stream_floor > 0 && overload.slow_grace_ms == 0) {
-    return invalid_argument_error(
-        "config: slow_floor needs slow_grace_ms > 0 (the sampling window)");
-  }
   if (overload.budget_bytes > 0 && overload.budget_bytes < chunk_bytes) {
     return invalid_argument_error(
         "config: budget_bytes smaller than one chunk would deadlock "
         "admission");
-  }
-  for (std::size_t i = 0; i < overload.priorities.size(); ++i) {
-    for (std::size_t j = i + 1; j < overload.priorities.size(); ++j) {
-      if (overload.priorities[i].stream_id == overload.priorities[j].stream_id) {
-        return invalid_argument_error(
-            "config: duplicate priority for stream " +
-            std::to_string(overload.priorities[i].stream_id));
-      }
-    }
   }
   if (resume.enabled() && !recovery.reconnect) {
     return invalid_argument_error(

@@ -25,7 +25,6 @@ namespace numastream {
 enum class TaskType { kCompress, kSend, kReceive, kDecompress };
 
 std::string to_string(TaskType type);
-Result<TaskType> task_type_from_string(const std::string& text);
 
 enum class NodeRole { kSender, kReceiver };
 
@@ -65,23 +64,11 @@ struct RecoveryConfig {
 
 /// What to do with a frame when the pipeline is over its watermarks.
 enum class ShedPolicy {
-  kBlock,         ///< no shedding: producers wait (classic backpressure)
-  kDropNewest,    ///< drop the incoming frame
-  kDropOldest,    ///< drop the oldest queued frame, admit the incoming one
-  kPriorityEvict, ///< evict the lowest-priority queued frame if the incoming
-                  ///< one outranks it, else drop the incoming frame
+  kBlock,       ///< no shedding: producers wait (classic backpressure)
+  kDropNewest,  ///< drop the incoming frame
 };
 
 std::string to_string(ShedPolicy policy);
-Result<ShedPolicy> shed_policy_from_string(const std::string& text);
-
-/// Relative importance of one stream for priority-aware shedding/eviction.
-/// Higher wins; streams without an entry get OverloadConfig::default_priority.
-struct StreamPriority {
-  std::uint32_t stream_id = 0;
-  int priority = 0;
-  friend bool operator==(const StreamPriority&, const StreamPriority&) = default;
-};
 
 /// Overload-protection policy for one node's pipeline. Everything defaults
 /// to off, matching pre-overload behavior byte for byte: no budget, no
@@ -109,19 +96,6 @@ struct OverloadConfig {
   /// must flush within this budget or the flush is forced (counted as a
   /// drain timeout). 0 = unbounded flush (legacy behavior).
   std::uint64_t drain_deadline_ms = 0;
-  /// Slow-consumer floor: a stream with backlog that delivers fewer than
-  /// this many chunks per grace window is evicted (its frames dropped)
-  /// instead of starving the rest. 0 disables.
-  std::uint64_t slow_stream_floor = 0;
-  /// Sampling window for the slow-consumer monitor.
-  std::uint64_t slow_grace_ms = 0;
-  /// Priority assumed for streams not listed in `priorities`.
-  int default_priority = 0;
-  /// Per-stream priorities (serialized as `priority` directives).
-  std::vector<StreamPriority> priorities;
-
-  /// Priority of `stream_id` under this config.
-  [[nodiscard]] int priority_of(std::uint32_t stream_id) const;
 
   [[nodiscard]] bool is_default() const { return *this == OverloadConfig{}; }
 

@@ -4,11 +4,8 @@
 #include <chrono>
 #include <ctime>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <thread>
 #include <utility>
 
 #include "codec/codec.h"
@@ -611,7 +608,7 @@ class SenderRun : public RunFrame {
 
  private:
   const Codec* pick_codec();
-  bool shed(const Message& message);
+  bool shed();
 
   ChunkSource& source_;
   const ConnectFn& connect_;
@@ -987,7 +984,7 @@ void SenderRun::compress(StageWorker& worker) {
     message.body = std::move(split.payload);
     encode.note(obs::Stage::kCompress, chunk->stream_id, chunk->sequence);
     ingest.progress.fetch_add(1, std::memory_order_relaxed);
-    if (shed(message)) {
+    if (shed()) {
       continue;
     }
     // Budget admission: the charge is the encoded body, released when the
@@ -1085,10 +1082,9 @@ const Codec* SenderRun::pick_codec() {
 }
 
 /// Load shedding: between the watermarks (a hysteresis latch, like the
-/// degrade latch) the configured policy decides which frame pays for the
-/// overload — the incoming one, the oldest queued one, or the
-/// lowest-priority queued one. True when the incoming frame is shed.
-bool SenderRun::shed(const Message& message) {
+/// degrade latch) shed=drop_newest drops the incoming frame. True when the
+/// incoming frame is shed.
+bool SenderRun::shed() {
   const OverloadConfig& ov = config.overload;
   if (!ovr.on() || ov.high_watermark == 0 ||
       ov.shed_policy == ShedPolicy::kBlock) {
@@ -1103,133 +1099,11 @@ bool SenderRun::shed(const Message& message) {
   if (!shedding_.load(std::memory_order_relaxed)) {
     return false;
   }
-  OverloadCounters& oc = ovr.counters();
-  if (ov.shed_policy == ShedPolicy::kDropNewest) {
-    oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-    return true;  // the incoming frame is the casualty
-  }
-  if (ov.shed_policy == ShedPolicy::kDropOldest) {
-    // Keep frames newer (higher sequence) over older.
-    if (auto evicted = queue.try_evict_worst(
-            [](const Message& a, const Message& b) { return a.sequence > b.sequence; })) {
-      oc.shed_oldest.fetch_add(1, std::memory_order_relaxed);
-      ovr.release(evicted->stream_id, evicted->wire_body_size());
-    }
-    return false;  // admit the incoming frame
-  }
-  // kPriorityEvict: keep higher-priority streams over lower, newer over
-  // older within a priority class.
-  const auto outranks = [&ov](const Message& a, const Message& b) {
-    const int pa = ov.priority_of(a.stream_id);
-    const int pb = ov.priority_of(b.stream_id);
-    return pa != pb ? pa > pb : a.sequence > b.sequence;
-  };
-  if (auto evicted = queue.try_evict_if_worse(message, outranks)) {
-    oc.priority_evictions.fetch_add(1, std::memory_order_relaxed);
-    ovr.release(evicted->stream_id, evicted->wire_body_size());
-    return false;
-  }
-  oc.shed_newest.fetch_add(1, std::memory_order_relaxed);
-  return true;  // the incoming frame is the least valuable
+  ovr.counters().shed_newest.fetch_add(1, std::memory_order_relaxed);
+  return true;  // the incoming frame is the casualty
 }
 
 // ----------------------------------------------------------------- receiver
-
-/// Slow-consumer protection (DESIGN.md §8): per-stream progress sampled by a
-/// monitor thread. A stream with a standing backlog that delivers fewer
-/// than slow_stream_floor chunks per grace window is evicted — its frames
-/// are dropped (and counted) so one stalled sink cannot hoard the queue and
-/// budget that every other stream needs. Off (every call a no-op) unless
-/// overload protection sets a floor.
-class SlowStreamMonitor {
- public:
-  explicit SlowStreamMonitor(RunFrame& frame)
-      : ov_(frame.config.overload),
-        oc_(frame.ovr.counters()),
-        on_(frame.ovr.on() && ov_.slow_stream_floor > 0) {}
-  ~SlowStreamMonitor() { stop(); }
-  SlowStreamMonitor(const SlowStreamMonitor&) = delete;
-  SlowStreamMonitor& operator=(const SlowStreamMonitor&) = delete;
-
-  void start() {
-    if (on_) {
-      thread_ = std::thread([this] { run(); });
-    }
-  }
-
-  /// Joins the monitor thread; idempotent.
-  void stop() {
-    if (thread_.joinable()) {
-      {
-        const std::lock_guard<std::mutex> lock(wake_mu_);
-        stop_ = true;
-      }
-      wake_.notify_all();
-      thread_.join();
-    }
-  }
-
-  void note_received(std::uint32_t stream_id) {
-    if (on_) {
-      const std::lock_guard<std::mutex> lock(progress_mu_);
-      ++progress_[stream_id].received;
-    }
-  }
-
-  void note_delivered(std::uint32_t stream_id) {
-    if (on_) {
-      const std::lock_guard<std::mutex> lock(progress_mu_);
-      ++progress_[stream_id].delivered_chunks;
-    }
-  }
-
-  [[nodiscard]] bool evicted(std::uint32_t stream_id) const {
-    if (!on_) {
-      return false;
-    }
-    const std::lock_guard<std::mutex> lock(progress_mu_);
-    return evicted_.count(stream_id) > 0;
-  }
-
- private:
-  struct Progress {
-    std::uint64_t received = 0;
-    std::uint64_t delivered_chunks = 0;
-  };
-
-  /// Samples every grace window until stopped.
-  void run() {
-    std::map<std::uint32_t, std::uint64_t> last_delivered;
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    while (!wake_.wait_for(lock, std::chrono::milliseconds(ov_.slow_grace_ms),
-                           [this] { return stop_; })) {
-      const std::lock_guard<std::mutex> plock(progress_mu_);
-      for (const auto& [stream_id, p] : progress_) {
-        if (evicted_.count(stream_id) > 0) {
-          continue;
-        }
-        const std::uint64_t delta = p.delivered_chunks - last_delivered[stream_id];
-        last_delivered[stream_id] = p.delivered_chunks;
-        const bool backlog = p.received > p.delivered_chunks;
-        if (backlog && delta < ov_.slow_stream_floor) {
-          evicted_.insert(stream_id);
-          oc_.slow_streams_evicted.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  }
-
-  const OverloadConfig& ov_;
-  OverloadCounters& oc_;
-  const bool on_;
-  mutable std::mutex progress_mu_;
-  std::map<std::uint32_t, Progress> progress_;
-  std::set<std::uint32_t> evicted_;
-  std::mutex wake_mu_;
-  bool stop_ = false;  // guarded by wake_mu_
-  std::condition_variable wake_;
-  std::thread thread_;
-};
 
 /// A receiver's run: the frame plus its two stage loops and what they share.
 class ReceiverRun : public RunFrame {
@@ -1240,7 +1114,6 @@ class ReceiverRun : public RunFrame {
       : RunFrame(topo, config, kReceiverSide, hooks),
         listener(listener_in),
         journal(journal_in),
-        slow(*this),
         sink_(sink) {}
 
   /// Receiving: admit each data frame off this worker's session, charge it
@@ -1253,7 +1126,6 @@ class ReceiverRun : public RunFrame {
   Listener& listener;
   ReceiverJournal* const journal;
   std::vector<std::unique_ptr<ByteStream>> streams;  ///< one per receive worker
-  SlowStreamMonitor slow;
   /// Every peer ends its stream with one end-of-stream marker. In reconnect
   /// mode the run is complete when one marker per pre-established
   /// connection has arrived; whichever worker collects the last one raises
@@ -1324,9 +1196,9 @@ class ReceiveSession {
   /// Counts one consumed data frame, replenishes the peer's window once
   /// half of it has been drained, and piggybacks a watermark RESUME every
   /// ack_interval frames so the peer's journal can prune. Every consumed
-  /// frame counts — duplicates and evicted-stream drops included — because
-  /// the peer spent credit to send it; skipping any would leak window and
-  /// eventually wedge the connection.
+  /// frame counts — duplicates included — because the peer spent credit to
+  /// send it; skipping any would leak window and eventually wedge the
+  /// connection.
   void consume_credit() {
     const OverloadConfig& ov = run_.config.overload;
     if (run_.ovr.credit_on()) {
@@ -1463,10 +1335,9 @@ void ReceiverRun::receive(StageWorker& worker) {
     }
     const std::uint32_t stream = message->stream_id;
     const std::uint64_t sequence = message->sequence;
-    slow.note_received(stream);
     // Charge the frame to the in-flight ledger before it occupies queue
-    // memory; released when the decompress stage disposes of it (delivery,
-    // corruption drop, or eviction).
+    // memory; released when the decompress stage disposes of it (delivery
+    // or corruption drop).
     const std::uint64_t charge = message->wire_body_size();
     if (budget != nullptr &&
         !budget
@@ -1487,8 +1358,8 @@ void ReceiverRun::receive(StageWorker& worker) {
 }
 
 /// Whether a received data frame goes on to the queue. Dropped and counted
-/// here: a repeat within this run, a replay of a chunk committed in an
-/// earlier process lifetime, and a frame of an evicted stream.
+/// here: a repeat within this run, and a replay of a chunk committed in an
+/// earlier process lifetime.
 bool ReceiverRun::admit(const Message& message) {
   if (config.recovery.reconnect) {
     const std::lock_guard<std::mutex> lock(received_mu);
@@ -1505,10 +1376,6 @@ bool ReceiverRun::admit(const Message& message) {
     rc.duplicate_deliveries_suppressed.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (slow.evicted(message.stream_id)) {
-    ovr.counters().evicted_chunks.fetch_add(1, std::memory_order_relaxed);
-    return false;  // the stream was cut for falling behind
-  }
   return true;
 }
 
@@ -1516,16 +1383,11 @@ void ReceiverRun::decompress(StageWorker& worker) {
   int consecutive_corrupt = 0;
   while (auto message = queue.pop(qcancel)) {
     worker.migrate.poll();
-    // Whatever happens to this frame below — delivery, corruption drop, or
-    // eviction — its ledger charge is returned exactly once.
+    // Whatever happens to this frame below — delivery or corruption drop —
+    // its ledger charge is returned exactly once.
     const std::uint64_t charge = message->wire_body_size();
     const std::uint32_t stream = message->stream_id;
     const std::uint64_t sequence = message->sequence;
-    if (slow.evicted(stream)) {
-      ovr.counters().evicted_chunks.fetch_add(1, std::memory_order_relaxed);
-      ovr.release(stream, charge);
-      continue;  // the stream was cut for falling behind
-    }
     const StepTimer decode(obr, worker);
     auto content = decode_content(*message);
     if (!content.ok()) {
@@ -1567,7 +1429,6 @@ void ReceiverRun::decompress(StageWorker& worker) {
         break;
       }
     }
-    slow.note_delivered(stream);
     ovr.release(stream, charge);
   }
 }
@@ -1726,7 +1587,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
     receiver.done.store(true, std::memory_order_release);
     receiver.listener.close();
   });
-  receiver.slow.start();
 
   PinnedThreadGroup receive_workers = receiver.start(
       receiver.ingest, [&receiver](StageWorker& worker) { receiver.receive(worker); });
@@ -1734,7 +1594,6 @@ Result<ReceiverStats> StreamReceiver::run(Listener& listener, ChunkSink& sink,
       receiver.egress, [&receiver](StageWorker& worker) { receiver.decompress(worker); });
   receive_workers.join();
   decompress_workers.join();
-  receiver.slow.stop();
   NS_RETURN_IF_ERROR(receiver.finish());
 
   ReceiverStats stats;
@@ -1776,10 +1635,9 @@ PipelineObservation make_observation(const SenderStats& sender,
       stage(receiver.decompress_busy_seconds, receiver.decompress_threads,
             receiver.elapsed_seconds);
   if (overload != nullptr) {
-    observation.overload.shed_chunks = overload->total_shed();
+    observation.overload.shed_chunks = overload->shed_newest;
     observation.overload.credit_stalls = overload->credit_stalls;
     observation.overload.budget_stalls = overload->budget_stalls;
-    observation.overload.evicted_chunks = overload->evicted_chunks;
     observation.overload.peak_bytes_in_flight = overload->peak_bytes_in_flight;
   }
   if (latencies != nullptr) {

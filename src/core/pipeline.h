@@ -53,7 +53,7 @@ struct OverloadHooks {
   /// budget_bytes, the pipeline creates a private ledger for the run; pass
   /// one MemoryBudget here to enforce a process-wide cap across pipelines.
   MemoryBudget* budget = nullptr;
-  /// Accumulates shed/stall/evict/drain accounting when supplied.
+  /// Accumulates shed/stall/drain accounting when supplied.
   OverloadCounters* counters = nullptr;
   /// Operator-initiated graceful drain: when supplied, ingest stages watch
   /// the controller and stop pulling new work once it is requested.
@@ -191,9 +191,6 @@ struct SenderStats {
   [[nodiscard]] double raw_rate() const noexcept {
     return elapsed_seconds > 0 ? static_cast<double>(raw_bytes) / elapsed_seconds : 0;
   }
-  [[nodiscard]] double wire_rate() const noexcept {
-    return elapsed_seconds > 0 ? static_cast<double>(wire_bytes) / elapsed_seconds : 0;
-  }
   [[nodiscard]] double compression_ratio() const noexcept {
     return wire_bytes > 0
                ? static_cast<double>(raw_bytes) / static_cast<double>(wire_bytes)
@@ -214,9 +211,6 @@ struct ReceiverStats {
 
   [[nodiscard]] double raw_rate() const noexcept {
     return elapsed_seconds > 0 ? static_cast<double>(raw_bytes) / elapsed_seconds : 0;
-  }
-  [[nodiscard]] double wire_rate() const noexcept {
-    return elapsed_seconds > 0 ? static_cast<double>(wire_bytes) / elapsed_seconds : 0;
   }
 };
 
@@ -265,7 +259,7 @@ class StreamReceiver {
   /// (one per receiving thread's peer) has arrived. `faults` accumulates
   /// recovery accounting when supplied; `overload` supplies the optional
   /// budget/counters/drain collaborators for overload protection (credit
-  /// grants, slow-consumer eviction, bounded drain).
+  /// grants, bounded drain).
   Result<ReceiverStats> run(Listener& listener, ChunkSink& sink,
                             PlacementRecorder* recorder = nullptr,
                             FaultCounters* faults = nullptr,

@@ -2,12 +2,12 @@
 //
 // The complement of FaultCounters: where that ledger accounts for injected
 // transport faults and the recovery they provoked, this one accounts for
-// *pressure* — admission decisions the budget made, frames the shed policies
-// dropped, credit stalls the flow-control window imposed, streams evicted
-// for falling behind, and how the graceful drain ended. Same accountability
-// rule: a chunk that entered an overloaded pipeline is either delivered or
-// shows up in exactly one counter here — never silently gone. Counters are
-// touched at chunk granularity and render through counter_table().
+// *pressure* — admission decisions the budget made, frames shed=drop_newest
+// dropped, credit stalls the flow-control window imposed, and how the
+// graceful drain ended. Same accountability rule: a chunk that entered an
+// overloaded pipeline is either delivered or shows up in exactly one counter
+// here — never silently gone. Counters are touched at chunk granularity and
+// render through counter_table().
 #pragma once
 
 #include "metrics/ledger.h"
@@ -17,19 +17,14 @@ namespace numastream {
 // Pressure order: shedding first, then the flow control and admission
 // machinery that prevented worse, then the gauges.
 #define NS_OVERLOAD_COUNTERS(X)                                               \
-  /* Load shedding (core/pipeline.cpp shed policies). */                     \
+  /* Load shedding (core/pipeline.cpp, shed=drop_newest). */                 \
   X(shed_newest)          /**< incoming frames dropped at admission */        \
-  X(shed_oldest)          /**< queued frames dropped to admit newer ones */   \
-  X(priority_evictions)   /**< queued frames evicted for higher priority */   \
   /* Credit-based flow control (msg/socket.h credit frames). */              \
   X(credit_stalls)        /**< times a sender ran dry and had to wait */      \
   X(credit_grants)        /**< credit frames issued by the receiver */        \
   /* Memory budget admission (core/budget.h). */                             \
   X(budget_stalls)        /**< admissions that had to wait for releases */    \
   X(budget_rejections)    /**< admissions denied outright (shed instead) */   \
-  /* Slow-consumer protection. */                                            \
-  X(slow_streams_evicted) /**< streams cut for missing the floor */           \
-  X(evicted_chunks)       /**< frames dropped for evicted streams */          \
   /* Graceful drain (core/drain.h). */                                       \
   X(drain_requests)       /**< coordinated flushes started */                 \
   X(drain_timeouts)       /**< flushes that hit the deadline and forced */    \
@@ -39,11 +34,6 @@ namespace numastream {
 /// Plain-value copy of OverloadCounters, comparable and printable.
 struct OverloadCountersSnapshot {
   NS_LEDGER_SNAPSHOT(OverloadCountersSnapshot, NS_OVERLOAD_COUNTERS)
-
-  /// Every frame dropped by a shed policy, whatever the policy was.
-  [[nodiscard]] std::uint64_t total_shed() const noexcept {
-    return shed_newest + shed_oldest + priority_evictions;
-  }
 };
 
 /// Thread-safe counter set shared by a pipeline's workers.

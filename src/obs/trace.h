@@ -70,8 +70,6 @@ class Tracer {
   /// `workers` rings of `ring_capacity` spans each.
   Tracer(std::size_t workers, std::size_t ring_capacity);
 
-  [[nodiscard]] std::size_t worker_count() const noexcept { return rings_.size(); }
-
   /// Records `span` into worker `span.worker`'s ring. A worker id beyond the
   /// ring set counts the span as dropped rather than aborting: lifecycle
   /// bookkeeping must never take down the pipeline.

@@ -45,10 +45,6 @@ Status StreamPipeline::check(const Spec& spec, const Calibration& calib) {
                              "compression needs compress and decompress workers"));
   const OverloadConfig& overload = spec.overload;
   NS_RETURN_IF_ERROR(require(overload.shed_policy == ShedPolicy::kBlock ||
-                                 overload.shed_policy == ShedPolicy::kDropNewest,
-                             "only shed=block and shed=drop_newest are "
-                             "modelled"));
-  NS_RETURN_IF_ERROR(require(overload.shed_policy == ShedPolicy::kBlock ||
                                  spec.compress,
                              "shedding guards the compress->send queue; "
                              "enable compress"));

@@ -99,7 +99,7 @@ class StreamPipeline {
     ///    pipeline, taken when a chunk enters and returned at delivery.
     ///  * shed=drop_newest at the compress->send queue: sheds while depth >=
     ///    high_watermark until depth <= low_watermark. Requires `compress`.
-    /// The other fields are not modelled.
+    /// drain_deadline_ms is not modelled.
     OverloadConfig overload;
 
     // ---- crash resumption (mirrors core/journal.h; DESIGN.md §11) ----

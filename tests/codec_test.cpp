@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -231,6 +232,12 @@ TEST(Lz4Test, DestinationTooSmallIsResourceExhausted) {
   auto written = lz4_compress_block(original, tiny);
   EXPECT_FALSE(written.ok());
   EXPECT_EQ(written.status().code(), StatusCode::kResourceExhausted);
+}
+
+// The compressor is the binding stage of compressed streaming; its entry is
+// pinned to a cache line so unrelated code size changes cannot shift it.
+TEST(Lz4Test, CompressBlockStartsOnACacheLine) {
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&lz4_compress_block) % 64, 0U);
 }
 
 TEST(Lz4Test, DecodeRejectsTruncatedStream) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -160,43 +161,7 @@ TEST(BoundedQueueTest, PushUntilSucceedsWhenSpaceOpensBeforeDeadline) {
   EXPECT_EQ(q.pop().value(), 2);
 }
 
-// ---- eviction primitives (the shed-policy hooks) ----
-
-TEST(BoundedQueueTest, TryEvictWorstRemovesLowestRanked) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(3).is_ok());
-  ASSERT_TRUE(q.push(9).is_ok());
-  ASSERT_TRUE(q.push(5).is_ok());
-  // better(a, b): smaller outranks larger -> 9 is the worst.
-  auto evicted = q.try_evict_worst([](int a, int b) { return a < b; });
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 9);
-  // FIFO order of the survivors is preserved.
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_EQ(q.pop().value(), 5);
-}
-
-TEST(BoundedQueueTest, TryEvictWorstOnEmptyReturnsNullopt) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.try_evict_worst([](int a, int b) { return a < b; }).has_value());
-}
-
-TEST(BoundedQueueTest, TryEvictIfWorseOnlyEvictsWhenIncomingOutranks) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(3).is_ok());
-  ASSERT_TRUE(q.push(7).is_ok());
-  const auto better = [](int a, int b) { return a < b; };
-  // Incoming 9 ranks below everything queued: no eviction, caller sheds it.
-  EXPECT_FALSE(q.try_evict_if_worse(9, better).has_value());
-  EXPECT_EQ(q.size(), 2U);
-  // Incoming 5 outranks the queued 7: 7 is evicted to make room.
-  auto evicted = q.try_evict_if_worse(5, better);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 7);
-  EXPECT_EQ(q.size(), 1U);
-}
-
-TEST(BoundedQueueTest, EvictionWakesBlockedProducer) {
+TEST(BoundedQueueTest, TryPopWakesBlockedProducer) {
   BoundedQueue<int> q(1);
   ASSERT_TRUE(q.push(1).is_ok());
   std::atomic<bool> pushed{false};
@@ -206,10 +171,10 @@ TEST(BoundedQueueTest, EvictionWakesBlockedProducer) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());
-  auto evicted = q.try_evict_worst([](int a, int b) { return a < b; });
-  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(q.try_pop(), std::optional<int>(1));
   producer.join();
   EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(q.try_pop(), std::optional<int>(2));
 }
 
 // Property: with multiple producers and consumers, every pushed item is

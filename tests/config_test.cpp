@@ -78,45 +78,22 @@ constexpr Accepted kAcceptedLines[] = {
      "degrade_watermark=0 watchdog_ms=750\n"},
     {"overload budget_bytes=22118400\n",
      "overload budget_bytes=22118400 credit_window=0 shed=block "
-     "high_watermark=0 low_watermark=0 drain_deadline_ms=0 slow_floor=0 "
-     "slow_grace_ms=0 default_priority=0\n"},
+     "high_watermark=0 low_watermark=0 drain_deadline_ms=0\n"},
     {"overload credit_window=8\n",
      "overload budget_bytes=0 credit_window=8 shed=block high_watermark=0 "
-     "low_watermark=0 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=0 "
-     "default_priority=0\n"},
-    {"overload shed=drop_oldest\n",
-     "overload budget_bytes=0 credit_window=0 shed=drop_oldest "
-     "high_watermark=0 low_watermark=0 drain_deadline_ms=0 slow_floor=0 "
-     "slow_grace_ms=0 default_priority=0\n"},
+     "low_watermark=0 drain_deadline_ms=0\n"},
+    {"overload shed=drop_newest\n",
+     "overload budget_bytes=0 credit_window=0 shed=drop_newest "
+     "high_watermark=0 low_watermark=0 drain_deadline_ms=0\n"},
     {"overload high_watermark=6\n",
      "overload budget_bytes=0 credit_window=0 shed=block high_watermark=6 "
-     "low_watermark=0 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=0 "
-     "default_priority=0\n"},
+     "low_watermark=0 drain_deadline_ms=0\n"},
     {"overload low_watermark=2\n",
      "overload budget_bytes=0 credit_window=0 shed=block high_watermark=0 "
-     "low_watermark=2 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=0 "
-     "default_priority=0\n"},
+     "low_watermark=2 drain_deadline_ms=0\n"},
     {"overload drain_deadline_ms=1000\n",
      "overload budget_bytes=0 credit_window=0 shed=block high_watermark=0 "
-     "low_watermark=0 drain_deadline_ms=1000 slow_floor=0 slow_grace_ms=0 "
-     "default_priority=0\n"},
-    {"overload slow_floor=4\n",
-     "overload budget_bytes=0 credit_window=0 shed=block high_watermark=0 "
-     "low_watermark=0 drain_deadline_ms=0 slow_floor=4 slow_grace_ms=0 "
-     "default_priority=0\n"},
-    {"overload slow_grace_ms=250\n",
-     "overload budget_bytes=0 credit_window=0 shed=block high_watermark=0 "
-     "low_watermark=0 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=250 "
-     "default_priority=0\n"},
-    {"overload default_priority=-7\n",
-     "overload budget_bytes=0 credit_window=0 shed=block high_watermark=0 "
-     "low_watermark=0 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=0 "
-     "default_priority=-7\n"},
-    {"priority stream=5 value=2\n",
-     "overload budget_bytes=0 credit_window=0 shed=block high_watermark=0 "
-     "low_watermark=0 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=0 "
-     "default_priority=0\n"
-     "priority stream=5 value=2\n"},
+     "low_watermark=0 drain_deadline_ms=1000\n"},
     {"observe trace=on\n",
      "observe trace=on latency=off\n"},
     {"observe latency=on\n",
@@ -224,21 +201,14 @@ constexpr Accepted kAcceptedTexts[] = {
      "chunk_bytes 11059200\n"
      "queue_capacity 8\n"
      "task receive count=1 exec=0 mem=0\n"},
-    {"priority stream=1 value=3\n"
-     "priority stream=1 value=4\n"
+    {"task decompress count=1 exec=0 mem=0 stream=3\n"
      "node late\n"
-     "task decompress count=1 exec=0 mem=0 stream=3\n"
      "task receive count=1 exec=1 mem=1 stream=3\n",
      "node late\n"
      "role sender\n"
      "codec lz4\n"
      "chunk_bytes 11059200\n"
      "queue_capacity 8\n"
-     "overload budget_bytes=0 credit_window=0 shed=block high_watermark=0 "
-     "low_watermark=0 drain_deadline_ms=0 slow_floor=0 slow_grace_ms=0 "
-     "default_priority=0\n"
-     "priority stream=1 value=3\n"
-     "priority stream=1 value=4\n"
      "task decompress count=1 exec=0 mem=0 stream=3\n"
      "task receive count=1 exec=1 mem=1 stream=3\n"},
     {"node dbl\n"
@@ -285,9 +255,6 @@ constexpr RejectedLine kRejectedLines[] = {
     {"overload high_watermark=zz\n", "high_watermark"},
     {"overload low_watermark=zz\n", "low_watermark"},
     {"overload drain_deadline_ms=zz\n", "drain_deadline_ms"},
-    {"overload slow_floor=zz\n", "slow_floor"},
-    {"overload slow_grace_ms=zz\n", "slow_grace_ms"},
-    {"overload default_priority=zz\n", "default_priority"},
     {"overload frob=1\n", "frob"},
     {"overload budget_bytes\n", "budget_bytes"},
     {"observe ring_capacity=1024\n", "unknown attribute 'ring_capacity'"},
@@ -305,15 +272,14 @@ constexpr RejectedLine kRejectedLines[] = {
     {"observe trace=maybe\n", "trace"},
     {"observe latency=maybe\n", "latency"},
     {"overload shed=sideways\n", "shed"},
+    {"overload shed=drop_oldest\n", "shed"},
+    {"overload shed=priority_evict\n", "shed"},
+    {"overload slow_floor=3\n", "unknown attribute 'slow_floor'"},
+    {"overload slow_grace_ms=250\n", "unknown attribute 'slow_grace_ms'"},
+    {"overload default_priority=1\n", "unknown attribute 'default_priority'"},
+    {"priority stream=1 value=2\n", "unknown directive 'priority'"},
     {"recovery max_attempts=99999999999\n", "max_attempts"},
     {"overload budget_bytes=99999999999999999999\n", "budget_bytes"},
-    {"priority stream=3\n", "value"},
-    {"priority value=3\n", "stream"},
-    {"priority stream=-1 value=1\n", "stream"},
-    {"priority stream=x value=1\n", "stream"},
-    {"priority stream=1 value=q\n", "value"},
-    {"priority stream=1 value=1 rank=2\n", "rank"},
-    {"priority stream\n", "stream"},
     {"task\n", "task"},
     {"task frobnicate count=1\n", "frobnicate"},
     {"task send\n", "count"},
@@ -388,15 +354,10 @@ NodeConfig every_knob_moved() {
   config.recovery.watchdog_ms = 2500;
   config.overload.budget_bytes = 1048576;
   config.overload.credit_window = 6;
-  config.overload.shed_policy = ShedPolicy::kPriorityEvict;
+  config.overload.shed_policy = ShedPolicy::kDropNewest;
   config.overload.high_watermark = 14;
   config.overload.low_watermark = 5;
   config.overload.drain_deadline_ms = 8000;
-  config.overload.slow_stream_floor = 2;
-  config.overload.slow_grace_ms = 300;
-  config.overload.default_priority = -2;
-  config.overload.priorities = {{.stream_id = 3, .priority = 9},
-                                {.stream_id = 0, .priority = -1}};
   config.observe.trace = true;
   config.observe.latency = true;
   config.resume.session = 77;
@@ -428,11 +389,8 @@ constexpr const char* kEveryKnobMoved =
     "recovery reconnect=on max_attempts=7 backoff_us=250 max_backoff_us=64000 "
     "multiplier=1.75 jitter=0.125 retry_budget_us=900000 "
     "degrade_watermark=12 watchdog_ms=2500\n"
-    "overload budget_bytes=1048576 credit_window=6 shed=priority_evict "
-    "high_watermark=14 low_watermark=5 drain_deadline_ms=8000 "
-    "slow_floor=2 slow_grace_ms=300 default_priority=-2\n"
-    "priority stream=3 value=9\n"
-    "priority stream=0 value=-1\n"
+    "overload budget_bytes=1048576 credit_window=6 shed=drop_newest "
+    "high_watermark=14 low_watermark=5 drain_deadline_ms=8000\n"
     "observe trace=on latency=on\n"
     "resume session=77 ack_interval=16\n"
     "task receive count=4 exec=1 mem=1 stream=0\n"

@@ -479,63 +479,48 @@ watchdog_trips           15
 TEST(CounterLedgerTest, Overload) {
   OverloadCounters live;
   live.shed_newest = 1;
-  live.shed_oldest = 2;
-  live.priority_evictions = 3;
-  live.credit_stalls = 4;
-  live.credit_grants = 5;
-  live.budget_stalls = 6;
-  live.budget_rejections = 7;
-  live.slow_streams_evicted = 8;
-  live.evicted_chunks = 9;
-  live.drain_requests = 10;
-  live.drain_timeouts = 11;
-  live.peak_bytes_in_flight = 12;
+  live.credit_stalls = 2;
+  live.credit_grants = 3;
+  live.budget_stalls = 4;
+  live.budget_rejections = 5;
+  live.drain_requests = 6;
+  live.drain_timeouts = 7;
+  live.peak_bytes_in_flight = 8;
   const OverloadCountersSnapshot full = live.snapshot();
   const std::vector<std::uint64_t OverloadCountersSnapshot::*> fields = {
       &OverloadCountersSnapshot::shed_newest,
-      &OverloadCountersSnapshot::shed_oldest,
-      &OverloadCountersSnapshot::priority_evictions,
       &OverloadCountersSnapshot::credit_stalls,
       &OverloadCountersSnapshot::credit_grants,
       &OverloadCountersSnapshot::budget_stalls,
       &OverloadCountersSnapshot::budget_rejections,
-      &OverloadCountersSnapshot::slow_streams_evicted,
-      &OverloadCountersSnapshot::evicted_chunks,
       &OverloadCountersSnapshot::drain_requests,
       &OverloadCountersSnapshot::drain_timeouts,
       &OverloadCountersSnapshot::peak_bytes_in_flight,
   };
   expect_each_field_counts(full, fields);
   EXPECT_EQ(full.to_string(),
-            "shed_newest=1 shed_oldest=2 priority_evictions=3 "
-            "credit_stalls=4 credit_grants=5 budget_stalls=6 "
-            "budget_rejections=7 slow_streams_evicted=8 evicted_chunks=9 "
-            "drain_requests=10 drain_timeouts=11 peak_bytes_in_flight=12");
+            "shed_newest=1 credit_stalls=2 credit_grants=3 budget_stalls=4 "
+            "budget_rejections=5 drain_requests=6 drain_timeouts=7 "
+            "peak_bytes_in_flight=8");
   EXPECT_EQ(counter_table(full).render(), R"(counter               count
 ---------------------------
 shed_newest               1
-shed_oldest               2
-priority_evictions        3
-credit_stalls             4
-credit_grants             5
-budget_stalls             6
-budget_rejections         7
-slow_streams_evicted      8
-evicted_chunks            9
-drain_requests           10
-drain_timeouts           11
-peak_bytes_in_flight     12
+credit_stalls             2
+credit_grants             3
+budget_stalls             4
+budget_rejections         5
+drain_requests            6
+drain_timeouts            7
+peak_bytes_in_flight      8
 )");
   EXPECT_EQ(counter_table(every_other_cleared(full, fields), /*nonzero_only=*/true)
                 .render(),
-            R"(counter             count
--------------------------
-shed_newest             1
-priority_evictions      3
-credit_grants           5
-budget_rejections       7
-evicted_chunks          9
-drain_timeouts         11
+            R"(counter            count
+------------------------
+shed_newest            1
+credit_grants          3
+budget_rejections      5
+drain_timeouts         7
 )");
 }
 

@@ -294,13 +294,13 @@ TEST(MetricsRegistryTest, EveryLedgerRegistersUnderItsPrefix) {
   ScrubCounters scrub;
   ChaosCounters chaos;
   expect_ledger_registered(registry, "fault", fault, 15);
-  expect_ledger_registered(registry, "overload", overload, 12);
+  expect_ledger_registered(registry, "overload", overload, 8);
   expect_ledger_registered(registry, "health", health, 6);
   expect_ledger_registered(registry, "resume", resume, 10);
   expect_ledger_registered(registry, "federation", federation, 17);
   expect_ledger_registered(registry, "scrub", scrub, 16);
   expect_ledger_registered(registry, "chaos", chaos, 10);
-  EXPECT_EQ(registry.size(), 86U);
+  EXPECT_EQ(registry.size(), 82U);
 
   const auto snap = registry.snapshot(0);
   EXPECT_TRUE(snap.has("fault.watchdog_trips"));

@@ -1,8 +1,8 @@
 // Overload-protection tests: the memory-budget ledger, credit-based flow
-// control on the wire, load shedding and slow-consumer eviction in the real
-// pipeline, the graceful-drain protocol, the overload directive in the
-// config grammar, and chaos x overload interplay (seeded transport faults
-// while the credit window and shed policies are active).
+// control on the wire, drop-newest load shedding in the real pipeline, the
+// graceful-drain protocol, the overload directive in the config grammar,
+// and chaos x overload interplay (seeded transport faults while the credit
+// window and the shed policy are active).
 //
 // Determinism policy: the simulated runtime asserts exact counter equality
 // (see simrt_test.cpp); the real threaded pipeline here asserts the
@@ -227,12 +227,10 @@ TEST(MemoryBudgetTest, AcquireAbortsOnCancel) {
 TEST(OverloadCountersTest, SnapshotTotalsAndPeak) {
   OverloadCounters counters;
   counters.shed_newest = 3;
-  counters.shed_oldest = 2;
-  counters.priority_evictions = 1;
   counters.record_peak(500);
   counters.record_peak(300);  // monotonic gauge: lower values don't regress it
   const auto snapshot = counters.snapshot();
-  EXPECT_EQ(snapshot.total_shed(), 6U);
+  EXPECT_EQ(snapshot.shed_newest, 3U);
   EXPECT_EQ(snapshot.peak_bytes_in_flight, 500U);
   EXPECT_NE(snapshot.to_string(), OverloadCountersSnapshot{}.to_string());
   EXPECT_EQ(OverloadCountersSnapshot{}.to_string(), "clean");
@@ -314,15 +312,10 @@ TEST(OverloadConfigTest, SerializeParseRoundTrip) {
   NodeConfig config = sender_config(2, 2);
   config.overload.budget_bytes = 1 << 20;
   config.overload.credit_window = 4;
-  config.overload.shed_policy = ShedPolicy::kPriorityEvict;
+  config.overload.shed_policy = ShedPolicy::kDropNewest;
   config.overload.high_watermark = 6;
   config.overload.low_watermark = 2;
   config.overload.drain_deadline_ms = 1500;
-  config.overload.slow_stream_floor = 3;
-  config.overload.slow_grace_ms = 250;
-  config.overload.default_priority = 1;
-  config.overload.priorities = {{.stream_id = 7, .priority = 9},
-                                {.stream_id = 2, .priority = -1}};
 
   auto parsed = NodeConfig::parse(config.serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
@@ -335,29 +328,29 @@ TEST(OverloadConfigTest, AbsentDirectiveStaysAbsentAndDisabled) {
   EXPECT_FALSE(config.overload.enabled());
   const std::string text = config.serialize();
   EXPECT_EQ(text.find("overload"), std::string::npos);
-  EXPECT_EQ(text.find("priority"), std::string::npos);
   auto parsed = NodeConfig::parse(text);
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().overload.is_default());
 }
 
-TEST(OverloadConfigTest, PriorityLookupFallsBackToDefault) {
-  OverloadConfig overload;
-  overload.default_priority = 5;
-  overload.priorities = {{.stream_id = 1, .priority = 9}};
-  EXPECT_EQ(overload.priority_of(1), 9);
-  EXPECT_EQ(overload.priority_of(42), 5);
-}
-
 TEST(OverloadConfigTest, ShedPolicyNamesRoundTrip) {
-  for (const ShedPolicy policy :
-       {ShedPolicy::kBlock, ShedPolicy::kDropNewest, ShedPolicy::kDropOldest,
-        ShedPolicy::kPriorityEvict}) {
-    auto parsed = shed_policy_from_string(to_string(policy));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), policy);
+  const auto text = [](const std::string& shed) {
+    return "node n\nrole sender\ntask compress count=1\ntask send count=1\n"
+           "overload shed=" + shed + " high_watermark=1\n";
+  };
+  for (const ShedPolicy policy : {ShedPolicy::kBlock, ShedPolicy::kDropNewest}) {
+    auto parsed = NodeConfig::parse(text(to_string(policy)));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    EXPECT_EQ(parsed.value().overload.shed_policy, policy);
+    const std::string serialized = parsed.value().serialize();
+    EXPECT_NE(serialized.find(" shed=" + to_string(policy) + " "),
+              std::string::npos)
+        << serialized;
+    auto again = NodeConfig::parse(serialized);
+    ASSERT_TRUE(again.ok()) << again.status().to_string();
+    EXPECT_EQ(again.value().overload, parsed.value().overload);
   }
-  EXPECT_FALSE(shed_policy_from_string("yolo").ok());
+  EXPECT_FALSE(NodeConfig::parse(text("yolo")).ok());
 }
 
 TEST(OverloadConfigTest, MalformedDirectivesFailWithDescriptiveErrors) {
@@ -373,13 +366,11 @@ TEST(OverloadConfigTest, MalformedDirectivesFailWithDescriptiveErrors) {
   expect_parse_error("overload shed=sideways", "shed");
   expect_parse_error("overload budget_bytes=banana", "budget_bytes");
   expect_parse_error("overload frobnicate=1", "frobnicate");
-  expect_parse_error("priority stream=3", "value");
-  expect_parse_error("priority value=3", "stream");
   // A minus sign, trailing characters or a too-wide value is an error, not
   // a wrapped, truncated or narrowed number.
   expect_parse_error("overload credit_window=-2", "credit_window");
   expect_parse_error("recovery max_attempts=3x", "max_attempts");
-  expect_parse_error("priority stream=4294967298 value=1", "stream");
+  expect_parse_error("recovery max_attempts=4294967298", "max_attempts");
 }
 
 TEST(OverloadConfigTest, ValidateRejectsInconsistentKnobs) {
@@ -402,20 +393,15 @@ TEST(OverloadConfigTest, ValidateRejectsInconsistentKnobs) {
   expect_invalid([](NodeConfig& c) {
     c.overload.shed_policy = ShedPolicy::kDropNewest;
   });
-  expect_invalid([](NodeConfig& c) { c.overload.slow_stream_floor = 5; });
   // A budget smaller than one chunk could never admit anything.
   expect_invalid([](NodeConfig& c) { c.overload.budget_bytes = 100; });
-  expect_invalid([](NodeConfig& c) {
-    c.overload.priorities = {{.stream_id = 1, .priority = 1},
-                             {.stream_id = 1, .priority = 2}};
-  });
 }
 
 TEST(OverloadConfigTest, ValidateAcceptsBoundaryValues) {
   const MachineTopology topo = host_topology();
   NodeConfig config = sender_config(1, 1);
   config.overload.credit_window = 2;  // smallest legal window
-  config.overload.shed_policy = ShedPolicy::kDropOldest;
+  config.overload.shed_policy = ShedPolicy::kDropNewest;
   config.overload.high_watermark = config.queue_capacity;  // inclusive bound
   config.overload.low_watermark = config.queue_capacity;
   config.overload.budget_bytes = config.chunk_bytes;  // exactly one chunk
@@ -507,7 +493,7 @@ TEST(OverloadPipelineTest, ThrottledReceiverRespectsBudgetAndSheds) {
   ASSERT_TRUE(run.receiver_stats.ok()) << run.receiver_stats.status().to_string();
 
   // The throttled receiver forced the protections to engage.
-  EXPECT_GT(run.sender.total_shed(), 0U) << run.sender.to_string();
+  EXPECT_GT(run.sender.shed_newest, 0U) << run.sender.to_string();
   EXPECT_GT(run.receiver.credit_grants, 0U);
 
   // Peak resident bytes respected the cap on both sides, and the shared
@@ -520,8 +506,7 @@ TEST(OverloadPipelineTest, ThrottledReceiverRespectsBudgetAndSheds) {
   EXPECT_EQ(ledger.used(), 0U);
 
   // Accountability: delivered + shed == produced, nothing silently gone.
-  EXPECT_EQ(sink.chunks() + run.sender.total_shed(), kChunks);
-  EXPECT_EQ(run.receiver.evicted_chunks, 0U);
+  EXPECT_EQ(sink.chunks() + run.sender.shed_newest, kChunks);
 }
 
 // Same scenario with the blocking policy: nothing may be shed — the budget
@@ -544,7 +529,7 @@ TEST(OverloadPipelineTest, BlockPolicyIsLosslessUnderPressure) {
   ASSERT_TRUE(run.sender_stats.ok()) << run.sender_stats.status().to_string();
   ASSERT_TRUE(run.receiver_stats.ok()) << run.receiver_stats.status().to_string();
   EXPECT_EQ(sink.chunks(), kChunks);
-  EXPECT_EQ(run.sender.total_shed(), 0U);
+  EXPECT_EQ(run.sender.shed_newest, 0U);
   EXPECT_GT(run.sender.credit_stalls + run.sender.budget_stalls, 0U)
       << run.sender.to_string();
   EXPECT_LE(run.sender.peak_bytes_in_flight, 16U * 1024U);
@@ -627,33 +612,6 @@ TEST(OverloadPipelineTest, DrainWithinDeadlineEndsClean) {
   EXPECT_EQ(sink.chunks(), kChunks);
   EXPECT_EQ(run.sender.drain_timeouts, 0U);
   EXPECT_EQ(run.receiver.drain_timeouts, 0U);
-}
-
-// -------------------------------------------------- slow-consumer eviction
-
-TEST(OverloadPipelineTest, SlowStreamIsEvictedNotAllowedToStarveTheRest) {
-  const MachineTopology topo = host_topology();
-  const std::uint64_t kChunks = 40;
-
-  NodeConfig sender_cfg = sender_config(1, 1);
-  NodeConfig receiver_cfg = receiver_config(1, 1);
-  // An impossible floor: nothing delivers 1000 chunks per 50ms window here,
-  // so the monitor must evict the stream on its first sample with backlog.
-  receiver_cfg.overload.slow_stream_floor = 1000;
-  receiver_cfg.overload.slow_grace_ms = 50;
-
-  PatternSource source(1, kChunks, 2048);
-  SlowSink sink(std::chrono::milliseconds(20));
-  const OverloadRunResult run =
-      run_overload_pipeline(topo, sender_cfg, receiver_cfg, source, sink);
-
-  ASSERT_TRUE(run.sender_stats.ok()) << run.sender_stats.status().to_string();
-  ASSERT_TRUE(run.receiver_stats.ok()) << run.receiver_stats.status().to_string();
-  EXPECT_EQ(run.receiver.slow_streams_evicted, 1U);
-  EXPECT_GT(run.receiver.evicted_chunks, 0U);
-  EXPECT_LT(sink.chunks(), kChunks);
-  // Accountability survives eviction: delivered + evicted == received.
-  EXPECT_EQ(sink.chunks() + run.receiver.evicted_chunks, kChunks);
 }
 
 // ------------------------------------------------------- chaos x overload
@@ -796,7 +754,7 @@ TEST(ChaosOverloadTest, SheddingAndRecoveryKeepExactlyOnceDelivery) {
   EXPECT_EQ(run.duplicates, 0U);
   // Conservation across both subsystems: a chunk was delivered or shed —
   // transport faults alone never lose one (failed sends are re-sent).
-  EXPECT_EQ(run.delivered.size() + run.sender.total_shed(), kChunks);
+  EXPECT_EQ(run.delivered.size() + run.sender.shed_newest, kChunks);
   for (const auto& [key, hash] : run.delivered) {
     EXPECT_EQ(hash, xxhash32(pattern_payload(key.second, 2048)))
         << "chunk " << key.second << " corrupted";

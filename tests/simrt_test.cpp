@@ -528,20 +528,6 @@ TEST(DriverTest, UnsimulatableConfigIsRejected) {
          overload.high_watermark = 6;
          overload.low_watermark = 2;
        }},
-      {"drop_oldest",
-       [](StreamingPlan& plan, ExperimentOptions&) {
-         OverloadConfig& overload = plan.senders[0].overload;
-         overload.shed_policy = ShedPolicy::kDropOldest;
-         overload.high_watermark = 6;
-         overload.low_watermark = 2;
-       }},
-      {"priority_evict",
-       [](StreamingPlan& plan, ExperimentOptions&) {
-         OverloadConfig& overload = plan.senders[0].overload;
-         overload.shed_policy = ShedPolicy::kPriorityEvict;
-         overload.high_watermark = 6;
-         overload.low_watermark = 2;
-       }},
       {"sender without compress threads",
        [](StreamingPlan& plan, ExperimentOptions&) {
          std::erase_if(plan.senders[0].tasks, [](const TaskGroupConfig& group) {
